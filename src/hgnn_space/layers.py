@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import (BatchNormState, IndexPlan, Parameter, SegmentIndex,
-                     Tensor, TensorError)
+                     SpmmPlan, Tensor, TensorError)
 from .transform import HomoGraph, Subgraph
 
 GAT_LEAKY_SLOPE = 0.2
@@ -36,31 +36,30 @@ def glorot(rng, fan_in, fan_out):
 # ---------------------------------------------------------------------------
 
 class EdgeSet:
-    """Edges sorted by destination, with reusable gather/segment plans."""
+    """Attention edges sorted by destination: gather and segment plans for the
+    per-edge logits and softmax, and the spmm pattern the coefficients fill."""
 
-    __slots__ = ("src", "dst", "weight", "n_src", "n_dst", "src_plan",
-                 "dst_plan", "seg", "edge_type")
+    __slots__ = ("dst", "n_dst", "src_plan", "dst_plan", "seg", "edge_type",
+                 "matrix")
 
-    def __init__(self, src, dst, weight, n_src, n_dst, edge_type=None):
-        self.src = src
+    def __init__(self, src, dst, n_src, n_dst, edge_type=None):
         self.dst = dst
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.n_src = int(n_src)
         self.n_dst = int(n_dst)
         self.src_plan = IndexPlan(src, n_src)
         self.dst_plan = IndexPlan(dst, n_dst)
         self.seg = SegmentIndex(dst, n_dst)
         self.edge_type = edge_type
+        self.matrix = SpmmPlan(dst, src, n_dst, n_src)
 
 
 class GraphView:
-    """Lazy cache of the edge-set variants one subgraph can be consumed as."""
+    """Lazy cache of the matrices one subgraph can be aggregated with."""
 
     def __init__(self, src, dst, weight, n_src, n_dst, same_type,
                  edge_type=None, n_edge_types=0):
         self._src = src
         self._dst = dst
-        self._weight = weight
+        self._weight = np.asarray(weight, dtype=np.float64)
         self.n_src = int(n_src)
         self.n_dst = int(n_dst)
         self.same_type = bool(same_type)
@@ -68,43 +67,48 @@ class GraphView:
         self.n_edge_types = int(n_edge_types)
         self._cache = {}
 
-    def weighted(self) -> EdgeSet:
-        if "weighted" not in self._cache:
-            self._cache["weighted"] = EdgeSet(
-                self._src, self._dst, self._weight.astype(np.float64),
-                self.n_src, self.n_dst, self._edge_type)
-        return self._cache["weighted"]
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
-    def binarized(self) -> EdgeSet:
+    def _plan(self, weight):
+        return SpmmPlan(self._dst, self._src, self.n_dst, self.n_src, weight)
+
+    def weighted(self) -> SpmmPlan:
+        """Edge multiplicities as weights (sum aggregation)."""
+        return self._cached("weighted", lambda: self._plan(self._weight))
+
+    def row_normalized(self) -> SpmmPlan:
+        """Each destination's weights divided by their sum (mean aggregation)."""
+        def build():
+            din = np.bincount(self._dst, weights=self._weight, minlength=self.n_dst)
+            safe = np.where(din > 0, din, 1.0)
+            return self._plan(self._weight / safe[self._dst])
+        return self._cached("mean", build)
+
+    def attention(self) -> EdgeSet:
         # attention treats parallel edges within a subgraph as one neighbor
-        if "binary" not in self._cache:
-            self._cache["binary"] = EdgeSet(
-                self._src, self._dst, np.ones(self._src.shape[0]),
-                self.n_src, self.n_dst, self._edge_type)
-        return self._cache["binary"]
+        return self._cached("attention", lambda: EdgeSet(
+            self._src, self._dst, self.n_src, self.n_dst, self._edge_type))
 
-    def gcn_normalized(self) -> EdgeSet:
+    def gcn_normalized(self) -> SpmmPlan:
         """Count-weighted normalized edges; self-loops only on same-type views."""
-        if "gcn" not in self._cache:
-            w = self._weight.astype(np.float64)
-            if self.same_type:
-                loops = np.arange(self.n_dst, dtype=np.int64)
-                src = np.concatenate([self._src, loops])
-                dst = np.concatenate([self._dst, loops])
-                w = np.concatenate([w, np.ones(self.n_dst)])
-                din = np.bincount(dst, weights=w, minlength=self.n_dst)
-                dout = np.bincount(src, weights=w, minlength=self.n_src)
-                norm = w / np.sqrt(din[dst] * dout[src])
-                order = np.argsort(dst, kind="stable")
-                self._cache["gcn"] = EdgeSet(src[order], dst[order], norm[order],
-                                             self.n_src, self.n_dst)
-            else:
-                din = np.bincount(self._dst, weights=w, minlength=self.n_dst)
-                safe = np.where(din > 0, din, 1.0)
-                norm = w / safe[self._dst]
-                self._cache["gcn"] = EdgeSet(self._src, self._dst, norm,
-                                             self.n_src, self.n_dst)
-        return self._cache["gcn"]
+        if not self.same_type:
+            return self.row_normalized()
+
+        def build():
+            loops = np.arange(self.n_dst, dtype=np.int64)
+            src = np.concatenate([self._src, loops])
+            dst = np.concatenate([self._dst, loops])
+            w = np.concatenate([self._weight, np.ones(self.n_dst)])
+            din = np.bincount(dst, weights=w, minlength=self.n_dst)
+            dout = np.bincount(src, weights=w, minlength=self.n_src)
+            norm = w / np.sqrt(din[dst] * dout[src])
+            order = np.argsort(dst, kind="stable")
+            return SpmmPlan(dst[order], src[order], self.n_dst, self.n_src,
+                            norm[order])
+        return self._cached("gcn", build)
 
 
 def subgraph_view(sub: Subgraph) -> GraphView:
@@ -141,9 +145,7 @@ class GCNConv:
         return [self.W, self.b]
 
     def __call__(self, view: GraphView, h_src, h_dst):
-        es = view.gcn_normalized()
-        msg = T.mul(T.gather_rows(h_src, es.src_plan), Tensor(es.weight[:, None]))
-        agg = T.segment_sum(msg, es.seg)
+        agg = T.spmm(view.gcn_normalized(), h_src)
         return T.add(T.matmul(agg, self.W), self.b)
 
 
@@ -172,36 +174,28 @@ class GATConv:
             ps += [self.W_r, self.r_emb, self.a_rel]
         return ps
 
-    def __call__(self, view: GraphView, h_src, h_dst):
-        es = view.binarized()
+    def _attention(self, es: EdgeSet, h_src, h_dst):
         z_src = T.matmul(h_src, self.W)
         z_dst = z_src if h_dst is h_src else T.matmul(h_dst, self.W)
-        s_src = T.matmul(z_src, self.a_src)
-        s_dst = T.matmul(z_dst, self.a_dst)
-        logits = T.add(T.gather_rows(s_dst, es.dst_plan),
-                       T.gather_rows(s_src, es.src_plan))
+        logits = T.add(T.gather_rows(T.matmul(z_dst, self.a_dst), es.dst_plan),
+                       T.gather_rows(T.matmul(z_src, self.a_src), es.src_plan))
         if self.form == "SimpleHGN":
             if es.edge_type is None:
                 raise TensorError("SimpleHGN attention needs a typed edge view")
             s_rel = T.matmul(T.matmul(self.r_emb, self.W_r), self.a_rel)
             logits = T.add(logits, T.gather_rows(s_rel, es.edge_type))
         e = T.leaky_relu(logits, GAT_LEAKY_SLOPE)
-        alpha = T.segment_softmax(e, es.seg)
-        msg = T.mul(alpha, T.gather_rows(z_src, es.src_plan))
-        return T.segment_sum(msg, es.seg)
+        return z_src, T.segment_softmax(e, es.seg)
+
+    def __call__(self, view: GraphView, h_src, h_dst):
+        es = view.attention()
+        z_src, alpha = self._attention(es, h_src, h_dst)
+        return T.spmm(es.matrix, z_src, values=alpha)
 
     def attention_weights(self, view: GraphView, h_src, h_dst):
         """Per-edge softmax coefficients (diagnostics and tests)."""
-        es = view.binarized()
-        z_src = T.matmul(h_src, self.W)
-        z_dst = z_src if h_dst is h_src else T.matmul(h_dst, self.W)
-        logits = T.add(T.gather_rows(T.matmul(z_dst, self.a_dst), es.dst_plan),
-                       T.gather_rows(T.matmul(z_src, self.a_src), es.src_plan))
-        if self.form == "SimpleHGN":
-            s_rel = T.matmul(T.matmul(self.r_emb, self.W_r), self.a_rel)
-            logits = T.add(logits, T.gather_rows(s_rel, es.edge_type))
-        e = T.leaky_relu(logits, GAT_LEAKY_SLOPE)
-        return T.segment_softmax(e, es.seg), es
+        es = view.attention()
+        return self._attention(es, h_src, h_dst)[1], es
 
 
 class SageConv:
@@ -216,13 +210,7 @@ class SageConv:
         return [self.W, self.b]
 
     def __call__(self, view: GraphView, h_src, h_dst):
-        es = view.weighted()
-        sums = T.segment_sum(
-            T.mul(T.gather_rows(h_src, es.src_plan), Tensor(es.weight[:, None])),
-            es.seg)
-        denom = np.bincount(es.dst, weights=es.weight, minlength=es.n_dst)
-        inv = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), 0.0)
-        mean = T.mul(sums, Tensor(inv[:, None]))
+        mean = T.spmm(view.row_normalized(), h_src)
         return T.add(T.matmul(T.concat([h_dst, mean], axis=1), self.W), self.b)
 
 
@@ -240,10 +228,7 @@ class GINConv:
         return [self.eps, self.W1, self.b1, self.W2, self.b2]
 
     def __call__(self, view: GraphView, h_src, h_dst):
-        es = view.weighted()
-        sums = T.segment_sum(
-            T.mul(T.gather_rows(h_src, es.src_plan), Tensor(es.weight[:, None])),
-            es.seg)
+        sums = T.spmm(view.weighted(), h_src)
         pre = T.add(T.mul(h_dst, T.add(self.eps, Tensor(1.0))), sums)
         hidden = T.relu(T.add(T.matmul(pre, self.W1), self.b1))
         return T.add(T.matmul(hidden, self.W2), self.b2)

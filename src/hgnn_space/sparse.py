@@ -8,6 +8,7 @@ float data carries normalization weights.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 # Largest admissible product magnitude before an int64 accumulation is refused.
 _INT_SAFE = np.int64(1) << 62
@@ -123,7 +124,8 @@ class CSRMatrix:
                          self.data[order])
 
     def matmul(self, other: "CSRMatrix") -> "CSRMatrix":
-        """Row-wise sparse product; integer inputs stay integer, overflow-checked."""
+        """Sparse product through scipy; integer inputs stay integer,
+        overflow-checked. Entries that sum to zero are not stored."""
         if self.n_cols != other.n_rows:
             raise ValueError(
                 f"shape mismatch: ({self.n_rows},{self.n_cols}) @ "
@@ -136,48 +138,12 @@ class CSRMatrix:
             if bound > int(_INT_SAFE):
                 raise OverflowError("sparse product may overflow int64 counts")
         dtype = np.int64 if int_result else np.float64
-        out_indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        out_idx_parts = []
-        out_val_parts = []
-        for i in range(self.n_rows):
-            s, e = self.indptr[i], self.indptr[i + 1]
-            if s == e:
-                out_indptr[i + 1] = out_indptr[i]
-                continue
-            chunks_idx = []
-            chunks_val = []
-            for pos in range(s, e):
-                k = self.indices[pos]
-                v = self.data[pos]
-                bs, be = other.indptr[k], other.indptr[k + 1]
-                if bs == be:
-                    continue
-                chunks_idx.append(other.indices[bs:be])
-                chunks_val.append(v * other.data[bs:be].astype(dtype, copy=False))
-            if not chunks_idx:
-                out_indptr[i + 1] = out_indptr[i]
-                continue
-            cat_idx = np.concatenate(chunks_idx)
-            cat_val = np.concatenate(chunks_val)
-            order = np.argsort(cat_idx, kind="stable")
-            cat_idx = cat_idx[order]
-            cat_val = cat_val[order]
-            boundary = np.empty(cat_idx.shape[0], dtype=bool)
-            boundary[0] = True
-            boundary[1:] = cat_idx[1:] != cat_idx[:-1]
-            starts = np.flatnonzero(boundary)
-            out_idx_parts.append(cat_idx[starts])
-            out_val_parts.append(np.add.reduceat(cat_val, starts))
-            out_indptr[i + 1] = out_indptr[i] + starts.shape[0]
-        if out_idx_parts:
-            indices = np.concatenate(out_idx_parts)
-            data = np.concatenate(out_val_parts)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=dtype)
-        if int_result and data.size and data.min() < 0:
+        product = _as_scipy(self, dtype) @ _as_scipy(other, dtype)
+        product.sort_indices()
+        if int_result and product.nnz and product.data.min() < 0:
             raise OverflowError("sparse product overflowed int64 counts")
-        return CSRMatrix(self.n_rows, other.n_cols, out_indptr, indices, data)
+        return CSRMatrix(self.n_rows, other.n_cols, product.indptr,
+                         product.indices, product.data)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -193,6 +159,11 @@ class CSRMatrix:
     def __repr__(self):
         return (f"CSRMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz}, "
                 f"dtype={self.data.dtype})")
+
+
+def _as_scipy(m: CSRMatrix, dtype) -> sp.csr_array:
+    return sp.csr_array((m.data.astype(dtype, copy=False), m.indices, m.indptr),
+                        shape=m.shape)
 
 
 def freeze(csr: CSRMatrix) -> CSRMatrix:

@@ -1,14 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every primitive computes its forward value with numpy and, when any input
-requires gradients, records a vector-Jacobian closure on the output. A
-backward pass replays the recorded graph once in reverse topological order
-and accumulates gradients into the leaves. 64-bit floats throughout.
+Every primitive computes its forward value with numpy (scipy.sparse for the
+sparse-dense product) and, when any input requires gradients, records a
+vector-Jacobian closure on the output. A backward pass replays the recorded
+graph once in reverse topological order and accumulates gradients into the
+leaves. 64-bit floats throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class TensorError(ValueError):
@@ -634,6 +636,90 @@ def segment_softmax(a, seg: SegmentIndex):
         return (gout,)
 
     return _make(data, (a,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# sparse-dense products (every convolution's neighbor aggregation)
+# ---------------------------------------------------------------------------
+
+class SpmmPlan:
+    """A fixed CSR pattern for repeated `spmm` calls: rows are destinations,
+    columns sources, one stored entry per edge in row-sorted order.
+
+    `data` fills the entries of the fixed matrix (ones by default); the
+    transpose the backward pass needs is built here, once."""
+
+    __slots__ = ("rows", "cols", "shape", "perm", "matrix", "t_matrix")
+
+    def __init__(self, rows, cols, n_rows, n_cols, data=None):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise TensorError("spmm rows and cols must be equal-length vectors")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows
+                          or cols.min() < 0 or cols.max() >= n_cols):
+            raise TensorError("spmm index out of range")
+        if np.any(rows[1:] < rows[:-1]):
+            raise TensorError("spmm entries must be sorted by row")
+        self.rows = rows
+        self.cols = cols
+        self.shape = (int(n_rows), int(n_cols))
+        self.perm = np.argsort(cols, kind="stable")  # entry order of the transpose
+        data = (np.ones(rows.shape[0]) if data is None
+                else np.asarray(data, dtype=np.float64))
+        self.matrix = sp.csr_array((data, cols, _indptr(rows, n_rows)),
+                                   shape=self.shape)
+        self.t_matrix = sp.csr_array(
+            (data[self.perm], rows[self.perm], _indptr(cols, n_cols)),
+            shape=self.shape[::-1])
+
+    @property
+    def nnz(self):
+        return int(self.rows.shape[0])
+
+
+def _on_pattern(m, data):
+    """`m`'s sparsity pattern with `data` as its entries."""
+    return sp.csr_array((data, m.indices, m.indptr), shape=m.shape)
+
+
+def _indptr(sorted_rows, n_rows):
+    out = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sorted_rows, minlength=n_rows), out=out[1:])
+    return out
+
+
+def spmm(A: SpmmPlan, x, values=None):
+    """Sparse-dense product A @ x; the backward pass is Aᵀ @ g.
+
+    With `values`, a tensor holding one entry per edge of A (in A's entry
+    order) becomes the matrix data, and its gradient is the sampled
+    dense-dense product (g[row] * x[col]).sum(1)."""
+    x = _wrap(x)
+    if not isinstance(A, SpmmPlan):
+        raise TensorError("spmm needs an SpmmPlan")
+    if x.ndim != 2 or x.shape[0] != A.shape[1]:
+        raise TensorError(f"spmm shape mismatch: {A.shape} @ {x.shape}")
+    if values is None:
+        t_matrix = A.t_matrix
+
+        def vjp(g):
+            return (t_matrix @ g,)
+
+        return _make(A.matrix @ x.data, (x,), vjp)
+
+    values = _wrap(values)
+    if values.size != A.nnz:
+        raise TensorError(f"spmm got {values.size} values for {A.nnz} entries")
+    v = values.data.reshape(-1)
+    xd = x.data
+
+    def vjp(g):
+        gv = np.einsum("ij,ij->i", np.take(g, A.rows, axis=0),
+                       np.take(xd, A.cols, axis=0))
+        return _on_pattern(A.t_matrix, v[A.perm]) @ g, gv.reshape(values.shape)
+
+    return _make(_on_pattern(A.matrix, v) @ xd, (x, values), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,38 @@ def test_csr_matmul_matches_dense():
         assert np.array_equal((ca @ cb).to_dense(), a @ b)
 
 
+def test_csr_matmul_matches_dense_with_empty_rows_and_columns():
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        n, k, m = (int(x) for x in rng.integers(1, 12, 3))
+        a = (rng.random((n, k)) < 0.3) * rng.integers(1, 5, (n, k))
+        b = (rng.random((k, m)) < 0.3) * rng.integers(1, 5, (k, m))
+        a[rng.integers(n)] = 0
+        a[:, rng.integers(k)] = 0
+        b[rng.integers(k)] = 0
+        b[:, rng.integers(m)] = 0
+        ca = CSRMatrix.from_edges(*np.nonzero(a), n, k, data=a[np.nonzero(a)])
+        cb = CSRMatrix.from_edges(*np.nonzero(b), k, m, data=b[np.nonzero(b)])
+        got = ca @ cb
+        want = a @ b
+        assert got.data.dtype == np.int64 and got.indices.dtype == np.int64
+        assert np.array_equal(got.to_dense(), want)
+        assert np.array_equal(np.diff(got.indptr), (want != 0).sum(axis=1))
+        rows = got.expanded_rows()
+        assert np.all((rows[1:] > rows[:-1]) | (got.indices[1:] > got.indices[:-1]))
+
+
+def test_csr_matmul_overflow_bound_is_exact_at_int_safe():
+    # bound = max|a| * max|b| * inner dimension, refused only above _INT_SAFE
+    b = CSRMatrix.from_edges([0, 1], [0, 0], 2, 1, data=np.array([1 << 31, 1]))
+    at_bound = CSRMatrix.from_edges([0, 0], [0, 1], 1, 2, data=np.array([1 << 30, 1]))
+    assert (at_bound @ b).data.tolist() == [(1 << 61) + 1]
+    above = CSRMatrix.from_edges([0, 0], [0, 1], 1, 2,
+                                 data=np.array([(1 << 30) + 1, 1]))
+    with pytest.raises(OverflowError):
+        _ = above @ b
+
+
 def test_csr_transpose_matches_dense():
     rng = np.random.default_rng(3)
     a = (rng.random((6, 4)) < 0.5).astype(np.int64) * rng.integers(1, 4, (6, 4))

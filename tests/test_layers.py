@@ -4,7 +4,7 @@ import pytest
 import hgnn_space.layers as L
 import hgnn_space.tensor as T
 from hgnn_space.hgraph import build_graph
-from hgnn_space.tensor import Tensor, grad_check
+from hgnn_space.tensor import Parameter, Tensor, grad_check
 from hgnn_space.transform import extract_relation_subgraphs, homogenize
 
 
@@ -147,6 +147,62 @@ def test_sage_and_gin_match_dense_oracles():
     want = dense_gin(adj, h_src, h_dst, gin.eps.data.item(), gin.W1.data,
                      gin.b1.data, gin.W2.data, gin.b2.data)
     assert np.allclose(got.data, want, atol=1e-12)
+
+
+def _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type):
+    """The gather_rows -> mul -> segment_sum aggregation each convolution
+    used before its single spmm, with the weights computed as it did then."""
+    src, dst, w = _edges_of(adj)
+    n_dst, n_src = adj.shape
+    if kind == "GATConv":
+        view = L.GraphView(src, dst, w, n_src, n_dst, same_type)
+        w, _ = conv.attention_weights(view, h_src, h_dst)
+        h_src = T.matmul(h_src, conv.W)
+    elif kind == "GCNConv" and same_type:
+        loops = np.arange(n_dst)
+        src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+        w = np.concatenate([w, np.ones(n_dst)])
+        din = np.bincount(dst, weights=w, minlength=n_dst)
+        dout = np.bincount(src, weights=w, minlength=n_src)
+        w = w / np.sqrt(din[dst] * dout[src])
+    elif kind in ("GCNConv", "SageConv"):
+        din = np.bincount(dst, weights=w, minlength=n_dst)
+        w = w / np.where(din > 0, din, 1.0)[dst]
+    weight = w if isinstance(w, Tensor) else Tensor(w[:, None])
+    msg = T.mul(T.gather_rows(h_src, T.IndexPlan(src, n_src)), weight)
+    agg = T.segment_sum(msg, T.SegmentIndex(dst, n_dst))
+    if kind == "GCNConv":
+        return T.add(T.matmul(agg, conv.W), conv.b)
+    if kind == "SageConv":
+        return T.add(T.matmul(T.concat([h_dst, agg], axis=1), conv.W), conv.b)
+    if kind == "GINConv":
+        pre = T.add(T.mul(h_dst, T.add(conv.eps, Tensor(1.0))), agg)
+        return T.add(T.matmul(T.relu(T.add(T.matmul(pre, conv.W1), conv.b1)),
+                              conv.W2), conv.b2)
+    return agg
+
+
+@pytest.mark.parametrize("same_type", [True, False])
+@pytest.mark.parametrize("kind", L.MICRO_KINDS)
+def test_spmm_aggregation_equals_composed_kernels(kind, same_type):
+    rng = np.random.default_rng(50)
+    n_dst, n_src = (9, 9) if same_type else (9, 6)
+    adj = (rng.random((n_dst, n_src)) < 0.4) * rng.integers(1, 4, (n_dst, n_src))
+    adj[2, :] = 0  # one destination without neighbors
+    view = L.GraphView(*_edges_of(adj), n_src, n_dst, same_type)
+    h_src = Parameter(rng.standard_normal((n_src, 5)), "h_src")
+    h_dst = h_src if same_type else Tensor(rng.standard_normal((n_dst, 5)))
+    conv = L.make_micro_conv(kind, 5, 4, np.random.default_rng(51), "c")
+    v = Tensor(rng.standard_normal((n_dst, 4)))
+    outs, grads = [], []
+    for out in (conv(view, h_src, h_dst),
+                _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type)):
+        h_src.grad = None
+        T.tsum(T.mul(out, v)).backward()
+        outs.append(out.data)
+        grads.append(h_src.grad)
+    assert np.abs(outs[0] - outs[1]).max() < 1e-12
+    assert np.abs(grads[0] - grads[1]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

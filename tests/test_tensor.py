@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import hgnn_space.tensor as T
 from hgnn_space.tensor import (BatchNormState, IndexPlan, Parameter,
-                               SegmentIndex, Tensor, TensorError, grad_check)
+                               SegmentIndex, SpmmPlan, Tensor, TensorError,
+                               grad_check)
 
 TOL = 1e-4
 
@@ -286,6 +287,75 @@ def test_grad_random_shapes_all_primitives():
             return T.tsum(T.mul(h, Tensor(v)))
 
         check(f, [a, W], rng=np.random.default_rng(100 + trial))
+
+
+# rows 1 and 4 receive no entries; row 2 holds column 0 twice
+SPMM_ROWS = np.array([0, 0, 2, 2, 2, 3])
+SPMM_COLS = np.array([1, 3, 0, 0, 2, 3])
+
+
+def _dense_of(rows, cols, data, shape):
+    out = np.zeros(shape)
+    np.add.at(out, (rows, cols), data)
+    return out
+
+
+def test_spmm_matches_dense_with_duplicates_and_empty_rows():
+    rng = np.random.default_rng(40)
+    w = rng.standard_normal(SPMM_ROWS.size)
+    x = rng.standard_normal((4, 3))
+    plan = SpmmPlan(SPMM_ROWS, SPMM_COLS, 5, 4, w)
+    want = _dense_of(SPMM_ROWS, SPMM_COLS, w, (5, 4)) @ x
+    assert np.allclose(T.spmm(plan, Tensor(x)).data, want, atol=1e-14)
+    alpha = rng.standard_normal((SPMM_ROWS.size, 1))
+    want = _dense_of(SPMM_ROWS, SPMM_COLS, alpha[:, 0], (5, 4)) @ x
+    assert np.allclose(T.spmm(plan, Tensor(x), values=Tensor(alpha)).data, want,
+                       atol=1e-14)
+    ones = SpmmPlan(SPMM_ROWS, SPMM_COLS, 5, 4)
+    assert np.allclose(T.spmm(ones, Tensor(x)).data,
+                       _dense_of(SPMM_ROWS, SPMM_COLS, 1.0, (5, 4)) @ x)
+
+
+def test_spmm_zero_edges_gives_zero_rows_and_gradients():
+    plan = SpmmPlan([], [], 3, 2)
+    x = Parameter(np.ones((2, 4)), "x")
+    values = Parameter(np.zeros((0, 1)), "alpha")
+    for out in (T.spmm(plan, x), T.spmm(plan, x, values=values)):
+        assert out.shape == (3, 4) and not out.data.any()
+        x.grad = values.grad = None
+        T.tsum(out).backward()
+        assert x.grad.shape == (2, 4) and not x.grad.any()
+    assert values.grad.shape == (0, 1)
+
+
+def test_grad_spmm_fixed_weights():
+    rng = np.random.default_rng(41)
+    plan = SpmmPlan(SPMM_ROWS, SPMM_COLS, 5, 4, rng.standard_normal(SPMM_ROWS.size))
+    x = param(rng, 4, 3, name="x")
+    v = rng.standard_normal((5, 3))
+    check(lambda: T.tsum(T.mul(T.spmm(plan, x), Tensor(v))), [x])
+
+
+def test_grad_spmm_edge_values():
+    rng = np.random.default_rng(42)
+    plan = SpmmPlan(SPMM_ROWS, SPMM_COLS, 5, 4)
+    x = param(rng, 4, 3, name="x")
+    alpha = param(rng, SPMM_ROWS.size, 1, name="alpha")
+    v = rng.standard_normal((5, 3))
+    check(lambda: T.tsum(T.mul(T.spmm(plan, x, values=alpha), Tensor(v))),
+          [x, alpha])
+
+
+def test_spmm_rejects_bad_inputs():
+    with pytest.raises(TensorError):
+        SpmmPlan([1, 0], [0, 0], 2, 2)          # rows not sorted
+    with pytest.raises(TensorError):
+        SpmmPlan([0, 2], [0, 0], 2, 2)          # row out of range
+    plan = SpmmPlan([0, 1], [0, 1], 2, 2)
+    with pytest.raises(TensorError):
+        T.spmm(plan, Tensor(np.ones((3, 2))))
+    with pytest.raises(TensorError):
+        T.spmm(plan, Tensor(np.ones((2, 2))), values=Tensor(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
