@@ -223,7 +223,9 @@ class Model:
             self.head_W = None
             self.head_b = None
 
-        self._graph_cache = {}
+        # (graph, prepared data) for the last graph seen; holding the graph
+        # keeps its identity from being reused by another object
+        self._graph_cache = None
 
     # -- parameters ----------------------------------------------------------
 
@@ -244,21 +246,20 @@ class Model:
     # -- graph preparation ----------------------------------------------------
 
     def _graph_data(self, g: HeteroGraph):
-        key = id(g)
-        data = self._graph_cache.get(key)
-        if data is None:
-            feats = {t.name: Tensor(g.features[t.name])
-                     for t in g.node_types if t.feature_dim > 0}
-            if self.cfg.model_family == "Homogenization":
-                data = {"feats": feats, "homograph": homogenize(g)}
+        if self._graph_cache is not None and self._graph_cache[0] is g:
+            return self._graph_cache[1]
+        feats = {t.name: Tensor(g.features[t.name])
+                 for t in g.node_types if t.feature_dim > 0}
+        if self.cfg.model_family == "Homogenization":
+            data = {"feats": feats, "homograph": homogenize(g)}
+        else:
+            if self.cfg.model_family == "Relation":
+                subs = extract_relation_subgraphs(g, g.relation_names)
             else:
-                if self.cfg.model_family == "Relation":
-                    subs = extract_relation_subgraphs(g, g.relation_names)
-                else:
-                    subs = [compose_metapath(g, MetaPath(name, rels))
-                            for name, rels in self.cfg.metapaths]
-                data = {"feats": feats, "subs": subs}
-            self._graph_cache[key] = data
+                subs = [compose_metapath(g, MetaPath(name, rels))
+                        for name, rels in self.cfg.metapaths]
+            data = {"feats": feats, "subs": subs}
+        self._graph_cache = (g, data)
         return data
 
     # -- forward --------------------------------------------------------------
@@ -336,9 +337,7 @@ def score_links(h_src, h_dst, src_ids, dst_ids):
         raise GraphError("link source id out of range")
     if dst_ids.size and (dst_ids.min() < 0 or dst_ids.max() >= h_dst.shape[0]):
         raise GraphError("link destination id out of range")
-    a = T.gather_rows(h_src, src_ids)
-    b = T.gather_rows(h_dst, dst_ids)
-    return T.sigmoid(T.tsum(T.mul(a, b), axis=1, keepdims=True))
+    return T.sigmoid(T.sddmm(h_src, h_dst, src_ids, dst_ids))
 
 
 def num_parameters(model: Model) -> int:

@@ -715,11 +715,48 @@ def spmm(A: SpmmPlan, x, values=None):
     xd = x.data
 
     def vjp(g):
-        gv = np.einsum("ij,ij->i", np.take(g, A.rows, axis=0),
-                       np.take(xd, A.cols, axis=0))
+        gv = _sddmm(g, xd, A.rows, A.cols)
         return _on_pattern(A.t_matrix, v[A.perm]) @ g, gv.reshape(values.shape)
 
     return _make(_on_pattern(A.matrix, v) @ xd, (x, values), vjp)
+
+
+def _sddmm(a, b, rows, cols):
+    """Row-wise dot products (a[rows] * b[cols]).sum(1), one per (row, col) pair."""
+    return np.einsum("ij,ij->i", np.take(a, rows, axis=0), np.take(b, cols, axis=0))
+
+
+def sddmm(a, b, rows, cols):
+    """Sampled dense-dense product: the column (a[rows] * b[cols]).sum(1).
+
+    Pairs may repeat, and rows of `a` or `b` that no pair touches get zero
+    gradient. The backward pass is two sparse-dense products with the
+    incoming gradient as the matrix data: G @ b for `a` and Gᵀ @ a for `b`."""
+    a, b = _wrap(a), _wrap(b)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise TensorError(f"sddmm shape mismatch: {a.shape} and {b.shape}")
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise TensorError("sddmm rows and cols must be equal-length vectors")
+    if rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]
+                      or cols.min() < 0 or cols.max() >= b.shape[0]):
+        raise TensorError("sddmm index out of range")
+    ad, bd = a.data, b.data
+    data = _sddmm(ad, bd, rows, cols)[:, None]
+
+    def vjp(g):
+        # duplicate pairs stay separate entries, so the products sum them
+        g = g[:, 0]
+        by_row = np.argsort(rows, kind="stable")
+        by_col = np.argsort(cols, kind="stable")
+        ga = sp.csr_array((g[by_row], cols[by_row], _indptr(rows, a.shape[0])),
+                          shape=(a.shape[0], b.shape[0])) @ bd
+        gb = sp.csr_array((g[by_col], rows[by_col], _indptr(cols, b.shape[0])),
+                          shape=(b.shape[0], a.shape[0])) @ ad
+        return ga, gb
+
+    return _make(data, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -98,51 +98,76 @@ def make_splits(task: Task, graph: HeteroGraph, n_splits: int = 3,
 def graph_without_edges(graph: HeteroGraph, relation: str, pairs) -> HeteroGraph:
     """Copy of the graph with the given (src, dst) cells of one relation removed;
     keeps validation positives out of the message-passing adjacency."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    drop = {(int(s), int(d)) for s, d in pairs}
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     edge_lists = {}
     for r in graph.relations:
         adj = graph.adjacency[r.name]
         src, dst, cnt = adj.indices, adj.expanded_rows(), adj.data
-        if r.name == relation and drop:
-            keep = np.array([(int(s), int(d)) not in drop for s, d in zip(src, dst)])
+        if r.name == relation and pairs.size:
+            n_dst = adj.n_rows  # rows are destinations
+            # a pair outside the relation matches no cell, but its key could
+            # alias one that is inside
+            ok = ((pairs >= 0).all(axis=1) & (pairs[:, 0] < adj.n_cols)
+                  & (pairs[:, 1] < n_dst))
+            keep = ~np.isin(src * n_dst + dst, pairs[ok, 0] * n_dst + pairs[ok, 1])
             src, dst, cnt = src[keep], dst[keep], cnt[keep]
         edge_lists[r.name] = np.stack([src, dst, cnt], axis=1)
     return build_graph(graph.node_types, graph.relations, edge_lists,
                        graph.features, graph.labels)
 
 
+# Draws tested per step of negative_sample's rejection loop: a rejection
+# wastes at most this many membership tests.
+_SAMPLE_WINDOW = 256
+
+
 def negative_sample(graph: HeteroGraph, relation: str, positives, k: int, seed):
     """Corrupt destinations of the positive pairs, avoiding every observed
-    edge of the relation; deterministic given the seed."""
+    edge of the relation; deterministic given the seed.
+
+    Slot i*k + j holds negative j of positive i. The slots take the values of
+    one stream of `rng.integers(0, n_dst)` draws in order, and a draw that
+    hits an observed edge of its slot's source is skipped, so the result and
+    the generator's end state match drawing one value at a time."""
     if k < 1:
         raise GraphError("need at least one negative per positive")
     adj = graph.adjacency.get(relation)
     if adj is None:
         raise GraphError(f"unknown relation '{relation}'")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    positives = np.asarray(positives, dtype=np.int64)
+    src = np.asarray(positives, dtype=np.int64).reshape(-1, 2)[:, 0]
     n_dst = adj.n_rows  # rows are destinations
-    tadj = adj.transpose()  # row s of the transpose = observed destinations of s
-    taken = {}
-    out = np.empty((positives.shape[0] * k, 2), dtype=np.int64)
-    pos = 0
-    for s, _ in positives:
-        s = int(s)
-        if s not in taken:
-            lo, hi = tadj.indptr[s], tadj.indptr[s + 1]
-            taken[s] = frozenset(int(x) for x in tadj.indices[lo:hi])
-        blocked = taken[s]
-        if len(blocked) >= n_dst:
-            raise GraphError(f"relation '{relation}' is saturated for source {s}: "
-                             f"no negative destinations exist")
-        for _ in range(k):
-            d = int(rng.integers(0, n_dst))
-            while d in blocked:
-                d = int(rng.integers(0, n_dst))
-            out[pos] = (s, d)
-            pos += 1
-    return out
+    if src.size and (src.min() < 0 or src.max() >= adj.n_cols):
+        raise GraphError(f"source id out of range for relation '{relation}'")
+    # sorted keys src*n_dst + dst of the observed cells
+    keys = np.sort(adj.indices * n_dst + adj.expanded_rows())
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    out_degree = np.diff(np.searchsorted(keys, np.arange(adj.n_cols + 1) * n_dst))
+    saturated = out_degree[src] >= n_dst
+    if saturated.any():
+        s = int(src[np.argmax(saturated)])
+        raise GraphError(f"relation '{relation}' is saturated for source {s}: "
+                         f"no negative destinations exist")
+    keys = np.append(keys, np.iinfo(np.int64).max)  # keeps searchsorted in bounds
+
+    sources = np.repeat(src, k)
+    slots = sources * n_dst
+    dst = np.empty(slots.size, dtype=np.int64)
+    filled = 0
+    while filled < slots.size:
+        draws = rng.integers(0, n_dst, size=slots.size - filled)
+        used = 0
+        while used < draws.size:
+            # assume no rejection in the window, then keep the draws before
+            # the first one that hits an edge and skip that one
+            w = min(_SAMPLE_WINDOW, draws.size - used)
+            cand = slots[filled:filled + w] + draws[used:used + w]
+            hit = keys[np.searchsorted(keys, cand)] == cand
+            n_ok = int(np.argmax(hit)) if hit.any() else w
+            dst[filled:filled + n_ok] = draws[used:used + n_ok]
+            filled += n_ok
+            used += n_ok + (n_ok < w)
+    return np.stack([sources, dst], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +214,13 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise GraphError("roc_auc needs both classes present")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midpoint of tied ranks
-        i = j + 1
+    # tie groups are runs of equal sorted scores; NaN != NaN keeps NaNs single
+    starts = np.flatnonzero(np.append(True, sorted_scores[1:] != sorted_scores[:-1]))
+    ends = np.append(starts[1:], scores.size) - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    # midpoint of tied ranks
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     r_pos = ranks[np.asarray(labels) == 1].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,20 @@ def test_train_forward_deterministic_given_rng_seed():
     c = model.forward(g, training=True, rng=np.random.default_rng(10))
     assert np.array_equal(a["P"].data, b["P"].data)
     assert not np.array_equal(a["P"].data, c["P"].data)
+
+
+def test_one_model_sees_each_graph_it_is_run_on():
+    base = two_type_graph(np.random.default_rng(0))
+    model = build_model(RGCN_POINT, base, num_classes=3, target_type="P")
+    g = dataclasses.replace(base)
+    for seed in range(1, 4):
+        model.forward(g)
+        rng = np.random.default_rng(seed)
+        feats = {t: rng.standard_normal(x.shape) for t, x in base.features.items()}
+        del g  # the next graph usually takes the freed graph's object id
+        g = dataclasses.replace(base, features=feats)
+        want = build_model(RGCN_POINT, g, num_classes=3, target_type="P").forward(g)
+        assert np.array_equal(model.forward(g)["P"].data, want["P"].data)
 
 
 def test_forward_homogenization_family():

@@ -358,6 +358,57 @@ def test_spmm_rejects_bad_inputs():
         T.spmm(plan, Tensor(np.ones((2, 2))), values=Tensor(np.ones(3)))
 
 
+# row 2 of a and row 4 of b appear in no pair; (0, 1) appears twice
+SDDMM_ROWS = np.array([0, 3, 1, 0, 3, 0])
+SDDMM_COLS = np.array([1, 0, 3, 1, 2, 0])
+
+
+def test_grad_sddmm_with_duplicate_pairs_and_untouched_rows():
+    rng = np.random.default_rng(43)
+    a = param(rng, 4, 3, name="a")
+    b = param(rng, 5, 3, name="b")
+    v = rng.standard_normal((SDDMM_ROWS.size, 1))
+    check(lambda: T.tsum(T.mul(T.sddmm(a, b, SDDMM_ROWS, SDDMM_COLS), Tensor(v))),
+          [a, b])
+
+
+def test_sddmm_matches_gather_mul_sum_composition():
+    rng = np.random.default_rng(44)
+    v = rng.standard_normal((SDDMM_ROWS.size, 1))
+    a = param(rng, 4, 3, name="a")
+    b = param(rng, 5, 3, name="b")
+    results = []
+    for f in (lambda: T.sddmm(a, b, SDDMM_ROWS, SDDMM_COLS),
+              lambda: T.tsum(T.mul(T.gather_rows(a, SDDMM_ROWS),
+                                   T.gather_rows(b, SDDMM_COLS)), axis=1, keepdims=True)):
+        a.grad = b.grad = None
+        out = f()
+        T.tsum(T.mul(out, Tensor(v))).backward()
+        results.append((out.data, a.grad, b.grad))
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+    assert not results[0][1][2].any() and not results[0][2][4].any()
+
+
+def test_sddmm_zero_pairs_and_bad_inputs():
+    a = Parameter(np.ones((2, 3)), "a")
+    b = Parameter(np.ones((4, 3)), "b")
+    out = T.sddmm(a, b, [], [])
+    assert out.shape == (0, 1)
+    T.tsum(out).backward()
+    assert a.grad.shape == (2, 3) and not a.grad.any()
+    assert b.grad.shape == (4, 3) and not b.grad.any()
+    with pytest.raises(TensorError):
+        T.sddmm(a, Tensor(np.ones((4, 2))), [0], [0])   # widths differ
+    with pytest.raises(TensorError):
+        T.sddmm(a, b, [0, 1], [0])                       # unequal lengths
+    with pytest.raises(TensorError):
+        T.sddmm(a, b, [2], [0])                          # row out of range
+    with pytest.raises(TensorError):
+        T.sddmm(a, b, [0], [-1])                         # column out of range
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

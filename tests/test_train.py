@@ -67,6 +67,38 @@ def test_lp_split_removes_validation_positives_from_message_graph():
         assert msg.adjacency["pa"].equals(g.adjacency["pa"])
 
 
+def graph_without_edges_loop(graph, relation, pairs):
+    """Reference: drop cells by membership in a set of (src, dst) tuples."""
+    drop = {(int(s), int(d)) for s, d in np.asarray(pairs, dtype=np.int64)}
+    edge_lists = {}
+    for r in graph.relations:
+        adj = graph.adjacency[r.name]
+        src, dst, cnt = adj.indices, adj.expanded_rows(), adj.data
+        if r.name == relation and drop:
+            keep = np.array([(int(s), int(d)) not in drop for s, d in zip(src, dst)])
+            src, dst, cnt = src[keep], dst[keep], cnt[keep]
+        edge_lists[r.name] = np.stack([src, dst, cnt], axis=1)
+    return build_graph(graph.node_types, graph.relations, edge_lists,
+                       graph.features, graph.labels)
+
+
+def test_graph_without_edges_matches_set_loop():
+    g = planted_graph(seed=3)
+    task = Task("link_prediction", "pa")
+    n_dst = g.adjacency["pa"].n_rows
+    for s in make_splits(task, g, 2, seed=5):
+        # pairs outside the relation's shape whose keys src*n_dst+dst equal
+        # those of training cells, which must survive
+        src, dst = s.train[s.train[:, 0] > 0][:2].T
+        alias = np.concatenate([np.stack([src - 1, dst + n_dst], axis=1),
+                                np.stack([src + 1, dst - n_dst], axis=1)])
+        for pairs in (s.val, np.concatenate([s.val, s.val[:3], alias])):
+            got = graph_without_edges(g, "pa", pairs)
+            want = graph_without_edges_loop(g, "pa", pairs)
+            for r in g.relation_names:
+                assert got.adjacency[r].equals(want.adjacency[r])
+
+
 # ---------------------------------------------------------------------------
 # negative sampling
 # ---------------------------------------------------------------------------
@@ -90,6 +122,73 @@ def test_negative_sampling_saturation():
     g = build_graph([("A", 2, 0), ("B", 2, 0)], [("r", "A", "B")], {"r": full})
     with pytest.raises(GraphError, match="saturated"):
         negative_sample(g, "r", full, 1, seed=0)
+
+
+def negative_sample_loop(graph, relation, positives, k, rng):
+    """Reference sampler: one scalar draw per attempt, rejecting observed cells."""
+    adj = graph.adjacency[relation]
+    n_dst = adj.n_rows
+    tadj = adj.transpose()
+    out = []
+    for s, _ in np.asarray(positives, dtype=np.int64):
+        s = int(s)
+        blocked = set(tadj.indices[tadj.indptr[s]:tadj.indptr[s + 1]].tolist())
+        if len(blocked) >= n_dst:
+            raise GraphError(f"relation '{relation}' is saturated for source {s}: "
+                             f"no negative destinations exist")
+        for _ in range(k):
+            d = int(rng.integers(0, n_dst))
+            while d in blocked:
+                d = int(rng.integers(0, n_dst))
+            out.append((s, d))
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def _dense_relation(n_src, n_dst, density, seed):
+    """Relation r: A -> B with each cell present with the given probability."""
+    cells = np.argwhere(np.random.default_rng(seed).random((n_src, n_dst)) < density)
+    return build_graph([("A", n_src, 0), ("B", n_dst, 0)], [("r", "A", "B")],
+                       {"r": cells}), cells
+
+
+def _sampler_cases():
+    g = planted_graph()
+    ap = np.stack([g.adjacency["ap"].indices, g.adjacency["ap"].expanded_rows()], axis=1)
+    near, cells = _dense_relation(6, 40, 0.9, seed=1)
+    sparse, few = _dense_relation(5, 500, 0.01, seed=2)
+    return {
+        "planted-k1": (g, "ap", ap, 1),
+        "planted-k50": (g, "ap", ap, 50),
+        "repeated-sources": (g, "ap", np.array([[3, 0], [3, 1], [0, 2], [3, 5], [0, 0]]), 4),
+        "near-saturated": (near, "r", cells, 3),
+        "rarely-rejected": (sparse, "r", few, 100),
+        "zero-positives": (g, "ap", np.empty((0, 2), dtype=np.int64), 5),
+    }
+
+
+@pytest.mark.parametrize("case", ["planted-k1", "planted-k50", "repeated-sources",
+                                  "near-saturated", "rarely-rejected", "zero-positives"])
+def test_negative_sampling_matches_scalar_loop_and_generator_state(case):
+    g, rel, pos, k = _sampler_cases()[case]
+    rng_ref, rng = np.random.default_rng(77), np.random.default_rng(77)
+    want = negative_sample_loop(g, rel, pos, k, rng_ref)
+    got = negative_sample(g, rel, pos, k, rng)
+    assert got.dtype == np.int64 and got.shape == (pos.shape[0] * k, 2)
+    assert np.array_equal(got, want)
+    assert rng.integers(0, 2 ** 62) == rng_ref.integers(0, 2 ** 62)  # same end state
+
+
+def test_negative_sampling_saturation_names_the_first_saturated_source():
+    # sources 1 and 3 reach every destination; 0 and 2 miss one
+    cells = np.array([[s, d] for s in range(4) for d in range(3)
+                      if not (s in (0, 2) and d == 1)])
+    g = build_graph([("A", 4, 0), ("B", 3, 0)], [("r", "A", "B")], {"r": cells})
+    pos = np.array([[0, 0], [2, 0], [3, 0], [1, 0]])
+    with pytest.raises(GraphError) as want:
+        negative_sample_loop(g, "r", pos, 2, np.random.default_rng(0))
+    with pytest.raises(GraphError, match="source 3") as got:
+        negative_sample(g, "r", pos, 2, seed=0)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +225,36 @@ def test_roc_auc_tie_midpoints_and_errors():
     assert roc_auc(np.array([0.5, 0.5]), np.array([1, 0])) == 0.5
     with pytest.raises(GraphError, match="both classes"):
         roc_auc(np.array([0.5, 0.4]), np.array([1, 1]))
+
+
+def roc_auc_loop(scores, labels):
+    """Reference: midpoint ranks assigned one tie group at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    r_pos = ranks[labels == 1].sum()
+    return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, float("nan")]),
+                          st.integers(0, 1)), min_size=2, max_size=40))
+def test_roc_auc_matches_tie_group_loop(items):
+    scores = np.array([x for x, _ in items])
+    labels = np.array([y for _, y in items])
+    if labels.min() == labels.max():
+        labels[0] = 1 - labels[0]
+    assert roc_auc(scores, labels) == roc_auc_loop(scores, labels)
 
 
 def test_macro_micro_coincide_on_balanced_uniform_confusion():
