@@ -8,4 +8,11 @@ Training (`train`), orchestration (`runner`) and ranking/EDF analysis
 (`analysis`) close the loop.
 """
 
+import os
+
+# pin BLAS threading before numpy loads, so results do not depend on the
+# host's thread count or on the entry point (CLI, script or library)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"

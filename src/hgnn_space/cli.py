@@ -7,10 +7,6 @@ import argparse
 import os
 import sys
 
-# pin BLAS threading before numpy loads so results do not depend on it
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 
 def _space_from_flag(name):
     from . import designspace as ds

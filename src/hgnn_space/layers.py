@@ -407,9 +407,12 @@ class HeteroLinear:
                 ps.append(self.embeddings[name])
         return ps
 
-    def __call__(self, features_by_type):
+    def __call__(self, features_by_type, types=None):
+        """Projections of the given types (every type when None)."""
         out = {}
         for name in self.order:
+            if types is not None and name not in types:
+                continue
             if name in self.weights:
                 x = features_by_type.get(name)
                 if x is None:
@@ -444,10 +447,10 @@ class TypedLinearBlock:
         ps += self.activation.parameters()
         return ps
 
-    def __call__(self, h_by_type):
+    def __call__(self, h_by_type, types=None):
         return {n: self.activation(T.add(T.matmul(h_by_type[n], self.weights[n]),
                                          self.biases[n]))
-                for n in self.order}
+                for n in self.order if types is None or n in types}
 
 
 # ---------------------------------------------------------------------------

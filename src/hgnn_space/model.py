@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from . import layers as L
 from .hgraph import GraphError, HeteroGraph
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, TensorError
 from .transform import MetaPath, compose_metapath, extract_relation_subgraphs, homogenize
 
 FAMILIES = ("Homogenization", "Relation", "Metapath")
@@ -264,13 +264,43 @@ class Model:
 
     # -- forward --------------------------------------------------------------
 
-    def forward(self, g: HeteroGraph, training: bool = False, rng=None) -> dict:
-        """Representations per node type after the post-process MLP."""
+    def _demand(self, types):
+        """The node types each stage must produce so that `types` come out:
+        entry i is the input of message-passing layer i (entry 0 is the
+        pre-process output) and the last entry is `types`. A type is needed
+        at a layer's input if it is needed at its output or sends into a
+        subgraph that is; the homogenized stack mixes every type."""
+        need = [frozenset(types)]
+        for _ in self.mp:
+            if self.cfg.model_family == "Homogenization":
+                cur = frozenset(self.type_names)
+            else:
+                cur = need[0] | {src for _, src, dst in self.sub_specs
+                                 if dst in need[0]}
+            need.insert(0, cur)
+        return need
+
+    def forward(self, g: HeteroGraph, training: bool = False, rng=None,
+                types=None) -> dict:
+        """Representations per node type after the post-process MLP, for the
+        requested `types` (every type when None). Convolutions, fusions,
+        post-ops, connections and post-process layers that cannot reach a
+        requested type are skipped; a skipped dropout site still draws its
+        mask, so the random stream and the requested outputs equal the
+        full pass's."""
         cfg = self.cfg
+        if types is None:
+            want = self.type_names
+        else:
+            unknown = set(types) - set(self.type_names)
+            if unknown:
+                raise GraphError(f"unknown node types {sorted(unknown)}")
+            want = tuple(t for t in self.type_names if t in types)
+        need = self._demand(want)
         data = self._graph_data(g)
-        h = self.pre(data["feats"])
+        h = self.pre(data["feats"], types=need[0])
         for block in self.pre_extra:
-            h = block(h)
+            h = block(h, types=need[0])
 
         if cfg.model_family == "Homogenization":
             order = list(self.type_names)
@@ -283,20 +313,30 @@ class Model:
                                        training, rng)
                 x = L.connect(cfg.connectivity, x, z)
             h = {}
-            for t in order:
+            for t in want:
                 lo = hg.offsets[t]
                 h[t] = T.narrow(x, 0, lo, lo + self.type_counts[t])
         else:
-            for layer in self.mp:
-                fused = L.dual_aggregate(data["subs"], layer.convs, h,
+            draws_masks = training and cfg.dropout_p
+            if draws_masks and rng is None:
+                raise TensorError("training-mode dropout needs an rng")
+            for li, layer in enumerate(self.mp):
+                out_types = need[li + 1]
+                active = [i for i, (_, _, dst) in enumerate(self.sub_specs)
+                          if dst in out_types]
+                fused = L.dual_aggregate([data["subs"][i] for i in active],
+                                         [layer.convs[i] for i in active], h,
                                          layer.macros)
                 new = {}
                 for t in self.receiving:
-                    new[t] = L.intra_layer_post(fused[t], layer.bns.get(t),
-                                                cfg.dropout_p, layer.activation,
-                                                cfg.has_l2norm, training, rng)
+                    if t in out_types:
+                        new[t] = L.intra_layer_post(fused[t], layer.bns.get(t),
+                                                    cfg.dropout_p, layer.activation,
+                                                    cfg.has_l2norm, training, rng)
+                    elif draws_masks:
+                        rng.random((self.type_counts[t], cfg.hidden_dim))
                 nxt = {}
-                for t in self.type_names:
+                for t in (t for t in self.type_names if t in out_types):
                     if t in new:
                         nxt[t] = L.connect(cfg.connectivity, h[t], new[t])
                     elif cfg.connectivity == "SKIP-CAT":
@@ -308,7 +348,7 @@ class Model:
                 h = nxt
 
         out = {}
-        for t in self.type_names:
+        for t in want:
             x = h[t]
             for W, b, act in self.post:
                 x = T.add(T.matmul(x, W), b)
@@ -320,7 +360,7 @@ class Model:
     def predict_logits(self, g: HeteroGraph, training: bool = False, rng=None):
         if self.head_W is None:
             raise GraphError("model has no classification head")
-        h = self.forward(g, training=training, rng=rng)
+        h = self.forward(g, training=training, rng=rng, types=(self.target_type,))
         return T.add(T.matmul(h[self.target_type], self.head_W), self.head_b)
 
 

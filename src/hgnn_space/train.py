@@ -20,7 +20,6 @@ from .tensor import Tensor
 RECORD_FORMAT = "1"
 
 TRAIN_NEG_PER_POS = 1   # negatives per positive in the link-prediction loss
-EVAL_NEG_PER_POS = 50   # negatives per positive in ranking (MRR) groups
 
 
 @dataclass(frozen=True)
@@ -319,36 +318,20 @@ def binary_cross_entropy(pos_scores, neg_scores):
     return -T.tmean(T.concat([loss_pos, loss_neg], axis=0))
 
 
-def _nc_eval(model, graph, task, split):
-    logits = model.predict_logits(graph, training=False)
-    preds = np.argmax(logits.data[split.val], axis=1)
-    return macro_f1(preds, graph.labels[task.target][split.val], task.num_classes)
-
-
-def _lp_eval(model, graph, msg_graph, task, split, val_negs):
+def _val_score(out, graph, task, split, val_negs):
+    """Validation metric read off one forward pass: `out` is the logits (NC)
+    or the representations per node type (LP)."""
+    if task.kind == "node_classification":
+        preds = np.argmax(out.data[split.val], axis=1)
+        return macro_f1(preds, graph.labels[task.target][split.val], task.num_classes)
     rel = graph.relation(task.target)
-    h = model.forward(msg_graph, training=False)
-    pos = score_links(h[rel.src_type], h[rel.dst_type],
-                      split.val[:, 0], split.val[:, 1]).data[:, 0]
-    neg = score_links(h[rel.src_type], h[rel.dst_type],
-                      val_negs[:, 0], val_negs[:, 1]).data[:, 0]
+    # detached: the scores feed no gradient
+    h_src, h_dst = Tensor(out[rel.src_type].data), Tensor(out[rel.dst_type].data)
+    pos = score_links(h_src, h_dst, split.val[:, 0], split.val[:, 1]).data[:, 0]
+    neg = score_links(h_src, h_dst, val_negs[:, 0], val_negs[:, 1]).data[:, 0]
     scores = np.concatenate([pos, neg])
     labels = np.concatenate([np.ones(pos.size), np.zeros(neg.size)])
     return roc_auc(scores, labels)
-
-
-def eval_mrr(model, graph, msg_graph, task, split, seed=0,
-             neg_per_pos: int = EVAL_NEG_PER_POS):
-    """Ranking evaluation: each validation positive against sampled negatives."""
-    rel = graph.relation(task.target)
-    negs = negative_sample(graph, task.target, split.val, neg_per_pos,
-                           np.random.default_rng([split.seed, 23, seed]))
-    h = model.forward(msg_graph, training=False)
-    pos = score_links(h[rel.src_type], h[rel.dst_type],
-                      split.val[:, 0], split.val[:, 1]).data[:, 0]
-    neg = score_links(h[rel.src_type], h[rel.dst_type],
-                      negs[:, 0], negs[:, 1]).data[:, 0]
-    return mrr(pos, neg.reshape(split.val.shape[0], neg_per_pos))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +345,12 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     Validation runs before training (epoch 0) and after every epoch; the
     best validation score wins. Non-finite losses or scores mark the trial
     failed and stop it without raising.
+
+    Every forward pass computes only the node types the loss and the score
+    read: the target type (NC) or the target relation's two end types (LP).
+    Without dropout and batch norm the training mode changes nothing, so
+    epoch e's training forward also scores the parameters left by epoch
+    e-1, and a trial of N epochs runs N+1 forward passes instead of 2N+1.
     """
     from .designspace import validate
 
@@ -375,50 +364,56 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         val_negs = negative_sample(graph, task.target, split.val, 1,
                                    np.random.default_rng([split.seed, 19]))
         metric_name = "roc_auc"
+        rel = graph.relation(task.target)
     else:
         msg_graph = graph
         val_negs = None
         metric_name = "macro_f1"
+        labels = graph.labels.get(task.target)
 
     model = build_model(cfg, msg_graph, num_classes=task.num_classes,
                         target_type=task.target if task.kind == "node_classification" else None)
     params = model.parameters()
     opt = make_optimizer(cfg.optimizer, params, cfg.lr)
 
-    def evaluate():
+    def forward(training, rng=None):
         if task.kind == "node_classification":
-            return _nc_eval(model, msg_graph, task, split)
-        return _lp_eval(model, graph, msg_graph, task, split, val_negs)
+            return model.predict_logits(msg_graph, training=training, rng=rng)
+        return model.forward(msg_graph, training=training, rng=rng,
+                             types=(rel.src_type, rel.dst_type))
 
+    def train_loss(out, epoch):
+        if task.kind == "node_classification":
+            return cross_entropy(T.gather_rows(out, split.train), labels[split.train])
+        negs = negative_sample(graph, task.target, split.train, task.neg_per_pos,
+                               np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
+        return binary_cross_entropy(
+            score_links(out[rel.src_type], out[rel.dst_type],
+                        split.train[:, 0], split.train[:, 1]),
+            score_links(out[rel.src_type], out[rel.dst_type], negs[:, 0], negs[:, 1]))
+
+    one_pass = not cfg.dropout_p and not cfg.has_bn
+    n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
     losses, scores = [], []
     status = "ok"
-    score0 = evaluate()
-    if not np.isfinite(score0):
-        status = "failed"
-    scores.append(float(score0))
-
-    n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
-    labels = graph.labels.get(task.target) if task.kind == "node_classification" else None
-    rel = graph.relation(task.target) if task.kind == "link_prediction" else None
-
-    for epoch in range(n_epochs):
-        if status == "failed":
-            break
+    for epoch in range(n_epochs + 1):
         drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
-        if task.kind == "node_classification":
-            logits = model.predict_logits(msg_graph, training=True, rng=drop_rng)
-            train_logits = T.gather_rows(logits, split.train)
-            loss = cross_entropy(train_logits, labels[split.train])
-        else:
-            negs = negative_sample(graph, task.target, split.train, task.neg_per_pos,
-                                   np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
-            h = model.forward(msg_graph, training=True, rng=drop_rng)
-            pos_s = score_links(h[rel.src_type], h[rel.dst_type],
-                                split.train[:, 0], split.train[:, 1])
-            neg_s = score_links(h[rel.src_type], h[rel.dst_type],
-                                negs[:, 0], negs[:, 1])
-            loss = binary_cross_entropy(pos_s, neg_s)
-
+        trains = epoch < n_epochs
+        # one pass: this epoch's training forward scores the last step's parameters
+        out = forward(True, drop_rng) if one_pass and trains else forward(False)
+        score = _val_score(out, graph, task, split, val_negs)
+        if not np.isfinite(score):
+            status = "failed"
+            if epoch == 0:
+                scores.append(float(score))
+            break
+        scores.append(float(score))
+        if not trains:
+            break
+        if not one_pass:
+            del out  # hold one forward pass at a time
+            out = forward(True, drop_rng)
+        loss = train_loss(out, epoch)
         loss_val = float(loss.data)
         losses.append(loss_val)
         if not np.isfinite(loss_val):
@@ -432,11 +427,7 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         if not all(np.isfinite(p.data).all() for p in params):
             status = "failed"
             break
-        score = evaluate()
-        if not np.isfinite(score):
-            status = "failed"
-            break
-        scores.append(float(score))
+        del out, loss  # free this epoch's pass before the next one
 
     finite = [s for s in scores if np.isfinite(s)]
     best = max(finite) if status == "ok" and finite else None

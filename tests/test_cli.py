@@ -1,4 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hgnn_space
 
 from hgnn_space.cli import main
 from hgnn_space.hgraph import SyntheticSpec, generate_synthetic, save_graph
@@ -83,3 +91,16 @@ def test_run_and_analyze_end_to_end(tmp_path, capsys):
                  "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "edf_r.csv").exists()
     assert (out_dir / "edf.svg").exists()
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
+def test_importing_the_package_pins_blas_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(hgnn_space.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, hgnn_space; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == want

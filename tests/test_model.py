@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hgnn_space.layers as L
+import hgnn_space.tensor as T
 from hgnn_space.hgraph import GraphError, build_graph
 from hgnn_space.model import (DesignConfig, build_model, metapaths_from_text,
                               metapaths_to_text, num_parameters, score_links)
@@ -152,6 +153,112 @@ def test_forward_homogenization_family():
     assert out["A"].shape == (4, 8)
     logits = model.predict_logits(g)
     assert logits.shape == (6, 3)
+
+
+# ---------------------------------------------------------------------------
+# demand-driven forward
+# ---------------------------------------------------------------------------
+
+def middle_target_graph(rng):
+    """Types A, P, C with the target P in the middle of the type order; C
+    only receives, so nothing that P reads depends on it."""
+    return build_graph(
+        [("A", 5, 3), ("P", 6, 3), ("C", 4, 0)],
+        [("ap", "A", "P"), ("pa", "P", "A"), ("pc", "P", "C")],
+        {"ap": np.stack(np.nonzero(rng.random((5, 6)) < 0.5), axis=1),
+         "pa": np.stack(np.nonzero(rng.random((6, 5)) < 0.5), axis=1),
+         "pc": np.stack(np.nonzero(rng.random((6, 4)) < 0.5), axis=1)},
+        features={"A": rng.standard_normal((5, 3)),
+                  "P": rng.standard_normal((6, 3))},
+        labels={"P": rng.integers(0, 3, 6)})
+
+
+def _pruning_cfg(family, micro, connectivity, **kw):
+    macro = None if family == "Homogenization" else "Attention"
+    # PAP and PC leave A receiving nothing, so A passes through every layer
+    metapaths = (("PAP", ("pa", "ap")), ("PC", ("pc",))) if family == "Metapath" else ()
+    fields = dict(model_family=family, micro_conv=micro, macro_agg=macro,
+                  connectivity=connectivity, activation="PReLU", has_l2norm=True,
+                  pre_layers=2, mp_layers=2, post_layers=2, hidden_dim=8, seed=4,
+                  metapaths=metapaths)
+    fields.update(kw)
+    return DesignConfig(**fields)
+
+
+def _forward_and_grads(cfg, g, request, types, training):
+    """One forward on a fresh model asked for `request`: the `types`
+    outputs, the generator's next draw, and every parameter's gradient of a
+    loss that reads the `types` outputs only."""
+    model = build_model(cfg, g, num_classes=3, target_type="P")
+    rng = np.random.default_rng(12) if training else None
+    out = model.forward(g, training=training, rng=rng, types=request)
+    assert set(out) == set(request or model.type_names)
+    weights = np.random.default_rng(13)
+    loss = Tensor(0.0)
+    for t in types:
+        loss = T.add(loss, T.tsum(T.mul(out[t], Tensor(weights.standard_normal(out[t].shape)))))
+    loss.backward()
+    return ({t: out[t].data for t in types}, rng.random() if training else None,
+            {p.name: p.grad for p in model.parameters()})
+
+
+@pytest.mark.parametrize("connectivity", L.CONNECTIVITIES)
+@pytest.mark.parametrize("micro", L.MICRO_KINDS)
+@pytest.mark.parametrize("family", ("Homogenization", "Relation", "Metapath"))
+def test_pruned_forward_equals_full_forward(family, micro, connectivity):
+    g = middle_target_graph(np.random.default_rng(8))
+    for types in (("P",), ("A",), ("C", "A")):
+        for training in (False, True):
+            # batch norm and dropout only act in training mode
+            cfg = _pruning_cfg(family, micro, connectivity, has_bn=training,
+                               dropout_p=0.3 if training else 0.0)
+            full = _forward_and_grads(cfg, g, None, types, training)
+            pruned = _forward_and_grads(cfg, g, types, types, training)
+            for t in types:
+                assert np.array_equal(pruned[0][t], full[0][t]), t
+            assert pruned[1] == full[1]
+            assert pruned[2].keys() == full[2].keys()
+            for name, want in full[2].items():
+                got = pruned[2][name]
+                assert (got is None) == (want is None), name
+                assert want is None or np.array_equal(got, want), name
+
+
+def test_metapath_model_on_target_p_skips_every_apa_convolution(monkeypatch):
+    g = two_type_graph(np.random.default_rng(9))
+    cfg = HAN_POINT.with_values(metapaths=(("PAP", ("pa", "ap")),
+                                           ("APA", ("ap", "pa"))))
+    model = build_model(cfg, g, num_classes=3, target_type="P")
+    apa = {id(layer.convs[1]) for layer in model.mp}
+    called, taped = [], [0]
+    real_conv, real_make = L.micro_conv, T._make
+
+    def spy_conv(conv, *args):
+        called.append(id(conv))
+        return real_conv(conv, *args)
+
+    def spy_make(*args):
+        out = real_make(*args)
+        taped[0] += out._vjp is not None
+        return out
+
+    monkeypatch.setattr(L, "micro_conv", spy_conv)
+    monkeypatch.setattr(T, "_make", spy_make)
+    model.forward(g)
+    full_nodes = taped[0]
+    assert apa <= set(called)
+    called.clear()
+    taped[0] = 0
+    model.predict_logits(g)
+    assert called and not apa & set(called)
+    assert taped[0] < full_nodes
+
+
+def test_forward_rejects_unknown_types():
+    g = two_type_graph(np.random.default_rng(0))
+    model = build_model(RGCN_POINT, g, num_classes=3, target_type="P")
+    with pytest.raises(GraphError, match="unknown node types"):
+        model.forward(g, types=("P", "Q"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hgnn_space.tensor as T
+import hgnn_space.train as train_mod
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic)
-from hgnn_space.model import DesignConfig
+from hgnn_space.model import DesignConfig, build_model, score_links
 from hgnn_space.tensor import Parameter
-from hgnn_space.train import (Adam, SGD, Task, graph_without_edges, macro_f1,
-                              make_splits, micro_f1, mrr, negative_sample,
-                              roc_auc, train_trial)
+from hgnn_space.train import (Adam, SGD, Task, TrialRecord, binary_cross_entropy,
+                              cross_entropy, graph_without_edges, macro_f1,
+                              make_optimizer, make_splits, micro_f1, mrr,
+                              negative_sample, roc_auc, train_trial)
 
 
 def planted_graph(seed=0, n_p=80, n_a=40, edges=200):
@@ -372,3 +376,184 @@ def test_trial_link_prediction():
     assert 0.0 <= rec.best_score <= 1.0
     rec2 = train_trial(cfg, g, split, task, max_epochs=5)
     assert rec.history == rec2.history
+
+
+def train_trial_loop(cfg, graph, split, task, max_epochs=None):
+    """The trial loop with a separate full evaluation forward before training
+    and after every step, every forward computing every node type."""
+    if task.kind == "link_prediction":
+        msg_graph = graph_without_edges(graph, task.target, split.val)
+        val_negs = negative_sample(graph, task.target, split.val, 1,
+                                   np.random.default_rng([split.seed, 19]))
+        metric_name = "roc_auc"
+    else:
+        msg_graph, val_negs, metric_name = graph, None, "macro_f1"
+    model = build_model(cfg, msg_graph, num_classes=task.num_classes,
+                        target_type=task.target if task.kind == "node_classification" else None)
+    params = model.parameters()
+    opt = make_optimizer(cfg.optimizer, params, cfg.lr)
+    rel = graph.relation(task.target) if task.kind == "link_prediction" else None
+
+    def logits(training, rng=None):
+        h = model.forward(msg_graph, training=training, rng=rng)
+        return T.add(T.matmul(h[task.target], model.head_W), model.head_b)
+
+    def evaluate():
+        if task.kind == "node_classification":
+            preds = np.argmax(logits(False).data[split.val], axis=1)
+            return train_mod.macro_f1(preds, graph.labels[task.target][split.val],
+                                      task.num_classes)
+        h = model.forward(msg_graph, training=False)
+        pos = score_links(h[rel.src_type], h[rel.dst_type],
+                          split.val[:, 0], split.val[:, 1]).data[:, 0]
+        neg = score_links(h[rel.src_type], h[rel.dst_type],
+                          val_negs[:, 0], val_negs[:, 1]).data[:, 0]
+        return train_mod.roc_auc(np.concatenate([pos, neg]),
+                                 np.concatenate([np.ones(pos.size), np.zeros(neg.size)]))
+
+    losses, scores = [], []
+    status = "ok"
+    score0 = evaluate()
+    if not np.isfinite(score0):
+        status = "failed"
+    scores.append(float(score0))
+    n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
+    for epoch in range(n_epochs):
+        if status == "failed":
+            break
+        drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
+        if task.kind == "node_classification":
+            loss = cross_entropy(T.gather_rows(logits(True, drop_rng), split.train),
+                                 graph.labels[task.target][split.train])
+        else:
+            negs = negative_sample(graph, task.target, split.train, task.neg_per_pos,
+                                   np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
+            h = model.forward(msg_graph, training=True, rng=drop_rng)
+            loss = binary_cross_entropy(
+                score_links(h[rel.src_type], h[rel.dst_type],
+                            split.train[:, 0], split.train[:, 1]),
+                score_links(h[rel.src_type], h[rel.dst_type], negs[:, 0], negs[:, 1]))
+        losses.append(float(loss.data))
+        if not np.isfinite(losses[-1]):
+            status = "failed"
+            break
+        opt.zero_grad()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss.backward()
+            opt.step()
+        if not all(np.isfinite(p.data).all() for p in params):
+            status = "failed"
+            break
+        score = evaluate()
+        if not np.isfinite(score):
+            status = "failed"
+            break
+        scores.append(float(score))
+    finite = [x for x in scores if np.isfinite(x)]
+    return TrialRecord(config=cfg.to_flat(), seed=cfg.seed, split_id=split.split_id,
+                       status=status,
+                       best_score=max(finite) if status == "ok" and finite else None,
+                       metric=metric_name,
+                       history={"train_loss": losses, "val_score": scores},
+                       wall_time=0.0)
+
+
+FAMILY_POINTS = {
+    "Relation": dict(model_family="Relation", micro_conv="GCNConv", macro_agg="Sum"),
+    "Metapath": dict(model_family="Metapath", micro_conv="GATConv",
+                     macro_agg="Attention",
+                     metapaths=(("PAP", ("pa", "ap")), ("APA", ("ap", "pa")))),
+    "Homogenization": dict(model_family="Homogenization", micro_conv="SageConv",
+                           macro_agg=None),
+}
+
+
+def _task_and_split(kind, g):
+    task = (Task("node_classification", "P", num_classes=4) if kind == "NC"
+            else Task("link_prediction", "ap"))
+    return task, make_splits(task, g, 1, seed=2)[0]
+
+
+def assert_same_trial(cfg, kind, max_epochs, reset=lambda: None):
+    """train_trial and the reference loop give equal records, field by field
+    (wall time aside); repr keeps NaN and the float bits comparable. `reset`
+    runs before each of the two trials."""
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task, split = _task_and_split(kind, g)
+    cfg = cfg.with_values(task=task.kind)
+    reset()
+    got = train_trial(cfg, g, split, task, max_epochs=max_epochs)
+    reset()
+    want = train_trial_loop(cfg, g, split, task, max_epochs=max_epochs)
+    for f in dataclasses.fields(TrialRecord):
+        if f.name != "wall_time":
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+    return got
+
+
+@pytest.mark.parametrize("max_epochs", [0, 4])
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+@pytest.mark.parametrize("has_bn", [False, True])
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+@pytest.mark.parametrize("family", sorted(FAMILY_POINTS))
+def test_trial_matches_evaluation_forward_loop(family, dropout_p, has_bn, kind,
+                                               max_epochs):
+    cfg = DesignConfig(hidden_dim=16, dropout_p=dropout_p, has_bn=has_bn, seed=5,
+                       **FAMILY_POINTS[family])
+    rec = assert_same_trial(cfg, kind, max_epochs=max_epochs)
+    assert rec.status == "ok"
+    assert len(rec.history["train_loss"]) == max_epochs
+    assert len(rec.history["val_score"]) == max_epochs + 1
+
+
+@pytest.mark.parametrize("kind,optimizer,micro,layers", [
+    ("NC", "SGD", "GINConv", 4), ("NC", "Adam", "SageConv", 6),
+    ("LP", "Adam", "GCNConv", 2), ("LP", "SGD", "GINConv", 2)])
+def test_trial_matches_loop_on_nonfinite_loss(kind, optimizer, micro, layers):
+    cfg = DesignConfig(model_family="Relation", micro_conv=micro, macro_agg="Sum",
+                       optimizer=optimizer, lr=0.1, hidden_dim=32, mp_layers=layers,
+                       connectivity="SKIP-SUM", seed=3)
+    rec = assert_same_trial(cfg, kind, max_epochs=30)
+    assert rec.status == "failed" and not np.isfinite(rec.history["train_loss"][-1])
+
+
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+@pytest.mark.parametrize("optimizer", ["Adam", "SGD"])
+def test_trial_matches_loop_on_nonfinite_parameter(monkeypatch, kind, optimizer):
+    cls = getattr(train_mod, optimizer)
+    real_step = cls.step
+
+    def step(self):
+        real_step(self)
+        if getattr(self, "steps", 0) == 2:
+            self.params[0].data[0, 0] = np.inf
+        self.steps = getattr(self, "steps", 0) + 1
+
+    monkeypatch.setattr(cls, "step", step)
+    cfg = DesignConfig(optimizer=optimizer, lr=0.1, hidden_dim=16, seed=5,
+                       **FAMILY_POINTS["Relation"])
+    rec = assert_same_trial(cfg, kind, max_epochs=6)
+    assert rec.status == "failed"
+    assert len(rec.history["train_loss"]) == len(rec.history["val_score"]) == 3
+
+
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+@pytest.mark.parametrize("bad_call", [0, 2])
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+def test_trial_matches_loop_on_nonfinite_score(monkeypatch, kind, bad_call, dropout_p):
+    name = "macro_f1" if kind == "NC" else "roc_auc"
+    real = getattr(train_mod, name)
+    calls = [0]
+
+    def metric(*args):
+        calls[0] += 1
+        return float("nan") if calls[0] == bad_call + 1 else real(*args)
+
+    monkeypatch.setattr(train_mod, name, metric)
+    cfg = DesignConfig(hidden_dim=16, dropout_p=dropout_p, seed=5,
+                       **FAMILY_POINTS["Relation"])
+    got = assert_same_trial(cfg, kind, max_epochs=4, reset=lambda: calls.__setitem__(0, 0))
+    assert got.status == "failed"
+    # a non-finite first score is kept in the history; later ones are not
+    assert len(got.history["val_score"]) == max(bad_call, 1)
+    assert np.isnan(got.history["val_score"][-1]) == (bad_call == 0)
