@@ -1,8 +1,11 @@
 """Design-space definition, exact cardinality, condensed space, config
 validation, stratified controlled random search and perturbation setups.
 
-The space is a Cartesian product of dimension choices with one conditional
-rule: macro-level aggregation applies only to the dual-aggregation families.
+The space is a Cartesian product of dimension choices, except that a
+dimension may apply only when an earlier dimension takes one of some values
+(`Dimension.when`); an inapplicable dimension is None. The paper's spaces have
+one such rule: macro-level aggregation applies only to the dual-aggregation
+families.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ from . import layers as L
 class Dimension:
     name: str
     choices: tuple
-    needs: tuple = ()  # names of earlier dimensions the applicability reads
+    when: tuple | None = None  # (earlier dimension, values it applies under)
 
     def applies(self, partial: dict) -> bool:
-        if self.name == "macro_agg":
-            return partial.get("model_family") != "Homogenization"
-        return True
+        return self.when is None or partial.get(self.when[0]) in self.when[1]
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,12 @@ class DesignSpace:
         names = [d.name for d in self.dimensions]
         if len(set(names)) != len(names):
             raise ValueError("dimension names must be unique")
+        for i, d in enumerate(self.dimensions):
+            if d.when is not None and d.when[0] not in names[:i]:
+                raise ValueError(f"dimension '{d.name}' depends on "
+                                 f"'{d.when[0]}', which must come before it")
         self.branch_names = tuple(
-            sorted({n for d in self.dimensions for n in d.needs}))
+            sorted({d.when[0] for d in self.dimensions if d.when is not None}))
 
     def dim(self, name: str) -> Dimension:
         d = self._by_name.get(name)
@@ -131,7 +136,8 @@ class DesignSpace:
 _UNIQUE_DIMS = (
     Dimension("model_family", FAMILIES),
     Dimension("micro_conv", L.MICRO_KINDS),
-    Dimension("macro_agg", L.MACRO_KINDS, needs=("model_family",)),
+    Dimension("macro_agg", L.MACRO_KINDS,
+              when=("model_family", ("Relation", "Metapath"))),
 )
 
 _COMMON_FULL = (
@@ -175,21 +181,14 @@ def condensed_space() -> DesignSpace:
     return DesignSpace(_UNIQUE_DIMS + _COMMON_CONDENSED)
 
 
-def cardinality(space: DesignSpace) -> int:
-    return space.cardinality()
-
-
 def describe(space: DesignSpace) -> str:
     lines = []
     for d in space.dimensions:
-        cond = " (dual-aggregation families only)" if d.needs else ""
+        cond = ("" if d.when is None else
+                f" (only when {d.when[0]} is {' or '.join(map(str, d.when[1]))})")
         lines.append(f"{d.name}: {', '.join(str(c) for c in d.choices)}{cond}")
     lines.append(f"cardinality: {space.cardinality()}")
     return "\n".join(lines)
-
-
-def config_from_assignment(assignment: dict, seed: int = 0, **extra) -> DesignConfig:
-    return DesignConfig(seed=seed, **assignment, **extra)
 
 
 def default_strata(space: DesignSpace, hits: int = 2, dataset: str = "default"):
@@ -229,7 +228,7 @@ def sample_controlled(space: DesignSpace, n: int, strata=(), seed: int = 0,
         extra = {}
         if a.get("model_family") == "Metapath":
             extra["metapaths"] = tuple(metapaths)
-        configs.append(config_from_assignment(a, seed=cfg_seed, **extra))
+        configs.append(DesignConfig(seed=cfg_seed, **a, **extra))
     return configs
 
 
@@ -262,27 +261,19 @@ def _full_space_cached() -> DesignSpace:
 def validate(cfg: DesignConfig, graph=None) -> list:
     """All violations of the full-space domains and conditional rules."""
     errors = []
-    space = _full_space_cached()
-
-    def check(name, value):
-        choices = space.dim(name).choices
-        if value not in choices:
-            errors.append(f"{name}: '{value}' not in {list(choices)}")
-
-    check("model_family", cfg.model_family)
-    check("micro_conv", cfg.micro_conv)
-    if cfg.model_family == "Homogenization":
-        if cfg.macro_agg is not None:
-            errors.append("macro_agg: must be absent for the Homogenization family")
-    elif cfg.model_family in FAMILIES:
-        check("macro_agg", cfg.macro_agg)
+    dims = _full_space_cached().dimensions
+    values = {d.name: getattr(cfg, d.name) for d in dims}
+    for d in dims:
+        value = values[d.name]
+        if not d.applies(values):
+            if value is not None:
+                errors.append(f"{d.name}: must be absent unless {d.when[0]} is "
+                              f"one of {list(d.when[1])}")
+        elif value not in d.choices:
+            errors.append(f"{d.name}: '{value}' not in {list(d.choices)}")
     if cfg.attention_form not in L.ATTENTION_FORMS:
         errors.append(f"attention_form: '{cfg.attention_form}' not in "
                       f"{list(L.ATTENTION_FORMS)}")
-    for name in ("has_bn", "dropout_p", "activation", "has_l2norm", "connectivity",
-                 "pre_layers", "mp_layers", "post_layers", "optimizer", "lr",
-                 "epochs", "hidden_dim"):
-        check(name, getattr(cfg, name))
     if cfg.task not in _TASKS:
         errors.append(f"task: '{cfg.task}' not in {list(_TASKS)}")
 

@@ -174,21 +174,6 @@ def build_graph(node_types, relations, edge_lists, features=None, labels=None) -
     return HeteroGraph(node_types, relations, adjacency, feats, labs)
 
 
-def degrees(g: HeteroGraph, relation: str, direction: str) -> np.ndarray:
-    """Multiplicity-weighted degree vector of a relation's endpoints.
-
-    direction='in' counts per destination node, 'out' per source node.
-    """
-    adj = g.adjacency.get(relation)
-    if adj is None:
-        raise GraphError(f"unknown relation '{relation}'")
-    if direction == "in":
-        return adj.row_sums()
-    if direction == "out":
-        return adj.col_sums()
-    raise GraphError(f"direction must be 'in' or 'out', got '{direction}'")
-
-
 # ---------------------------------------------------------------------------
 # Bundle format: a directory with graph.json, <relation>.csv edge files,
 # <type>.features.csv feature files and <type>.labels.csv label files.

@@ -2,8 +2,8 @@
 
 Micro-level graph convolutions (GCN / GAT / Sage / GIN) run on one subgraph
 view; macro-level reducers (Mean / Max / Sum / Attention) fuse per-subgraph
-outputs that share a destination type. Direct aggregation runs a single
-convolution over the homogenized graph, optionally with the relation-aware
+outputs that share a destination type. The Homogenization family runs one
+convolution over `homograph_view`, optionally with the relation-aware
 attention variant.
 """
 
@@ -192,11 +192,6 @@ class GATConv:
         z_src, alpha = self._attention(es, h_src, h_dst)
         return T.spmm(es.matrix, z_src, values=alpha)
 
-    def attention_weights(self, view: GraphView, h_src, h_dst):
-        """Per-edge softmax coefficients (diagnostics and tests)."""
-        es = view.attention()
-        return self._attention(es, h_src, h_dst)[1], es
-
 
 class SageConv:
     """Mean-aggregator GraphSAGE: neighbors averaged, concatenated with self."""
@@ -246,21 +241,6 @@ def make_micro_conv(kind, in_dim, out_dim, rng, prefix, attention_form="GAT",
     if kind == "GINConv":
         return GINConv(in_dim, out_dim, rng, prefix)
     raise TensorError(f"unknown micro convolution '{kind}'")
-
-
-def _as_view(graph_like) -> GraphView:
-    if isinstance(graph_like, GraphView):
-        return graph_like
-    if isinstance(graph_like, Subgraph):
-        return subgraph_view(graph_like)
-    if isinstance(graph_like, HomoGraph):
-        return homograph_view(graph_like)
-    raise TensorError(f"cannot message-pass over {type(graph_like).__name__}")
-
-
-def micro_conv(conv, graph_like, h_src, h_dst):
-    """Run one convolution over a subgraph or homogenized graph."""
-    return conv(_as_view(graph_like), h_src, h_dst)
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +334,14 @@ def macro_aggregate(macro, per_subgraph_outputs):
     return macro(per_subgraph_outputs)
 
 
-def direct_aggregate(hg: HomoGraph, h, conv):
-    """One convolution over the homogenized graph; relation-aware attention
-    reads the preserved edge types from the view."""
-    return micro_conv(conv, hg, h, h)
-
-
 def dual_aggregate(subgraphs, convs, h_by_type, macros):
     """Micro-level convolution per subgraph, then macro-level fusion per
     destination type. Types receiving no subgraph are absent from the result
     (the caller's pass-through rule applies)."""
     outs = {}
     for sub, conv in zip(subgraphs, convs):
-        z = micro_conv(conv, sub, h_by_type[sub.src_type],
-                       h_by_type[sub.dst_type])
+        z = conv(subgraph_view(sub), h_by_type[sub.src_type],
+                 h_by_type[sub.dst_type])
         outs.setdefault(sub.dst_type, []).append(z)
     return {t: macro_aggregate(macros[t], zs) for t, zs in outs.items()}
 

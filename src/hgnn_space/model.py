@@ -8,7 +8,7 @@ configuration seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -49,28 +49,7 @@ class DesignConfig:
         return replace(self, **kw)
 
     def to_flat(self) -> dict:
-        d = {
-            "model_family": self.model_family,
-            "micro_conv": self.micro_conv,
-            "macro_agg": self.macro_agg,
-            "attention_form": self.attention_form,
-            "has_bn": self.has_bn,
-            "dropout_p": self.dropout_p,
-            "activation": self.activation,
-            "has_l2norm": self.has_l2norm,
-            "connectivity": self.connectivity,
-            "pre_layers": self.pre_layers,
-            "mp_layers": self.mp_layers,
-            "post_layers": self.post_layers,
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "hidden_dim": self.hidden_dim,
-            "metapaths": metapaths_to_text(self.metapaths),
-            "task": self.task,
-            "seed": self.seed,
-        }
-        return d
+        return dict(asdict(self), metapaths=metapaths_to_text(self.metapaths))
 
     @classmethod
     def from_flat(cls, d: dict) -> "DesignConfig":
@@ -307,7 +286,7 @@ class Model:
             hg = data["homograph"]
             x = T.concat([h[t] for t in order], axis=0)
             for layer in self.mp:
-                z = L.direct_aggregate(hg, x, layer.convs[0])
+                z = layer.convs[0](L.homograph_view(hg), x, x)
                 z = L.intra_layer_post(z, layer.bns.get("*"), cfg.dropout_p,
                                        layer.activation, cfg.has_l2norm,
                                        training, rng)

@@ -87,32 +87,7 @@ class CSRMatrix:
         out[self.expanded_rows(), self.indices] = self.data
         return out
 
-    def binarized(self):
-        """Same sparsity pattern with all stored entries set to 1."""
-        return CSRMatrix(self.n_rows, self.n_cols, self.indptr, self.indices,
-                         np.ones(self.nnz, dtype=np.int64))
-
-    def astype(self, dtype):
-        return CSRMatrix(self.n_rows, self.n_cols, self.indptr, self.indices,
-                         self.data.astype(dtype))
-
-    def copy(self):
-        return CSRMatrix(self.n_rows, self.n_cols, self.indptr.copy(),
-                         self.indices.copy(), self.data.copy())
-
     # -- algebra --------------------------------------------------------------
-
-    def row_sums(self):
-        out = np.zeros(self.n_rows, dtype=self.data.dtype)
-        nonempty = self.indptr[:-1] < self.indptr[1:]
-        if self.nnz:
-            out[nonempty] = np.add.reduceat(self.data, self.indptr[:-1][nonempty])
-        return out
-
-    def col_sums(self):
-        out = np.zeros(self.n_cols, dtype=self.data.dtype)
-        np.add.at(out, self.indices, self.data)
-        return out
 
     def transpose(self):
         rows = self.expanded_rows()

@@ -129,8 +129,11 @@ class Tape:
             for parent, gin in zip(node._parents, grads):
                 if gin is None or not parent.requires_grad:
                     continue
+                # gin may alias another node's gradient (add returns g for
+                # both inputs); sharing it is safe because no vjp, optimizer
+                # or caller writes into a gradient array in place
                 if parent.grad is None:
-                    parent.grad = gin.copy() if gin is not None else None
+                    parent.grad = gin
                 else:
                     parent.grad = parent.grad + gin
             node._vjp = _CONSUMED

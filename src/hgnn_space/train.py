@@ -197,11 +197,6 @@ def macro_f1(preds, labels, num_classes: int) -> float:
     return float(np.mean(f1s))
 
 
-def micro_f1(preds, labels, num_classes: int) -> float:
-    cm = _confusion(preds, labels, num_classes)
-    return float(np.trace(cm) / cm.sum())
-
-
 def roc_auc(scores, labels) -> float:
     """Rank-statistic AUC with midpoint tie handling."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -222,20 +217,6 @@ def roc_auc(scores, labels) -> float:
     ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     r_pos = ranks[np.asarray(labels) == 1].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def mrr(pos_scores, neg_scores) -> float:
-    """Mean reciprocal rank; each row pairs one positive with its negatives.
-
-    Ties rank the positive after equal-scored negatives (pessimistic)."""
-    pos_scores = np.asarray(pos_scores, dtype=np.float64)
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
-    if pos_scores.size == 0:
-        raise GraphError("empty metric input")
-    if neg_scores.shape[0] != pos_scores.shape[0]:
-        raise GraphError("each positive needs its own negative group")
-    ranks = 1 + (neg_scores >= pos_scores[:, None]).sum(axis=1)
-    return float(np.mean(1.0 / ranks))
 
 
 # ---------------------------------------------------------------------------

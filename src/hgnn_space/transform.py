@@ -1,5 +1,5 @@
 """Graph transformations: relation extraction, meta-path composition,
-homogenization, mixed extraction and homophily analysis.
+homogenization and homophily analysis.
 
 A meta-path subgraph's adjacency is the product of its relations' adjacency
 matrices; entries count meta-path instances between node pairs. With rows
@@ -44,58 +44,23 @@ class Subgraph:
         return self.src_type == self.dst_type
 
 
+@dataclass(eq=False)
 class HomoGraph:
     """Fused single-node-set view of a heterogeneous graph.
 
-    Node ids are global (per-type offsets); edges are stored in relation
-    blocks so an edge's relation is an offset lookup. Type maps survive.
+    Node ids are global: type t's nodes are `offsets[t]` to
+    `offsets[t] + count - 1`. Each edge keeps the index of its relation in
+    `relation_names` as its `edge_type`, which relation-aware attention reads.
     """
 
-    def __init__(self, type_names, counts, relation_names, edge_src, edge_dst,
-                 edge_weight, edge_type, block_bounds):
-        self.type_names = tuple(type_names)
-        self.counts = tuple(int(c) for c in counts)
-        self.offsets = {}
-        base = 0
-        for name, count in zip(self.type_names, self.counts):
-            self.offsets[name] = base
-            base += count
-        self.n_nodes = base
-        self.relation_names = tuple(relation_names)
-        self.edge_src = edge_src
-        self.edge_dst = edge_dst
-        self.edge_weight = edge_weight
-        self.edge_type = edge_type
-        self.block_bounds = tuple(block_bounds)
-        self.node_type_of = np.repeat(np.arange(len(self.type_names)),
-                                      np.asarray(self.counts, dtype=np.int64))
-        self.cache = {}
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.edge_src.shape[0])
-
-    def global_id(self, type_name: str, local_id: int) -> int:
-        return self.offsets[type_name] + int(local_id)
-
-    def local_of(self, global_id: int):
-        ti = int(self.node_type_of[global_id])
-        name = self.type_names[ti]
-        return name, int(global_id) - self.offsets[name]
-
-    def edge_relation(self, edge_index: int) -> str:
-        for k, (s, e) in enumerate(self.block_bounds):
-            if s <= edge_index < e:
-                return self.relation_names[k]
-        raise GraphError(f"edge index {edge_index} out of range")
-
-    def adjacency(self) -> CSRMatrix:
-        """Global CSR with weights summed over coinciding typed edges."""
-        if "csr" not in self.cache:
-            self.cache["csr"] = CSRMatrix.from_edges(
-                self.edge_dst, self.edge_src, self.n_nodes, self.n_nodes,
-                data=self.edge_weight)
-        return self.cache["csr"]
+    offsets: dict
+    n_nodes: int
+    relation_names: tuple
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_weight: np.ndarray
+    edge_type: np.ndarray
+    cache: dict = field(default_factory=dict, repr=False)
 
 
 def extract_relation_subgraphs(g: HeteroGraph, relation_names) -> list:
@@ -121,47 +86,26 @@ def compose_metapath(g: HeteroGraph, mp: MetaPath) -> Subgraph:
                     freeze(product))
 
 
-def extract_mixed(g: HeteroGraph, relation_names, metapaths) -> list:
-    subs = extract_relation_subgraphs(g, relation_names)
-    subs.extend(compose_metapath(g, mp) for mp in metapaths)
-    return subs
-
-
 def homogenize(g: HeteroGraph) -> HomoGraph:
-    type_names = g.type_names
-    counts = [t.count for t in g.node_types]
     offsets = {}
     base = 0
-    for name, count in zip(type_names, counts):
-        offsets[name] = base
-        base += count
+    for t in g.node_types:
+        offsets[t.name] = base
+        base += t.count
 
-    src_parts, dst_parts, w_parts, t_parts, bounds = [], [], [], [], []
-    pos = 0
+    src_parts, dst_parts, w_parts, t_parts = [], [], [], []
     for k, r in enumerate(g.relations):
         adj = g.adjacency[r.name]
-        dst = adj.expanded_rows() + offsets[r.dst_type]
-        src = adj.indices + offsets[r.src_type]
-        src_parts.append(src)
-        dst_parts.append(dst)
+        src_parts.append(adj.indices + offsets[r.src_type])
+        dst_parts.append(adj.expanded_rows() + offsets[r.dst_type])
         w_parts.append(adj.data)
         t_parts.append(np.full(adj.nnz, k, dtype=np.int64))
-        bounds.append((pos, pos + adj.nnz))
-        pos += adj.nnz
 
-    if src_parts:
-        edge_src = np.concatenate(src_parts)
-        edge_dst = np.concatenate(dst_parts)
-        edge_weight = np.concatenate(w_parts)
-        edge_type = np.concatenate(t_parts)
-    else:
-        edge_src = np.empty(0, dtype=np.int64)
-        edge_dst = np.empty(0, dtype=np.int64)
-        edge_weight = np.empty(0, dtype=np.int64)
-        edge_type = np.empty(0, dtype=np.int64)
+    def cat(parts):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    return HomoGraph(type_names, counts, g.relation_names, edge_src, edge_dst,
-                     edge_weight, edge_type, bounds)
+    return HomoGraph(offsets, base, g.relation_names, cat(src_parts),
+                     cat(dst_parts), cat(w_parts), cat(t_parts))
 
 
 def homophily(sub: Subgraph, labels: np.ndarray) -> float:
@@ -179,18 +123,14 @@ def homophily(sub: Subgraph, labels: np.ndarray) -> float:
     if labels.shape[0] != n:
         raise GraphError(f"labels cover {labels.shape[0]} nodes, expected {n}")
     # neighbors of v are the rows u with A[u, v] >= 1, i.e. column v
-    adj_t = sub.cache.get("transpose")
-    if adj_t is None:
-        adj_t = sub.cache["transpose"] = sub.adjacency.transpose()
-    total = 0.0
-    seen = 0
-    for v in range(n):
-        s, e = adj_t.indptr[v], adj_t.indptr[v + 1]
-        if s == e:
-            continue
-        nbr = adj_t.indices[s:e]
-        total += float(np.mean(labels[nbr] == labels[v]))
-        seen += 1
-    if seen == 0:
+    adj = sub.adjacency
+    same = labels[adj.expanded_rows()] == labels[adj.indices]
+    degree = np.bincount(adj.indices, minlength=n)
+    hits = np.bincount(adj.indices, weights=same, minlength=n)
+    seen = degree > 0
+    if not seen.any():
         return 0.0
-    return total / seen
+    # cumsum adds the fractions one at a time in node order, as a loop does
+    # (Python 3.12's sum() compensates, which would change the last bits)
+    total = float(np.cumsum(hits[seen] / degree[seen])[-1])
+    return total / int(seen.sum())

@@ -331,8 +331,8 @@ def test_acceptance_5_attention_normalization():
         conv = L.GATConv(4, 4, np.random.default_rng(9), "g")
         feats = {"P": Tensor(g.features["P"]), "A": Tensor(g.features["A"])}
         for sub in extract_relation_subgraphs(g, g.relation_names):
-            alpha, es = conv.attention_weights(
-                L.subgraph_view(sub), feats[sub.src_type], feats[sub.dst_type])
+            es = L.subgraph_view(sub).attention()
+            alpha = conv._attention(es, feats[sub.src_type], feats[sub.dst_type])[1]
             sums = np.zeros(es.n_dst)
             np.add.at(sums, es.dst, alpha.data[:, 0])
             present = np.bincount(es.dst, minlength=es.n_dst) > 0
@@ -345,7 +345,8 @@ def test_acceptance_5_attention_normalization():
         for form in L.ATTENTION_FORMS:
             conv = L.GATConv(4, 4, np.random.default_rng(10), "g", form=form,
                              n_edge_types=2)
-            alpha, es = conv.attention_weights(view, h, h)
+            es = view.attention()
+            alpha = conv._attention(es, h, h)[1]
             sums = np.zeros(es.n_dst)
             np.add.at(sums, es.dst, alpha.data[:, 0])
             present = np.bincount(es.dst, minlength=es.n_dst) > 0

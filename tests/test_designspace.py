@@ -51,8 +51,8 @@ def test_homogenization_macro_inapplicable():
 # ---------------------------------------------------------------------------
 
 def test_cardinalities_exact():
-    assert ds.cardinality(ds.full_space()) == FULL_CARDINALITY
-    assert ds.cardinality(ds.condensed_space()) == CONDENSED_CARDINALITY
+    assert ds.full_space().cardinality() == FULL_CARDINALITY
+    assert ds.condensed_space().cardinality() == CONDENSED_CARDINALITY
     assert round(FULL_CARDINALITY / CONDENSED_CARDINALITY) == 506
 
 
@@ -76,10 +76,44 @@ def test_cardinality_matches_enumeration_on_reduced_space():
     assert space.cardinality() == sum(1 for _ in space.enumerate())
 
 
+def test_when_rule_on_a_non_family_dimension():
+    # lr applies only under SGD: 1 Adam point + 2 SGD points per momentum
+    space = ds.DesignSpace([
+        ds.Dimension("optimizer", ("Adam", "SGD")),
+        ds.Dimension("lr", (0.1, 0.01), when=("optimizer", ("SGD",))),
+        ds.Dimension("momentum", (0.0, 0.9)),
+    ])
+    assert space.branch_names == ("optimizer",)
+    points = list(space.enumerate())
+    assert space.cardinality() == len(points) == 6
+    assert sum(p["lr"] is None for p in points) == 2
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a = space.sample_assignment(rng)
+        assert (a["lr"] is None) == (a["optimizer"] != "SGD")
+    fixed = space.sample_assignment(rng, fixed={"optimizer": "SGD"})
+    assert fixed["lr"] in (0.1, 0.01)
+    with pytest.raises(ValueError, match="must come before"):
+        ds.DesignSpace([ds.Dimension("lr", (0.1,), when=("optimizer", ("SGD",))),
+                        ds.Dimension("optimizer", ("Adam", "SGD"))])
+
+
+def test_validate_reads_the_macro_when_rule():
+    homog = DesignConfig(model_family="Homogenization", macro_agg=None)
+    assert ds.validate(homog) == []
+    assert ds.validate(homog.with_values(macro_agg="Sum")) == [
+        "macro_agg: must be absent unless model_family is one of "
+        "['Relation', 'Metapath']"]
+    relation = DesignConfig(model_family="Relation", macro_agg="Sum")
+    assert ds.validate(relation) == []
+    assert ds.validate(relation.with_values(macro_agg=None)) == [
+        "macro_agg: 'None' not in ['Mean', 'Max', 'Sum', 'Attention']"]
+
+
 def test_condensed_subset_of_full():
     space = ds.condensed_space()
     for i, assignment in enumerate(space.enumerate()):
-        cfg = ds.config_from_assignment(assignment)
+        cfg = DesignConfig(**assignment)
         assert ds.validate(cfg) == []
         if i >= 2999:
             break

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
-                               degrees, generate_synthetic, load_graph,
-                               save_graph)
+                               generate_synthetic, load_graph, save_graph)
 from hgnn_space.sparse import CSRMatrix
 from hgnn_space.transform import MetaPath, compose_metapath, homophily
 
@@ -119,29 +118,8 @@ def test_adjacency_sums_match_raw_edge_list():
     g = build_graph([("S", 5, 0), ("D", 5, 0)], [("r", "S", "D")], {"r": edges})
     out_deg = np.bincount(edges[:, 0], minlength=5)
     in_deg = np.bincount(edges[:, 1], minlength=5)
-    assert np.array_equal(g.adjacency["r"].col_sums(), out_deg)
-    assert np.array_equal(g.adjacency["r"].row_sums(), in_deg)
-
-
-# ---------------------------------------------------------------------------
-# degrees
-# ---------------------------------------------------------------------------
-
-def test_degrees_hand_case():
-    g = build_graph([("A", 2, 0), ("P", 2, 0)], [("w", "A", "P")],
-                    {"w": np.array([[0, 0], [0, 1], [1, 1]])})
-    assert degrees(g, "w", "in").tolist() == [1, 2]
-    assert degrees(g, "w", "out").tolist() == [2, 1]
-
-
-def test_degrees_zero_and_multiplicity():
-    g = build_graph([("A", 2, 0), ("P", 2, 0)], [("w", "A", "P")], {})
-    assert degrees(g, "w", "in").tolist() == [0, 0]
-    edges = np.array([[0, 1], [0, 1], [1, 0]])
-    g2 = build_graph([("A", 2, 0), ("P", 2, 0)], [("w", "A", "P")], {"w": edges})
-    assert degrees(g2, "w", "in").tolist() == np.bincount(edges[:, 1]).tolist()
-    with pytest.raises(GraphError, match="unknown relation"):
-        degrees(g, "nope", "in")
+    assert np.array_equal(g.adjacency["r"].to_dense().sum(axis=0), out_deg)
+    assert np.array_equal(g.adjacency["r"].to_dense().sum(axis=1), in_deg)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,8 @@ def test_gat_matches_dense_oracle_and_normalizes():
     got = conv(view, Tensor(h_src), Tensor(h_dst))
     want = dense_gat(adj, h_src, h_dst, conv.W.data, conv.a_src.data, conv.a_dst.data)
     assert np.allclose(got.data, want, atol=1e-12)
-    alpha, es = conv.attention_weights(view, Tensor(h_src), Tensor(h_dst))
+    es = view.attention()
+    alpha = conv._attention(es, Tensor(h_src), Tensor(h_dst))[1]
     sums = np.zeros(es.n_dst)
     np.add.at(sums, es.dst, alpha.data[:, 0])
     present = np.bincount(es.dst, minlength=es.n_dst) > 0
@@ -119,8 +120,8 @@ def test_gat_single_neighbor_alpha_is_one():
     view = L.GraphView(*_edges_of(adj), 2, 2, same_type=False)
     conv = L.GATConv(3, 4, np.random.default_rng(6), "g")
     rng = np.random.default_rng(7)
-    alpha, _ = conv.attention_weights(view, Tensor(rng.standard_normal((2, 3))),
-                                      Tensor(rng.standard_normal((2, 3))))
+    alpha = conv._attention(view.attention(), Tensor(rng.standard_normal((2, 3))),
+                            Tensor(rng.standard_normal((2, 3))))[1]
     assert alpha.data.tolist() == [[1.0]]
 
 
@@ -130,8 +131,8 @@ def test_gat_equal_logits_split_half():
     view = L.GraphView(*_edges_of(adj), 2, 1, same_type=False)
     conv = L.GATConv(3, 4, np.random.default_rng(8), "g")
     h_src = np.tile(np.random.default_rng(9).standard_normal((1, 3)), (2, 1))
-    alpha, _ = conv.attention_weights(view, Tensor(h_src),
-                                      Tensor(np.ones((1, 3))))
+    alpha = conv._attention(view.attention(), Tensor(h_src),
+                            Tensor(np.ones((1, 3))))[1]
     assert np.allclose(alpha.data, 0.5, atol=1e-15)
 
 
@@ -156,7 +157,7 @@ def _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type):
     n_dst, n_src = adj.shape
     if kind == "GATConv":
         view = L.GraphView(src, dst, w, n_src, n_dst, same_type)
-        w, _ = conv.attention_weights(view, h_src, h_dst)
+        w = conv._attention(view.attention(), h_src, h_dst)[1]
         h_src = T.matmul(h_src, conv.W)
     elif kind == "GCNConv" and same_type:
         loops = np.arange(n_dst)
@@ -331,16 +332,6 @@ def test_dual_aggregate_mean_of_two_relations():
     z0 = convs[0](L.subgraph_view(subs[0]), h["A"], h["P"])
     z1 = convs[1](L.subgraph_view(subs[1]), h["C"], h["P"])
     assert np.allclose(fused["P"].data, 0.5 * (z0.data + z1.data), atol=1e-12)
-
-
-def test_direct_aggregate_wraps_homogenized_view():
-    rng = np.random.default_rng(42)
-    g = _single_type_graph(rng)
-    hg = homogenize(g)
-    conv = L.make_micro_conv("GCNConv", 3, 4, np.random.default_rng(43), "c")
-    h = Tensor(g.features["X"])
-    out = L.direct_aggregate(hg, h, conv)
-    assert np.array_equal(out.data, conv(L.homograph_view(hg), h, h).data)
 
 
 # ---------------------------------------------------------------------------

@@ -231,18 +231,18 @@ def test_metapath_model_on_target_p_skips_every_apa_convolution(monkeypatch):
     model = build_model(cfg, g, num_classes=3, target_type="P")
     apa = {id(layer.convs[1]) for layer in model.mp}
     called, taped = [], [0]
-    real_conv, real_make = L.micro_conv, T._make
+    real_call, real_make = L.GATConv.__call__, T._make
 
-    def spy_conv(conv, *args):
+    def spy_call(conv, *args):
         called.append(id(conv))
-        return real_conv(conv, *args)
+        return real_call(conv, *args)
 
     def spy_make(*args):
         out = real_make(*args)
         taped[0] += out._vjp is not None
         return out
 
-    monkeypatch.setattr(L, "micro_conv", spy_conv)
+    monkeypatch.setattr(L.GATConv, "__call__", spy_call)
     monkeypatch.setattr(T, "_make", spy_make)
     model.forward(g)
     full_nodes = taped[0]

@@ -13,8 +13,8 @@ from hgnn_space.model import DesignConfig, build_model, score_links
 from hgnn_space.tensor import Parameter
 from hgnn_space.train import (Adam, SGD, Task, TrialRecord, binary_cross_entropy,
                               cross_entropy, graph_without_edges, macro_f1,
-                              make_optimizer, make_splits, micro_f1, mrr,
-                              negative_sample, roc_auc, train_trial)
+                              make_optimizer, make_splits, negative_sample,
+                              roc_auc, train_trial)
 
 
 def planted_graph(seed=0, n_p=80, n_a=40, edges=200):
@@ -202,27 +202,12 @@ def test_negative_sampling_saturation_names_the_first_saturated_source():
 def test_perfect_predictions():
     labels = np.array([0, 1, 2, 0, 1, 2])
     assert macro_f1(labels, labels, 3) == 1.0
-    assert micro_f1(labels, labels, 3) == 1.0
 
 
 def test_separating_scores():
     scores = np.array([0.9, 0.8, 0.2, 0.1])
     labels = np.array([1, 1, 0, 0])
     assert roc_auc(scores, labels) == 1.0
-    assert mrr(np.array([0.9, 0.8]), np.array([[0.2, 0.1], [0.3, 0.4]])) == 1.0
-
-
-def test_mrr_hand_case():
-    # positive ranks 1, 2, 4 within their groups
-    pos = np.array([0.9, 0.5, 0.2])
-    neg = np.array([[0.1, 0.2, 0.3],
-                    [0.6, 0.3, 0.1],
-                    [0.5, 0.4, 0.3]])
-    assert mrr(pos, neg) == pytest.approx(7.0 / 12.0)
-
-
-def test_mrr_pessimistic_ties():
-    assert mrr(np.array([0.5]), np.array([[0.5, 0.1]])) == 0.5  # tie ranks after
 
 
 def test_roc_auc_tie_midpoints_and_errors():
@@ -268,7 +253,8 @@ def test_macro_micro_coincide_on_balanced_uniform_confusion():
         labels += [c] * 4
         preds += [c, c, (c + 1) % 3, (c + 2) % 3]
     labels, preds = np.array(labels), np.array(preds)
-    assert macro_f1(preds, labels, 3) == pytest.approx(micro_f1(preds, labels, 3))
+    # micro F1 over single-label predictions is the accuracy
+    assert macro_f1(preds, labels, 3) == pytest.approx(np.mean(preds == labels))
 
 
 def test_f1_invariant_under_class_relabeling():
@@ -278,8 +264,6 @@ def test_f1_invariant_under_class_relabeling():
     perm = rng.permutation(4)
     assert macro_f1(perm[preds], perm[labels], 4) == pytest.approx(
         macro_f1(preds, labels, 4))
-    assert micro_f1(perm[preds], perm[labels], 4) == pytest.approx(
-        micro_f1(preds, labels, 4))
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgnn_space.hgraph import GraphError, build_graph
+from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
+                               generate_synthetic)
 from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
-                                  extract_mixed, extract_relation_subgraphs,
-                                  homogenize, homophily)
+                                  extract_relation_subgraphs, homogenize,
+                                  homophily)
 from hgnn_space.sparse import CSRMatrix
 
 from conftest import random_hetero_graph
@@ -122,17 +123,6 @@ def test_metapath_composition_is_associative():
 
 
 # ---------------------------------------------------------------------------
-# mixed extraction
-# ---------------------------------------------------------------------------
-
-def test_mixed_extraction_tags_origins(academic_graph):
-    subs = extract_mixed(academic_graph, ["written"],
-                         [MetaPath("APA", ("written", "written-by"))])
-    assert [s.origin for s in subs] == ["relation", "metapath"]
-    assert extract_mixed(academic_graph, [], []) == []
-
-
-# ---------------------------------------------------------------------------
 # homogenization
 # ---------------------------------------------------------------------------
 
@@ -141,26 +131,19 @@ def test_homogenize_single_type_single_relation():
     g = build_graph([("X", 3, 0)], [("r", "X", "X")], {"r": edges})
     hg = homogenize(g)
     assert hg.offsets == {"X": 0}
-    assert hg.adjacency().equals(g.adjacency["r"])
+    adj = g.adjacency["r"]
+    assert np.array_equal(hg.edge_dst, adj.expanded_rows())
+    assert np.array_equal(hg.edge_src, adj.indices)
+    assert np.array_equal(hg.edge_weight, adj.data)
 
 
 def test_homogenize_counts(academic_graph):
     hg = homogenize(academic_graph)
     assert hg.n_nodes == sum(t.count for t in academic_graph.node_types)
-    assert hg.n_edges == sum(academic_graph.adjacency[r].nnz
-                             for r in academic_graph.relation_names)
-
-
-def test_homogenize_type_map_round_trip(academic_graph):
-    hg = homogenize(academic_graph)
-    for gid in range(hg.n_nodes):
-        name, local = hg.local_of(gid)
-        assert hg.global_id(name, local) == gid
-    # edge blocks are contiguous per relation
-    assert hg.edge_relation(0) == academic_graph.relation_names[0]
-    for k, (s, e) in enumerate(hg.block_bounds):
-        for idx in range(s, e):
-            assert hg.edge_relation(idx) == academic_graph.relation_names[k]
+    nnz = [academic_graph.adjacency[r].nnz for r in academic_graph.relation_names]
+    assert hg.edge_src.shape[0] == sum(nnz)
+    # edges come in one contiguous block per relation, in relation order
+    assert hg.edge_type.tolist() == [k for k, m in enumerate(nnz) for _ in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +220,44 @@ def test_homophily_permutation_invariant(n, seed):
     a = homophily(_square_subgraph(dense), labels)
     b = homophily(_square_subgraph(permuted), plabels)
     assert a == pytest.approx(b)
+
+
+def homophily_loop(sub, labels):
+    """Reference: the per-node loop over the transposed adjacency."""
+    labels = np.asarray(labels)
+    adj_t = sub.adjacency.transpose()
+    total = 0.0
+    seen = 0
+    for v in range(sub.adjacency.n_rows):
+        s, e = adj_t.indptr[v], adj_t.indptr[v + 1]
+        if s == e:
+            continue
+        total += float(np.mean(labels[adj_t.indices[s:e]] == labels[v]))
+        seen += 1
+    return total / seen if seen else 0.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_homophily_equals_per_node_loop(n):
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.05, 0.3, 0.9):
+        for _ in range(5):
+            dense = (rng.random((n, n)) < density).astype(int) * rng.integers(1, 4, (n, n))
+            dense[:, rng.random(n) < 0.2] = 0  # isolated nodes
+            labels = rng.integers(-1, 5, n)
+            sub = _square_subgraph(dense)
+            assert homophily(sub, labels) == homophily_loop(sub, labels)
+    empty = _square_subgraph(np.zeros((n, n), dtype=int))
+    assert homophily(empty, np.zeros(n, dtype=int)) == 0.0 == homophily_loop(
+        empty, np.zeros(n, dtype=int))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_homophily_equals_per_node_loop_on_metapath_subgraphs(seed):
+    g = generate_synthetic(SyntheticSpec(
+        node_types=(("P", 300, 0), ("A", 150, 0)),
+        relations=(("ap", "A", "P", 600), ("pa", "P", "A", 600)),
+        target_type="P", num_communities=4, boost=0.7, noise=0.1, seed=seed))
+    pap = compose_metapath(g, MetaPath("PAP", ("pa", "ap")))
+    labels = g.labels["P"]
+    assert homophily(pap, labels) == homophily_loop(pap, labels)
