@@ -52,19 +52,23 @@ def edf(scores) -> EDFCurve:
     return EDFCurve(np.sort(scores))
 
 
+def midranks(values) -> np.ndarray:
+    """Ascending 1-based ranks of a float vector; tied values share the
+    midpoint of their positions, and NaNs (never equal) rank singly, last."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+    ends = np.append(starts[1:], values.size) - 1
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    return ranks
+
+
 def _average_ranks(scores):
     """Descending ranks with mean-of-tied-positions; None ranks last."""
     keys = np.array([-np.inf if s is None else s for s in scores], dtype=np.float64)
-    order = np.argsort(-keys, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and keys[order[j + 1]] == keys[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    return midranks(-keys)
 
 
 def rank_choices(records, dimension: str, choices=None) -> RankingTable:

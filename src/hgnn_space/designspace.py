@@ -62,16 +62,7 @@ class DesignSpace:
         return tuple(d.name for d in self.dimensions)
 
     def cardinality(self) -> int:
-        total = 0
-        for combo in self._branch_combos():
-            prod = 1
-            for d in self.dimensions:
-                if d.name in combo:
-                    continue
-                if d.applies(combo):
-                    prod *= len(d.choices)
-            total += prod
-        return total
+        return sum(self._free_count(combo) for combo in self._branch_combos())
 
     def enumerate(self):
         """Yield every valid assignment as a dict (inapplicable dims -> None)."""
@@ -93,6 +84,16 @@ class DesignSpace:
 
         yield from rec(0, {})
 
+    def _free_count(self, combo, fixed=()):
+        """Configurations under one branch combination: the product of the
+        choice counts of the applicable dimensions that neither `combo` nor
+        `fixed` sets."""
+        prod = 1
+        for d in self.dimensions:
+            if d.name not in combo and d.name not in fixed and d.applies(combo):
+                prod *= len(d.choices)
+        return prod
+
     def _branch_combos(self):
         combos = [{}]
         for name in self.branch_names:
@@ -109,16 +110,8 @@ class DesignSpace:
                 raise ValueError(f"'{value}' is not a choice of dimension '{name}'")
         combos = [c for c in self._branch_combos()
                   if all(c[k] == fixed[k] for k in c if k in fixed)]
-        weights = []
-        for combo in combos:
-            prod = 1
-            for d in self.dimensions:
-                if d.name in combo or d.name in fixed:
-                    continue
-                if d.applies(combo):
-                    prod *= len(d.choices)
-            weights.append(prod)
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.asarray([self._free_count(c, fixed) for c in combos],
+                             dtype=np.float64)
         pick = combos[int(rng.choice(len(combos), p=weights / weights.sum()))]
         out = {}
         for d in self.dimensions:

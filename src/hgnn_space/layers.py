@@ -2,8 +2,11 @@
 
 Micro-level graph convolutions (GCN / GAT / Sage / GIN) run on one subgraph
 view; macro-level reducers (Mean / Max / Sum / Attention) fuse per-subgraph
-outputs that share a destination type. The Homogenization family runs one
-convolution over `homograph_view`, optionally with the relation-aware
+outputs that share a destination node set. The model families differ only in
+the graph transformation that gives the node sets and subgraphs: Relation
+and Metapath keep one node set per type and one subgraph per relation or
+meta-path, Homogenization fuses every type into one node set with one
+subgraph (`homograph_view`), whose convolution may use the relation-aware
 attention variant.
 """
 
@@ -39,12 +42,9 @@ class EdgeSet:
     """Attention edges sorted by destination: gather and segment plans for the
     per-edge logits and softmax, and the spmm pattern the coefficients fill."""
 
-    __slots__ = ("dst", "n_dst", "src_plan", "dst_plan", "seg", "edge_type",
-                 "matrix")
+    __slots__ = ("src_plan", "dst_plan", "seg", "edge_type", "matrix")
 
     def __init__(self, src, dst, n_src, n_dst, edge_type=None):
-        self.dst = dst
-        self.n_dst = int(n_dst)
         self.src_plan = IndexPlan(src, n_src)
         self.dst_plan = IndexPlan(dst, n_dst)
         self.seg = SegmentIndex(dst, n_dst)
@@ -55,8 +55,7 @@ class EdgeSet:
 class GraphView:
     """Lazy cache of the matrices one subgraph can be aggregated with."""
 
-    def __init__(self, src, dst, weight, n_src, n_dst, same_type,
-                 edge_type=None, n_edge_types=0):
+    def __init__(self, src, dst, weight, n_src, n_dst, same_type, edge_type=None):
         self._src = src
         self._dst = dst
         self._weight = np.asarray(weight, dtype=np.float64)
@@ -64,7 +63,6 @@ class GraphView:
         self.n_dst = int(n_dst)
         self.same_type = bool(same_type)
         self._edge_type = edge_type
-        self.n_edge_types = int(n_edge_types)
         self._cache = {}
 
     def _cached(self, key, build):
@@ -127,8 +125,7 @@ def homograph_view(hg: HomoGraph) -> GraphView:
             hg.edge_src[order], hg.edge_dst[order],
             hg.edge_weight[order].astype(np.float64),
             hg.n_nodes, hg.n_nodes, True,
-            edge_type=hg.edge_type[order],
-            n_edge_types=len(hg.relation_names))
+            edge_type=hg.edge_type[order])
     return hg.cache["view"]
 
 
@@ -326,24 +323,30 @@ def make_macro(kind, dim, rng, prefix):
 
 
 def macro_aggregate(macro, per_subgraph_outputs):
+    """Fuse the outputs with `macro`; without one, the only output is the
+    result."""
     if not per_subgraph_outputs:
         raise TensorError("macro aggregation needs at least one subgraph output")
+    if macro is None:
+        if len(per_subgraph_outputs) != 1:
+            raise TensorError("fusing several subgraph outputs needs a macro module")
+        return per_subgraph_outputs[0]
     widths = {z.shape[1] for z in per_subgraph_outputs}
     if len(widths) != 1:
         raise TensorError(f"macro aggregation over mixed widths {sorted(widths)}")
     return macro(per_subgraph_outputs)
 
 
-def dual_aggregate(subgraphs, convs, h_by_type, macros):
-    """Micro-level convolution per subgraph, then macro-level fusion per
-    destination type. Types receiving no subgraph are absent from the result
-    (the caller's pass-through rule applies)."""
+def dual_aggregate(subgraphs, h_by_set, macros):
+    """Micro-level convolution per subgraph, given as (spec, view, conv)
+    triples with spec = (name, source set, destination set), then
+    macro-level fusion per destination set; a set without a macro module
+    takes its one subgraph's output unchanged. Sets receiving no subgraph are
+    absent from the result (the caller's pass-through rule applies)."""
     outs = {}
-    for sub, conv in zip(subgraphs, convs):
-        z = conv(subgraph_view(sub), h_by_type[sub.src_type],
-                 h_by_type[sub.dst_type])
-        outs.setdefault(sub.dst_type, []).append(z)
-    return {t: macro_aggregate(macros[t], zs) for t, zs in outs.items()}
+    for (_, src, dst), view, conv in subgraphs:
+        outs.setdefault(dst, []).append(conv(view, h_by_set[src], h_by_set[dst]))
+    return {t: macro_aggregate(macros.get(t), zs) for t, zs in outs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Network assembly from a design configuration.
 
-Pipeline: typed linear pre-process, a family-dependent message-passing
-stack (layer = aggregate, post-ops, connectivity), a shared post-process
-MLP and a task head. Parameter initialization is a pure function of the
-configuration seed.
+Pipeline: typed linear pre-process, a message-passing stack over the node
+sets and subgraphs the family's graph transformation gives (layer =
+aggregate, post-ops, connectivity), a shared post-process MLP and a task
+head. Parameter initialization is a pure function of the configuration
+seed.
 """
 
 from __future__ import annotations
@@ -90,18 +91,17 @@ class _MpLayer:
     """Parameter container for one message-passing layer."""
 
     def __init__(self):
-        self.convs = []          # aligned with the subgraph list (dual) or [conv]
-        self.macros = {}         # dst type -> macro module (dual only)
-        self.macro_order = ()
-        self.bns = {}            # dst type -> BatchNorm, or {"*": bn} for global
+        self.convs = []          # aligned with the model's subgraph specs
+        self.macros = {}         # receiving node set -> macro, in receiving order
+        self.bns = {}            # receiving node set -> BatchNorm
         self.activation = None
 
     def parameters(self):
         ps = []
         for conv in self.convs:
             ps += conv.parameters()
-        for t in self.macro_order:
-            ps += self.macros[t].parameters()
+        for macro in self.macros.values():
+            ps += macro.parameters()
         for t in sorted(self.bns):
             ps += self.bns[t].parameters()
         if self.activation is not None:
@@ -135,7 +135,10 @@ class Model:
             self.pre_extra.append(
                 L.TypedLinearBlock(graph.type_names, hid, rng, f"pre{i + 1}", act))
 
-        # static subgraph shape: (name, src_type, dst_type) per subgraph
+        # the graph transformation fixes the node sets message passing runs on
+        # (name -> node count) and the subgraphs between them (name, source
+        # set, destination set)
+        self.node_sets = dict(self.type_counts)
         if cfg.model_family == "Relation":
             self.sub_specs = [(r.name, r.src_type, r.dst_type) for r in graph.relations]
         elif cfg.model_family == "Metapath":
@@ -143,13 +146,11 @@ class Model:
             for name, rels in cfg.metapaths:
                 chain = [graph.relation(r) for r in rels]
                 self.sub_specs.append((name, chain[0].src_type, chain[-1].dst_type))
-        else:
-            self.sub_specs = []
-        receiving = []
-        for _, _, dst in self.sub_specs:
-            if dst not in receiving:
-                receiving.append(dst)
-        self.receiving = tuple(t for t in graph.type_names if t in receiving)
+        else:  # Homogenization: every type fused into one node set
+            self.node_sets = {"*": sum(self.type_counts.values())}
+            self.sub_specs = [("*", "*", "*")]
+        receiving = {dst for _, _, dst in self.sub_specs}
+        self.receiving = tuple(s for s in self.node_sets if s in receiving)
 
         widths_in = []
         w = hid
@@ -159,28 +160,26 @@ class Model:
         self.final_width = w
         self.widths_in = tuple(widths_in)
 
-        n_edge_types = len(graph.relations)
+        # relation-aware attention reads the edge types only the fused graph keeps
+        conv_kw = ({"attention_form": cfg.attention_form,
+                    "n_edge_types": len(graph.relations)}
+                   if cfg.model_family == "Homogenization" else {})
         self.mp = []
         for li in range(cfg.mp_layers):
             layer = _MpLayer()
-            w_in = widths_in[li]
-            if cfg.model_family == "Homogenization":
-                layer.convs = [L.make_micro_conv(
-                    cfg.micro_conv, w_in, hid, rng, f"mp{li}.conv",
-                    attention_form=cfg.attention_form, n_edge_types=n_edge_types)]
-                if cfg.has_bn:
-                    layer.bns["*"] = L.BatchNorm(hid, f"mp{li}.bn")
-            else:
-                for name, _, _ in self.sub_specs:
-                    layer.convs.append(L.make_micro_conv(
-                        cfg.micro_conv, w_in, hid, rng, f"mp{li}.conv.{name}"))
-                layer.macro_order = self.receiving
-                for t in self.receiving:
-                    layer.macros[t] = L.make_macro(cfg.macro_agg, hid, rng,
-                                                   f"mp{li}.macro.{t}")
-                if cfg.has_bn:
-                    for t in self.receiving:
-                        layer.bns[t] = L.BatchNorm(hid, f"mp{li}.bn.{t}")
+            layer.convs = [L.make_micro_conv(cfg.micro_conv, widths_in[li], hid, rng,
+                                             f"mp{li}.conv.{name}", **conv_kw)
+                           for name, _, _ in self.sub_specs]
+            # a macro for every receiving type, even one fed by a single
+            # subgraph: Attention macros draw their parameters from `rng`, so
+            # they fix the init stream. Homogenization configs have none.
+            if cfg.macro_agg is not None:
+                layer.macros = {t: L.make_macro(cfg.macro_agg, hid, rng,
+                                                f"mp{li}.macro.{t}")
+                                for t in self.receiving}
+            if cfg.has_bn:
+                layer.bns = {t: L.BatchNorm(hid, f"mp{li}.bn.{t}")
+                             for t in self.receiving}
             layer.activation = L.Activation(cfg.activation, prefix=f"mp{li}.act")
             self.mp.append(layer)
 
@@ -225,38 +224,38 @@ class Model:
     # -- graph preparation ----------------------------------------------------
 
     def _graph_data(self, g: HeteroGraph):
+        """Features, one view per subgraph spec, and the offsets of each type
+        in the fused node set (None unless the family fuses the types)."""
         if self._graph_cache is not None and self._graph_cache[0] is g:
             return self._graph_cache[1]
         feats = {t.name: Tensor(g.features[t.name])
                  for t in g.node_types if t.feature_dim > 0}
+        offsets = None
         if self.cfg.model_family == "Homogenization":
-            data = {"feats": feats, "homograph": homogenize(g)}
+            hg = homogenize(g)
+            views, offsets = [L.homograph_view(hg)], hg.offsets
+        elif self.cfg.model_family == "Relation":
+            views = [L.subgraph_view(s)
+                     for s in extract_relation_subgraphs(g, g.relation_names)]
         else:
-            if self.cfg.model_family == "Relation":
-                subs = extract_relation_subgraphs(g, g.relation_names)
-            else:
-                subs = [compose_metapath(g, MetaPath(name, rels))
-                        for name, rels in self.cfg.metapaths]
-            data = {"feats": feats, "subs": subs}
+            views = [L.subgraph_view(compose_metapath(g, MetaPath(name, rels)))
+                     for name, rels in self.cfg.metapaths]
+        data = {"feats": feats, "views": views, "offsets": offsets}
         self._graph_cache = (g, data)
         return data
 
     # -- forward --------------------------------------------------------------
 
-    def _demand(self, types):
-        """The node types each stage must produce so that `types` come out:
+    def _demand(self, sets):
+        """The node sets each stage must produce so that `sets` come out:
         entry i is the input of message-passing layer i (entry 0 is the
-        pre-process output) and the last entry is `types`. A type is needed
+        pre-process output) and the last entry is `sets`. A set is needed
         at a layer's input if it is needed at its output or sends into a
-        subgraph that is; the homogenized stack mixes every type."""
-        need = [frozenset(types)]
+        subgraph that is."""
+        need = [frozenset(sets)]
         for _ in self.mp:
-            if self.cfg.model_family == "Homogenization":
-                cur = frozenset(self.type_names)
-            else:
-                cur = need[0] | {src for _, src, dst in self.sub_specs
-                                 if dst in need[0]}
-            need.insert(0, cur)
+            need.insert(0, need[0] | {src for _, src, dst in self.sub_specs
+                                      if dst in need[0]})
         return need
 
     def forward(self, g: HeteroGraph, training: bool = False, rng=None,
@@ -275,57 +274,51 @@ class Model:
             if unknown:
                 raise GraphError(f"unknown node types {sorted(unknown)}")
             want = tuple(t for t in self.type_names if t in types)
-        need = self._demand(want)
         data = self._graph_data(g)
-        h = self.pre(data["feats"], types=need[0])
+        offsets = data["offsets"]
+        # a fused node set needs every type's projection
+        need = self._demand(want if offsets is None else {"*"})
+        pre_types = need[0] if offsets is None else self.type_names
+        h = self.pre(data["feats"], types=pre_types)
         for block in self.pre_extra:
-            h = block(h, types=need[0])
+            h = block(h, types=pre_types)
+        if offsets is not None:
+            h = {"*": T.concat([h[t] for t in self.type_names], axis=0)}
 
-        if cfg.model_family == "Homogenization":
-            order = list(self.type_names)
-            hg = data["homograph"]
-            x = T.concat([h[t] for t in order], axis=0)
-            for layer in self.mp:
-                z = layer.convs[0](L.homograph_view(hg), x, x)
-                z = L.intra_layer_post(z, layer.bns.get("*"), cfg.dropout_p,
-                                       layer.activation, cfg.has_l2norm,
-                                       training, rng)
-                x = L.connect(cfg.connectivity, x, z)
-            h = {}
-            for t in want:
-                lo = hg.offsets[t]
-                h[t] = T.narrow(x, 0, lo, lo + self.type_counts[t])
-        else:
-            draws_masks = training and cfg.dropout_p
-            if draws_masks and rng is None:
-                raise TensorError("training-mode dropout needs an rng")
-            for li, layer in enumerate(self.mp):
-                out_types = need[li + 1]
-                active = [i for i, (_, _, dst) in enumerate(self.sub_specs)
-                          if dst in out_types]
-                fused = L.dual_aggregate([data["subs"][i] for i in active],
-                                         [layer.convs[i] for i in active], h,
-                                         layer.macros)
-                new = {}
-                for t in self.receiving:
-                    if t in out_types:
-                        new[t] = L.intra_layer_post(fused[t], layer.bns.get(t),
-                                                    cfg.dropout_p, layer.activation,
-                                                    cfg.has_l2norm, training, rng)
-                    elif draws_masks:
-                        rng.random((self.type_counts[t], cfg.hidden_dim))
-                nxt = {}
-                for t in (t for t in self.type_names if t in out_types):
-                    if t in new:
-                        nxt[t] = L.connect(cfg.connectivity, h[t], new[t])
-                    elif cfg.connectivity == "SKIP-CAT":
-                        # pad untouched types so every type keeps a uniform width
-                        pad = Tensor(np.zeros((self.type_counts[t], cfg.hidden_dim)))
-                        nxt[t] = T.concat([h[t], pad], axis=1)
-                    else:
-                        nxt[t] = h[t]
-                h = nxt
+        draws_masks = training and cfg.dropout_p
+        if draws_masks and rng is None:
+            raise TensorError("training-mode dropout needs an rng")
+        for li, layer in enumerate(self.mp):
+            out_sets = need[li + 1]
+            fused = L.dual_aggregate(
+                [(spec, view, conv) for spec, view, conv
+                 in zip(self.sub_specs, data["views"], layer.convs)
+                 if spec[2] in out_sets], h, layer.macros)
+            new = {}
+            for s in self.receiving:
+                if s in out_sets:
+                    new[s] = L.intra_layer_post(fused[s], layer.bns.get(s),
+                                                cfg.dropout_p, layer.activation,
+                                                cfg.has_l2norm, training, rng)
+                elif draws_masks:
+                    rng.random((self.node_sets[s], cfg.hidden_dim))
+            nxt = {}
+            for s, count in self.node_sets.items():
+                if s not in out_sets:
+                    continue
+                if s in new:
+                    nxt[s] = L.connect(cfg.connectivity, h[s], new[s])
+                elif cfg.connectivity == "SKIP-CAT":
+                    # pad untouched sets so every set keeps a uniform width
+                    pad = Tensor(np.zeros((count, cfg.hidden_dim)))
+                    nxt[s] = T.concat([h[s], pad], axis=1)
+                else:
+                    nxt[s] = h[s]
+            h = nxt
 
+        if offsets is not None:
+            h = {t: T.narrow(h["*"], 0, offsets[t], offsets[t] + self.type_counts[t])
+                 for t in want}
         out = {}
         for t in want:
             x = h[t]

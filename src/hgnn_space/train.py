@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .analysis import midranks
 from .hgraph import GraphError, HeteroGraph, build_graph
 from .model import DesignConfig, build_model, score_links
 from .tensor import Tensor
@@ -58,39 +59,33 @@ class TrialRecord:
 
 def make_splits(task: Task, graph: HeteroGraph, n_splits: int = 3,
                 seed: int = 0) -> list:
-    """Random 80/20 train/validation splits, deterministic per (seed, id)."""
-    splits = []
+    """Random 80/20 train/validation splits, deterministic per (seed, id),
+    of the labelled target ids (node classification) or the target
+    relation's (src, dst) pairs (link prediction), each part in item order."""
     if task.kind == "node_classification":
         labels = graph.labels.get(task.target)
         if labels is None:
             raise GraphError(f"no labels for target type '{task.target}'")
-        pool = np.flatnonzero(labels >= 0)
-        classes, counts = np.unique(labels[pool], return_counts=True)
-        if pool.size == 0 or counts.min() < 5:
+        items = np.flatnonzero(labels >= 0)
+        _, counts = np.unique(labels[items], return_counts=True)
+        if items.size == 0 or counts.min() < 5:
             raise GraphError("too few labeled nodes: need at least 5 per class")
-        for i in range(n_splits):
-            rng = np.random.default_rng([seed, i, 17])
-            perm = pool[rng.permutation(pool.size)]
-            cut = max(1, int(round(pool.size * 0.8)))
-            cut = min(cut, pool.size - 1)
-            splits.append(Split(i, int(np.random.SeedSequence([seed, i]).generate_state(1)[0]),
-                                np.sort(perm[:cut]), np.sort(perm[cut:])))
     elif task.kind == "link_prediction":
         adj = graph.adjacency.get(task.target)
         if adj is None:
             raise GraphError(f"unknown target relation '{task.target}'")
-        pairs = np.stack([adj.indices, adj.expanded_rows()], axis=1)  # (src, dst)
-        if pairs.shape[0] < 5:
+        items = np.stack([adj.indices, adj.expanded_rows()], axis=1)  # (src, dst)
+        if items.shape[0] < 5:
             raise GraphError("too few positive edges to split")
-        for i in range(n_splits):
-            rng = np.random.default_rng([seed, i, 17])
-            perm = rng.permutation(pairs.shape[0])
-            cut = max(1, int(round(pairs.shape[0] * 0.8)))
-            cut = min(cut, pairs.shape[0] - 1)
-            splits.append(Split(i, int(np.random.SeedSequence([seed, i]).generate_state(1)[0]),
-                                pairs[np.sort(perm[:cut])], pairs[np.sort(perm[cut:])]))
     else:
         raise GraphError(f"unknown task kind '{task.kind}'")
+    n = items.shape[0]
+    cut = min(max(1, int(round(n * 0.8))), n - 1)
+    splits = []
+    for i in range(n_splits):
+        perm = np.random.default_rng([seed, i, 17]).permutation(n)
+        splits.append(Split(i, int(np.random.SeedSequence([seed, i]).generate_state(1)[0]),
+                            items[np.sort(perm[:cut])], items[np.sort(perm[cut:])]))
     return splits
 
 
@@ -207,15 +202,7 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise GraphError("roc_auc needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    # tie groups are runs of equal sorted scores; NaN != NaN keeps NaNs single
-    starts = np.flatnonzero(np.append(True, sorted_scores[1:] != sorted_scores[:-1]))
-    ends = np.append(starts[1:], scores.size) - 1
-    ranks = np.empty(scores.size, dtype=np.float64)
-    # midpoint of tied ranks
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    r_pos = ranks[np.asarray(labels) == 1].sum()
+    r_pos = midranks(scores)[labels == 1].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

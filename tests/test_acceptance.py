@@ -333,9 +333,9 @@ def test_acceptance_5_attention_normalization():
         for sub in extract_relation_subgraphs(g, g.relation_names):
             es = L.subgraph_view(sub).attention()
             alpha = conv._attention(es, feats[sub.src_type], feats[sub.dst_type])[1]
-            sums = np.zeros(es.n_dst)
-            np.add.at(sums, es.dst, alpha.data[:, 0])
-            present = np.bincount(es.dst, minlength=es.n_dst) > 0
+            sums = np.zeros(es.seg.num_segments)
+            np.add.at(sums, es.seg.index, alpha.data[:, 0])
+            present = np.bincount(es.seg.index, minlength=es.seg.num_segments) > 0
             if present.any():
                 assert np.abs(sums[present] - 1.0).max() < 1e-12
         # direct scope: softmax over the full homogenized neighborhood
@@ -347,9 +347,9 @@ def test_acceptance_5_attention_normalization():
                              n_edge_types=2)
             es = view.attention()
             alpha = conv._attention(es, h, h)[1]
-            sums = np.zeros(es.n_dst)
-            np.add.at(sums, es.dst, alpha.data[:, 0])
-            present = np.bincount(es.dst, minlength=es.n_dst) > 0
+            sums = np.zeros(es.seg.num_segments)
+            np.add.at(sums, es.seg.index, alpha.data[:, 0])
+            present = np.bincount(es.seg.index, minlength=es.seg.num_segments) > 0
             if present.any():
                 assert np.abs(sums[present] - 1.0).max() < 1e-12
     _announce(5, started, "softmax sums = 1 +/- 1e-12 per subgraph (dual) and "

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgnn_space.analysis import (edf, edf_csv, emit_report, rank_choices,
-                                 ranking_csv)
+from hgnn_space.analysis import (_average_ranks, edf, edf_csv, emit_report,
+                                 rank_choices, ranking_csv)
 from hgnn_space.hgraph import GraphError
 from hgnn_space.model import DesignConfig
 
@@ -54,6 +54,30 @@ def test_tied_scores_share_mean_rank():
     assert table.avg_rank["STACK"] == 1.0
     assert table.avg_rank["SKIP-SUM"] == 2.5
     assert table.avg_rank["SKIP-CAT"] == 2.5
+
+
+def average_ranks_loop(scores):
+    """Descending mean-of-tied-positions ranks by walking the sorted order."""
+    keys = np.array([-np.inf if s is None else s for s in scores], dtype=np.float64)
+    order = np.argsort(-keys, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and keys[order[j + 1]] == keys[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.sampled_from([0.0, -0.0, 0.25, 1.0, np.inf]),
+                          st.floats(allow_nan=True)), max_size=12))
+def test_average_ranks_match_sorted_walk(scores):
+    got = _average_ranks(scores)
+    want = average_ranks_loop(scores)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_failed_trials_rank_last():

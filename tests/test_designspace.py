@@ -6,6 +6,7 @@ from hgnn_space.hgraph import build_graph
 from hgnn_space.model import DesignConfig
 
 # chi-square critical values at p = 0.001
+CHI2_999_DOF1 = 10.827566170662733
 CHI2_999_DOF2 = 13.815510557964274
 CHI2_999_DOF4 = 18.46682695290317
 
@@ -93,6 +94,12 @@ def test_when_rule_on_a_non_family_dimension():
         assert (a["lr"] is None) == (a["optimizer"] != "SGD")
     fixed = space.sample_assignment(rng, fixed={"optimizer": "SGD"})
     assert fixed["lr"] in (0.1, 0.01)
+    # fixing a conditional dimension leaves the draw uniform over the points
+    # that agree with it where it applies: 2 Adam points, 2 SGD points
+    draws = [space.sample_assignment(rng, fixed={"lr": 0.1}) for _ in range(4000)]
+    sgd = [d for d in draws if d["optimizer"] == "SGD"]
+    assert all(d["lr"] == 0.1 for d in sgd)
+    assert (len(sgd) - 2000) ** 2 / 1000 < CHI2_999_DOF1
     with pytest.raises(ValueError, match="must come before"):
         ds.DesignSpace([ds.Dimension("lr", (0.1,), when=("optimizer", ("SGD",))),
                         ds.Dimension("optimizer", ("Adam", "SGD"))])

@@ -4,7 +4,7 @@ import pytest
 import hgnn_space.layers as L
 import hgnn_space.tensor as T
 from hgnn_space.hgraph import build_graph
-from hgnn_space.tensor import Parameter, Tensor, grad_check
+from hgnn_space.tensor import Parameter, Tensor, TensorError, grad_check
 from hgnn_space.transform import extract_relation_subgraphs, homogenize
 
 
@@ -108,9 +108,9 @@ def test_gat_matches_dense_oracle_and_normalizes():
     assert np.allclose(got.data, want, atol=1e-12)
     es = view.attention()
     alpha = conv._attention(es, Tensor(h_src), Tensor(h_dst))[1]
-    sums = np.zeros(es.n_dst)
-    np.add.at(sums, es.dst, alpha.data[:, 0])
-    present = np.bincount(es.dst, minlength=es.n_dst) > 0
+    sums = np.zeros(es.seg.num_segments)
+    np.add.at(sums, es.seg.index, alpha.data[:, 0])
+    present = np.bincount(es.seg.index, minlength=es.seg.num_segments) > 0
     assert np.abs(sums[present] - 1.0).max() < 1e-12
     assert np.allclose(got.data[0], 0.0)  # zero-degree destination: zero vector
 
@@ -324,14 +324,35 @@ def test_dual_aggregate_mean_of_two_relations():
         features={t: rng.standard_normal((n, 3))
                   for t, n in (("P", 4), ("A", 3), ("C", 2))})
     subs = extract_relation_subgraphs(g, g.relation_names)
+    views = [L.subgraph_view(s) for s in subs]
     prng = np.random.default_rng(41)
     convs = [L.make_micro_conv("GCNConv", 3, 4, prng, f"c{i}") for i in range(2)]
     h = {t: Tensor(g.features[t]) for t in ("P", "A", "C")}
-    fused = L.dual_aggregate(subs, convs, h, {"P": L.MacroMean()})
+    specs = [(s.name, s.src_type, s.dst_type) for s in subs]
+    fused = L.dual_aggregate(list(zip(specs, views, convs)), h, {"P": L.MacroMean()})
     assert set(fused) == {"P"}
-    z0 = convs[0](L.subgraph_view(subs[0]), h["A"], h["P"])
-    z1 = convs[1](L.subgraph_view(subs[1]), h["C"], h["P"])
+    z0 = convs[0](views[0], h["A"], h["P"])
+    z1 = convs[1](views[1], h["C"], h["P"])
     assert np.allclose(fused["P"].data, 0.5 * (z0.data + z1.data), atol=1e-12)
+
+
+def test_dual_aggregate_without_macro_takes_the_one_output():
+    rng = np.random.default_rng(42)
+    g = build_graph([("P", 4, 3), ("A", 3, 3)], [("ap", "A", "P"), ("pp", "P", "P")],
+                    {"ap": np.array([[0, 0], [1, 2], [2, 3]]),
+                     "pp": np.array([[0, 1], [3, 3]])},
+                    features={"P": rng.standard_normal((4, 3)),
+                              "A": rng.standard_normal((3, 3))})
+    subs = extract_relation_subgraphs(g, g.relation_names)
+    triples = [((s.name, s.src_type, s.dst_type), L.subgraph_view(s),
+                L.make_micro_conv("SageConv", 3, 4, np.random.default_rng(43), s.name))
+               for s in subs]
+    h = {t: Tensor(g.features[t]) for t in ("P", "A")}
+    fused = L.dual_aggregate(triples[:1], h, {})
+    want = triples[0][2](triples[0][1], h["A"], h["P"])
+    assert set(fused) == {"P"} and np.array_equal(fused["P"].data, want.data)
+    with pytest.raises(TensorError, match="needs a macro"):
+        L.dual_aggregate(triples, h, {})
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ import pytest
 import hgnn_space.layers as L
 import hgnn_space.tensor as T
 from hgnn_space.hgraph import GraphError, build_graph
-from hgnn_space.model import (DesignConfig, build_model, metapaths_from_text,
+from hgnn_space.model import (DesignConfig, Model, build_model, metapaths_from_text,
                               metapaths_to_text, num_parameters, score_links)
 from hgnn_space.tensor import Tensor
+from hgnn_space.transform import homogenize
 
 
 def two_type_graph(rng, n_p=6, n_a=4, d=3, labeled=True):
@@ -222,6 +223,71 @@ def test_pruned_forward_equals_full_forward(family, micro, connectivity):
                 got = pruned[2][name]
                 assert (got is None) == (want is None), name
                 assert want is None or np.array_equal(got, want), name
+
+
+def homogenization_forward_loop(model, g, training=False, rng=None, types=None):
+    """The Homogenization stack as its own loop: every type projected and
+    concatenated in type order, then per layer the convolution on the
+    homogenized view, the post-ops and the connection over the fused
+    matrix, then each requested type narrowed out and post-processed."""
+    cfg = model.cfg
+    want = model.type_names if types is None else [t for t in model.type_names
+                                                   if t in types]
+    h = model.pre({t.name: Tensor(g.features[t.name])
+                   for t in g.node_types if t.feature_dim > 0})
+    for block in model.pre_extra:
+        h = block(h)
+    hg = homogenize(g)
+    x = T.concat([h[t] for t in model.type_names], axis=0)
+    for layer in model.mp:
+        z = layer.convs[0](L.homograph_view(hg), x, x)
+        z = L.intra_layer_post(z, layer.bns.get("*"), cfg.dropout_p,
+                               layer.activation, cfg.has_l2norm, training, rng)
+        x = L.connect(cfg.connectivity, x, z)
+    out = {}
+    for t in want:
+        lo = hg.offsets[t]
+        y = T.narrow(x, 0, lo, lo + model.type_counts[t])
+        for W, b, act in model.post:
+            y = T.add(T.matmul(y, W), b)
+            if act is not None:
+                y = act(y)
+        out[t] = y
+    return out
+
+
+@pytest.mark.parametrize("connectivity", L.CONNECTIVITIES)
+@pytest.mark.parametrize("micro", L.MICRO_KINDS)
+def test_homogenization_forward_equals_its_own_loop(micro, connectivity):
+    g = middle_target_graph(np.random.default_rng(8))
+    for types in (None, ("P",), ("A",), ("C", "A")):
+        for training in (False, True):
+            cfg = _pruning_cfg("Homogenization", micro, connectivity,
+                               attention_form="SimpleHGN", has_bn=training,
+                               dropout_p=0.3 if training else 0.0)
+            got, want = [], []
+            for forward, into in ((Model.forward, got),
+                                  (homogenization_forward_loop, want)):
+                model = build_model(cfg, g, num_classes=3, target_type="P")
+                rng = np.random.default_rng(12) if training else None
+                out = forward(model, g, training=training, rng=rng, types=types)
+                loss = Tensor(0.0)
+                weights = np.random.default_rng(13)
+                for t in sorted(out):
+                    loss = T.add(loss, T.tsum(T.mul(
+                        out[t], Tensor(weights.standard_normal(out[t].shape)))))
+                loss.backward()
+                into += [{t: v.data for t, v in out.items()},
+                         rng.random() if training else None,
+                         [(p.name, p.grad) for p in model.parameters()]]
+            assert got[0].keys() == want[0].keys()
+            for t in want[0]:
+                assert np.array_equal(got[0][t], want[0][t]), t
+            assert got[1] == want[1]
+            assert [n for n, _ in got[2]] == [n for n, _ in want[2]]
+            for (name, a), (_, b) in zip(got[2], want[2]):
+                assert (a is None) == (b is None), name
+                assert b is None or np.array_equal(a, b), name
 
 
 def test_metapath_model_on_target_p_skips_every_apa_convolution(monkeypatch):

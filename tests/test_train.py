@@ -53,6 +53,45 @@ def test_nc_split_needs_five_per_class():
         make_splits(Task("node_classification", "X", 2), g, 3, seed=0)
 
 
+def make_splits_loop(task, graph, n_splits, seed):
+    """Split construction with one loop per task: node ids are permuted
+    before sorting, pairs are indexed by sorted permutation positions."""
+    splits = []
+    if task.kind == "node_classification":
+        pool = np.flatnonzero(graph.labels[task.target] >= 0)
+        for i in range(n_splits):
+            perm = pool[np.random.default_rng([seed, i, 17]).permutation(pool.size)]
+            cut = min(max(1, int(round(pool.size * 0.8))), pool.size - 1)
+            splits.append((i, int(np.random.SeedSequence([seed, i]).generate_state(1)[0]),
+                           np.sort(perm[:cut]), np.sort(perm[cut:])))
+    else:
+        adj = graph.adjacency[task.target]
+        pairs = np.stack([adj.indices, adj.expanded_rows()], axis=1)
+        for i in range(n_splits):
+            perm = np.random.default_rng([seed, i, 17]).permutation(pairs.shape[0])
+            cut = min(max(1, int(round(pairs.shape[0] * 0.8))), pairs.shape[0] - 1)
+            splits.append((i, int(np.random.SeedSequence([seed, i]).generate_state(1)[0]),
+                           pairs[np.sort(perm[:cut])], pairs[np.sort(perm[cut:])]))
+    return splits
+
+
+@pytest.mark.parametrize("task", [Task("node_classification", "P", num_classes=4),
+                                  Task("link_prediction", "ap")], ids=("nc", "lp"))
+def test_splits_match_per_task_loops(task):
+    for seed in range(6):
+        g = planted_graph(seed=seed, n_p=37 + 9 * seed)
+        if seed % 2:  # unlabelled nodes leave gaps in the NC pool
+            g = dataclasses.replace(g, labels={"P": np.where(
+                np.arange(g.labels["P"].size) % 4 == 1, -1, g.labels["P"])})
+        got = make_splits(task, g, 4, seed=seed)
+        want = make_splits_loop(task, g, 4, seed)
+        assert len(got) == len(want)
+        for s, (split_id, split_seed, train, val) in zip(got, want):
+            assert (s.split_id, s.seed) == (split_id, split_seed)
+            assert s.train.dtype == train.dtype and np.array_equal(s.train, train)
+            assert s.val.dtype == val.dtype and np.array_equal(s.val, val)
+
+
 def test_lp_split_removes_validation_positives_from_message_graph():
     g = planted_graph()
     task = Task("link_prediction", "ap")
