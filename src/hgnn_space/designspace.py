@@ -103,13 +103,17 @@ class DesignSpace:
 
     def sample_assignment(self, rng, fixed=None) -> dict:
         """One assignment, uniform over the valid configurations (optionally
-        restricted to the values in `fixed`)."""
+        restricted to those that take the values in `fixed`; a fixed
+        dimension must apply)."""
         fixed = dict(fixed or {})
         for name, value in fixed.items():
             if value not in self.dim(name).choices:
                 raise ValueError(f"'{value}' is not a choice of dimension '{name}'")
         combos = [c for c in self._branch_combos()
-                  if all(c[k] == fixed[k] for k in c if k in fixed)]
+                  if all(c[k] == fixed[k] for k in c if k in fixed)
+                  and all(self.dim(k).applies(c) for k in fixed)]
+        if not combos:
+            raise ValueError(f"no configuration takes the fixed values {fixed}")
         weights = np.asarray([self._free_count(c, fixed) for c in combos],
                              dtype=np.float64)
         pick = combos[int(rng.choice(len(combos), p=weights / weights.sum()))]

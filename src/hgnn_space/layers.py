@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import (BatchNormState, IndexPlan, Parameter, SegmentIndex,
-                     SpmmPlan, Tensor, TensorError)
+from .tensor import BatchNormState, Parameter, SpmmPlan, Tensor, TensorError
 from .transform import HomoGraph, Subgraph
 
 GAT_LEAKY_SLOPE = 0.2
@@ -35,25 +34,13 @@ def glorot(rng, fan_in, fan_out):
 
 
 # ---------------------------------------------------------------------------
-# prepared edge sets
+# prepared subgraph views
 # ---------------------------------------------------------------------------
 
-class EdgeSet:
-    """Attention edges sorted by destination: gather and segment plans for the
-    per-edge logits and softmax, and the spmm pattern the coefficients fill."""
-
-    __slots__ = ("src_plan", "dst_plan", "seg", "edge_type", "matrix")
-
-    def __init__(self, src, dst, n_src, n_dst, edge_type=None):
-        self.src_plan = IndexPlan(src, n_src)
-        self.dst_plan = IndexPlan(dst, n_dst)
-        self.seg = SegmentIndex(dst, n_dst)
-        self.edge_type = edge_type
-        self.matrix = SpmmPlan(dst, src, n_dst, n_src)
-
-
 class GraphView:
-    """Lazy cache of the matrices one subgraph can be aggregated with."""
+    """Lazy cache of the matrices one subgraph can be aggregated with; edges
+    are sorted by destination, and `edge_type` (fused graphs only) holds each
+    edge's relation index."""
 
     def __init__(self, src, dst, weight, n_src, n_dst, same_type, edge_type=None):
         self._src = src
@@ -62,7 +49,7 @@ class GraphView:
         self.n_src = int(n_src)
         self.n_dst = int(n_dst)
         self.same_type = bool(same_type)
-        self._edge_type = edge_type
+        self.edge_type = edge_type
         self._cache = {}
 
     def _cached(self, key, build):
@@ -85,10 +72,10 @@ class GraphView:
             return self._plan(self._weight / safe[self._dst])
         return self._cached("mean", build)
 
-    def attention(self) -> EdgeSet:
-        # attention treats parallel edges within a subgraph as one neighbor
-        return self._cached("attention", lambda: EdgeSet(
-            self._src, self._dst, self.n_src, self.n_dst, self._edge_type))
+    def attention(self) -> SpmmPlan:
+        """The unit-weight pattern attention coefficients fill; parallel
+        edges within a subgraph count as one neighbor."""
+        return self._cached("attention", lambda: self._plan(None))
 
     def gcn_normalized(self) -> SpmmPlan:
         """Count-weighted normalized edges; self-loops only on same-type views."""
@@ -110,23 +97,16 @@ class GraphView:
 
 
 def subgraph_view(sub: Subgraph) -> GraphView:
-    if "view" not in sub.cache:
-        adj = sub.adjacency
-        sub.cache["view"] = GraphView(adj.indices, adj.expanded_rows(),
-                                      adj.data, adj.n_cols, adj.n_rows,
-                                      sub.same_type)
-    return sub.cache["view"]
+    adj = sub.adjacency
+    return GraphView(adj.indices, adj.expanded_rows(), adj.data, adj.n_cols,
+                     adj.n_rows, sub.same_type)
 
 
 def homograph_view(hg: HomoGraph) -> GraphView:
-    if "view" not in hg.cache:
-        order = np.argsort(hg.edge_dst, kind="stable")
-        hg.cache["view"] = GraphView(
-            hg.edge_src[order], hg.edge_dst[order],
-            hg.edge_weight[order].astype(np.float64),
-            hg.n_nodes, hg.n_nodes, True,
-            edge_type=hg.edge_type[order])
-    return hg.cache["view"]
+    order = np.argsort(hg.edge_dst, kind="stable")
+    return GraphView(hg.edge_src[order], hg.edge_dst[order],
+                     hg.edge_weight[order].astype(np.float64),
+                     hg.n_nodes, hg.n_nodes, True, edge_type=hg.edge_type[order])
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +151,25 @@ class GATConv:
             ps += [self.W_r, self.r_emb, self.a_rel]
         return ps
 
-    def _attention(self, es: EdgeSet, h_src, h_dst):
+    def _attention(self, view: GraphView, h_src, h_dst):
+        """Projected sources and one softmax coefficient per edge of the
+        view's attention pattern, normalized over each destination."""
+        A = view.attention()
         z_src = T.matmul(h_src, self.W)
         z_dst = z_src if h_dst is h_src else T.matmul(h_dst, self.W)
-        logits = T.add(T.gather_rows(T.matmul(z_dst, self.a_dst), es.dst_plan),
-                       T.gather_rows(T.matmul(z_src, self.a_src), es.src_plan))
+        logits = T.add(T.gather_rows(T.matmul(z_dst, self.a_dst), A.by_row),
+                       T.gather_rows(T.matmul(z_src, self.a_src), A.by_col))
         if self.form == "SimpleHGN":
-            if es.edge_type is None:
+            if view.edge_type is None:
                 raise TensorError("SimpleHGN attention needs a typed edge view")
             s_rel = T.matmul(T.matmul(self.r_emb, self.W_r), self.a_rel)
-            logits = T.add(logits, T.gather_rows(s_rel, es.edge_type))
+            logits = T.add(logits, T.gather_rows(s_rel, view.edge_type))
         e = T.leaky_relu(logits, GAT_LEAKY_SLOPE)
-        return z_src, T.segment_softmax(e, es.seg)
+        return z_src, T.segment_softmax(e, A.by_row)
 
     def __call__(self, view: GraphView, h_src, h_dst):
-        es = view.attention()
-        z_src, alpha = self._attention(es, h_src, h_dst)
-        return T.spmm(es.matrix, z_src, values=alpha)
+        z_src, alpha = self._attention(view, h_src, h_dst)
+        return T.spmm(view.attention(), z_src, values=alpha)
 
 
 class SageConv:

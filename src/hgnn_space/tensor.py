@@ -5,6 +5,10 @@ sparse-dense product) and, when any input requires gradients, records a
 vector-Jacobian closure on the output. A backward pass replays the recorded
 graph once in reverse topological order and accumulates gradients into the
 leaves. 64-bit floats throughout.
+
+One structure groups edges by endpoint: a `SegmentIndex` serves the
+gathers (whose backward is a segment sum), the segment reductions and the
+CSR patterns of the sparse-dense and sampled dense-dense products.
 """
 
 from __future__ import annotations
@@ -299,47 +303,21 @@ def narrow(a, axis, start, stop):
     return _make(a.data[index].copy(), (a,), vjp)
 
 
-class IndexPlan:
-    """Precomputed scatter structure for repeated gathers with one index."""
+def gather_rows(a, seg):
+    """Select rows a[index]; the backward pass sums, per row of a, the
+    gradients of its copies.
 
-    __slots__ = ("index", "n_rows", "order", "starts", "uniques")
-
-    def __init__(self, index, n_rows):
-        index = np.asarray(index, dtype=np.int64)
-        if index.size and (index.min() < 0 or index.max() >= n_rows):
-            raise TensorError("gather index out of range")
-        self.index = index
-        self.n_rows = int(n_rows)
-        self.order = np.argsort(index, kind="stable")
-        si = index[self.order]
-        if si.size:
-            boundary = np.empty(si.shape[0], dtype=bool)
-            boundary[0] = True
-            boundary[1:] = si[1:] != si[:-1]
-            self.starts = np.flatnonzero(boundary)
-            self.uniques = si[self.starts]
-        else:
-            self.starts = np.empty(0, dtype=np.int64)
-            self.uniques = np.empty(0, dtype=np.int64)
-
-
-def gather_rows(a, plan):
-    """Select rows a[index]; the backward pass scatter-adds into the source."""
+    `seg` is a `SegmentIndex` over a's rows or a raw row index."""
     a = _wrap(a)
-    if not isinstance(plan, IndexPlan):
-        plan = IndexPlan(plan, a.shape[0])
-    if plan.n_rows != a.shape[0]:
-        raise TensorError("gather plan built for a different row count")
-    data = a.data[plan.index]
+    if not isinstance(seg, SegmentIndex):
+        seg = SegmentIndex(seg, a.shape[0])
+    if seg.num_segments != a.shape[0]:
+        raise TensorError("gather index built for a different row count")
 
     def vjp(g):
-        out = np.zeros_like(a.data)
-        if plan.index.size:
-            gs = g[plan.order]
-            out[plan.uniques] = np.add.reduceat(gs, plan.starts, axis=0)
-        return (out,)
+        return (seg.reduce(np.add, g),)
 
-    return _make(data, (a,), vjp)
+    return _make(a.data[seg.index], (a,), vjp)
 
 
 def take_per_row(a, cols):
@@ -507,10 +485,13 @@ def tmean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 
 class SegmentIndex:
-    """Precomputed row grouping; maps each row of a value matrix to a segment."""
+    """Rows grouped by segment: row i of a value matrix belongs to segment
+    `index[i]`. `order` (None when the index is already sorted) lists the
+    rows segment by segment, stably, and `indptr` bounds each segment's run
+    in that order, as in a CSR matrix."""
 
-    __slots__ = ("index", "num_segments", "order", "sorted_index", "counts",
-                 "nonempty", "starts")
+    __slots__ = ("index", "num_segments", "order", "counts", "nonempty",
+                 "starts", "indptr")
 
     def __init__(self, index, num_segments):
         index = np.asarray(index, dtype=np.int64)
@@ -518,16 +499,30 @@ class SegmentIndex:
             raise TensorError("segment index out of range")
         self.index = index
         self.num_segments = int(num_segments)
-        if index.size == 0 or np.all(index[1:] >= index[:-1]):
-            self.order = None
-            self.sorted_index = index
-        else:
-            self.order = np.argsort(index, kind="stable")
-            self.sorted_index = index[self.order]
-        self.counts = np.bincount(self.sorted_index, minlength=self.num_segments)
+        self.order = (None if np.all(index[1:] >= index[:-1])
+                      else np.argsort(index, kind="stable"))
+        self.counts = np.bincount(index, minlength=self.num_segments)
+        self.indptr = np.zeros(self.num_segments + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.indptr[1:])
         self.nonempty = self.counts > 0
-        cum = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
-        self.starts = cum[self.nonempty]
+        self.starts = self.indptr[:-1][self.nonempty]
+
+    def sorted(self, x):
+        """x's rows (one per index entry) in segment order."""
+        return x if self.order is None else x[self.order]
+
+    def reduce(self, ufunc, x):
+        """Fold x's rows within each segment with `ufunc` (np.add,
+        np.maximum); empty segments give zero rows."""
+        out = np.zeros((self.num_segments,) + x.shape[1:])
+        if self.index.size:
+            out[self.nonempty] = ufunc.reduceat(self.sorted(x), self.starts, axis=0)
+        return out
+
+    def csr(self, data, cols, n_cols):
+        """The matrix with entry (index[i], cols[i]) = data[i] for every i."""
+        return sp.csr_array((self.sorted(data), self.sorted(cols), self.indptr),
+                            shape=(self.num_segments, n_cols))
 
 
 def _segment(seg, n_rows):
@@ -539,40 +534,28 @@ def _segment(seg, n_rows):
     return seg
 
 
-def _sorted_rows(data, seg):
-    return data if seg.order is None else data[seg.order]
-
-
 def segment_sum(a, seg: SegmentIndex):
     a = _wrap(a)
     seg = _segment(seg, a.shape[0])
-    out = np.zeros((seg.num_segments,) + a.shape[1:])
-    if seg.index.size:
-        out[seg.nonempty] = np.add.reduceat(_sorted_rows(a.data, seg), seg.starts,
-                                            axis=0)
     idx = seg.index
 
     def vjp(g):
         return (g[idx],)
 
-    return _make(out, (a,), vjp)
+    return _make(seg.reduce(np.add, a.data), (a,), vjp)
 
 
 def segment_mean(a, seg: SegmentIndex):
     a = _wrap(a)
     seg = _segment(seg, a.shape[0])
-    out = np.zeros((seg.num_segments,) + a.shape[1:])
-    if seg.index.size:
-        sums = np.add.reduceat(_sorted_rows(a.data, seg), seg.starts, axis=0)
-        out[seg.nonempty] = sums / seg.counts[seg.nonempty][:, None]
-    inv = np.zeros(seg.num_segments)
-    inv[seg.nonempty] = 1.0 / seg.counts[seg.nonempty]
-    scale = inv[seg.index][:, None] if a.ndim > 1 else inv[seg.index]
+    per_row = (-1,) + (1,) * (a.ndim - 1)
+    counts = np.maximum(seg.counts, 1).reshape(per_row)
+    scale = (1.0 / counts)[seg.index]
 
     def vjp(g):
         return (g[seg.index] * scale,)
 
-    return _make(out, (a,), vjp)
+    return _make(seg.reduce(np.add, a.data) / counts, (a,), vjp)
 
 
 def segment_max(a, seg: SegmentIndex):
@@ -582,61 +565,34 @@ def segment_max(a, seg: SegmentIndex):
     """
     a = _wrap(a)
     seg = _segment(seg, a.shape[0])
-    xs = _sorted_rows(a.data, seg)
-    out = np.zeros((seg.num_segments,) + a.shape[1:])
-    arg_sorted = []  # (segment id, row position in sorted stream per column)
-    if seg.index.size:
-        out[seg.nonempty] = np.maximum.reduceat(xs, seg.starts, axis=0)
-        ends = np.concatenate([seg.starts[1:], [seg.index.shape[0]]])
-        for sid, s, e in zip(np.flatnonzero(seg.nonempty), seg.starts, ends):
-            arg_sorted.append((sid, s + np.argmax(xs[s:e], axis=0)))
+    xs = seg.sorted(a.data)
+    winners = []  # (segment id, winning row per column)
+    ends = seg.indptr[1:][seg.nonempty]
+    for sid, s, e in zip(np.flatnonzero(seg.nonempty), seg.starts, ends):
+        pos = s + np.argmax(xs[s:e], axis=0)
+        winners.append((sid, pos if seg.order is None else seg.order[pos]))
 
     def vjp(g):
-        gs = np.zeros_like(xs)
-        for sid, pos in arg_sorted:
-            gs[pos, np.arange(gs.shape[1])] += g[sid]
-        if seg.order is None:
-            return (gs,)
-        gout = np.zeros_like(gs)
-        gout[seg.order] = gs
-        return (gout,)
+        out = np.zeros_like(a.data)
+        for sid, rows in winners:
+            out[rows, np.arange(out.shape[1])] += g[sid]
+        return (out,)
 
-    return _make(out, (a,), vjp)
+    return _make(seg.reduce(np.maximum, a.data), (a,), vjp)
 
 
 def segment_softmax(a, seg: SegmentIndex):
     """Softmax normalized within each segment; empty segments contribute nothing."""
     a = _wrap(a)
     seg = _segment(seg, a.shape[0])
-    if seg.index.size == 0:
-        return _make(np.zeros_like(a.data), (a,), lambda g: (np.zeros_like(a.data),))
-    xs = _sorted_rows(a.data, seg)
-    seg_max = np.maximum.reduceat(xs, seg.starts, axis=0)
-    full_max = np.zeros((seg.num_segments,) + a.shape[1:])
-    full_max[seg.nonempty] = seg_max
+    idx = seg.index
     with np.errstate(over="ignore"):
-        e = np.exp(xs - full_max[seg.sorted_index])
-    denom = np.zeros((seg.num_segments,) + a.shape[1:])
-    denom[seg.nonempty] = np.add.reduceat(e, seg.starts, axis=0)
-    ys = e / denom[seg.sorted_index]
-    if seg.order is None:
-        data = ys
-    else:
-        data = np.zeros_like(ys)
-        data[seg.order] = ys
+        e = np.exp(a.data - seg.reduce(np.maximum, a.data)[idx])
+    data = e / seg.reduce(np.add, e)[idx]
 
     def vjp(g):
         with np.errstate(invalid="ignore", over="ignore"):
-            gs = _sorted_rows(g, seg)
-            t = ys * gs
-            dot = np.zeros((seg.num_segments,) + a.shape[1:])
-            dot[seg.nonempty] = np.add.reduceat(t, seg.starts, axis=0)
-            gxs = ys * (gs - dot[seg.sorted_index])
-        if seg.order is None:
-            return (gxs,)
-        gout = np.zeros_like(gxs)
-        gout[seg.order] = gxs
-        return (gout,)
+            return (data * (g - seg.reduce(np.add, data * g)[idx]),)
 
     return _make(data, (a,), vjp)
 
@@ -649,47 +605,35 @@ class SpmmPlan:
     """A fixed CSR pattern for repeated `spmm` calls: rows are destinations,
     columns sources, one stored entry per edge in row-sorted order.
 
-    `data` fills the entries of the fixed matrix (ones by default); the
-    transpose the backward pass needs is built here, once."""
+    `by_row` and `by_col` group the entries by row and by column. `data`
+    fills the entries of the fixed matrix (ones by default); the transpose
+    the backward pass needs is built here, once."""
 
-    __slots__ = ("rows", "cols", "shape", "perm", "matrix", "t_matrix")
+    __slots__ = ("by_row", "by_col", "shape", "matrix", "t_matrix")
 
     def __init__(self, rows, cols, n_rows, n_cols, data=None):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise TensorError("spmm rows and cols must be equal-length vectors")
-        if rows.size and (rows.min() < 0 or rows.max() >= n_rows
-                          or cols.min() < 0 or cols.max() >= n_cols):
-            raise TensorError("spmm index out of range")
-        if np.any(rows[1:] < rows[:-1]):
+        self.by_row = SegmentIndex(rows, n_rows)
+        self.by_col = SegmentIndex(cols, n_cols)
+        if self.by_row.order is not None:
             raise TensorError("spmm entries must be sorted by row")
-        self.rows = rows
-        self.cols = cols
         self.shape = (int(n_rows), int(n_cols))
-        self.perm = np.argsort(cols, kind="stable")  # entry order of the transpose
         data = (np.ones(rows.shape[0]) if data is None
                 else np.asarray(data, dtype=np.float64))
-        self.matrix = sp.csr_array((data, cols, _indptr(rows, n_rows)),
-                                   shape=self.shape)
-        self.t_matrix = sp.csr_array(
-            (data[self.perm], rows[self.perm], _indptr(cols, n_cols)),
-            shape=self.shape[::-1])
+        self.matrix = self.by_row.csr(data, cols, n_cols)
+        self.t_matrix = self.by_col.csr(data, rows, n_rows)
 
     @property
     def nnz(self):
-        return int(self.rows.shape[0])
+        return int(self.by_row.index.shape[0])
 
 
 def _on_pattern(m, data):
     """`m`'s sparsity pattern with `data` as its entries."""
     return sp.csr_array((data, m.indices, m.indptr), shape=m.shape)
-
-
-def _indptr(sorted_rows, n_rows):
-    out = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sorted_rows, minlength=n_rows), out=out[1:])
-    return out
 
 
 def spmm(A: SpmmPlan, x, values=None):
@@ -718,8 +662,9 @@ def spmm(A: SpmmPlan, x, values=None):
     xd = x.data
 
     def vjp(g):
-        gv = _sddmm(g, xd, A.rows, A.cols)
-        return _on_pattern(A.t_matrix, v[A.perm]) @ g, gv.reshape(values.shape)
+        gv = _sddmm(g, xd, A.by_row.index, A.by_col.index)
+        return (_on_pattern(A.t_matrix, A.by_col.sorted(v)) @ g,
+                gv.reshape(values.shape))
 
     return _make(_on_pattern(A.matrix, v) @ xd, (x, values), vjp)
 
@@ -751,12 +696,8 @@ def sddmm(a, b, rows, cols):
     def vjp(g):
         # duplicate pairs stay separate entries, so the products sum them
         g = g[:, 0]
-        by_row = np.argsort(rows, kind="stable")
-        by_col = np.argsort(cols, kind="stable")
-        ga = sp.csr_array((g[by_row], cols[by_row], _indptr(rows, a.shape[0])),
-                          shape=(a.shape[0], b.shape[0])) @ bd
-        gb = sp.csr_array((g[by_col], rows[by_col], _indptr(cols, b.shape[0])),
-                          shape=(b.shape[0], a.shape[0])) @ ad
+        ga = SegmentIndex(rows, a.shape[0]).csr(g, cols, b.shape[0]) @ bd
+        gb = SegmentIndex(cols, b.shape[0]).csr(g, rows, a.shape[0]) @ ad
         return ga, gb
 
     return _make(data, (a, b), vjp)

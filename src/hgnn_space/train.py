@@ -312,7 +312,8 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
 
     Validation runs before training (epoch 0) and after every epoch; the
     best validation score wins. Non-finite losses or scores mark the trial
-    failed and stop it without raising.
+    failed and stop it without raising; an invalid config raises when the
+    model is built.
 
     Every forward pass computes only the node types the loss and the score
     read: the target type (NC) or the target relation's two end types (LP).
@@ -320,13 +321,7 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     epoch e's training forward also scores the parameters left by epoch
     e-1, and a trial of N epochs runs N+1 forward passes instead of 2N+1.
     """
-    from .designspace import validate
-
     started = time.perf_counter()
-    problems = validate(cfg, graph)
-    if problems:
-        raise GraphError("invalid config: " + "; ".join(problems))
-
     if task.kind == "link_prediction":
         msg_graph = graph_without_edges(graph, task.target, split.val)
         val_negs = negative_sample(graph, task.target, split.val, 1,

@@ -9,7 +9,7 @@ A_path = A_rl @ ... @ A_r1, rows = rl's destinations, cols = r1's sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class Subgraph:
     src_type: str
     dst_type: str
     adjacency: CSRMatrix
-    cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def same_type(self) -> bool:
@@ -60,7 +59,6 @@ class HomoGraph:
     edge_dst: np.ndarray
     edge_weight: np.ndarray
     edge_type: np.ndarray
-    cache: dict = field(default_factory=dict, repr=False)
 
 
 def extract_relation_subgraphs(g: HeteroGraph, relation_names) -> list:

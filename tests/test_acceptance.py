@@ -331,11 +331,12 @@ def test_acceptance_5_attention_normalization():
         conv = L.GATConv(4, 4, np.random.default_rng(9), "g")
         feats = {"P": Tensor(g.features["P"]), "A": Tensor(g.features["A"])}
         for sub in extract_relation_subgraphs(g, g.relation_names):
-            es = L.subgraph_view(sub).attention()
-            alpha = conv._attention(es, feats[sub.src_type], feats[sub.dst_type])[1]
-            sums = np.zeros(es.seg.num_segments)
-            np.add.at(sums, es.seg.index, alpha.data[:, 0])
-            present = np.bincount(es.seg.index, minlength=es.seg.num_segments) > 0
+            view = L.subgraph_view(sub)
+            seg = view.attention().by_row
+            alpha = conv._attention(view, feats[sub.src_type], feats[sub.dst_type])[1]
+            sums = np.zeros(seg.num_segments)
+            np.add.at(sums, seg.index, alpha.data[:, 0])
+            present = np.bincount(seg.index, minlength=seg.num_segments) > 0
             if present.any():
                 assert np.abs(sums[present] - 1.0).max() < 1e-12
         # direct scope: softmax over the full homogenized neighborhood
@@ -345,11 +346,11 @@ def test_acceptance_5_attention_normalization():
         for form in L.ATTENTION_FORMS:
             conv = L.GATConv(4, 4, np.random.default_rng(10), "g", form=form,
                              n_edge_types=2)
-            es = view.attention()
-            alpha = conv._attention(es, h, h)[1]
-            sums = np.zeros(es.seg.num_segments)
-            np.add.at(sums, es.seg.index, alpha.data[:, 0])
-            present = np.bincount(es.seg.index, minlength=es.seg.num_segments) > 0
+            seg = view.attention().by_row
+            alpha = conv._attention(view, h, h)[1]
+            sums = np.zeros(seg.num_segments)
+            np.add.at(sums, seg.index, alpha.data[:, 0])
+            present = np.bincount(seg.index, minlength=seg.num_segments) > 0
             if present.any():
                 assert np.abs(sums[present] - 1.0).max() < 1e-12
     _announce(5, started, "softmax sums = 1 +/- 1e-12 per subgraph (dual) and "

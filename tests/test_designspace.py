@@ -94,15 +94,31 @@ def test_when_rule_on_a_non_family_dimension():
         assert (a["lr"] is None) == (a["optimizer"] != "SGD")
     fixed = space.sample_assignment(rng, fixed={"optimizer": "SGD"})
     assert fixed["lr"] in (0.1, 0.01)
-    # fixing a conditional dimension leaves the draw uniform over the points
-    # that agree with it where it applies: 2 Adam points, 2 SGD points
+    # fixing a conditional dimension keeps only the points where it applies
+    # and takes the value: SGD with lr 0.1, uniform over the 2 momenta
     draws = [space.sample_assignment(rng, fixed={"lr": 0.1}) for _ in range(4000)]
-    sgd = [d for d in draws if d["optimizer"] == "SGD"]
-    assert all(d["lr"] == 0.1 for d in sgd)
-    assert (len(sgd) - 2000) ** 2 / 1000 < CHI2_999_DOF1
+    assert all(d["optimizer"] == "SGD" and d["lr"] == 0.1 for d in draws)
+    zero = sum(d["momentum"] == 0.0 for d in draws)
+    assert (zero - 2000) ** 2 / 1000 < CHI2_999_DOF1
+    with pytest.raises(ValueError, match="no configuration takes"):
+        space.sample_assignment(rng, fixed={"optimizer": "Adam", "lr": 0.1})
     with pytest.raises(ValueError, match="must come before"):
         ds.DesignSpace([ds.Dimension("lr", (0.1,), when=("optimizer", ("SGD",))),
                         ds.Dimension("optimizer", ("Adam", "SGD"))])
+
+
+def test_fixed_macro_never_draws_a_family_without_macros():
+    space = ds.full_space()
+    rng = np.random.default_rng(3)
+    draws = [space.sample_assignment(rng, fixed={"macro_agg": "Sum"})
+             for _ in range(900)]
+    assert all(d["macro_agg"] == "Sum" for d in draws)
+    assert {d["model_family"] for d in draws} == {"Relation", "Metapath"}
+    relation = sum(d["model_family"] == "Relation" for d in draws)
+    assert (relation - 450) ** 2 / 225 < CHI2_999_DOF1  # equal config mass
+    with pytest.raises(ValueError, match="no configuration takes"):
+        space.sample_assignment(rng, fixed={"model_family": "Homogenization",
+                                            "macro_agg": "Sum"})
 
 
 def test_validate_reads_the_macro_when_rule():

@@ -106,11 +106,11 @@ def test_gat_matches_dense_oracle_and_normalizes():
     got = conv(view, Tensor(h_src), Tensor(h_dst))
     want = dense_gat(adj, h_src, h_dst, conv.W.data, conv.a_src.data, conv.a_dst.data)
     assert np.allclose(got.data, want, atol=1e-12)
-    es = view.attention()
-    alpha = conv._attention(es, Tensor(h_src), Tensor(h_dst))[1]
-    sums = np.zeros(es.seg.num_segments)
-    np.add.at(sums, es.seg.index, alpha.data[:, 0])
-    present = np.bincount(es.seg.index, minlength=es.seg.num_segments) > 0
+    seg = view.attention().by_row
+    alpha = conv._attention(view, Tensor(h_src), Tensor(h_dst))[1]
+    sums = np.zeros(seg.num_segments)
+    np.add.at(sums, seg.index, alpha.data[:, 0])
+    present = np.bincount(seg.index, minlength=seg.num_segments) > 0
     assert np.abs(sums[present] - 1.0).max() < 1e-12
     assert np.allclose(got.data[0], 0.0)  # zero-degree destination: zero vector
 
@@ -120,7 +120,7 @@ def test_gat_single_neighbor_alpha_is_one():
     view = L.GraphView(*_edges_of(adj), 2, 2, same_type=False)
     conv = L.GATConv(3, 4, np.random.default_rng(6), "g")
     rng = np.random.default_rng(7)
-    alpha = conv._attention(view.attention(), Tensor(rng.standard_normal((2, 3))),
+    alpha = conv._attention(view, Tensor(rng.standard_normal((2, 3))),
                             Tensor(rng.standard_normal((2, 3))))[1]
     assert alpha.data.tolist() == [[1.0]]
 
@@ -131,8 +131,7 @@ def test_gat_equal_logits_split_half():
     view = L.GraphView(*_edges_of(adj), 2, 1, same_type=False)
     conv = L.GATConv(3, 4, np.random.default_rng(8), "g")
     h_src = np.tile(np.random.default_rng(9).standard_normal((1, 3)), (2, 1))
-    alpha = conv._attention(view.attention(), Tensor(h_src),
-                            Tensor(np.ones((1, 3))))[1]
+    alpha = conv._attention(view, Tensor(h_src), Tensor(np.ones((1, 3))))[1]
     assert np.allclose(alpha.data, 0.5, atol=1e-15)
 
 
@@ -157,7 +156,7 @@ def _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type):
     n_dst, n_src = adj.shape
     if kind == "GATConv":
         view = L.GraphView(src, dst, w, n_src, n_dst, same_type)
-        w = conv._attention(view.attention(), h_src, h_dst)[1]
+        w = conv._attention(view, h_src, h_dst)[1]
         h_src = T.matmul(h_src, conv.W)
     elif kind == "GCNConv" and same_type:
         loops = np.arange(n_dst)
@@ -170,7 +169,7 @@ def _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type):
         din = np.bincount(dst, weights=w, minlength=n_dst)
         w = w / np.where(din > 0, din, 1.0)[dst]
     weight = w if isinstance(w, Tensor) else Tensor(w[:, None])
-    msg = T.mul(T.gather_rows(h_src, T.IndexPlan(src, n_src)), weight)
+    msg = T.mul(T.gather_rows(h_src, T.SegmentIndex(src, n_src)), weight)
     agg = T.segment_sum(msg, T.SegmentIndex(dst, n_dst))
     if kind == "GCNConv":
         return T.add(T.matmul(agg, conv.W), conv.b)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hgnn_space.tensor as T
-from hgnn_space.tensor import (BatchNormState, IndexPlan, Parameter,
-                               SegmentIndex, SpmmPlan, Tensor, TensorError,
-                               grad_check)
+from hgnn_space.tensor import (BatchNormState, Parameter, SegmentIndex,
+                               SpmmPlan, Tensor, TensorError, grad_check)
 
 TOL = 1e-4
 
@@ -218,7 +217,7 @@ def test_grad_gather_take_and_broadcast_to():
     v = rng.standard_normal((5, 1))
 
     def f():
-        rows = T.gather_rows(a, IndexPlan(idx, 6))
+        rows = T.gather_rows(a, SegmentIndex(idx, 6))
         return T.tsum(T.mul(T.take_per_row(rows, cols), Tensor(v)))
 
     check(f, [a])
@@ -407,6 +406,128 @@ def test_sddmm_zero_pairs_and_bad_inputs():
         T.sddmm(a, b, [2], [0])                          # row out of range
     with pytest.raises(TensorError):
         T.sddmm(a, b, [0], [-1])                         # column out of range
+
+
+# ---------------------------------------------------------------------------
+# one SegmentIndex against the per-use structures it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_gather_grad(index, n_rows, g):
+    """The former gather backward: a stable argsort, run boundaries and one
+    add.reduceat into the distinct rows."""
+    order = np.argsort(index, kind="stable")
+    si = index[order]
+    out = np.zeros((n_rows,) + g.shape[1:])
+    if si.size:
+        boundary = np.empty(si.shape[0], dtype=bool)
+        boundary[0] = True
+        boundary[1:] = si[1:] != si[:-1]
+        starts = np.flatnonzero(boundary)
+        out[si[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return out
+
+
+def _reference_segment_softmax(x, index, n_seg, g):
+    """The former segment softmax, computed on sorted rows and scattered back
+    to row order: (values, gradient of sum(values * g))."""
+    if index.size == 0:
+        return np.zeros_like(x), np.zeros_like(x)
+    order = np.argsort(index, kind="stable")
+    si = index[order]
+    counts = np.bincount(si, minlength=n_seg)
+    nonempty = counts > 0
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])[nonempty]
+
+    def fold(ufunc, v):
+        out = np.zeros((n_seg,) + x.shape[1:])
+        out[nonempty] = ufunc.reduceat(v, starts, axis=0)
+        return out
+
+    xs, gs = x[order], g[order]
+    e = np.exp(xs - fold(np.maximum, xs)[si])
+    ys = e / fold(np.add, e)[si]
+    gxs = ys * (gs - fold(np.add, ys * gs)[si])
+    data, grad = np.empty_like(ys), np.empty_like(gxs)
+    data[order] = ys
+    grad[order] = gxs
+    return data, grad
+
+
+# (index, number of segments): sorted, unsorted, empty, and with empty segments
+GROUPINGS = [
+    (np.array([0, 0, 1, 3, 3, 3]), 5),
+    (np.array([3, 0, 1, 3, 0, 3, 2]), 4),
+    (np.array([], dtype=np.int64), 3),
+    (np.array([5, 5, 0, 2, 5]), 7),
+    (np.random.default_rng(53).integers(0, 6, size=40), 9),
+]
+
+
+@pytest.mark.parametrize("index,n", GROUPINGS)
+def test_gather_rows_equals_the_former_scatter_plan(index, n):
+    rng = np.random.default_rng(50)
+    g = rng.standard_normal((index.size, 3))
+    want = _reference_gather_grad(index, n, g)
+    for seg in (index, SegmentIndex(index, n)):
+        a = Parameter(rng.standard_normal((n, 3)), "a")
+        out = T.gather_rows(a, seg)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        assert np.array_equal(out.data, a.data[index])
+        assert np.array_equal(a.grad, want)
+
+
+@pytest.mark.parametrize("index,n", GROUPINGS)
+@pytest.mark.parametrize("with_inf", [False, True])
+def test_segment_softmax_equals_the_former_sorted_space_softmax(index, n, with_inf):
+    rng = np.random.default_rng(51)
+    x = rng.standard_normal((index.size, 2)) * 4
+    if with_inf and index.size:
+        x[0, 0], x[-1, 1] = np.inf, -np.inf
+    g = rng.standard_normal(x.shape)
+    with np.errstate(invalid="ignore"):
+        want_data, want_grad = _reference_segment_softmax(x, index, n, g)
+        a = Parameter(x.copy(), "a")
+        out = T.segment_softmax(a, SegmentIndex(index, n))
+        T.tsum(T.mul(out, Tensor(g))).backward()
+    assert np.array_equal(out.data, want_data, equal_nan=True)
+    assert np.array_equal(a.grad, want_grad, equal_nan=True)
+    assert np.isnan(out.data).any() == (with_inf and index.size > 0)
+
+
+def test_segment_index_groups_without_sorting_a_sorted_index():
+    seg = SegmentIndex([0, 0, 2, 2, 2], 4)
+    assert seg.order is None
+    assert seg.indptr.tolist() == [0, 2, 2, 5, 5]
+    seg = SegmentIndex([2, 0, 2, 0], 3)
+    assert seg.order.tolist() == [1, 3, 0, 2]
+    assert seg.indptr.tolist() == [0, 2, 2, 4]
+    assert seg.sorted(np.arange(4.0)).tolist() == [1.0, 3.0, 0.0, 2.0]
+    assert seg.reduce(np.add, np.arange(4.0)).tolist() == [4.0, 0.0, 2.0]
+
+
+def test_gather_rows_rejects_bad_indices():
+    a = Tensor(np.ones((4, 2)))
+    with pytest.raises(TensorError, match="out of range"):
+        T.gather_rows(a, [0, 4])
+    with pytest.raises(TensorError, match="out of range"):
+        T.gather_rows(a, [-1])
+    with pytest.raises(TensorError, match="different row count"):
+        T.gather_rows(a, SegmentIndex([0, 1], 5))
+
+
+@pytest.mark.parametrize("rows,cols", [(SPMM_ROWS, SPMM_COLS),
+                                       (np.array([0, 1, 1, 3]), np.array([0, 0, 2, 3])),
+                                       (np.array([], dtype=np.int64),
+                                        np.array([], dtype=np.int64))])
+def test_spmm_plan_transpose_is_the_stable_transpose(rows, cols):
+    w = np.random.default_rng(52).standard_normal(rows.size)
+    plan = SpmmPlan(rows, cols, 5, 4, w)
+    want = plan.matrix.T.tocsr()   # a stable counting sort by column
+    got = plan.t_matrix
+    assert got.shape == want.shape == (4, 5)
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert np.array_equal(plan.by_col.sorted(w), want.data)
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,20 @@ def test_trial_link_prediction():
     assert rec.history == rec2.history
 
 
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+@pytest.mark.parametrize("bad,reason", [
+    ({"model_family": "Homogenization"}, "macro_agg: must be absent"),
+    ({"model_family": "Metapath", "metapaths": (("X", ("ap", "zz")),)},
+     "metapaths: 'X' references unknown relations"),
+])
+def test_trial_rejects_an_invalid_config(kind, bad, reason):
+    g = planted_graph()
+    task, split = _task_and_split(kind, g)
+    cfg = NC_CFG.with_values(task=task.kind, **bad)
+    with pytest.raises(GraphError, match=f"^invalid config: {reason}"):
+        train_trial(cfg, g, split, task, max_epochs=1)
+
+
 def train_trial_loop(cfg, graph, split, task, max_epochs=None):
     """The trial loop with a separate full evaluation forward before training
     and after every step, every forward computing every node type."""
