@@ -30,9 +30,8 @@ class Dimension:
 
 @dataclass(frozen=True)
 class Stratum:
-    """A (dataset, model family, micro conv) cell with a required hit count."""
+    """A (model family, micro conv) cell with a required hit count."""
 
-    dataset: str
     model_family: str
     micro_conv: str
     hits: int = 2
@@ -188,12 +187,12 @@ def describe(space: DesignSpace) -> str:
     return "\n".join(lines)
 
 
-def default_strata(space: DesignSpace, hits: int = 2, dataset: str = "default"):
+def default_strata(space: DesignSpace, hits: int = 2):
     """Every (model family, micro conv) cell with the same hit count."""
     out = []
     for fam in space.dim("model_family").choices:
         for micro in space.dim("micro_conv").choices:
-            out.append(Stratum(dataset, fam, micro, hits))
+            out.append(Stratum(fam, micro, hits))
     return out
 
 

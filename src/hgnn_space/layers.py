@@ -33,6 +33,34 @@ def glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+class Module:
+    """Base of every component: `parameters()` finds the component's
+    parameters in its attributes instead of a hand-kept list."""
+
+    def parameters(self):
+        """Every Parameter reachable from the attributes, in assignment
+        order, through nested modules, lists, tuples and dict values; a
+        parameter reached twice is listed once."""
+        found = {}
+        _collect(vars(self).values(), found)
+        return list(found.values())
+
+
+def _collect(values, found):
+    # a module-level function, not a closure: a recursive closure is a
+    # reference cycle that would keep `found`, so every parameter and its
+    # gradient, alive until the cycle collector runs
+    for x in values:
+        if isinstance(x, Parameter):
+            found.setdefault(id(x), x)
+        elif isinstance(x, Module):
+            _collect(vars(x).values(), found)
+        elif isinstance(x, dict):
+            _collect(x.values(), found)
+        elif isinstance(x, (list, tuple)):
+            _collect(x, found)
+
+
 # ---------------------------------------------------------------------------
 # prepared subgraph views
 # ---------------------------------------------------------------------------
@@ -113,20 +141,17 @@ def homograph_view(hg: HomoGraph) -> GraphView:
 # micro-level convolutions
 # ---------------------------------------------------------------------------
 
-class GCNConv:
+class GCNConv(Module):
     def __init__(self, in_dim, out_dim, rng, prefix):
         self.W = Parameter(glorot(rng, in_dim, out_dim), f"{prefix}.W")
         self.b = Parameter(np.zeros((1, out_dim)), f"{prefix}.b")
-
-    def parameters(self):
-        return [self.W, self.b]
 
     def __call__(self, view: GraphView, h_src, h_dst):
         agg = T.spmm(view.gcn_normalized(), h_src)
         return T.add(T.matmul(agg, self.W), self.b)
 
 
-class GATConv:
+class GATConv(Module):
     """Single-head attention; `form='SimpleHGN'` adds per-relation terms."""
 
     def __init__(self, in_dim, out_dim, rng, prefix, form="GAT", n_edge_types=0):
@@ -144,12 +169,6 @@ class GATConv:
                 rng.normal(0.0, 1.0 / np.sqrt(out_dim), size=(n_edge_types, out_dim)),
                 f"{prefix}.r_emb")
             self.a_rel = Parameter(glorot(rng, out_dim, 1), f"{prefix}.a_rel")
-
-    def parameters(self):
-        ps = [self.W, self.a_src, self.a_dst]
-        if self.form == "SimpleHGN":
-            ps += [self.W_r, self.r_emb, self.a_rel]
-        return ps
 
     def _attention(self, view: GraphView, h_src, h_dst):
         """Projected sources and one softmax coefficient per edge of the
@@ -172,7 +191,7 @@ class GATConv:
         return T.spmm(view.attention(), z_src, values=alpha)
 
 
-class SageConv:
+class SageConv(Module):
     """Mean-aggregator GraphSAGE: neighbors averaged, concatenated with self."""
 
     def __init__(self, in_src, out_dim, rng, prefix, in_dst=None):
@@ -180,15 +199,12 @@ class SageConv:
         self.W = Parameter(glorot(rng, in_dst + in_src, out_dim), f"{prefix}.W")
         self.b = Parameter(np.zeros((1, out_dim)), f"{prefix}.b")
 
-    def parameters(self):
-        return [self.W, self.b]
-
     def __call__(self, view: GraphView, h_src, h_dst):
         mean = T.spmm(view.row_normalized(), h_src)
         return T.add(T.matmul(T.concat([h_dst, mean], axis=1), self.W), self.b)
 
 
-class GINConv:
+class GINConv(Module):
     """Sum aggregation with a learnable self weight and a 2-layer MLP."""
 
     def __init__(self, in_dim, out_dim, rng, prefix):
@@ -197,9 +213,6 @@ class GINConv:
         self.b1 = Parameter(np.zeros((1, out_dim)), f"{prefix}.b1")
         self.W2 = Parameter(glorot(rng, out_dim, out_dim), f"{prefix}.W2")
         self.b2 = Parameter(np.zeros((1, out_dim)), f"{prefix}.b2")
-
-    def parameters(self):
-        return [self.eps, self.W1, self.b1, self.W2, self.b2]
 
     def __call__(self, view: GraphView, h_src, h_dst):
         sums = T.spmm(view.weighted(), h_src)
@@ -226,11 +239,8 @@ def make_micro_conv(kind, in_dim, out_dim, rng, prefix, attention_form="GAT",
 # macro-level aggregation
 # ---------------------------------------------------------------------------
 
-class MacroSum:
+class MacroSum(Module):
     kind = "Sum"
-
-    def parameters(self):
-        return []
 
     def __call__(self, zs):
         out = zs[0]
@@ -239,11 +249,8 @@ class MacroSum:
         return out
 
 
-class MacroMean:
+class MacroMean(Module):
     kind = "Mean"
-
-    def parameters(self):
-        return []
 
     def __call__(self, zs):
         out = zs[0]
@@ -252,11 +259,8 @@ class MacroMean:
         return out if len(zs) == 1 else T.mul(out, Tensor(1.0 / len(zs)))
 
 
-class MacroMax:
+class MacroMax(Module):
     kind = "Max"
-
-    def parameters(self):
-        return []
 
     def __call__(self, zs):
         out = zs[0]
@@ -265,7 +269,7 @@ class MacroMax:
         return out
 
 
-class MacroAttention:
+class MacroAttention(Module):
     """One softmax weight per subgraph for a destination type, shared by
     all of its nodes: score_k = mean_v q . tanh(W z_k[v] + b)."""
 
@@ -275,9 +279,6 @@ class MacroAttention:
         self.W = Parameter(glorot(rng, dim, dim), f"{prefix}.W")
         self.b = Parameter(np.zeros((1, dim)), f"{prefix}.b")
         self.q = Parameter(glorot(rng, dim, 1), f"{prefix}.q")
-
-    def parameters(self):
-        return [self.W, self.b, self.q]
 
     def __call__(self, zs):
         scores = [T.reshape(T.tmean(T.matmul(T.tanh(T.add(T.matmul(z, self.W),
@@ -335,7 +336,7 @@ def dual_aggregate(subgraphs, h_by_set, macros):
 # heterogeneous linear transformation (the shared pre-process entry)
 # ---------------------------------------------------------------------------
 
-class HeteroLinear:
+class HeteroLinear(Module):
     """Type-specific projection into a shared space; featureless types get
     trainable embedding tables instead."""
 
@@ -356,15 +357,6 @@ class HeteroLinear:
                 self.embeddings[name] = Parameter(
                     rng.normal(0.0, 1.0 / np.sqrt(out_dim), size=(count, out_dim)),
                     f"{prefix}.{name}.emb")
-
-    def parameters(self):
-        ps = []
-        for name in self.order:
-            if name in self.weights:
-                ps += [self.weights[name], self.biases[name]]
-            else:
-                ps.append(self.embeddings[name])
-        return ps
 
     def __call__(self, features_by_type, types=None):
         """Projections of the given types (every type when None)."""
@@ -387,7 +379,7 @@ class HeteroLinear:
         return out
 
 
-class TypedLinearBlock:
+class TypedLinearBlock(Module):
     """Per-type linear + activation applied in the shared space (extra
     pre-process layers)."""
 
@@ -399,13 +391,6 @@ class TypedLinearBlock:
                        for n in self.order}
         self.activation = activation
 
-    def parameters(self):
-        ps = []
-        for n in self.order:
-            ps += [self.weights[n], self.biases[n]]
-        ps += self.activation.parameters()
-        return ps
-
     def __call__(self, h_by_type, types=None):
         return {n: self.activation(T.add(T.matmul(h_by_type[n], self.weights[n]),
                                          self.biases[n]))
@@ -416,16 +401,13 @@ class TypedLinearBlock:
 # intra-layer post-processing and inter-layer connectivity
 # ---------------------------------------------------------------------------
 
-class Activation:
+class Activation(Module):
     def __init__(self, kind, prefix=None):
         if kind not in ACTIVATIONS:
             raise TensorError(f"unknown activation '{kind}'")
         self.kind = kind
         self.slope = (Parameter(np.full((1, 1), PRELU_INIT), f"{prefix}.prelu")
                       if kind == "PReLU" else None)
-
-    def parameters(self):
-        return [self.slope] if self.slope is not None else []
 
     def __call__(self, x):
         if self.kind == "ReLU":
@@ -439,14 +421,11 @@ class Activation:
         return T.prelu(x, self.slope)
 
 
-class BatchNorm:
+class BatchNorm(Module):
     def __init__(self, dim, prefix):
         self.gamma = Parameter(np.ones((1, dim)), f"{prefix}.gamma")
         self.beta = Parameter(np.zeros((1, dim)), f"{prefix}.beta")
         self.state = BatchNormState(dim)
-
-    def parameters(self):
-        return [self.gamma, self.beta]
 
     def __call__(self, x, training):
         return T.batch_norm(x, self.gamma, self.beta, self.state, training)

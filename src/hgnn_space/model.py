@@ -87,8 +87,9 @@ def metapaths_from_text(text) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _MpLayer:
-    """Parameter container for one message-passing layer."""
+class _MpLayer(L.Module):
+    """The modules of one message-passing layer; like every component, it
+    lists its parameters through `layers.Module`."""
 
     def __init__(self):
         self.convs = []          # aligned with the model's subgraph specs
@@ -96,20 +97,8 @@ class _MpLayer:
         self.bns = {}            # receiving node set -> BatchNorm
         self.activation = None
 
-    def parameters(self):
-        ps = []
-        for conv in self.convs:
-            ps += conv.parameters()
-        for macro in self.macros.values():
-            ps += macro.parameters()
-        for t in sorted(self.bns):
-            ps += self.bns[t].parameters()
-        if self.activation is not None:
-            ps += self.activation.parameters()
-        return ps
 
-
-class Model:
+class Model(L.Module):
     """A built network; one instance per trial, not shared across threads."""
 
     def __init__(self, cfg: DesignConfig, graph: HeteroGraph, num_classes: int = 0,
@@ -204,22 +193,6 @@ class Model:
         # (graph, prepared data) for the last graph seen; holding the graph
         # keeps its identity from being reused by another object
         self._graph_cache = None
-
-    # -- parameters ----------------------------------------------------------
-
-    def parameters(self):
-        ps = list(self.pre.parameters())
-        for block in self.pre_extra:
-            ps += block.parameters()
-        for layer in self.mp:
-            ps += layer.parameters()
-        for W, b, act in self.post:
-            ps += [W, b]
-            if act is not None:
-                ps += act.parameters()
-        if self.head_W is not None:
-            ps += [self.head_W, self.head_b]
-        return ps
 
     # -- graph preparation ----------------------------------------------------
 
@@ -350,7 +323,3 @@ def score_links(h_src, h_dst, src_ids, dst_ids):
     if dst_ids.size and (dst_ids.min() < 0 or dst_ids.max() >= h_dst.shape[0]):
         raise GraphError("link destination id out of range")
     return T.sigmoid(T.sddmm(h_src, h_dst, src_ids, dst_ids))
-
-
-def num_parameters(model: Model) -> int:
-    return int(sum(p.data.size for p in model.parameters()))

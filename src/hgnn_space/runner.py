@@ -14,7 +14,7 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import designspace as ds
 from .hgraph import GraphError, load_graph
@@ -22,7 +22,6 @@ from .model import DesignConfig, metapaths_from_text, metapaths_to_text
 from .train import Task, TrialRecord, make_splits, train_trial
 
 RESULTS_FORMAT = "hgnn-space-results/1"
-THREADS_ENV = "HGNN_SPACE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,8 @@ class ExperimentPlan:
     num_classes: int | None = None
 
 
-_PLAN_KEYS = {"graph", "task", "target", "space", "n", "strata_hits", "splits",
-              "seed", "metapaths", "parallelism", "out", "epoch_override",
-              "num_classes"}
-_INT_KEYS = {"n", "strata_hits", "splits", "seed", "parallelism",
-             "epoch_override", "num_classes"}
+_PLAN_KEYS = {f.name for f in fields(ExperimentPlan)}
+_INT_KEYS = {f.name for f in fields(ExperimentPlan) if f.type in ("int", "int | None")}
 
 
 def parse_plan(path) -> ExperimentPlan:
@@ -74,15 +70,8 @@ def parse_plan(path) -> ExperimentPlan:
 
 
 def plan_canonical_text(plan: ExperimentPlan) -> str:
-    d = {
-        "graph": plan.graph, "task": plan.task, "target": plan.target,
-        "space": plan.space, "n": plan.n, "strata_hits": plan.strata_hits,
-        "splits": plan.splits, "seed": plan.seed,
-        "metapaths": metapaths_to_text(plan.metapaths),
-        "out": plan.out, "epoch_override": plan.epoch_override,
-        "num_classes": plan.num_classes,
-    }
-    # parallelism intentionally excluded: it must not change the results
+    d = dict(asdict(plan), metapaths=metapaths_to_text(plan.metapaths))
+    del d["parallelism"]  # excluded: it must not change the results
     return "\n".join(f"{k}={d[k]}" for k in sorted(d))
 
 
@@ -103,12 +92,21 @@ def save_config_list(configs, path):
 
 
 def expand_plan(plan: ExperimentPlan):
-    """Resolve the plan into (graph, task, splits, configs)."""
+    """Resolve the plan into (graph, task, splits, configs); integers that
+    would break a trial are rejected here, before any trial starts."""
+    if plan.splits < 1:
+        raise GraphError(f"plan key 'splits' must be at least 1, got {plan.splits}")
+    if plan.epoch_override is not None and plan.epoch_override < 0:
+        raise GraphError(f"plan key 'epoch_override' must not be negative, "
+                         f"got {plan.epoch_override}")
     graph = load_graph(plan.graph)
     if plan.task == "node_classification":
         labels = graph.labels.get(plan.target)
         if labels is None:
             raise GraphError(f"graph has no labels for target '{plan.target}'")
+        if plan.num_classes is not None and plan.num_classes <= labels.max():
+            raise GraphError(f"plan key 'num_classes' is {plan.num_classes}, but "
+                             f"target '{plan.target}' has label {int(labels.max())}")
         num_classes = plan.num_classes or int(labels.max()) + 1
         task = Task("node_classification", plan.target, num_classes=num_classes)
     elif plan.task == "link_prediction":
@@ -119,7 +117,7 @@ def expand_plan(plan: ExperimentPlan):
 
     if plan.space in ("full", "condensed"):
         space = ds.full_space() if plan.space == "full" else ds.condensed_space()
-        strata = ds.default_strata(space, plan.strata_hits, dataset=plan.graph)
+        strata = ds.default_strata(space, plan.strata_hits)
         configs = ds.sample_controlled(space, plan.n, strata, plan.seed,
                                        metapaths=plan.metapaths)
     else:
@@ -200,9 +198,7 @@ def _read_partial(path, expect_hash):
 def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
              resume: bool = False) -> str:
     """Execute every trial of the plan and write the finalized results file."""
-    if parallelism is None:
-        parallelism = int(os.environ.get(THREADS_ENV, plan.parallelism))
-    parallelism = max(1, parallelism)
+    parallelism = max(1, plan.parallelism if parallelism is None else parallelism)
 
     graph, task, splits, configs = expand_plan(plan)
     n_trials = len(configs) * len(splits)

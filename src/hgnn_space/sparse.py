@@ -33,11 +33,6 @@ class CSRMatrix:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def zeros(cls, n_rows, n_cols, dtype=np.int64):
-        return cls(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64),
-                   np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype))
-
-    @classmethod
     def from_edges(cls, rows, cols, n_rows, n_cols, data=None):
         """Build from parallel (row, col) arrays; duplicate cells accumulate."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -46,26 +41,13 @@ class CSRMatrix:
             raise ValueError("rows and cols must have equal length")
         if data is None:
             data = np.ones(rows.shape[0], dtype=np.int64)
-        else:
-            data = np.asarray(data)
-        if rows.size == 0:
-            return cls.zeros(n_rows, n_cols, dtype=data.dtype)
-        if rows.min() < 0 or rows.max() >= n_rows:
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
             raise ValueError("row index out of range")
-        if cols.min() < 0 or cols.max() >= n_cols:
+        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        r, c, d = rows[order], cols[order], data[order]
-        new_cell = np.empty(r.shape[0], dtype=bool)
-        new_cell[0] = True
-        new_cell[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        starts = np.flatnonzero(new_cell)
-        merged = np.add.reduceat(d, starts)
-        r_u, c_u = r[starts], c[starts]
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, r_u + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n_rows, n_cols, indptr, c_u, merged)
+        m = sp.coo_array((data, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+        m.sum_duplicates()
+        return cls(n_rows, n_cols, m.indptr, m.indices, m.data)
 
     # -- views and conversions ----------------------------------------------
 

@@ -20,6 +20,60 @@ def test_csr_accumulates_duplicates():
     assert m.to_dense().tolist() == [[0, 0, 2], [1, 0, 0]]
 
 
+def from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=None):
+    """The former hand-rolled construction: lexsort the cells, merge
+    duplicates with `reduceat`, count rows with `add.at`."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    data = np.ones(rows.shape[0], dtype=np.int64) if data is None else np.asarray(data)
+    if rows.size == 0:
+        return CSRMatrix(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64),
+                         np.empty(0, dtype=np.int64), np.empty(0, dtype=data.dtype))
+    order = np.lexsort((cols, rows))
+    r, c, d = rows[order], cols[order], data[order]
+    new_cell = np.empty(r.shape[0], dtype=bool)
+    new_cell[0] = True
+    new_cell[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    starts = np.flatnonzero(new_cell)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.add.at(indptr, r[starts] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return CSRMatrix(n_rows, n_cols, indptr, c[starts], np.add.reduceat(d, starts))
+
+
+def test_csr_from_edges_matches_the_sorted_merge():
+    rng = np.random.default_rng(41)
+    for case in range(600):
+        n_rows, n_cols = (int(x) for x in rng.integers(1, 30, 2))
+        n_edges = (0, 1, int(rng.integers(0, 3 * n_rows * n_cols)))[case % 3]
+        cells = n_rows * n_cols if case % 4 else max(1, n_rows * n_cols // 8)
+        flat = rng.integers(0, cells, n_edges)  # case % 4 == 0: duplicate-heavy
+        rows, cols = flat // n_cols, flat % n_cols
+        data = (None,
+                rng.integers(0, 5, n_edges),  # explicit counts, zeros included
+                rng.integers(-3, 4, n_edges),  # counts that may cancel to zero
+                rng.standard_normal(n_edges))[case % 4]
+        got = CSRMatrix.from_edges(rows, cols, n_rows, n_cols, data=data)
+        want = from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=data)
+        assert got.data.dtype == want.data.dtype, case
+        if case % 4 < 3:
+            assert got.equals(want), case
+        else:  # float duplicates may be added in another order
+            assert np.array_equal(got.indptr, want.indptr), case
+            assert np.array_equal(got.indices, want.indices), case
+            assert np.allclose(got.data, want.data, rtol=1e-12, atol=1e-12), case
+        assert got.indptr.dtype == got.indices.dtype == np.int64
+
+
+def test_csr_from_edges_rejects_out_of_range_cells():
+    with pytest.raises(ValueError, match="row index"):
+        CSRMatrix.from_edges([0, 2], [0, 0], 2, 1)
+    with pytest.raises(ValueError, match="column index"):
+        CSRMatrix.from_edges([0, 1], [0, -1], 2, 1)
+    with pytest.raises(ValueError, match="equal length"):
+        CSRMatrix.from_edges([0, 1], [0], 2, 1)
+
+
 def test_csr_matmul_matches_dense():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -7,8 +7,8 @@ import hgnn_space.layers as L
 import hgnn_space.tensor as T
 from hgnn_space.hgraph import GraphError, build_graph
 from hgnn_space.model import (DesignConfig, Model, build_model, metapaths_from_text,
-                              metapaths_to_text, num_parameters, score_links)
-from hgnn_space.tensor import Tensor
+                              metapaths_to_text, score_links)
+from hgnn_space.tensor import Parameter, Tensor
 from hgnn_space.transform import homogenize
 
 
@@ -25,6 +25,11 @@ def two_type_graph(rng, n_p=6, n_a=4, d=3, labeled=True):
         labels=labels)
 
 
+def _size(module):
+    """Number of trainable scalars."""
+    return sum(p.data.size for p in module.parameters())
+
+
 RGCN_POINT = DesignConfig(model_family="Relation", micro_conv="SageConv",
                           macro_agg="Sum", hidden_dim=8, seed=1)
 HAN_POINT = DesignConfig(model_family="Metapath", micro_conv="GATConv",
@@ -36,7 +41,7 @@ def test_design_points_build(tmp_path=None):
     g = two_type_graph(np.random.default_rng(0))
     m1 = build_model(RGCN_POINT, g, num_classes=3, target_type="P")
     m2 = build_model(HAN_POINT, g, num_classes=3, target_type="P")
-    assert num_parameters(m1) > 0 and num_parameters(m2) > 0
+    assert _size(m1) > 0 and _size(m2) > 0
     names = [p.name for p in m2.parameters()]
     assert len(names) == len(set(names))
 
@@ -45,7 +50,7 @@ def test_build_deterministic_given_seed():
     g = two_type_graph(np.random.default_rng(0))
     a = build_model(RGCN_POINT, g, num_classes=3, target_type="P")
     b = build_model(RGCN_POINT, g, num_classes=3, target_type="P")
-    assert num_parameters(a) == num_parameters(b)
+    assert _size(a) == _size(b)
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert pa.name == pb.name
         assert np.array_equal(pa.data, pb.data)
@@ -345,8 +350,70 @@ def test_score_links_closed_forms():
 
 
 # ---------------------------------------------------------------------------
-# parameter counting
+# parameter discovery and counting
 # ---------------------------------------------------------------------------
+
+def _three_type_graph(rng):
+    """P and A carry features, C is featureless (an embedding table)."""
+    pa = np.stack(np.nonzero(rng.random((6, 4)) < 0.5), axis=1)
+    pc = np.stack(np.nonzero(rng.random((6, 3)) < 0.5), axis=1)
+    return build_graph(
+        [("P", 6, 3), ("A", 4, 2), ("C", 3, 0)],
+        [("pa", "P", "A"), ("ap", "A", "P"), ("pc", "P", "C"), ("cp", "C", "P")],
+        {"pa": pa, "ap": pa[:, ::-1], "pc": pc, "cp": pc[:, ::-1]},
+        features={"P": rng.standard_normal((6, 3)), "A": rng.standard_normal((4, 2))},
+        labels={"P": rng.integers(0, 3, 6)})
+
+
+@pytest.mark.parametrize("family", ["Homogenization", "Relation", "Metapath"])
+@pytest.mark.parametrize("micro", L.MICRO_KINDS)
+def test_parameters_are_every_parameter_the_model_constructs(family, micro, monkeypatch):
+    g = _three_type_graph(np.random.default_rng(12))
+    created = []
+    init = Parameter.__init__
+
+    def recording_init(self, data, name):
+        init(self, data, name)
+        created.append(self)
+
+    monkeypatch.setattr(Parameter, "__init__", recording_init)
+    macros = (None,) if family == "Homogenization" else L.MACRO_KINDS
+    mps = (("PAP", ("pa", "ap")), ("PCP", ("pc", "cp")), ("CPC", ("cp", "pc")))
+    for macro in macros:
+        for form in L.ATTENTION_FORMS:
+            for task in ("node_classification", "link_prediction"):
+                for bn, act, pre, post in ((False, "ReLU", 1, 1), (True, "PReLU", 3, 3)):
+                    cfg = DesignConfig(
+                        model_family=family, micro_conv=micro, macro_agg=macro,
+                        attention_form=form, has_bn=bn, activation=act,
+                        pre_layers=pre, post_layers=post, mp_layers=2,
+                        connectivity="SKIP-CAT", hidden_dim=8, task=task, seed=3,
+                        metapaths=mps if family == "Metapath" else ())
+                    created.clear()
+                    nc = task == "node_classification"
+                    model = build_model(cfg, g, num_classes=3 if nc else 0,
+                                        target_type="P" if nc else None)
+                    params = model.parameters()
+                    assert created
+                    assert len({id(p) for p in params}) == len(params)
+                    assert {id(p) for p in params} == {id(p) for p in created}, cfg
+
+
+def test_parameters_walk_nested_containers_and_list_each_once():
+    class Holder(L.Module):
+        def __init__(self):
+            shared = Parameter(np.zeros((1, 1)), "shared")
+            self.label = "not a parameter"
+            self.table = {"inner": {"deep": Parameter(np.zeros((1, 2)), "deep")},
+                          "shared": shared}
+            self.pair = (shared, Parameter(np.zeros((2, 1)), "in_tuple"), None)
+            self.child = L.BatchNorm(2, "bn")
+            self.plain = Tensor(np.ones((1, 1)))
+
+    names = [p.name for p in Holder().parameters()]
+    assert names == ["deep", "shared", "in_tuple", "bn.gamma", "bn.beta"]
+    assert L.MacroSum().parameters() == []
+
 
 def test_hetero_linear_parameter_arithmetic():
     hl = L.HeteroLinear([("X", 3, 7), ("Y", 5, 9)], 4, np.random.default_rng(0))
@@ -375,7 +442,7 @@ def test_relation_family_parameters_scale_linearly_with_relations():
     conv2 = sum(p.data.size for l in m2.mp for c in l.convs for p in c.parameters())
     conv4 = sum(p.data.size for l in m4.mp for c in l.convs for p in c.parameters())
     assert conv4 == 2 * conv2
-    assert num_parameters(m4) - num_parameters(m2) == conv4 - conv2
+    assert _size(m4) - _size(m2) == conv4 - conv2
 
 
 def test_homogenization_parameters_independent_of_relation_count():
@@ -386,11 +453,11 @@ def test_homogenization_parameters_independent_of_relation_count():
                        macro_agg=None, hidden_dim=8, seed=0)
     m1 = build_model(cfg, g1, num_classes=2, target_type="X")
     m3 = build_model(cfg, g3, num_classes=2, target_type="X")
-    assert num_parameters(m1) == num_parameters(m3)
+    assert _size(m1) == _size(m3)
     # and fewer parameters than the per-relation family on the same graph
     rel_cfg = cfg.with_values(model_family="Relation", macro_agg="Sum")
     m_rel = build_model(rel_cfg, g3, num_classes=2, target_type="X")
-    assert num_parameters(m3) < num_parameters(m_rel)
+    assert _size(m3) < _size(m_rel)
 
 
 # ---------------------------------------------------------------------------

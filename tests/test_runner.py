@@ -58,13 +58,15 @@ def test_parse_plan_round_trip(tmp_path):
         "seed = 9\n"
         "metapaths = PAP:pa,ap;PAPAP:pa,ap,pa,ap\n"
         "parallelism = 2\n"
-        "out = r.ndrec\n")
+        "out = r.ndrec\n"
+        "epoch_override = 4\n"
+        "num_classes = 5\n")
     plan = parse_plan(p)
-    assert plan.graph == "g/bundle"
-    assert plan.n == 24 and plan.splits == 3 and plan.seed == 9
-    assert plan.metapaths == (("PAP", ("pa", "ap")),
-                              ("PAPAP", ("pa", "ap", "pa", "ap")))
-    assert plan.parallelism == 2
+    assert plan == ExperimentPlan(
+        graph="g/bundle", task="node_classification", target="P",
+        space="condensed", n=24, strata_hits=2, splits=3, seed=9,
+        metapaths=(("PAP", ("pa", "ap")), ("PAPAP", ("pa", "ap", "pa", "ap"))),
+        parallelism=2, out="r.ndrec", epoch_override=4, num_classes=5)
 
 
 def test_parse_plan_errors(tmp_path):
@@ -86,6 +88,29 @@ def test_plan_hash_ignores_parallelism(tmp_path):
     assert plan_hash(a) == plan_hash(b)
     c = ExperimentPlan(**{**a.__dict__, "seed": 8})
     assert plan_hash(a) != plan_hash(c)
+
+
+def test_plan_hash_is_pinned():
+    """Hashes recorded when the canonical text still listed the plan keys
+    by hand; a changed hash would make `--resume` refuse every existing
+    `.partial` file."""
+    plan = ExperimentPlan(
+        graph="g/bundle", task="node_classification", target="P",
+        space="condensed", n=12, strata_hits=1, splits=2, seed=7,
+        metapaths=(("PAP", ("pa", "ap")), ("APA", ("ap", "pa"))), parallelism=3,
+        out="x/results.ndrec", epoch_override=4)
+    assert plan_hash(plan) == "d213f3f41ddcf7fa"
+    assert plan_hash(ExperimentPlan(graph="g", task="link_prediction",
+                                    target="ap")) == "3c36baacbcf1647f"
+
+
+@pytest.mark.parametrize("key,value", [("num_classes", 2), ("epoch_override", -1),
+                                       ("splits", 0)])
+def test_run_plan_rejects_a_bad_integer_before_any_trial(tmp_path, key, value):
+    plan = make_plan(tmp_path, **{key: value})  # the bundle has 4 classes
+    with pytest.raises(GraphError, match=key):
+        run_plan(plan)
+    assert not os.path.exists(plan.out + ".partial")
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +137,6 @@ def test_run_plan_parallelism_invariant(tmp_path):
     seq = open(run_plan(plan, parallelism=1), "rb").read()
     par = open(run_plan(plan, parallelism=3), "rb").read()
     assert seq == par
-
-
-def test_threads_env_override(tmp_path, monkeypatch):
-    plan = make_plan(tmp_path)
-    monkeypatch.setenv("HGNN_SPACE_THREADS", "2")
-    out = run_plan(plan)
-    assert len(read_results(out)) == 4
 
 
 def test_single_trial_reproduces_file_record(tmp_path):
