@@ -43,6 +43,17 @@ class ExperimentPlan:
 
 _PLAN_KEYS = {f.name for f in fields(ExperimentPlan)}
 _INT_KEYS = {f.name for f in fields(ExperimentPlan) if f.type in ("int", "int | None")}
+_OPTIONAL_KEYS = {f.name for f in fields(ExperimentPlan) if f.type == "int | None"}
+
+
+def _plan_int(path, ln, key, val):
+    if val == "None" and key in _OPTIONAL_KEYS:  # as plan_canonical_text writes it
+        return None
+    try:
+        return int(val)
+    except ValueError:
+        raise GraphError(f"{path}:{ln}: plan key '{key}' needs an integer, "
+                         f"got '{val}'") from None
 
 
 def parse_plan(path) -> ExperimentPlan:
@@ -60,7 +71,7 @@ def parse_plan(path) -> ExperimentPlan:
             key, val = key.strip(), val.strip()
             if key not in _PLAN_KEYS:
                 raise GraphError(f"{path}:{ln}: unknown plan key '{key}'")
-            values[key] = int(val) if key in _INT_KEYS else val
+            values[key] = _plan_int(path, ln, key, val) if key in _INT_KEYS else val
     if "metapaths" in values:
         values["metapaths"] = metapaths_from_text(values["metapaths"])
     missing = {"graph", "task", "target"} - set(values)
@@ -195,11 +206,15 @@ def _read_partial(path, expect_hash):
     return done
 
 
+def worker_count(parallelism: int, pending: int) -> int:
+    """Threads for `pending` trials: never more than the trials or the
+    host's cores, so a mistyped parallelism cannot start hundreds."""
+    return max(1, min(parallelism, pending, os.cpu_count() or 1))
+
+
 def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
              resume: bool = False) -> str:
     """Execute every trial of the plan and write the finalized results file."""
-    parallelism = max(1, plan.parallelism if parallelism is None else parallelism)
-
     graph, task, splits, configs = expand_plan(plan)
     n_trials = len(configs) * len(splits)
     h = plan_hash(plan)
@@ -207,6 +222,8 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
 
     done = _read_partial(partial_path, h) if resume else {}
     pending = [i for i in range(n_trials) if i not in done]
+    workers = worker_count(plan.parallelism if parallelism is None else parallelism,
+                           len(pending))
 
     mode = "a" if (resume and done) else "w"
     lock = threading.Lock()
@@ -224,10 +241,10 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
                 partial.flush()
             return trial_id, line
 
-        if parallelism == 1:
+        if workers == 1:
             results = dict(work(i) for i in pending)
         else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = dict(pool.map(work, pending))
 
     done.update(results)

@@ -750,9 +750,10 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool):
 
         def vjp(g):
             dxhat = g * gamma.data
-            dvar = (dxhat * (a.data - mu)).sum(axis=0) * (-0.5) * inv ** 3
-            dmu = (-dxhat * inv).sum(axis=0) + dvar * (-2.0 / n) * (a.data - mu).sum(axis=0)
-            gx = dxhat * inv + dvar * 2.0 * (a.data - mu) / n + dmu / n
+            centred = a.data - mu  # recomputed: a captured copy is an N x h array per site
+            dvar = (dxhat * centred).sum(axis=0) * (-0.5) * inv ** 3
+            dmu = (-dxhat * inv).sum(axis=0) + dvar * (-2.0 / n) * centred.sum(axis=0)
+            gx = dxhat * inv + dvar * 2.0 * centred / n + dmu / n
             ggamma = (g * xhat).sum(axis=0).reshape(gamma.shape)
             gbeta = g.sum(axis=0).reshape(beta.shape)
             return gx, ggamma, gbeta

@@ -104,3 +104,40 @@ def test_importing_the_package_pins_blas_unless_set(preset, want):
          "import os, hgnn_space; print(os.environ['OPENBLAS_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == want
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# minor page faults of the worst of rounds 2-5, each allocating forty 1 MiB
+# arrays and freeing them; glibc's defaults re-fault all ~10,240 pages
+_REFAULT_ROUNDS = """
+import resource, hgnn_space, numpy as np
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 17) for _ in range(40)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults[1:]))
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator setting is glibc's")
+@pytest.mark.parametrize("preset,kept", [
+    ({}, True),
+    ({"MALLOC_ARENA_MAX": "2"}, False),
+    ({"GLIBC_TUNABLES": "glibc.malloc.arena_max=2"}, False)],
+    ids=["default", "malloc-variable", "glibc-tunable"])
+def test_importing_the_package_keeps_freed_memory_unless_set(preset, kept):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env.update(preset, PYTHONPATH=str(Path(hgnn_space.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _REFAULT_ROUNDS],
+                         env=env, capture_output=True, text=True, check=True)
+    faults = int(out.stdout)
+    assert faults < 100 if kept else faults > 5000

@@ -5,9 +5,10 @@ import pytest
 
 from hgnn_space.hgraph import GraphError, SyntheticSpec, generate_synthetic, save_graph
 from hgnn_space.model import DesignConfig
-from hgnn_space.runner import (ExperimentPlan, parse_plan, plan_hash,
-                               read_results, run_plan, run_trial_by_id,
-                               save_config_list)
+from hgnn_space import runner
+from hgnn_space.runner import (ExperimentPlan, parse_plan, plan_canonical_text,
+                               plan_hash, read_results, run_plan, run_trial_by_id,
+                               save_config_list, worker_count)
 
 
 def make_bundle(tmp_path, seed=0):
@@ -80,6 +81,41 @@ def test_parse_plan_errors(tmp_path):
     p.write_text("task = node_classification\n")
     with pytest.raises(GraphError, match="missing keys"):
         parse_plan(p)
+
+
+def test_parse_plan_rejects_a_non_integer_with_its_line(tmp_path):
+    p = tmp_path / "plan.cfg"
+    p.write_text("graph = g\ntask = link_prediction\ntarget = ap\nsplits = three\n")
+    with pytest.raises(GraphError, match=r"plan\.cfg:4: plan key 'splits' .*'three'"):
+        parse_plan(p)
+    p.write_text("graph = g\nn = None\n")  # only the optional keys take None
+    with pytest.raises(GraphError, match=r"plan\.cfg:2: plan key 'n' .*'None'"):
+        parse_plan(p)
+
+
+def test_parse_plan_reads_back_the_canonical_text(tmp_path):
+    """`epoch_override = None` is how the canonical text writes an unset
+    optional key, so a plan written that way must parse to the default."""
+    plan = ExperimentPlan(graph="g", task="link_prediction", target="ap")
+    p = tmp_path / "plan.cfg"
+    p.write_text(plan_canonical_text(plan).replace("=", " = ") + "\n")
+    assert "epoch_override = None" in p.read_text()
+    assert "num_classes = None" in p.read_text()
+    assert parse_plan(p) == plan
+
+
+def test_worker_count_never_exceeds_trials_or_cores(monkeypatch):
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    assert worker_count(1000, 792) == 2   # a mistyped parallelism
+    assert worker_count(2, 288) == 2
+    assert worker_count(4, 1) == 1        # one trial left: serial
+    assert worker_count(4, 0) == 1
+    assert worker_count(0, 10) == 1
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 16)
+    assert worker_count(8, 3) == 3
+    assert worker_count(8, 100) == 8
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+    assert worker_count(8, 100) == 1
 
 
 def test_plan_hash_ignores_parallelism(tmp_path):
