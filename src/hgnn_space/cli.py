@@ -31,12 +31,13 @@ def cmd_space(args):
         return 0
     if args.space_cmd == "sample":
         strata = ds.default_strata(space, args.strata_hits) if args.strata_hits else []
-        configs = ds.sample_controlled(space, args.n, strata, args.seed)
-        if args.expand_dim:
-            expanded = []
-            for cfg in configs:
-                expanded.extend(ds.perturb_dimension(cfg, args.expand_dim, space))
-            configs = expanded
+        try:
+            configs = ds.sample_controlled(space, args.n, strata, args.seed)
+            if args.expand_dim:
+                configs = [c for cfg in configs
+                           for c in ds.perturb_dimension(cfg, args.expand_dim, space)]
+        except (KeyError, ValueError) as e:  # strata over n; unknown or inapplicable dim
+            return _error(e.args[0])
         runner.save_config_list(configs, args.out)
         print(f"wrote {len(configs)} configs to {args.out}")
         return 0
@@ -170,9 +171,19 @@ def build_parser():
     return parser
 
 
+def _error(message):
+    print(f"hgnn-space: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    from .hgraph import GraphError
+
+    try:
+        return args.func(args)
+    except GraphError as e:  # bad plan, graph or config: one line, no traceback
+        return _error(e)
 
 
 if __name__ == "__main__":

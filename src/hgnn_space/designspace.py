@@ -57,9 +57,6 @@ class DesignSpace:
             raise KeyError(f"unknown design dimension '{name}'")
         return d
 
-    def names(self):
-        return tuple(d.name for d in self.dimensions)
-
     def cardinality(self) -> int:
         return sum(self._free_count(combo) for combo in self._branch_combos())
 
@@ -274,6 +271,9 @@ def validate(cfg: DesignConfig, graph=None) -> list:
         errors.append(f"task: '{cfg.task}' not in {list(_TASKS)}")
 
     if cfg.model_family == "Metapath":
+        names = [name for name, _ in cfg.metapaths]
+        for name in sorted({n for n in names if names.count(n) > 1}):
+            errors.append(f"metapaths: '{name}' is declared more than once")
         if not cfg.metapaths:
             errors.append("metapaths: Metapath family needs a non-empty meta-path list")
         elif graph is not None:

@@ -194,9 +194,8 @@ class GATConv(Module):
 class SageConv(Module):
     """Mean-aggregator GraphSAGE: neighbors averaged, concatenated with self."""
 
-    def __init__(self, in_src, out_dim, rng, prefix, in_dst=None):
-        in_dst = in_src if in_dst is None else in_dst
-        self.W = Parameter(glorot(rng, in_dst + in_src, out_dim), f"{prefix}.W")
+    def __init__(self, in_dim, out_dim, rng, prefix):
+        self.W = Parameter(glorot(rng, 2 * in_dim, out_dim), f"{prefix}.W")
         self.b = Parameter(np.zeros((1, out_dim)), f"{prefix}.b")
 
     def __call__(self, view: GraphView, h_src, h_dst):
@@ -240,8 +239,6 @@ def make_micro_conv(kind, in_dim, out_dim, rng, prefix, attention_form="GAT",
 # ---------------------------------------------------------------------------
 
 class MacroSum(Module):
-    kind = "Sum"
-
     def __call__(self, zs):
         out = zs[0]
         for z in zs[1:]:
@@ -250,8 +247,6 @@ class MacroSum(Module):
 
 
 class MacroMean(Module):
-    kind = "Mean"
-
     def __call__(self, zs):
         out = zs[0]
         for z in zs[1:]:
@@ -260,8 +255,6 @@ class MacroMean(Module):
 
 
 class MacroMax(Module):
-    kind = "Max"
-
     def __call__(self, zs):
         out = zs[0]
         for z in zs[1:]:
@@ -272,8 +265,6 @@ class MacroMax(Module):
 class MacroAttention(Module):
     """One softmax weight per subgraph for a destination type, shared by
     all of its nodes: score_k = mean_v q . tanh(W z_k[v] + b)."""
-
-    kind = "Attention"
 
     def __init__(self, dim, rng, prefix):
         self.W = Parameter(glorot(rng, dim, dim), f"{prefix}.W")
@@ -342,7 +333,6 @@ class HeteroLinear(Module):
 
     def __init__(self, type_specs, out_dim, rng, prefix="pre0"):
         # type_specs: ordered (name, in_dim, count)
-        self.out_dim = out_dim
         self.weights = {}
         self.biases = {}
         self.embeddings = {}

@@ -1,10 +1,10 @@
-"""Experiment orchestration: plan parsing, parallel trial execution and
-append-only result persistence.
+"""Experiment orchestration: plan parsing, trial execution and append-only
+result persistence.
 
-A plan expands to configs x splits independent trials. Progress is appended
-line-by-line to `<out>.partial` (crash-safe, carries wall times); the
-finalized file is rewritten sorted by trial id with volatile timing dropped,
-so reruns are byte-identical regardless of parallelism.
+A plan expands to configs x splits independent trials, run one at a time in
+trial-id order. Progress is appended line-by-line to `<out>.partial`
+(crash-safe, carries wall times); the finalized file is rewritten sorted by
+trial id with volatile timing dropped, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from . import designspace as ds
@@ -206,55 +204,37 @@ def _read_partial(path, expect_hash):
     return done
 
 
-def worker_count(parallelism: int, pending: int) -> int:
-    """Threads for `pending` trials: never more than the trials or the
-    host's cores, so a mistyped parallelism cannot start hundreds."""
-    return max(1, min(parallelism, pending, os.cpu_count() or 1))
-
-
 def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
              resume: bool = False) -> str:
-    """Execute every trial of the plan and write the finalized results file."""
+    """Execute every trial of the plan and write the finalized results file.
+
+    Trials run one at a time in the calling thread. `parallelism` (the
+    keyword or the plan key) is accepted and not read: it is reserved for a
+    process pool, and the results never depend on it."""
     graph, task, splits, configs = expand_plan(plan)
     n_trials = len(configs) * len(splits)
     h = plan_hash(plan)
     partial_path = plan.out + ".partial"
 
-    done = _read_partial(partial_path, h) if resume else {}
-    pending = [i for i in range(n_trials) if i not in done]
-    workers = worker_count(plan.parallelism if parallelism is None else parallelism,
-                           len(pending))
+    header = json.dumps({"format": RESULTS_FORMAT, "plan_hash": h},
+                        sort_keys=True, separators=(",", ":")) + "\n"
 
+    done = _read_partial(partial_path, h) if resume else {}
     mode = "a" if (resume and done) else "w"
-    lock = threading.Lock()
     with open(partial_path, mode) as partial:
         if mode == "w":
-            partial.write(json.dumps({"format": RESULTS_FORMAT, "plan_hash": h},
-                                     sort_keys=True, separators=(",", ":")) + "\n")
+            partial.write(header)
+            partial.flush()
+        for i in range(n_trials):
+            if i in done:
+                continue
+            record = _run_one(plan, graph, task, splits, configs, i)
+            done[i] = _record_to_json(record, with_wall_time=True)
+            partial.write(done[i] + "\n")
             partial.flush()
 
-        def work(trial_id):
-            record = _run_one(plan, graph, task, splits, configs, trial_id)
-            line = _record_to_json(record, with_wall_time=True)
-            with lock:
-                partial.write(line + "\n")
-                partial.flush()
-            return trial_id, line
-
-        if workers == 1:
-            results = dict(work(i) for i in pending)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(pool.map(work, pending))
-
-    done.update(results)
-    missing = [i for i in range(n_trials) if i not in done]
-    if missing:
-        raise GraphError(f"trials did not complete: {missing}")
-
     with open(plan.out, "w") as out:
-        out.write(json.dumps({"format": RESULTS_FORMAT, "plan_hash": h},
-                             sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(header)
         for i in range(n_trials):
             d = json.loads(done[i])
             d.pop("wall_time", None)

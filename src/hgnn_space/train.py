@@ -211,8 +211,6 @@ def roc_auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 
 class SGD:
-    kind = "SGD"
-
     def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
@@ -228,8 +226,6 @@ class SGD:
 
 
 class Adam:
-    kind = "Adam"
-
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = lr

@@ -47,6 +47,33 @@ def test_space_sample_writes_configs(tmp_path, capsys):
     assert len(expanded) == 4  # 2 base configs x 2 BN choices
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--expand-dim", "nosuch"], "unknown design dimension 'nosuch'"),
+    (["--expand-dim", "macro_agg"], "dimension 'macro_agg' does not apply"),
+    (["--strata-hits", "2"], "strata require 24 samples but n=6"),
+], ids=["unknown-dim", "inapplicable-dim", "strata-over-n"])
+def test_space_sample_reports_a_bad_request_in_one_line(tmp_path, capsys, args,
+                                                        message):
+    out = tmp_path / "c.json"
+    assert main(["space", "sample", "--n", "6", "--seed", "3", "--out", str(out),
+                 *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hgnn-space: error: ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_reports_a_bad_plan_in_one_line_with_its_line_number(tmp_path):
+    plan = tmp_path / "plan.cfg"
+    plan.write_text("graph = g\ntask = link_prediction\ntarget = ap\nsplits = three\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hgnn_space.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hgnn_space.cli", "run",
+                           "--plan", str(plan)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"hgnn-space: error: {plan}:4: plan key 'splits' needs "
+                           "an integer, got 'three'\n")
+
+
 def test_analyze_homophily(tmp_path, capsys):
     b = bundle(tmp_path)
     out = tmp_path / "beta.csv"

@@ -279,3 +279,12 @@ def test_validate_metapath_chaining_against_schema():
     assert any("does not chain" in e for e in ds.validate(bad, g))
     missing = ok.with_values(metapaths=(("YY", ("nope",)),))
     assert any("unknown" in e for e in ds.validate(missing, g))
+
+
+def test_validate_rejects_a_metapath_name_declared_twice():
+    """Two meta-paths under one name would give their convolutions the same
+    parameter names, so Adam would share one moment slot between them."""
+    cfg = DesignConfig(model_family="Metapath", macro_agg="Sum",
+                       metapaths=(("PAP", ("pa", "ap")), ("PAP", ("ap", "pa")),
+                                  ("APA", ("ap", "pa"))))
+    assert ds.validate(cfg) == ["metapaths: 'PAP' is declared more than once"]

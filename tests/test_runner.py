@@ -1,14 +1,15 @@
 import json
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from hgnn_space.hgraph import GraphError, SyntheticSpec, generate_synthetic, save_graph
 from hgnn_space.model import DesignConfig
-from hgnn_space import runner
 from hgnn_space.runner import (ExperimentPlan, parse_plan, plan_canonical_text,
                                plan_hash, read_results, run_plan, run_trial_by_id,
-                               save_config_list, worker_count)
+                               save_config_list)
 
 
 def make_bundle(tmp_path, seed=0):
@@ -104,18 +105,17 @@ def test_parse_plan_reads_back_the_canonical_text(tmp_path):
     assert parse_plan(p) == plan
 
 
-def test_worker_count_never_exceeds_trials_or_cores(monkeypatch):
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
-    assert worker_count(1000, 792) == 2   # a mistyped parallelism
-    assert worker_count(2, 288) == 2
-    assert worker_count(4, 1) == 1        # one trial left: serial
-    assert worker_count(4, 0) == 1
-    assert worker_count(0, 10) == 1
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 16)
-    assert worker_count(8, 3) == 3
-    assert worker_count(8, 100) == 8
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
-    assert worker_count(8, 100) == 1
+def test_readme_plan_example_parses_and_lists_every_key(tmp_path):
+    """README's plan example is the documented format: it must parse and
+    name every plan key, so the two cannot drift apart."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("A plan file is flat `key = value` text:\n\n", 1)[1]
+    example = after.split("\n\n", 1)[0]
+    p = tmp_path / "plan.cfg"
+    p.write_text(example + "\n")
+    parse_plan(p)
+    keys = {line.split("=", 1)[0].strip() for line in example.splitlines()}
+    assert keys == {f.name for f in fields(ExperimentPlan)}
 
 
 def test_plan_hash_ignores_parallelism(tmp_path):
@@ -145,6 +145,18 @@ def test_plan_hash_is_pinned():
 def test_run_plan_rejects_a_bad_integer_before_any_trial(tmp_path, key, value):
     plan = make_plan(tmp_path, **{key: value})  # the bundle has 4 classes
     with pytest.raises(GraphError, match=key):
+        run_plan(plan)
+    assert not os.path.exists(plan.out + ".partial")
+
+
+def test_run_plan_rejects_a_duplicate_metapath_name_before_any_trial(tmp_path):
+    cfg_path = tmp_path / "metapath.json"
+    save_config_list([DesignConfig(model_family="Metapath", micro_conv="GCNConv",
+                                   macro_agg="Sum", hidden_dim=16, mp_layers=1,
+                                   seed=5)], cfg_path)
+    plan = make_plan(tmp_path, space=str(cfg_path),
+                     metapaths=(("PAP", ("pa", "ap")), ("PAP", ("ap", "pa"))))
+    with pytest.raises(GraphError, match="'PAP' is declared more than once"):
         run_plan(plan)
     assert not os.path.exists(plan.out + ".partial")
 
