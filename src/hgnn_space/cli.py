@@ -10,17 +10,19 @@ import sys
 
 def _space_from_flag(name):
     from . import designspace as ds
+    from .hgraph import GraphError
 
     if name == "full":
         return ds.full_space()
     if name == "condensed":
         return ds.condensed_space()
-    raise SystemExit(f"unknown space '{name}' (expected full or condensed)")
+    raise GraphError(f"unknown space '{name}' (expected full or condensed)")
 
 
 def cmd_space(args):
     from . import designspace as ds
     from . import runner
+    from .hgraph import GraphError
 
     space = _space_from_flag(args.space)
     if args.space_cmd == "describe":
@@ -41,7 +43,7 @@ def cmd_space(args):
         runner.save_config_list(configs, args.out)
         print(f"wrote {len(configs)} configs to {args.out}")
         return 0
-    raise SystemExit(f"unknown space subcommand '{args.space_cmd}'")
+    raise GraphError(f"unknown space subcommand '{args.space_cmd}'")
 
 
 def cmd_run(args):
@@ -55,6 +57,7 @@ def cmd_run(args):
 
 def cmd_analyze(args):
     from . import analysis, runner
+    from .hgraph import GraphError
 
     if args.analyze_cmd == "rank":
         records = runner.read_results(args.results[0])
@@ -74,7 +77,7 @@ def cmd_analyze(args):
             scores = [r["best_score"] for r in records
                       if r["status"] == "ok" and r["best_score"] is not None]
             if not scores:
-                raise SystemExit(f"no successful trials in {path}")
+                raise GraphError(f"no successful trials in {path}")
             name = os.path.splitext(os.path.basename(path))[0]
             curves[name] = analysis.edf(scores)
         paths = analysis.emit_report([], curves, args.out_dir)
@@ -94,7 +97,7 @@ def cmd_analyze(args):
         def labels_for(sub):
             labels = g.labels.get(sub.dst_type)
             if labels is None:
-                raise SystemExit(f"'{sub.name}' targets type '{sub.dst_type}' "
+                raise GraphError(f"'{sub.name}' targets type '{sub.dst_type}' "
                                  "which carries no labels")
             return labels
 
@@ -109,7 +112,7 @@ def cmd_analyze(args):
             sub = transform.compose_metapath(g, transform.MetaPath(name, rels))
             rows.append((name, transform.homophily(sub, labels_for(sub))))
         if not rows:
-            raise SystemExit("nothing to analyze: pass --metapaths and/or --relations")
+            raise GraphError("nothing to analyze: pass --metapaths and/or --relations")
         lines = ["metapath,beta"]
         lines += [f"{name},{np.format_float_positional(beta, precision=6, trim='-')}"
                   for name, beta in rows]
@@ -122,7 +125,7 @@ def cmd_analyze(args):
             sys.stdout.write(text)
         return 0
 
-    raise SystemExit(f"unknown analyze subcommand '{args.analyze_cmd}'")
+    raise GraphError(f"unknown analyze subcommand '{args.analyze_cmd}'")
 
 
 def build_parser():
@@ -182,7 +185,7 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except GraphError as e:  # bad plan, graph or config: one line, no traceback
+    except GraphError as e:  # any bad user input: one line, status 2, no traceback
         return _error(e)
 
 

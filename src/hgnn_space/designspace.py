@@ -271,23 +271,29 @@ def validate(cfg: DesignConfig, graph=None) -> list:
         errors.append(f"task: '{cfg.task}' not in {list(_TASKS)}")
 
     if cfg.model_family == "Metapath":
-        names = [name for name, _ in cfg.metapaths]
-        for name in sorted({n for n in names if names.count(n) > 1}):
-            errors.append(f"metapaths: '{name}' is declared more than once")
         if not cfg.metapaths:
             errors.append("metapaths: Metapath family needs a non-empty meta-path list")
-        elif graph is not None:
-            rel_by_name = {r.name: r for r in graph.relations}
-            for name, rels in cfg.metapaths:
-                missing = [r for r in rels if r not in rel_by_name]
-                if missing:
-                    errors.append(f"metapaths: '{name}' references unknown "
-                                  f"relations {missing}")
-                    continue
-                for a, b in zip(rels, rels[1:]):
-                    if rel_by_name[a].dst_type != rel_by_name[b].src_type:
-                        errors.append(
-                            f"metapaths: '{name}' does not chain at "
-                            f"'{a}' -> '{b}'")
-                        break
+        errors += metapath_problems(cfg.metapaths, graph)
+    return errors
+
+
+def metapath_problems(metapaths, graph=None) -> list:
+    """Meta-path names declared twice and, given the graph, chains that name
+    unknown relations or do not connect."""
+    errors = []
+    names = [name for name, _ in metapaths]
+    for name in sorted({n for n in names if names.count(n) > 1}):
+        errors.append(f"metapaths: '{name}' is declared more than once")
+    if graph is None:
+        return errors
+    rel_by_name = {r.name: r for r in graph.relations}
+    for name, rels in metapaths:
+        missing = [r for r in rels if r not in rel_by_name]
+        if missing:
+            errors.append(f"metapaths: '{name}' references unknown relations {missing}")
+            continue
+        for a, b in zip(rels, rels[1:]):
+            if rel_by_name[a].dst_type != rel_by_name[b].src_type:
+                errors.append(f"metapaths: '{name}' does not chain at '{a}' -> '{b}'")
+                break
     return errors

@@ -44,6 +44,18 @@ _INT_KEYS = {f.name for f in fields(ExperimentPlan) if f.type in ("int", "int | 
 _OPTIONAL_KEYS = {f.name for f in fields(ExperimentPlan) if f.type == "int | None"}
 
 
+def _read_text(path) -> str:
+    """The text of an input file the user named; a file that cannot be read
+    is a GraphError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise GraphError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise GraphError(f"{path}: {e}") from None
+
+
 def _plan_int(path, ln, key, val):
     if val == "None" and key in _OPTIONAL_KEYS:  # as plan_canonical_text writes it
         return None
@@ -58,18 +70,17 @@ def parse_plan(path) -> ExperimentPlan:
     """Flat key = value text; lists are comma-separated, meta-paths are
     `name:rel,rel` chunks joined by `;`."""
     values = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise GraphError(f"{path}:{ln}: expected key = value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _PLAN_KEYS:
-                raise GraphError(f"{path}:{ln}: unknown plan key '{key}'")
-            values[key] = _plan_int(path, ln, key, val) if key in _INT_KEYS else val
+    for ln, raw in enumerate(_read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise GraphError(f"{path}:{ln}: expected key = value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _PLAN_KEYS:
+            raise GraphError(f"{path}:{ln}: unknown plan key '{key}'")
+        values[key] = _plan_int(path, ln, key, val) if key in _INT_KEYS else val
     if "metapaths" in values:
         values["metapaths"] = metapaths_from_text(values["metapaths"])
     missing = {"graph", "task", "target"} - set(values)
@@ -89,8 +100,10 @@ def plan_hash(plan: ExperimentPlan) -> str:
 
 
 def load_config_list(path) -> list:
-    with open(path) as fh:
-        items = json.load(fh)
+    try:
+        items = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise GraphError(f"{path}: not a JSON config list ({e})") from None
     return [DesignConfig.from_flat(d) for d in items]
 
 
@@ -123,6 +136,10 @@ def expand_plan(plan: ExperimentPlan):
         task = Task("link_prediction", plan.target)
     else:
         raise GraphError(f"unknown task '{plan.task}'")
+    # checked once here: configs see the declarations only if they draw Metapath
+    problems = ds.metapath_problems(plan.metapaths, graph)
+    if problems:
+        raise GraphError("plan key 'metapaths' is invalid: " + "; ".join(problems))
 
     if plan.space in ("full", "condensed"):
         space = ds.full_space() if plan.space == "full" else ds.condensed_space()
@@ -244,13 +261,18 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
 
 def read_results(path) -> list:
     """Records from a results file (finalized or partial), header checked."""
+    lines = _read_text(path).split("\n")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != RESULTS_FORMAT:
+        raise GraphError(f"'{path}' is not a results file")
     records = []
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != RESULTS_FORMAT:
-            raise GraphError(f"'{path}' is not a results file")
-        for line in fh:
-            line = line.strip()
-            if line:
+    for ln, line in enumerate(lines[1:], 2):
+        if line.strip():
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError:
+                raise GraphError(f"{path}:{ln}: not a JSON record") from None
     return records

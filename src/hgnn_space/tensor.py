@@ -1,10 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every primitive computes its forward value with numpy (scipy.sparse for the
-sparse-dense product) and, when any input requires gradients, records a
-vector-Jacobian closure on the output. A backward pass replays the recorded
-graph once in reverse topological order and accumulates gradients into the
-leaves. 64-bit floats throughout.
+sparse-dense product) and, when any input requires gradients, records a tape
+node on the output. A node holds three things: one link per input (the
+input's own node, the input itself for a leaf that needs a gradient, or None),
+the vector-Jacobian closure, and the gradient accumulated during backward.
+Nodes never hold tensors that have their own node, and each closure captures
+only the arrays and shapes its backward formula reads, so an intermediate
+value dies as soon as neither the caller nor a pending closure reads it.
+
+`backward` replays the recorded graph once in reverse topological order,
+dropping each closure and each intermediate gradient as soon as it has run.
+Only leaves receive `.grad`. 64-bit floats throughout.
 
 One structure groups edges by endpoint: a `SegmentIndex` serves the
 gathers (whose backward is a segment sum), the segment reductions and the
@@ -21,15 +28,34 @@ class TensorError(ValueError):
     pass
 
 
+class _Node:
+    """One recorded operation: input links, vjp closure, output gradient."""
+
+    __slots__ = ("parents", "vjp", "grad")
+
+    def __init__(self, parents, vjp):
+        self.parents = parents
+        self.vjp = vjp
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._vjp = None
+        self._node = None
+
+    @property
+    def _vjp(self):
+        """The recorded vjp closure, or None for a tensor with no node."""
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
 
     @property
     def shape(self):
@@ -101,48 +127,24 @@ def _wrap(x):
 _CONSUMED = object()
 
 
-class Tape:
-    """Reverse-topological schedule of the graph reachable from one root."""
-
-    def __init__(self, root: Tensor):
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        self.order = order  # topological: parents before children
-
-    def run(self, root: Tensor):
-        root.grad = np.ones_like(root.data)
-        for node in reversed(self.order):
-            if node._vjp is None:
-                continue
-            if node._vjp is _CONSUMED:
-                raise TensorError("backward called twice without a new forward pass")
-            grads = node._vjp(node.grad)
-            for parent, gin in zip(node._parents, grads):
-                if gin is None or not parent.requires_grad:
-                    continue
-                # gin may alias another node's gradient (add returns g for
-                # both inputs); sharing it is safe because no vjp, optimizer
-                # or caller writes into a gradient array in place
-                if parent.grad is None:
-                    parent.grad = gin
-                else:
-                    parent.grad = parent.grad + gin
-            node._vjp = _CONSUMED
-            if node._parents:
-                node.grad = None  # free intermediates; leaves keep their grads
+def _schedule(root: _Node) -> list:
+    """The nodes reachable from `root`, parents before children."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if type(p) is _Node and id(p) not in seen:
+                stack.append((p, False))
+    return order
 
 
 def backward(loss: Tensor):
@@ -151,17 +153,39 @@ def backward(loss: Tensor):
         raise TensorError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise TensorError("loss does not require gradients")
-    if loss._vjp is _CONSUMED:
+    root = loss._node
+    if root is None:  # the loss is itself a leaf
+        loss.grad = np.ones_like(loss.data)
+        return
+    if root.vjp is _CONSUMED:
         raise TensorError("backward called twice without a new forward pass")
-    Tape(loss).run(loss)
+    root.grad = np.ones_like(loss.data)
+    order = _schedule(root)
+    while order:
+        node = order.pop()
+        if node.vjp is _CONSUMED:
+            raise TensorError("backward called twice without a new forward pass")
+        grads = node.vjp(node.grad)
+        node.vjp = _CONSUMED  # frees the arrays the closure captured
+        node.grad = None
+        for parent, gin in zip(node.parents, grads):
+            if gin is None or parent is None:
+                continue
+            # gin may alias another node's gradient (add returns g for
+            # both inputs); sharing it is safe because no vjp, optimizer
+            # or caller writes into a gradient array in place
+            if parent.grad is None:
+                parent.grad = gin
+            else:
+                parent.grad = parent.grad + gin
 
 
 def _make(data, parents, vjp):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    links = [p._node or (p if p.requires_grad else None) for p in parents]
+    if links.count(None) < len(links):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._node = _Node(links, vjp)
     return out
 
 
@@ -183,9 +207,10 @@ def _unbroadcast(grad, shape):
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
     data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(data, (a, b), vjp)
 
@@ -193,9 +218,10 @@ def add(a, b):
 def sub(a, b):
     a, b = _wrap(a), _wrap(b)
     data = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _make(data, (a, b), vjp)
 
@@ -203,10 +229,15 @@ def sub(a, b):
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
-    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    # each operand's gradient reads the other one: keep an operand only when
+    # the other needs a gradient (a Mean macro scales its sum by a constant)
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
     return _make(data, (a, b), vjp)
 
@@ -216,10 +247,10 @@ def maximum(a, b):
     a, b = _wrap(a), _wrap(b)
     take_a = a.data >= b.data
     data = np.where(take_a, a.data, b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return (_unbroadcast(g * take_a, a.shape),
-                _unbroadcast(g * (~take_a), b.shape))
+        return _unbroadcast(g * take_a, sa), _unbroadcast(g * (~take_a), sb)
 
     return _make(data, (a, b), vjp)
 
@@ -227,9 +258,10 @@ def maximum(a, b):
 def broadcast_to(a, shape):
     a = _wrap(a)
     data = np.broadcast_to(a.data, shape).copy()
+    old = a.shape
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape),)
+        return (_unbroadcast(g, old),)
 
     return _make(data, (a,), vjp)
 
@@ -294,9 +326,10 @@ def narrow(a, axis, start, stop):
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
+    shape = a.shape
 
     def vjp(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape)
         out[index] = g
         return (out,)
 
@@ -330,9 +363,10 @@ def take_per_row(a, cols):
         raise TensorError("column index out of range")
     rows = np.arange(a.shape[0])
     data = a.data[rows, cols][:, None]
+    shape = a.shape
 
     def vjp(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape)
         out[rows, cols] = g[:, 0]
         return (out,)
 
@@ -380,12 +414,11 @@ def relu(a):
 def leaky_relu(a, slope=0.2):
     a = _wrap(a)
     mask = a.data > 0
-    scale = np.where(mask, 1.0, slope)
 
     def vjp(g):
-        return (g * scale,)
+        return (g * np.where(mask, 1.0, slope),)
 
-    return _make(a.data * scale, (a,), vjp)
+    return _make(a.data * np.where(mask, 1.0, slope), (a,), vjp)
 
 
 def elu(a):
@@ -430,11 +463,11 @@ def prelu(a, slope):
     mask = a.data > 0
     s = slope.data.item()
     data = np.where(mask, a.data, s * a.data)
-    ad = a.data
+    ad, s_shape = a.data, slope.shape
 
     def vjp(g):
         ga = g * np.where(mask, 1.0, s)
-        gs = np.array((g * ad * (~mask)).sum()).reshape(slope.shape)
+        gs = np.array((g * ad * (~mask)).sum()).reshape(s_shape)
         return ga, gs
 
     return _make(data, (a, slope), vjp)
@@ -571,9 +604,10 @@ def segment_max(a, seg: SegmentIndex):
     for sid, s, e in zip(np.flatnonzero(seg.nonempty), seg.starts, ends):
         pos = s + np.argmax(xs[s:e], axis=0)
         winners.append((sid, pos if seg.order is None else seg.order[pos]))
+    shape = a.shape
 
     def vjp(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape)
         for sid, rows in winners:
             out[rows, np.arange(out.shape[1])] += g[sid]
         return (out,)
@@ -659,19 +693,28 @@ def spmm(A: SpmmPlan, x, values=None):
     if values.size != A.nnz:
         raise TensorError(f"spmm got {values.size} values for {A.nnz} entries")
     v = values.data.reshape(-1)
-    xd = x.data
+    xd, v_shape = x.data, values.shape
 
     def vjp(g):
         gv = _sddmm(g, xd, A.by_row.index, A.by_col.index)
         return (_on_pattern(A.t_matrix, A.by_col.sorted(v)) @ g,
-                gv.reshape(values.shape))
+                gv.reshape(v_shape))
 
     return _make(_on_pattern(A.matrix, v) @ xd, (x, values), vjp)
 
 
+_SDDMM_BLOCK = 2048  # pairs per block: bounds the two gathered copies
+
+
 def _sddmm(a, b, rows, cols):
-    """Row-wise dot products (a[rows] * b[cols]).sum(1), one per (row, col) pair."""
-    return np.einsum("ij,ij->i", np.take(a, rows, axis=0), np.take(b, cols, axis=0))
+    """Row-wise dot products (a[rows] * b[cols]).sum(1), one per (row, col)
+    pair, gathered and reduced one block of pairs at a time."""
+    out = np.empty(rows.shape[0])
+    for s in range(0, rows.shape[0], _SDDMM_BLOCK):
+        e = s + _SDDMM_BLOCK
+        np.einsum("ij,ij->i", np.take(a, rows[s:e], axis=0),
+                  np.take(b, cols[s:e], axis=0), out=out[s:e])
+    return out
 
 
 def sddmm(a, b, rows, cols):
@@ -692,12 +735,13 @@ def sddmm(a, b, rows, cols):
         raise TensorError("sddmm index out of range")
     ad, bd = a.data, b.data
     data = _sddmm(ad, bd, rows, cols)[:, None]
+    na, nb = a.shape[0], b.shape[0]
 
     def vjp(g):
         # duplicate pairs stay separate entries, so the products sum them
         g = g[:, 0]
-        ga = SegmentIndex(rows, a.shape[0]).csr(g, cols, b.shape[0]) @ bd
-        gb = SegmentIndex(cols, b.shape[0]).csr(g, rows, a.shape[0]) @ ad
+        ga = SegmentIndex(rows, na).csr(g, cols, nb) @ bd
+        gb = SegmentIndex(cols, nb).csr(g, rows, na) @ ad
         return ga, gb
 
     return _make(data, (a, b), vjp)
@@ -716,12 +760,12 @@ def dropout(a, p, training, rng=None):
         return a
     if rng is None:
         raise TensorError("training-mode dropout needs an rng")
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
+    keep = rng.random(a.shape) >= p
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (keep / (1.0 - p)),)
 
-    return _make(a.data * mask, (a,), vjp)
+    return _make(a.data * (keep / (1.0 - p)), (a,), vjp)
 
 
 class BatchNormState:
@@ -738,37 +782,39 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool):
     """Per-feature normalization over the row batch, then affine."""
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     n = a.shape[0]
+    ad, gd, g_shape, b_shape = a.data, gamma.data, gamma.shape, beta.shape
     if training:
-        mu = a.data.mean(axis=0)
-        var = a.data.var(axis=0)  # biased: normalized batch has unit variance
+        mu = ad.mean(axis=0)
+        var = ad.var(axis=0)  # biased: normalized batch has unit variance
         inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (a.data - mu) * inv
+        xhat = (ad - mu) * inv
         m = state.momentum
         unbiased = var * n / (n - 1) if n > 1 else var
         state.running_mean = (1 - m) * state.running_mean + m * mu
         state.running_var = (1 - m) * state.running_var + m * unbiased
 
         def vjp(g):
-            dxhat = g * gamma.data
-            centred = a.data - mu  # recomputed: a captured copy is an N x h array per site
+            dxhat = g * gd
+            # recomputed from the input: captured copies are N x h arrays per site
+            centred = ad - mu
+            xhat = centred * inv
             dvar = (dxhat * centred).sum(axis=0) * (-0.5) * inv ** 3
             dmu = (-dxhat * inv).sum(axis=0) + dvar * (-2.0 / n) * centred.sum(axis=0)
             gx = dxhat * inv + dvar * 2.0 * centred / n + dmu / n
-            ggamma = (g * xhat).sum(axis=0).reshape(gamma.shape)
-            gbeta = g.sum(axis=0).reshape(beta.shape)
+            ggamma = (g * xhat).sum(axis=0).reshape(g_shape)
+            gbeta = g.sum(axis=0).reshape(b_shape)
             return gx, ggamma, gbeta
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (a.data - state.running_mean) * inv
+        xhat = (ad - state.running_mean) * inv
 
         def vjp(g):
-            gx = g * gamma.data * inv
-            ggamma = (g * xhat).sum(axis=0).reshape(gamma.shape)
-            gbeta = g.sum(axis=0).reshape(beta.shape)
+            gx = g * gd * inv
+            ggamma = (g * xhat).sum(axis=0).reshape(g_shape)
+            gbeta = g.sum(axis=0).reshape(b_shape)
             return gx, ggamma, gbeta
 
-    data = xhat * gamma.data + beta.data
-    return _make(data, (a, gamma, beta), vjp)
+    return _make(xhat * gd + beta.data, (a, gamma, beta), vjp)
 
 
 def l2_normalize(a, axis=1):

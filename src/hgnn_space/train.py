@@ -378,11 +378,11 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         if not np.isfinite(loss_val):
             status = "failed"
             break
-        opt.zero_grad()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # a diverging step may overflow; the finite checks below catch it
             loss.backward()
             opt.step()
+        opt.zero_grad()  # the next forward passes need no gradients
         if not all(np.isfinite(p.data).all() for p in params):
             status = "failed"
             break

@@ -74,6 +74,71 @@ def test_run_reports_a_bad_plan_in_one_line_with_its_line_number(tmp_path):
                            "an integer, got 'three'\n")
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("hgnn-space: error: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--plan", "{missing}"],
+    ["analyze", "rank", "--dim", "has_bn", "--results", "{missing}"],
+    ["analyze", "edf", "--results", "{missing}"],
+], ids=["plan", "rank-results", "edf-results"])
+def test_a_missing_input_file_is_reported_in_one_line(tmp_path, capsys, argv):
+    missing = str(tmp_path / "nosuch")
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    assert _one_line_error(capsys) == (f"hgnn-space: error: {missing}: "
+                                       "No such file or directory\n")
+
+
+def test_a_plan_that_is_not_utf8_is_reported_in_one_line(tmp_path, capsys):
+    plan = tmp_path / "plan.cfg"
+    plan.write_bytes(b"graph = \xff\n")
+    assert main(["run", "--plan", str(plan)]) == 2
+    err = _one_line_error(capsys)
+    assert f"{plan}: " in err and "codec can't decode" in err
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file or directory"),
+    ("not json\n", "not a JSON config list"),
+], ids=["missing", "garbage"])
+def test_a_bad_config_list_is_reported_in_one_line(tmp_path, capsys, content, message):
+    configs = tmp_path / "configs.json"
+    if content is not None:
+        configs.write_text(content)
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"graph = {bundle(tmp_path)}\ntask = node_classification\n"
+                    f"target = P\nspace = {configs}\n")
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert f"{configs}: {message}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "is not a results file"),
+    ("not json\n", "is not a results file"),
+    ("[1, 2]\n", "is not a results file"),
+    ('{"format":"hgnn-space-results/1"}\n{"trial_id": 0, "conf\n', ":2: not a JSON record"),
+], ids=["empty", "garbage", "json-list", "truncated-record"])
+def test_a_file_that_is_not_a_results_file_is_reported_in_one_line(tmp_path, capsys,
+                                                                    text, message):
+    path = tmp_path / "r.ndrec"
+    path.write_text(text)
+    assert main(["analyze", "rank", "--dim", "has_bn", "--results", str(path)]) == 2
+    assert message in _one_line_error(capsys)
+
+
+def test_analyze_errors_exit_with_status_two_in_one_line(tmp_path, capsys):
+    assert main(["analyze", "homophily", "--graph", bundle(tmp_path)]) == 2
+    assert "nothing to analyze" in _one_line_error(capsys)
+    empty = tmp_path / "empty.ndrec"
+    empty.write_text('{"format":"hgnn-space-results/1","plan_hash":"x"}\n')
+    assert main(["analyze", "edf", "--results", str(empty)]) == 2
+    assert f"no successful trials in {empty}" in _one_line_error(capsys)
+
+
 def test_analyze_homophily(tmp_path, capsys):
     b = bundle(tmp_path)
     out = tmp_path / "beta.csv"

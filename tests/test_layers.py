@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -532,3 +534,30 @@ def test_grad_dual_layer(micro, macro):
     params = [p for c in convs for p in c.parameters()] + macro_mod.parameters()
     err = grad_check(f, params, rng=np.random.default_rng(38))
     assert err < 1e-4, f"{micro}/{macro}: {err:.2e}"
+
+
+def test_gat_backward_holds_less_than_one_edge_by_feature_array():
+    """The backward pass adds less than one E x d float64 array on top of
+    what the forward pass leaves: the edge gradient is reduced in blocks of
+    pairs, never gathered for every edge at once."""
+    rng = np.random.default_rng(41)
+    n, d = 64, 64
+    n_edges = 4 * T._SDDMM_BLOCK + n
+    dst = np.sort(rng.integers(0, n, n_edges))
+    view = L.GraphView(rng.integers(0, n, n_edges), dst, np.ones(n_edges), n, n,
+                       same_type=True)
+    view.attention()
+    conv = L.GATConv(d, d, rng, "g")
+    h = Tensor(rng.standard_normal((n, d)))
+    weights = Tensor(rng.standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        loss = T.tsum(T.mul(conv(view, h, h), weights))
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert conv.W.grad is not None
+    assert peak - after_forward < n_edges * d * 8, peak - after_forward

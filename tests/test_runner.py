@@ -1,15 +1,16 @@
 import json
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+import hgnn_space.designspace as ds
 from hgnn_space.hgraph import GraphError, SyntheticSpec, generate_synthetic, save_graph
 from hgnn_space.model import DesignConfig
-from hgnn_space.runner import (ExperimentPlan, parse_plan, plan_canonical_text,
-                               plan_hash, read_results, run_plan, run_trial_by_id,
-                               save_config_list)
+from hgnn_space.runner import (ExperimentPlan, expand_plan, parse_plan,
+                               plan_canonical_text, plan_hash, read_results, run_plan,
+                               run_trial_by_id, save_config_list)
 
 
 def make_bundle(tmp_path, seed=0):
@@ -159,6 +160,21 @@ def test_run_plan_rejects_a_duplicate_metapath_name_before_any_trial(tmp_path):
     with pytest.raises(GraphError, match="'PAP' is declared more than once"):
         run_plan(plan)
     assert not os.path.exists(plan.out + ".partial")
+
+
+def test_expand_plan_checks_declared_metapaths_whatever_the_sample_draws(tmp_path):
+    plan = ExperimentPlan(graph=str(make_bundle(tmp_path)), task="node_classification",
+                          target="P", space="condensed", n=2, strata_hits=0, seed=18,
+                          metapaths=(("PAP", ("pa", "ap")), ("PAP", ("ap", "pa"))))
+    drawn = ds.sample_controlled(ds.condensed_space(), 2, [], 18,
+                                 metapaths=plan.metapaths)
+    assert all(c.model_family != "Metapath" for c in drawn)
+    with pytest.raises(GraphError, match="'PAP' is declared more than once"):
+        expand_plan(plan)
+    for metapaths, message in [((("PXP", ("pa", "xp")),), "unknown relations"),
+                               ((("PAA", ("pa", "pa")),), "does not chain")]:
+        with pytest.raises(GraphError, match=message):
+            expand_plan(replace(plan, metapaths=metapaths))
 
 
 # ---------------------------------------------------------------------------

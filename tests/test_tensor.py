@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,40 @@ def test_backward_requires_scalar_and_runs_once():
     loss.backward()
     with pytest.raises(TensorError, match="backward called twice"):
         loss.backward()
+
+
+def test_backward_through_a_consumed_node_raises():
+    W = Parameter(np.ones((2, 2)), "W")
+    y = T.matmul(Tensor(np.ones((2, 2))), W)
+    T.tsum(y).backward()
+    with pytest.raises(TensorError, match="backward called twice"):
+        T.tsum(T.mul(y, Tensor(2.0))).backward()
+
+
+def test_an_output_dropped_by_its_caller_dies_before_backward():
+    rng = np.random.default_rng(3)
+    W = param(rng, 3, 4, name="W")
+    b = param(rng, 1, 4, name="b")
+    h = T.matmul(Tensor(rng.standard_normal((5, 3))), W)
+    out = T.add(h, b)
+    h_data = weakref.ref(h.data)
+    del h
+    assert h_data() is None  # the add's node links the matmul's node, not its output
+    T.tsum(out).backward()
+    assert W.grad.shape == (3, 4) and b.grad.shape == (1, 4)
+
+
+def test_backward_releases_captured_arrays_while_the_loss_lives():
+    rng = np.random.default_rng(4)
+    W1, W2 = param(rng, 3, 4, name="W1"), param(rng, 4, 2, name="W2")
+    hidden = T.tanh(T.matmul(Tensor(rng.standard_normal((5, 3))), W1))
+    loss = T.tsum(T.matmul(hidden, W2))
+    captured = weakref.ref(hidden.data)  # read by the tanh and the matmul vjps
+    del hidden
+    assert captured() is not None
+    loss.backward()
+    assert captured() is None
+    assert loss.data.size == 1 and W1.grad is not None and W2.grad is not None
 
 
 def test_loss_independent_of_parameter_gives_no_grad():
@@ -406,6 +442,21 @@ def test_sddmm_zero_pairs_and_bad_inputs():
         T.sddmm(a, b, [2], [0])                          # row out of range
     with pytest.raises(TensorError):
         T.sddmm(a, b, [0], [-1])                         # column out of range
+
+
+@pytest.mark.parametrize("d", [1, 64])
+@pytest.mark.parametrize("n_pairs", [0, 1, T._SDDMM_BLOCK - 1, T._SDDMM_BLOCK,
+                                     T._SDDMM_BLOCK + 1, 3 * T._SDDMM_BLOCK + 5])
+def test_blocked_sddmm_equals_the_one_shot_einsum_bitwise(n_pairs, d):
+    rng = np.random.default_rng(45)
+    a = rng.standard_normal((37, d))
+    b = rng.standard_normal((29, d))
+    rows = rng.integers(0, 37, n_pairs)
+    cols = rng.integers(0, 29, n_pairs)
+    got = T._sddmm(a, b, rows, cols)
+    want = np.einsum("ij,ij->i", a[rows], b[cols])
+    assert got.shape == want.shape == (n_pairs,)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
