@@ -187,6 +187,10 @@ def main(argv=None):
         return args.func(args)
     except GraphError as e:  # any bad user input: one line, status 2, no traceback
         return _error(e)
+    except OSError as e:  # an output path that cannot be written; inputs fail as GraphError
+        if e.filename is None:
+            raise
+        return _error(f"{e.filename}: {e.strerror or e}")
 
 
 if __name__ == "__main__":

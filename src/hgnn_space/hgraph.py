@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,76 +215,154 @@ def save_graph(g: HeteroGraph, path) -> str:
     return path
 
 
+def read_text(path, lines=False):
+    """The text of an input file the user named, or with `lines` its list of
+    lines; a file that cannot be read is a GraphError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.readlines() if lines else fh.read()
+    except OSError as e:
+        raise GraphError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise GraphError(f"{path}: {e}") from None
+
+
+def _loadtxt(rows, dtype):
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+
+
+def _first_bad_row(rows, dtype, error):
+    """(index, error) of the first row numpy cannot parse, given the `error`
+    that parsing all `rows`, which have equal widths, raised. Bisecting
+    needs no row number out of numpy's message."""
+    lo, hi = 0, len(rows)  # rows[:lo] parse; `error` is about rows[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt(rows[lo:mid], dtype)
+            lo = mid
+        except ValueError as e:
+            hi, error = mid, e
+    return lo, error
+
+
+def _read_table(fname, dtype, widths) -> np.ndarray:
+    """The non-blank lines of a comma-separated numeric file as one
+    (rows, max(widths)) array in file order; a row of a narrower allowed
+    width is padded on the right with ones, the default edge count.
+
+    Rows are grouped by their number of cells and each group goes through
+    numpy's C reader once. Any other width, or a cell numpy cannot parse
+    (it accepts no `#` comments and no `1_0` digit groups), is a GraphError
+    naming the file and its 1-based line."""
+    lines = read_text(fname, lines=True)  # never the whole text and its lines at once
+    rows = [line for line in lines if line.strip()]
+    cells = np.array([row.count(",") + 1 for row in rows], dtype=np.int64)
+    width = max(widths)
+    out = None
+    problems = []  # (row index, reason)
+    wrong = np.flatnonzero(np.all(cells[:, None] != widths, axis=1))
+    if wrong.size:
+        want = " or ".join(map(str, widths))
+        problems.append((wrong[0], f"row width {cells[wrong[0]]}, expected {want}"))
+    for w in widths:
+        at = np.flatnonzero(cells == w)
+        if not at.size:
+            continue
+        group = rows if at.size == len(rows) else [rows[i] for i in at]
+        try:
+            values = _loadtxt(group, dtype)
+        except ValueError as e:
+            bad, e = _first_bad_row(group, dtype, e)
+            problems.append((at[bad], re.sub(r"at row \d+, ", "at ", str(e))))
+            continue
+        if at.size == len(rows) and w == width:
+            out = values
+            continue
+        if out is None:
+            out = np.ones((len(rows), width), dtype=dtype)
+        out[at, :w] = values
+    if problems:
+        row, why = min(problems)
+        line = [ln for ln, text in enumerate(lines, 1) if text.strip()][row]
+        raise GraphError(f"{fname}:{line}: {why}")
+    return out if out is not None else np.empty((0, width), dtype=dtype)
+
+
+_KINDS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _get(obj, key, kind, where, default=None):
+    """obj[key] from graph.json, which must be a `kind`."""
+    if not isinstance(obj, dict):
+        raise GraphError(f"{where} must be an object, got {obj!r}")
+    if key not in obj and default is not None:
+        return default
+    if key not in obj:
+        raise GraphError(f"{where} has no key '{key}'")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise GraphError(f"{where}: key '{key}' must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def load_graph(path) -> HeteroGraph:
     path = str(path)
     header_path = os.path.join(path, "graph.json")
-    try:
-        with open(header_path) as fh:
-            header = json.load(fh)
-    except FileNotFoundError:
+    if not os.path.exists(header_path):
         raise GraphError(f"graph bundle '{path}' has no graph.json")
+    try:
+        header = json.loads(read_text(header_path))
     except json.JSONDecodeError as exc:
         raise GraphError(f"malformed graph.json in '{path}': {exc}")
-    if header.get("format") != _FORMAT_TAG:
-        raise GraphError(f"graph.json in '{path}' has unknown format tag "
-                         f"{header.get('format')!r}")
+    where = f"graph.json in '{path}'"
+    tag = _get(header, "format", str, where)
+    if tag != _FORMAT_TAG:
+        raise GraphError(f"{where} has unknown format tag {tag!r}")
 
-    node_types = [NodeType(t["name"], int(t["count"]), int(t["feature_dim"]))
-                  for t in header["node_types"]]
-    relations = [Relation(r["name"], r["src_type"], r["dst_type"])
-                 for r in header["relations"]]
-    type_names = {t.name for t in node_types}
+    node_types = []
+    for i, t in enumerate(_get(header, "node_types", list, where)):
+        at = f"{where}, node_types[{i}]"
+        node_types.append(NodeType(_get(t, "name", str, at), _get(t, "count", int, at),
+                                   _get(t, "feature_dim", int, at)))
+    relations = []
+    for i, r in enumerate(_get(header, "relations", list, where)):
+        at = f"{where}, relations[{i}]"
+        relations.append(Relation(*(_get(r, k, str, at)
+                                    for k in ("name", "src_type", "dst_type"))))
+    by_name = {t.name: t for t in node_types}
 
     edge_lists = {}
     for r in relations:
         fname = os.path.join(path, f"{r.name}.csv")
         if not os.path.exists(fname):
             raise GraphError(f"bundle missing edge file for relation '{r.name}'")
-        rows = []
-        with open(fname) as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) not in (2, 3):
-                    raise GraphError(f"{fname}:{ln}: expected 2 or 3 columns")
-                rows.append([int(p) for p in parts] if len(parts) == 3
-                            else [int(parts[0]), int(parts[1]), 1])
-        edge_lists[r.name] = (np.asarray(rows, dtype=np.int64)
-                              if rows else np.empty((0, 3), dtype=np.int64))
+        edge_lists[r.name] = _read_table(fname, np.int64, (2, 3))  # src,dst[,count]
 
     features = {}
-    for tn, fname in header.get("features", {}).items():
-        if tn not in type_names:
+    files = _get(header, "features", dict, where, default={})
+    for tn in files:
+        full = os.path.join(path, _get(files, tn, str, f"{where}, features"))
+        if tn not in by_name:
             raise GraphError(f"features entry references unknown type '{tn}'")
-        full = os.path.join(path, fname)
         if not os.path.exists(full):
             raise GraphError(f"bundle missing feature file for type '{tn}'")
-        rows = []
-        with open(full) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(p) for p in line.split(",")])
-        t = next(t for t in node_types if t.name == tn)
-        mat = np.asarray(rows, dtype=np.float64) if rows else \
-            np.empty((0, t.feature_dim), dtype=np.float64)
+        t = by_name[tn]
+        mat = _read_table(full, np.float64, (t.feature_dim,))
         if mat.shape[0] != t.count:
             raise GraphError(f"feature file for type '{tn}' has {mat.shape[0]} rows, "
                              f"expected {t.count}")
         features[tn] = mat
 
     labels = {}
-    for tn, fname in header.get("labels", {}).items():
-        if tn not in type_names:
+    files = _get(header, "labels", dict, where, default={})
+    for tn in files:
+        full = os.path.join(path, _get(files, tn, str, f"{where}, labels"))
+        if tn not in by_name:
             raise GraphError(f"labels entry references unknown type '{tn}'")
-        full = os.path.join(path, fname)
         if not os.path.exists(full):
             raise GraphError(f"bundle missing label file for type '{tn}'")
-        with open(full) as fh:
-            vec = [int(line.strip()) for line in fh if line.strip()]
-        labels[tn] = np.asarray(vec, dtype=np.int64)
+        labels[tn] = _read_table(full, np.int64, (1,))[:, 0]
 
     return build_graph(node_types, relations, edge_lists, features, labels)
 

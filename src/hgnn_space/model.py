@@ -80,7 +80,12 @@ def metapaths_from_text(text) -> tuple:
         if not chunk:
             continue
         name, _, rels = chunk.partition(":")
-        out.append((name.strip(), tuple(r.strip() for r in rels.split(",") if r.strip())))
+        name = name.strip()
+        chain = tuple(r.strip() for r in rels.split(",") if r.strip())
+        if not name or not chain:
+            raise GraphError(f"meta-path '{chunk}' in '{text}' needs a name and a "
+                             "chain of relations, as in name:rel,rel")
+        out.append((name, chain))
     return tuple(out)
 
 

@@ -15,7 +15,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from . import designspace as ds
-from .hgraph import GraphError, load_graph
+from .hgraph import GraphError, load_graph, read_text
 from .model import DesignConfig, metapaths_from_text, metapaths_to_text
 from .train import Task, TrialRecord, make_splits, train_trial
 
@@ -44,18 +44,6 @@ _INT_KEYS = {f.name for f in fields(ExperimentPlan) if f.type in ("int", "int | 
 _OPTIONAL_KEYS = {f.name for f in fields(ExperimentPlan) if f.type == "int | None"}
 
 
-def _read_text(path) -> str:
-    """The text of an input file the user named; a file that cannot be read
-    is a GraphError naming it."""
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as e:
-        raise GraphError(f"{path}: {e.strerror or e}") from None
-    except UnicodeDecodeError as e:
-        raise GraphError(f"{path}: {e}") from None
-
-
 def _plan_int(path, ln, key, val):
     if val == "None" and key in _OPTIONAL_KEYS:  # as plan_canonical_text writes it
         return None
@@ -70,7 +58,7 @@ def parse_plan(path) -> ExperimentPlan:
     """Flat key = value text; lists are comma-separated, meta-paths are
     `name:rel,rel` chunks joined by `;`."""
     values = {}
-    for ln, raw in enumerate(_read_text(path).split("\n"), 1):
+    for ln, raw in enumerate(read_text(path).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -101,7 +89,7 @@ def plan_hash(plan: ExperimentPlan) -> str:
 
 def load_config_list(path) -> list:
     try:
-        items = json.loads(_read_text(path))
+        items = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise GraphError(f"{path}: not a JSON config list ({e})") from None
     return [DesignConfig.from_flat(d) for d in items]
@@ -261,7 +249,7 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
 
 def read_results(path) -> list:
     """Records from a results file (finalized or partial), header checked."""
-    lines = _read_text(path).split("\n")
+    lines = read_text(path).split("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError:

@@ -130,6 +130,57 @@ def test_a_file_that_is_not_a_results_file_is_reported_in_one_line(tmp_path, cap
     assert message in _one_line_error(capsys)
 
 
+def _results_file(tmp_path):
+    path = tmp_path / "r.ndrec"
+    records = [{"trial_id": i, "status": "ok", "best_score": 0.5 + i, "split_id": 0,
+                "config": DesignConfig(has_bn=bn).to_flat()}
+               for i, bn in enumerate((True, False))]
+    path.write_text('{"format":"hgnn-space-results/1","plan_hash":"x"}\n'
+                    + "".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["sample", "rank", "edf", "homophily", "run"])
+def test_an_output_path_that_cannot_be_written_is_reported_in_one_line(tmp_path, capsys,
+                                                                       command):
+    blocked = tmp_path / "missing-dir" / "out"
+    argv = {
+        "sample": ["space", "sample", "--n", "2", "--out", str(blocked)],
+        "rank": ["analyze", "rank", "--dim", "has_bn", "--results",
+                 _results_file(tmp_path), "--out-dir", str(tmp_path / "r.ndrec")],
+        "edf": ["analyze", "edf", "--results", _results_file(tmp_path),
+                "--out-dir", str(tmp_path / "r.ndrec")],
+        "homophily": ["analyze", "homophily", "--graph", bundle(tmp_path),
+                      "--metapaths", "PAP:pa,ap", "--out", str(blocked)],
+    }.get(command)
+    if argv is None:  # a plan whose `out` lies in a missing directory
+        cfg_path = tmp_path / "configs.json"
+        save_config_list([DesignConfig(hidden_dim=8, mp_layers=1)], cfg_path)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(f"graph = {bundle(tmp_path)}\ntask = node_classification\n"
+                        f"target = P\nspace = {cfg_path}\nsplits = 1\n"
+                        f"epoch_override = 1\nout = {blocked}\n")
+        argv = ["run", "--plan", str(plan)]
+    assert main(argv) == 2
+    err = _one_line_error(capsys)
+    if command in ("rank", "edf"):  # the directory is an existing file
+        assert err == f"hgnn-space: error: {tmp_path / 'r.ndrec'}: File exists\n"
+    else:
+        partial = ".partial" if command == "run" else ""
+        assert err == (f"hgnn-space: error: {blocked}{partial}: "
+                       "No such file or directory\n")
+
+
+@pytest.mark.parametrize("metapaths", ["PAP", ":", "A:;B:x"])
+def test_a_plan_with_an_empty_metapath_name_or_chain_is_reported_in_one_line(
+        tmp_path, capsys, metapaths):
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"graph = {bundle(tmp_path)}\ntask = node_classification\n"
+                    f"target = P\nmetapaths = {metapaths}\n")
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert f"in '{metapaths}' needs a name and a chain" in _one_line_error(capsys)
+
+
 def test_analyze_errors_exit_with_status_two_in_one_line(tmp_path, capsys):
     assert main(["analyze", "homophily", "--graph", bundle(tmp_path)]) == 2
     assert "nothing to analyze" in _one_line_error(capsys)

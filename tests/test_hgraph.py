@@ -1,12 +1,21 @@
+import contextlib
+import functools
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgnn_space.cli import main
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic, load_graph, save_graph)
+from hgnn_space.model import DesignConfig
+from hgnn_space.runner import save_config_list
 from hgnn_space.sparse import CSRMatrix
 from hgnn_space.transform import MetaPath, compose_metapath, homophily
 
@@ -231,6 +240,200 @@ def test_synthetic_graph_round_trips(tmp_path):
     g = generate_synthetic(_two_type_spec(9, 0.7, 0.1))
     save_graph(g, tmp_path / "b")
     assert load_graph(tmp_path / "b").equals(g)
+
+
+# ---------------------------------------------------------------------------
+# bundle reader contract: accepted rows, located errors, graph.json fields
+# ---------------------------------------------------------------------------
+
+def _raw_bundle(d, edges="0,1\n", features="0.5,1.5\n2.5,3.5\n", labels="0\n1\n"):
+    """A two-node bundle written byte for byte from the given file texts."""
+    d.mkdir()
+    header = {"format": "hgnn-space-graph/1",
+              "node_types": [{"name": "A", "count": 2, "feature_dim": 2}],
+              "relations": [{"name": "aa", "src_type": "A", "dst_type": "A"}],
+              "features": {"A": "A.features.csv"}, "labels": {"A": "A.labels.csv"}}
+    (d / "graph.json").write_text(json.dumps(header))
+    for name, text in (("aa.csv", edges), ("A.features.csv", features),
+                       ("A.labels.csv", labels)):
+        (d / name).write_bytes(text.encode())
+    return d
+
+
+def test_bundle_reader_accepts_two_and_three_column_rows(tmp_path):
+    g = load_graph(_raw_bundle(tmp_path / "two", edges="0,1\n1,1\n0,1\n"))
+    assert g.adjacency["aa"].to_dense().tolist() == [[0, 0], [2, 1]]  # [dst, src]
+    g = load_graph(_raw_bundle(tmp_path / "mixed", edges="0,1,4\n1,1\n1,0,2\n0,1\n"))
+    assert g.adjacency["aa"].to_dense().tolist() == [[0, 2], [5, 1]]
+
+
+def test_bundle_reader_skips_blank_lines_and_accepts_crlf_and_padded_cells(tmp_path):
+    g = load_graph(_raw_bundle(
+        tmp_path / "b",
+        edges="\r\n 0 , 1 , 3 \r\n \t \r\n1,0\r\n",
+        features="  -0.0 ,\t1e-320\r\n\r\n\r\n2.5e300, -inf \r\n   \r\n",
+        labels="\n 1 \r\n\x0c\r\n-1"))
+    assert g.adjacency["aa"].to_dense().tolist() == [[0, 1], [3, 0]]
+    want = np.array([[-0.0, 1e-320], [2.5e300, -np.inf]])
+    assert g.features["A"].tobytes() == want.tobytes()
+    assert g.labels["A"].tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("file,text,line,message", [
+    ("aa.csv", "0,1\n\n1,x\n", 3, "could not convert string 'x'"),
+    ("aa.csv", "0,1\n1,0,1,1\n", 2, "row width 4, expected 2 or 3"),
+    ("aa.csv", "0,1\n1,1,1\n1,0,1,1\n0,#1\n", 3, "row width 4, expected 2 or 3"),
+    ("aa.csv", "0,1\n1,1,1\n0,#1\n1,0,1,1\n", 3, "could not convert string '#1'"),
+    ("aa.csv", "1_0,1\n", 1, "could not convert string '1_0'"),
+    ("aa.csv", "0.0,1\n", 1, "could not convert string '0.0'"),
+    ("aa.csv", "0,99999999999999999999\n", 1, "could not convert"),
+    ("A.features.csv", "0.5,1.5\r\n2.5,abc\r\n", 2, "could not convert string 'abc'"),
+    ("A.features.csv", "0.5,1.5\n# note\n2.5,3.5\n", 2, "row width 1, expected 2"),
+    ("A.features.csv", "0.5,1.5\n\n2.5\n", 3, "row width 1, expected 2"),
+    ("A.features.csv", "0.5,1.5\n2.5,\n", 2, "could not convert string ''"),
+    ("A.labels.csv", "0\n\n\ntwo\n", 4, "could not convert string 'two'"),
+    ("A.labels.csv", "0\n1,1\n", 2, "row width 2, expected 1"),
+], ids=["edge-cell", "edge-width", "first-of-width-and-cell", "first-of-cell-and-width",
+        "digit-groups", "float-id", "int64-overflow", "feature-cell", "feature-comment",
+        "ragged-feature-row", "empty-feature-cell", "label-cell", "label-two-cells"])
+def test_bundle_reader_names_the_file_and_line_of_a_bad_row(tmp_path, file, text, line,
+                                                            message):
+    d = _raw_bundle(tmp_path / "b", **{{"aa.csv": "edges", "A.features.csv": "features",
+                                        "A.labels.csv": "labels"}[file]: text})
+    with pytest.raises(GraphError) as info:
+        load_graph(d)
+    assert str(info.value).startswith(f"{d / file}:{line}: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h.pop("node_types"), "has no key 'node_types'"),
+    (lambda h: h.pop("relations"), "has no key 'relations'"),
+    (lambda h: h.pop("format"), "has no key 'format'"),
+    (lambda h: h["node_types"][0].update(count="2"),
+     "node_types[0]: key 'count' must be an integer, got '2'"),
+    (lambda h: h["node_types"][0].update(count=2.0), "key 'count' must be an integer"),
+    (lambda h: h["node_types"][0].update(feature_dim=True),
+     "key 'feature_dim' must be an integer"),
+    (lambda h: h["node_types"][0].pop("feature_dim"),
+     "node_types[0] has no key 'feature_dim'"),
+    (lambda h: h["relations"].__setitem__(0, ["aa", "A", "A"]),
+     "relations[0] must be an object"),
+    (lambda h: h["relations"][0].update(src_type=None), "key 'src_type' must be a string"),
+    (lambda h: h["features"].update(A=["A.features.csv"]),
+     "features: key 'A' must be a string"),
+    (lambda h: h.update(labels="A.labels.csv"), "key 'labels' must be an object"),
+    (lambda h: h.update(node_types={"A": 2}), "key 'node_types' must be a list"),
+], ids=["no-node-types", "no-relations", "no-format", "string-count", "float-count",
+        "bool-feature-dim", "no-feature-dim", "relation-not-object", "null-src-type",
+        "feature-file-not-string", "labels-not-object", "node-types-not-list"])
+def test_bundle_graph_json_fields_are_checked_by_name(tmp_path, edit, message):
+    d = _raw_bundle(tmp_path / "b")
+    header = json.loads((d / "graph.json").read_text())
+    edit(header)
+    (d / "graph.json").write_text(json.dumps(header))
+    with pytest.raises(GraphError) as info:
+        load_graph(d)
+    assert str(info.value).startswith(f"graph.json in '{d}'")
+    assert message in str(info.value)
+
+
+def test_bundle_graph_json_that_is_not_an_object(tmp_path):
+    d = _raw_bundle(tmp_path / "b")
+    (d / "graph.json").write_text("[1, 2]")
+    with pytest.raises(GraphError, match=r"graph.json in '.*' must be an object"):
+        load_graph(d)
+
+
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                1.7976931348623157e308, -1e300, np.inf, -np.inf,
+                                np.nan, 0.1, 1 / 3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4),
+       st.lists(st.one_of(_SPECIAL_FLOATS, st.floats(width=64)), min_size=20, max_size=20))
+def test_bundle_feature_round_trip_is_bitwise(rows, cols, pool):
+    x = np.array([pool[(i * cols + j) % len(pool)] for i in range(rows)
+                  for j in range(cols)], dtype=np.float64).reshape(rows, cols)
+    # the CSV writes every NaN as `nan`, which reads back as the canonical NaN
+    want = np.where(np.isnan(x), np.nan, x)
+    g = build_graph([("A", rows, cols)], [], {}, features={"A": x})
+    with tempfile.TemporaryDirectory() as d:
+        back = load_graph(save_graph(g, Path(d) / "b")).features["A"]
+    assert back.dtype == np.float64 and back.tobytes() == want.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_base():
+    """File name -> bytes of a small valid bundle and its one-trial plan."""
+    spec = SyntheticSpec(node_types=(("P", 16, 3), ("A", 8, 2)),
+                         relations=(("ap", "A", "P", 24), ("pa", "P", "A", 24)),
+                         target_type="P", num_communities=2, boost=0.9, seed=3)
+    with tempfile.TemporaryDirectory() as d:
+        save_graph(generate_synthetic(spec), d)
+        return {name: (Path(d) / name).read_bytes() for name in sorted(os.listdir(d))}
+
+
+def _key_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield path + (k,)
+            yield from _key_paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _key_paths(v, path + (i,))
+
+
+def _mutate(files, kind, a, b, c):
+    names = sorted(files)
+    if kind == "drop":  # a graph.json key at any depth
+        try:
+            header = json.loads(files["graph.json"])
+        except ValueError:
+            return
+        paths = list(_key_paths(header))
+        *parents, key = paths[a % len(paths)]
+        obj = header
+        for p in parents:
+            obj = obj[p]
+        del obj[key]
+        files["graph.json"] = json.dumps(header).encode()
+        return
+    name = names[a % len(names)]
+    data = bytearray(files[name])
+    if kind == "truncate":
+        del data[b % (len(data) + 1):]
+    elif data:  # flip the bits of `c` in one byte
+        data[b % len(data)] ^= c
+    files[name] = bytes(data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["truncate", "flip", "drop"]),
+                          st.integers(0, 1 << 20), st.integers(0, 1 << 20),
+                          st.integers(1, 255)), min_size=1, max_size=3))
+def test_a_damaged_bundle_runs_or_fails_in_one_line(mutations):
+    files = dict(_fuzz_base())
+    for mutation in mutations:
+        _mutate(files, *mutation)
+    with tempfile.TemporaryDirectory() as d:
+        bundle = Path(d) / "bundle"
+        bundle.mkdir()
+        for name, data in files.items():
+            (bundle / name).write_bytes(data)
+        save_config_list([DesignConfig(hidden_dim=8, mp_layers=1)], Path(d) / "c.json")
+        plan = Path(d) / "plan.cfg"
+        plan.write_text(f"graph = {bundle}\ntask = node_classification\ntarget = P\n"
+                        f"space = {Path(d) / 'c.json'}\nsplits = 1\n"
+                        f"epoch_override = 1\nout = {Path(d) / 'r.ndrec'}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--plan", str(plan)])
+    err = err.getvalue()
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("hgnn-space: error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

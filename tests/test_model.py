@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -474,3 +475,12 @@ def test_metapath_text_round_trip():
     mps = (("PAP", ("pa", "ap")), ("PAPAP", ("pa", "ap", "pa", "ap")))
     assert metapaths_from_text(metapaths_to_text(mps)) == mps
     assert metapaths_from_text("") == ()
+
+
+@pytest.mark.parametrize("text,chunk", [
+    ("PAP", "PAP"), (":", ":"), ("A:;B:x", "A:"), ("PAP:pa,ap; :ap", ":ap"),
+    ("PAP: , ", "PAP: ,"),
+], ids=["no-chain", "colon-only", "empty-chain", "empty-name", "blank-relations"])
+def test_metapath_text_rejects_an_empty_name_or_chain(text, chunk):
+    with pytest.raises(GraphError, match=re.escape(f"meta-path '{chunk}' in '{text}'")):
+        metapaths_from_text(text)
