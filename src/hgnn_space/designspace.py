@@ -50,6 +50,7 @@ class DesignSpace:
                                  f"'{d.when[0]}', which must come before it")
         self.branch_names = tuple(
             sorted({d.when[0] for d in self.dimensions if d.when is not None}))
+        self._tables = {}  # draw tables of sample_assignment, per fixed key
 
     def dim(self, name: str) -> Dimension:
         d = self._by_name.get(name)
@@ -100,11 +101,37 @@ class DesignSpace:
     def sample_assignment(self, rng, fixed=None) -> dict:
         """One assignment, uniform over the valid configurations (optionally
         restricted to those that take the values in `fixed`; a fixed
-        dimension must apply)."""
+        dimension must apply).
+
+        A draw is one `rng.choice` of a branch combination, weighted by its
+        configuration count, then one `rng.integers` over the choice counts
+        of that combination's free dimensions, in dimension order."""
         fixed = dict(fixed or {})
         for name, value in fixed.items():
             if value not in self.dim(name).choices:
                 raise ValueError(f"'{value}' is not a choice of dimension '{name}'")
+        picks, p, free = self._draw_table(fixed)
+        i = int(rng.choice(len(picks), p=p))
+        out = dict(picks[i])
+        for name in fixed:
+            if name not in self.branch_names:
+                out[name] = fixed[name]
+        names, choices, highs = free[i]
+        for name, c, k in zip(names, choices, rng.integers(0, highs)):
+            out[name] = c[k]
+        return out
+
+    def _draw_table(self, fixed):
+        """The branch combinations that agree with `fixed`, their probability
+        vector and, per combination, its free dimensions (names, choices and
+        choice counts). Built once per fixed dimension set and fixed branch
+        choice; the table holds choices of this space only, never a value
+        from `fixed`, so a caller's value is always returned as given."""
+        key = (frozenset(fixed), tuple(self.dim(k).choices.index(fixed[k])
+                                       for k in self.branch_names if k in fixed))
+        table = self._tables.get(key)
+        if table is not None:
+            return table
         combos = [c for c in self._branch_combos()
                   if all(c[k] == fixed[k] for k in c if k in fixed)
                   and all(self.dim(k).applies(c) for k in fixed)]
@@ -112,18 +139,18 @@ class DesignSpace:
             raise ValueError(f"no configuration takes the fixed values {fixed}")
         weights = np.asarray([self._free_count(c, fixed) for c in combos],
                              dtype=np.float64)
-        pick = combos[int(rng.choice(len(combos), p=weights / weights.sum()))]
-        out = {}
-        for d in self.dimensions:
-            if d.name in pick:
-                out[d.name] = pick[d.name]
-            elif not d.applies(out):
-                out[d.name] = None
-            elif d.name in fixed:
-                out[d.name] = fixed[d.name]
-            else:
-                out[d.name] = d.choices[int(rng.integers(0, len(d.choices)))]
-        return out
+        picks, free = [], []
+        for combo in combos:
+            # every dimension in order: branch choices set, the rest None
+            # until a draw or the caller's fixed value fills them
+            pick = {d.name: combo.get(d.name) for d in self.dimensions}
+            dims = [d for d in self.dimensions if d.name not in combo
+                    and d.name not in fixed and d.applies(combo)]
+            picks.append(pick)
+            free.append(([d.name for d in dims], [d.choices for d in dims],
+                         np.array([len(d.choices) for d in dims], dtype=np.int64)))
+        table = self._tables[key] = (picks, weights / weights.sum(), free)
+        return table
 
 
 _UNIQUE_DIMS = (
@@ -203,6 +230,8 @@ def sample_controlled(space: DesignSpace, n: int, strata=(), seed: int = 0,
     declared meta-paths) is stamped into Metapath-family samples.
     """
     strata = tuple(strata)
+    if any(s.hits < 0 for s in strata):
+        raise ValueError("stratum hit counts must not be negative")
     required = sum(s.hits for s in strata)
     if required > n:
         raise ValueError(f"strata require {required} samples but n={n}")
@@ -269,6 +298,9 @@ def validate(cfg: DesignConfig, graph=None) -> list:
                       f"{list(L.ATTENTION_FORMS)}")
     if cfg.task not in _TASKS:
         errors.append(f"task: '{cfg.task}' not in {list(_TASKS)}")
+    if (isinstance(cfg.seed, bool) or not isinstance(cfg.seed, (int, np.integer))
+            or cfg.seed < 0):
+        errors.append(f"seed: '{cfg.seed}' is not a non-negative integer")
 
     if cfg.model_family == "Metapath":
         if not cfg.metapaths:

@@ -14,6 +14,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from . import designspace as ds
 from .hgraph import GraphError, load_graph, read_text
 from .model import DesignConfig, metapaths_from_text, metapaths_to_text
@@ -92,6 +94,10 @@ def load_config_list(path) -> list:
         items = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise GraphError(f"{path}: not a JSON config list ({e})") from None
+    if not isinstance(items, list) or not all(isinstance(d, dict) for d in items):
+        raise GraphError(f"{path}: a config list must be a JSON list of objects")
+    if not items:
+        raise GraphError(f"{path}: the config list is empty")
     return [DesignConfig.from_flat(d) for d in items]
 
 
@@ -101,15 +107,41 @@ def save_config_list(configs, path):
         fh.write("\n")
 
 
+def _check_sampling_keys(plan: ExperimentPlan, cells: int):
+    """`n` and `strata_hits` of a sampled space: at least one config, no
+    negative hit count, and room for every stratum cell's hits."""
+    if plan.n < 1:
+        raise GraphError(f"plan key 'n' must be at least 1, got {plan.n}")
+    if plan.strata_hits < 0:
+        raise GraphError(f"plan key 'strata_hits' must not be negative, "
+                         f"got {plan.strata_hits}")
+    if plan.n < cells * plan.strata_hits:
+        raise GraphError(f"plan keys 'n' and 'strata_hits': strata_hits = "
+                         f"{plan.strata_hits} in each of {cells} strata needs n of at "
+                         f"least {cells * plan.strata_hits}, got n = {plan.n}")
+
+
 def expand_plan(plan: ExperimentPlan):
     """Resolve the plan into (graph, task, splits, configs); integers that
     would break a trial are rejected here, before any trial starts."""
     if plan.splits < 1:
         raise GraphError(f"plan key 'splits' must be at least 1, got {plan.splits}")
+    if plan.seed < 0:
+        raise GraphError(f"plan key 'seed' must not be negative, got {plan.seed}")
     if plan.epoch_override is not None and plan.epoch_override < 0:
         raise GraphError(f"plan key 'epoch_override' must not be negative, "
                          f"got {plan.epoch_override}")
+    sampled = plan.space in ("full", "condensed")
+    if sampled:
+        space = ds.full_space() if plan.space == "full" else ds.condensed_space()
+        strata = ds.default_strata(space, plan.strata_hits)
+        _check_sampling_keys(plan, len(strata))
     graph = load_graph(plan.graph)
+    for node_type, x in graph.features.items():
+        if not np.isfinite(x).all():
+            row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+            raise GraphError(f"graph '{plan.graph}': node type '{node_type}' has a "
+                             f"non-finite feature in row {row}")
     if plan.task == "node_classification":
         labels = graph.labels.get(plan.target)
         if labels is None:
@@ -129,9 +161,7 @@ def expand_plan(plan: ExperimentPlan):
     if problems:
         raise GraphError("plan key 'metapaths' is invalid: " + "; ".join(problems))
 
-    if plan.space in ("full", "condensed"):
-        space = ds.full_space() if plan.space == "full" else ds.condensed_space()
-        strata = ds.default_strata(space, plan.strata_hits)
+    if sampled:
         configs = ds.sample_controlled(space, plan.n, strata, plan.seed,
                                        metapaths=plan.metapaths)
     else:
@@ -139,10 +169,13 @@ def expand_plan(plan: ExperimentPlan):
 
     resolved = []
     for i, cfg in enumerate(configs):
-        extra = {"task": plan.task}
-        if cfg.model_family == "Metapath" and not cfg.metapaths:
+        extra = {}
+        if cfg.task != plan.task:
+            extra["task"] = plan.task
+        if cfg.model_family == "Metapath" and not cfg.metapaths and plan.metapaths:
             extra["metapaths"] = plan.metapaths
-        cfg = cfg.with_values(**extra)
+        if extra:
+            cfg = cfg.with_values(**extra)
         problems = ds.validate(cfg, graph)
         if problems:
             raise GraphError(f"config {i} is invalid: " + "; ".join(problems))
@@ -192,6 +225,8 @@ def _read_partial(path, expect_hash):
         try:
             header = json.loads(first)
         except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict):
             return {}
         if header.get("plan_hash") != expect_hash:
             raise GraphError(
@@ -204,8 +239,8 @@ def _read_partial(path, expect_hash):
             try:
                 d = json.loads(line)
                 done[int(d["trial_id"])] = line
-            except (json.JSONDecodeError, KeyError, ValueError):
-                continue  # truncated trailing line: rerun that trial
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                continue  # a truncated or damaged line: rerun that trial
     return done
 
 
@@ -260,7 +295,29 @@ def read_results(path) -> list:
     for ln, line in enumerate(lines[1:], 2):
         if line.strip():
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
                 raise GraphError(f"{path}:{ln}: not a JSON record") from None
+            problem = _record_problem(record)
+            if problem:
+                raise GraphError(f"{path}:{ln}: {problem}")
+            records.append(record)
     return records
+
+
+# the record keys the analyses read, with the JSON types they must have
+_RECORD_KEYS = (("trial_id", int), ("split_id", int), ("status", str),
+                ("best_score", (int, float, type(None))), ("config", dict))
+
+
+def _record_problem(record):
+    if not isinstance(record, dict):
+        return "a record must be a JSON object"
+    for key, types in _RECORD_KEYS:
+        if key not in record:
+            return f"record has no key '{key}'"
+        if isinstance(record[key], bool) or not isinstance(record[key], types):
+            return f"record key '{key}' has the wrong JSON type"
+    if any(isinstance(v, (dict, list)) for v in record["config"].values()):
+        return "record key 'config' must map each field to a single value"
+    return None

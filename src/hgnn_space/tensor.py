@@ -11,7 +11,8 @@ value dies as soon as neither the caller nor a pending closure reads it.
 
 `backward` replays the recorded graph once in reverse topological order,
 dropping each closure and each intermediate gradient as soon as it has run.
-Only leaves receive `.grad`. 64-bit floats throughout.
+Only leaves receive `.grad`. Inside `no_grad()` nothing is recorded, which
+is how evaluation forwards run. 64-bit floats throughout.
 
 One structure groups edges by endpoint: a `SegmentIndex` serves the
 gathers (whose backward is a segment sum), the segment reductions and the
@@ -19,6 +20,9 @@ CSR patterns of the sparse-dense and sampled dense-dense products.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,8 +184,30 @@ def backward(loss: Tensor):
                 parent.grad = parent.grad + gin
 
 
+class _GradMode(threading.local):
+    recording = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape nodes in this thread inside the block: every primitive
+    returns a plain tensor that needs no gradient. The previous mode comes
+    back on exit, also when the block raises."""
+    before = _GRAD_MODE.recording
+    _GRAD_MODE.recording = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.recording = before
+
+
 def _make(data, parents, vjp):
     out = Tensor(data)
+    if not _GRAD_MODE.recording:
+        return out
     links = [p._node or (p if p.requires_grad else None) for p in parents]
     if links.count(None) < len(links):
         out.requires_grad = True

@@ -289,8 +289,7 @@ def _val_score(out, graph, task, split, val_negs):
         preds = np.argmax(out.data[split.val], axis=1)
         return macro_f1(preds, graph.labels[task.target][split.val], task.num_classes)
     rel = graph.relation(task.target)
-    # detached: the scores feed no gradient
-    h_src, h_dst = Tensor(out[rel.src_type].data), Tensor(out[rel.dst_type].data)
+    h_src, h_dst = out[rel.src_type], out[rel.dst_type]
     pos = score_links(h_src, h_dst, split.val[:, 0], split.val[:, 1]).data[:, 0]
     neg = score_links(h_src, h_dst, val_negs[:, 0], val_negs[:, 1]).data[:, 0]
     scores = np.concatenate([pos, neg])
@@ -359,8 +358,13 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
         trains = epoch < n_epochs
         # one pass: this epoch's training forward scores the last step's parameters
-        out = forward(True, drop_rng) if one_pass and trains else forward(False)
-        score = _val_score(out, graph, task, split, val_negs)
+        if one_pass and trains:
+            out = forward(True, drop_rng)
+        else:
+            with T.no_grad():
+                out = forward(False)
+        with T.no_grad():  # the scores feed no gradient
+            score = _val_score(out, graph, task, split, val_negs)
         if not np.isfinite(score):
             status = "failed"
             if epoch == 0:

@@ -1,17 +1,24 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hgnn_space
 
 from hgnn_space.cli import main
-from hgnn_space.hgraph import SyntheticSpec, generate_synthetic, save_graph
+from hgnn_space.hgraph import GraphError, SyntheticSpec, generate_synthetic, save_graph
 from hgnn_space.model import DesignConfig
-from hgnn_space.runner import save_config_list
+from hgnn_space.runner import parse_plan, save_config_list
 
 
 def bundle(tmp_path):
@@ -51,7 +58,8 @@ def test_space_sample_writes_configs(tmp_path, capsys):
     (["--expand-dim", "nosuch"], "unknown design dimension 'nosuch'"),
     (["--expand-dim", "macro_agg"], "dimension 'macro_agg' does not apply"),
     (["--strata-hits", "2"], "strata require 24 samples but n=6"),
-], ids=["unknown-dim", "inapplicable-dim", "strata-over-n"])
+    (["--strata-hits", "-1"], "stratum hit counts must not be negative"),
+], ids=["unknown-dim", "inapplicable-dim", "strata-over-n", "negative-hits"])
 def test_space_sample_reports_a_bad_request_in_one_line(tmp_path, capsys, args,
                                                         message):
     out = tmp_path / "c.json"
@@ -104,7 +112,10 @@ def test_a_plan_that_is_not_utf8_is_reported_in_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("content,message", [
     (None, "No such file or directory"),
     ("not json\n", "not a JSON config list"),
-], ids=["missing", "garbage"])
+    ('{"seed": 1}\n', "a config list must be a JSON list of objects"),
+    ("[1]\n", "a config list must be a JSON list of objects"),
+    ("[]\n", "the config list is empty"),
+], ids=["missing", "garbage", "object", "list-of-numbers", "empty"])
 def test_a_bad_config_list_is_reported_in_one_line(tmp_path, capsys, content, message):
     configs = tmp_path / "configs.json"
     if content is not None:
@@ -116,12 +127,38 @@ def test_a_bad_config_list_is_reported_in_one_line(tmp_path, capsys, content, me
     assert f"{configs}: {message}" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+def test_a_config_seed_that_is_not_a_non_negative_integer_is_reported_in_one_line(
+        tmp_path, capsys, seed):
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps([{"hidden_dim": 8, "mp_layers": 1, "seed": seed}]))
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"graph = {bundle(tmp_path)}\ntask = node_classification\n"
+                    f"target = P\nspace = {configs}\nsplits = 1\nepoch_override = 0\n"
+                    f"out = {tmp_path / 'r.ndrec'}\n")
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == (
+        f"hgnn-space: error: config 0 is invalid: seed: '{seed}' is not a "
+        "non-negative integer\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ("", "is not a results file"),
     ("not json\n", "is not a results file"),
     ("[1, 2]\n", "is not a results file"),
     ('{"format":"hgnn-space-results/1"}\n{"trial_id": 0, "conf\n', ":2: not a JSON record"),
-], ids=["empty", "garbage", "json-list", "truncated-record"])
+    ('{"format":"hgnn-space-results/1"}\n[1]\n', ":2: a record must be a JSON object"),
+    ('{"format":"hgnn-space-results/1"}\n\n{"trial_id": 0, "split_id": 0, "status": "ok", '
+     '"config": {}}\n', ":3: record has no key 'best_score'"),
+    ('{"format":"hgnn-space-results/1"}\n{"trial_id": 0, "split_id": 0, "status": "ok", '
+     '"best_score": "0.5", "config": {}}\n', ":2: record key 'best_score' has the wrong"),
+    ('{"format":"hgnn-space-results/1"}\n{"trial_id": 0, "split_id": true, "status": "ok", '
+     '"best_score": 0.5, "config": {}}\n', ":2: record key 'split_id' has the wrong"),
+    ('{"format":"hgnn-space-results/1"}\n{"trial_id": 0, "split_id": 0, "status": "ok", '
+     '"best_score": 0.5, "config": {"has_bn": [true]}}\n',
+     ":2: record key 'config' must map each field to a single value"),
+], ids=["empty", "garbage", "json-list", "truncated-record", "record-not-object",
+        "record-without-score", "string-score", "bool-split", "list-in-config"])
 def test_a_file_that_is_not_a_results_file_is_reported_in_one_line(tmp_path, capsys,
                                                                     text, message):
     path = tmp_path / "r.ndrec"
@@ -179,6 +216,54 @@ def test_a_plan_with_an_empty_metapath_name_or_chain_is_reported_in_one_line(
                     f"target = P\nmetapaths = {metapaths}\n")
     assert main(["run", "--plan", str(plan)]) == 2
     assert f"in '{metapaths}' needs a name and a chain" in _one_line_error(capsys)
+
+
+def _sampled_plan(tmp_path, graph, **keys):
+    plan = tmp_path / "plan.cfg"
+    lines = [f"graph = {graph}", "task = node_classification", "target = P",
+             "space = condensed", "splits = 1", "epoch_override = 0",
+             f"out = {tmp_path / 'r.ndrec'}"]
+    plan.write_text("\n".join(lines + [f"{k} = {v}" for k, v in keys.items()]) + "\n")
+    return plan
+
+
+@pytest.mark.parametrize("keys,message", [
+    ({"n": 10, "strata_hits": 2},
+     "plan keys 'n' and 'strata_hits': strata_hits = 2 in each of 12 strata needs "
+     "n of at least 24, got n = 10"),
+    ({"n": 2, "strata_hits": -1}, "plan key 'strata_hits' must not be negative, got -1"),
+    ({"n": 0, "strata_hits": 0}, "plan key 'n' must be at least 1, got 0"),
+], ids=["strata-over-n", "negative-hits", "zero-n"])
+def test_a_bad_sampling_key_is_reported_in_one_line_before_any_trial(tmp_path, capsys,
+                                                                     keys, message):
+    plan = _sampled_plan(tmp_path, bundle(tmp_path), **keys)
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == f"hgnn-space: error: {message}\n"
+    assert not (tmp_path / "r.ndrec.partial").exists()
+    assert not (tmp_path / "r.ndrec").exists()
+
+
+@pytest.mark.parametrize("node_type,row,value", [("P", 3, np.inf), ("A", 0, np.nan),
+                                                 ("P", 39, -np.inf)],
+                         ids=["inf", "nan", "minus-inf-last-row"])
+def test_a_non_finite_feature_is_reported_in_one_line_before_any_trial(
+        tmp_path, capsys, node_type, row, value):
+    spec = SyntheticSpec(
+        node_types=(("P", 40, 8), ("A", 20, 8)),
+        relations=(("ap", "A", "P", 90), ("pa", "P", "A", 90)),
+        target_type="P", num_communities=4, boost=1.0, noise=0.0, seed=1)
+    g = generate_synthetic(spec)
+    x = g.features[node_type].copy()
+    x[row, 2] = value
+    x[row + 1:, 0] = np.nan  # later bad rows are not named
+    g.features[node_type] = x
+    graph = save_graph(g, tmp_path / "bundle")
+    plan = _sampled_plan(tmp_path, graph, n=2, strata_hits=0)
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == (
+        f"hgnn-space: error: graph '{graph}': node type '{node_type}' has a "
+        f"non-finite feature in row {row}\n")
+    assert not (tmp_path / "r.ndrec.partial").exists()
 
 
 def test_analyze_errors_exit_with_status_two_in_one_line(tmp_path, capsys):
@@ -284,3 +369,162 @@ def test_importing_the_package_keeps_freed_memory_unless_set(preset, kept):
                          env=env, capture_output=True, text=True, check=True)
     faults = int(out.stdout)
     assert faults < 100 if kept else faults > 5000
+
+
+# ---------------------------------------------------------------------------
+# fuzzed plan files, config lists and results files
+# ---------------------------------------------------------------------------
+
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(["truncate", "flip", "drop"]),
+                                st.integers(0, 1 << 20), st.integers(0, 1 << 20),
+                                st.integers(1, 255)), min_size=1, max_size=3)
+
+
+def _fuzz_plan(d, space):
+    """A plan on `space` as (mutable body, fixed tail): the last value of a
+    key wins, so `graph` and `out` always name files in `d`."""
+    space = d / space if space.endswith(".json") else space
+    body = (f"task = node_classification\ntarget = P\nspace = {space}\nn = 2\n"
+            "strata_hits = 0\nsplits = 1\nseed = 13\nnum_classes = 2\n"
+            "metapaths = PAP:pa,ap\nepoch_override = 1\n")
+    return body.encode(), f"graph = {d / 'bundle'}\nout = {d / 'r.ndrec'}\n".encode()
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_inputs():
+    """Bytes of a 16/8-node bundle, a two-config list and the results file of
+    one run of it: the unmutated inputs of the harness."""
+    spec = SyntheticSpec(node_types=(("P", 16, 3), ("A", 8, 2)),
+                         relations=(("ap", "A", "P", 24), ("pa", "P", "A", 24)),
+                         target_type="P", num_communities=2, boost=0.9, seed=3)
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        save_graph(generate_synthetic(spec), d / "bundle")
+        save_config_list([DesignConfig(hidden_dim=8, mp_layers=1, has_bn=bn, seed=15)
+                          for bn in (True, False)], d / "c.json")
+        (d / "plan.cfg").write_bytes(b"".join(_fuzz_plan(d, "c.json")))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--plan", str(d / "plan.cfg")]) == 0
+        return ({p.name: p.read_bytes() for p in (d / "bundle").iterdir()},
+                (d / "c.json").read_bytes(), (d / "r.ndrec").read_bytes())
+
+
+def _drop_key(text, pick):
+    """Delete one key, at any depth, of a JSON text; other text is kept."""
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        return text
+    paths = []
+
+    def walk(o, path):
+        for k, v in (o.items() if isinstance(o, dict) else
+                     enumerate(o) if isinstance(o, list) else ()):
+            if isinstance(o, dict):
+                paths.append(path + (k,))
+            walk(v, path + (k,))
+
+    walk(obj, ())
+    if not paths:
+        return text
+    *parents, key = paths[pick % len(paths)]
+    inner = obj
+    for p in parents:
+        inner = inner[p]
+    del inner[key]
+    return json.dumps(obj).encode()
+
+
+def _mutate(data, mutations, drop):
+    """Per mutation, truncate one line, flip bits of one of its bytes, or
+    `drop(data, a, b)` a line or a key."""
+    for kind, a, b, c in mutations:
+        if kind == "drop":
+            data = drop(data, a, b)
+            continue
+        lines = data.split(b"\n")
+        i = a % len(lines)
+        line = lines[i]
+        if kind == "truncate":
+            lines[i] = line[:b % (len(line) + 1)]
+        elif line:  # flip the bits of `c` in one byte
+            j = b % len(line)
+            lines[i] = line[:j] + bytes([line[j] ^ c]) + line[j + 1:]
+        data = b"\n".join(lines)
+    return data
+
+
+def _drop_line(data, a, b):
+    lines = data.split(b"\n")
+    del lines[a % len(lines)]
+    return b"\n".join(lines)
+
+
+def _drop_record_key(data, a, b):
+    lines = data.split(b"\n")
+    i = a % len(lines)
+    lines[i] = _drop_key(lines[i], b)
+    return b"\n".join(lines)
+
+
+def _runs_or_fails_in_one_line(write, argv):
+    """Write the inputs into a fresh directory `d` and run `argv` (formatted
+    with `d`): it must succeed or fail in one `hgnn-space: error:` line."""
+    bundle_files, _, _ = _fuzz_inputs()
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "bundle").mkdir()
+        for name, data in bundle_files.items():
+            (d / "bundle" / name).write_bytes(data)
+        write(d)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([a.format(d=d) for a in argv])
+    err = err.getvalue()
+    assert code in (0, 2) and "Traceback" not in err, err
+    if code == 2:
+        assert err.startswith("hgnn-space: error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["c.json", "condensed"]), _MUTATIONS)
+def test_a_damaged_plan_runs_or_fails_in_one_line(space, mutations):
+    """Lines of the plan are cut, flipped or dropped. A damaged plan that
+    still parses into more than 8 trials or more than one epoch is a valid
+    long run, not an input error, so it is not run."""
+    def write(d):
+        body, tail = _fuzz_plan(d, space)
+        (d / "c.json").write_bytes(_fuzz_inputs()[1])
+        path = d / "plan.cfg"
+        path.write_bytes(_mutate(body, mutations, _drop_line) + tail)
+        try:
+            plan = parse_plan(path)
+        except GraphError:
+            return
+        trials = plan.splits * (plan.n if plan.space in ("full", "condensed") else 2)
+        assume(plan.epoch_override is not None and plan.epoch_override <= 1
+               and trials <= 8)
+
+    _runs_or_fails_in_one_line(write, ["run", "--plan", "{d}/plan.cfg"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_MUTATIONS)
+def test_a_damaged_config_list_runs_or_fails_in_one_line(mutations):
+    def write(d):
+        (d / "c.json").write_bytes(_mutate(_fuzz_inputs()[1], mutations,
+                                           lambda data, a, b: _drop_key(data, b)))
+        (d / "plan.cfg").write_bytes(b"".join(_fuzz_plan(d, "c.json")))
+
+    _runs_or_fails_in_one_line(write, ["run", "--plan", "{d}/plan.cfg"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_MUTATIONS)
+def test_a_damaged_results_file_ranks_or_fails_in_one_line(mutations):
+    def write(d):
+        (d / "r.ndrec").write_bytes(_mutate(_fuzz_inputs()[2], mutations,
+                                            _drop_record_key))
+
+    _runs_or_fails_in_one_line(write, ["analyze", "rank", "--dim", "has_bn", "--results",
+                                       "{d}/r.ndrec", "--out-dir", "{d}/analysis"])

@@ -143,6 +143,83 @@ def test_condensed_subset_of_full():
 
 
 # ---------------------------------------------------------------------------
+# draw tables: same draws and generator state as the per-draw rebuild
+# ---------------------------------------------------------------------------
+
+def _reference_sample_assignment(space, rng, fixed=None):
+    """The table-free draw: rebuild the branch combinations and their weights,
+    then one scalar `rng.integers` per free dimension."""
+    fixed = dict(fixed or {})
+    for name, value in fixed.items():
+        if value not in space.dim(name).choices:
+            raise ValueError(f"'{value}' is not a choice of dimension '{name}'")
+    combos = [c for c in space._branch_combos()
+              if all(c[k] == fixed[k] for k in c if k in fixed)
+              and all(space.dim(k).applies(c) for k in fixed)]
+    if not combos:
+        raise ValueError(f"no configuration takes the fixed values {fixed}")
+    weights = np.asarray([space._free_count(c, fixed) for c in combos],
+                         dtype=np.float64)
+    pick = combos[int(rng.choice(len(combos), p=weights / weights.sum()))]
+    out = {}
+    for d in space.dimensions:
+        if d.name in pick:
+            out[d.name] = pick[d.name]
+        elif not d.applies(out):
+            out[d.name] = None
+        elif d.name in fixed:
+            out[d.name] = fixed[d.name]
+        else:
+            out[d.name] = d.choices[int(rng.integers(0, len(d.choices)))]
+    return out
+
+
+def _when_rule_space():
+    return ds.DesignSpace([
+        ds.Dimension("optimizer", ("Adam", "SGD")),
+        ds.Dimension("lr", (0.1, 0.01), when=("optimizer", ("SGD",))),
+        ds.Dimension("momentum", (0.0, 0.9)),
+    ])
+
+
+def _fixed_cases(space):
+    """No fixed value, every stratum's fixed pair (or every branch choice of
+    a space without strata) and one fixed non-branch value."""
+    cases = [None]
+    if space.branch_names == ("model_family",):  # the paper's spaces
+        cases += [{"model_family": s.model_family, "micro_conv": s.micro_conv}
+                  for s in ds.default_strata(space)]
+        cases.append({"activation": space.dim("activation").choices[-1]})
+    else:
+        cases += [{"optimizer": "Adam"}, {"optimizer": "SGD"}, {"lr": 0.01},
+                  {"momentum": 0.9}]
+    return cases
+
+
+@pytest.mark.parametrize("make", [ds.full_space, ds.condensed_space, _when_rule_space],
+                         ids=["full", "condensed", "when-rule"])
+def test_table_draws_equal_the_reference_draws_and_generator_state(make):
+    space = make()
+    cases = _fixed_cases(space)
+    for seed in range(200):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for fixed in cases:
+            got = space.sample_assignment(got_rng, fixed=fixed)
+            want = _reference_sample_assignment(space, want_rng, fixed)
+            assert got == want and list(got) == list(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_a_fixed_value_is_returned_as_the_caller_gave_it():
+    space = ds.full_space()
+    rng = np.random.default_rng(0)
+    one = space.sample_assignment(rng, fixed={"has_bn": 1})
+    true = space.sample_assignment(rng, fixed={"has_bn": True})
+    assert type(one["has_bn"]) is int and one["has_bn"] == 1
+    assert true["has_bn"] is True
+
+
+# ---------------------------------------------------------------------------
 # controlled sampling
 # ---------------------------------------------------------------------------
 
@@ -177,6 +254,8 @@ def test_sample_infeasible_strata():
     space = ds.full_space()
     with pytest.raises(ValueError, match="strata require"):
         ds.sample_controlled(space, 5, ds.default_strata(space, 2), seed=0)
+    with pytest.raises(ValueError, match="must not be negative"):
+        ds.sample_controlled(space, 2, ds.default_strata(space, -1), seed=0)
 
 
 def test_sample_seeds_differ_per_config():

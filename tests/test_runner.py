@@ -142,7 +142,7 @@ def test_plan_hash_is_pinned():
 
 
 @pytest.mark.parametrize("key,value", [("num_classes", 2), ("epoch_override", -1),
-                                       ("splits", 0)])
+                                       ("splits", 0), ("seed", -1)])
 def test_run_plan_rejects_a_bad_integer_before_any_trial(tmp_path, key, value):
     plan = make_plan(tmp_path, **{key: value})  # the bundle has 4 classes
     with pytest.raises(GraphError, match=key):
@@ -231,6 +231,23 @@ def test_resume_completes_missing_and_keeps_done(tmp_path):
     done_ids = sorted(json.loads(l)["trial_id"] for l in after[1:]
                       if _parses(l))
     assert done_ids == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("damage", ["header", "records"])
+def test_resume_reruns_what_a_damaged_partial_file_loses(tmp_path, damage):
+    plan = make_plan(tmp_path)
+    out = run_plan(plan)
+    want = open(out, "rb").read()
+    partial = out + ".partial"
+    lines = open(partial).read().splitlines()
+    if damage == "header":  # JSON, but not an object: nothing is kept
+        lines[0] = "[1]"
+    else:  # JSON records of the wrong shape: those trials rerun
+        lines[1:3] = ["[0]", '{"trial_id": [1]}']
+    open(partial, "w").write("\n".join(lines) + "\n")
+    os.remove(out)
+    run_plan(plan, resume=True)
+    assert open(out, "rb").read() == want
 
 
 def _parses(line):

@@ -77,6 +77,56 @@ def test_batch_norm_training_statistics():
     assert np.allclose(out.data.var(axis=0), expect, atol=1e-12)
 
 
+def _product(w):
+    return T.tsum(T.matmul(Tensor(np.ones((1, 2))), w))
+
+
+def test_no_grad_records_nothing_and_restores_the_previous_mode():
+    w = Parameter(np.ones((2, 2)), "w")
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        y = _product(w)  # still off after the inner block
+        assert y._node is None and y._vjp is None and not y.requires_grad
+    assert _product(w)._node is not None
+    with pytest.raises(RuntimeError, match="boom"):
+        with T.no_grad():
+            raise RuntimeError("boom")
+    assert _product(w)._node is not None
+
+
+def test_backward_on_a_no_grad_output_raises():
+    w = Parameter(np.ones((2, 2)), "w")
+    with T.no_grad():
+        loss = _product(w)
+    with pytest.raises(TensorError, match="does not require gradients"):
+        loss.backward()
+    assert w.grad is None
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_under_no_grad_matches_the_taped_op(training):
+    rng = np.random.default_rng(4)
+    x = Parameter(rng.standard_normal((16, 3)) * 3.0 + 1.0, "x")
+    gamma, beta = Parameter(rng.standard_normal((1, 3)), "g"), Parameter(
+        rng.standard_normal((1, 3)), "b")
+    taped, untaped = BatchNormState(3), BatchNormState(3)
+    for state in (taped, untaped):
+        state.running_mean = np.full(3, 0.5)
+        state.running_var = np.full(3, 2.0)
+    want = T.batch_norm(x, gamma, beta, taped, training)
+    with T.no_grad():
+        got = T.batch_norm(x, gamma, beta, untaped, training)
+    assert got._node is None and want._node is not None
+    assert got.data.tobytes() == want.data.tobytes()
+    for a, b in ((untaped.running_mean, taped.running_mean),
+                 (untaped.running_var, taped.running_var)):
+        assert a.tobytes() == b.tobytes()
+    if not training:  # evaluation reads the running statistics and keeps them
+        assert untaped.running_mean.tolist() == [0.5] * 3
+        assert untaped.running_var.tolist() == [2.0] * 3
+
+
 def test_matmul_shape_errors():
     with pytest.raises(TensorError, match="shape mismatch"):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))

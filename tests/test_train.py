@@ -528,6 +528,30 @@ def assert_same_trial(cfg, kind, max_epochs, reset=lambda: None):
     return got
 
 
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+@pytest.mark.parametrize("has_bn", [False, True])
+def test_an_evaluation_forward_records_no_tape_nodes(monkeypatch, kind, has_bn):
+    made = []
+
+    class CountingNode(T._Node):
+        __slots__ = ()
+
+        def __init__(self, parents, vjp):
+            made.append(1)
+            super().__init__(parents, vjp)
+
+    monkeypatch.setattr(T, "_Node", CountingNode)
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task, split = _task_and_split(kind, g)
+    cfg = DesignConfig(hidden_dim=16, has_bn=has_bn, seed=5, task=task.kind,
+                       **FAMILY_POINTS["Relation"])
+    rec = train_trial(cfg, g, split, task, max_epochs=0)  # one evaluation pass
+    assert rec.status == "ok" and len(rec.history["val_score"]) == 1
+    assert made == []
+    train_trial(cfg, g, split, task, max_epochs=1)  # training still records
+    assert made
+
+
 @pytest.mark.parametrize("max_epochs", [0, 4])
 @pytest.mark.parametrize("kind", ["NC", "LP"])
 @pytest.mark.parametrize("has_bn", [False, True])
