@@ -1,10 +1,13 @@
 """Golden records: a refactor that keeps the arithmetic must leave the
 finalized results byte-identical.
 
-A small plan per task runs end to end on a 60/30-node bundle: one node
-classification config per (model family, micro convolution) cell plus the
-relation-aware SimpleHGN attention, and three link-prediction configs, 2
-epochs each. The sha256 of each finalized body (the lines after the header,
+Three small plans run end to end, 2 epochs each. On a 60/30-node bundle:
+one node classification config per (model family, micro convolution) cell
+plus the relation-aware SimpleHGN attention, and three link-prediction
+configs. On a 40/20-node bundle whose two P->P relations share some cells:
+every family with two and three pre-process layers and PReLU, so extra
+pre-process layers and a homogenized cell that two relations share are
+pinned too. The sha256 of each finalized body (the lines after the header,
 which names file paths) must equal the digest committed below. The digests
 hold only for the numpy and scipy versions and the machine type they were
 recorded with; elsewhere the test skips.
@@ -32,6 +35,7 @@ RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64"}
 DIGESTS = {
     "link_prediction": "c3cfff8a28d55435439a97547d9ac8938fe221c57aa5253da96f692a1c88a84f",
     "node_classification": "9ee738d16230d8ad1517da4e843643b1f07f6c2c26bfe9ad0def7f4691084efc",
+    "shared_cells": "4bd86bebf524bb745eca74ec1cab79b95fc92f944b534c99f420004ca5fedd2d",
 }
 
 METAPATHS = (("PAP", ("pa", "ap")), ("APA", ("ap", "pa")))
@@ -72,21 +76,64 @@ def _lp_configs():
     ]
 
 
-def body_digest(task, workdir) -> str:
-    """Run the task's plan under `workdir`; sha256 of the finalized body."""
-    workdir = Path(workdir)
+SHARED_METAPATHS = (("PcP", ("cites",)), ("PrP", ("refs",)), ("PAP", ("pa", "ap")))
+
+
+def _shared_cells_graph():
+    """P and featureless A; `cites` and `refs` are both P -> P, and some
+    (destination, source) cells carry an edge of each."""
+    return generate_synthetic(SyntheticSpec(
+        node_types=(("P", 40, 6), ("A", 20, 0)),
+        relations=(("cites", "P", "P", 120), ("refs", "P", "P", 120),
+                   ("ap", "A", "P", 60), ("pa", "P", "A", 60)),
+        target_type="P", num_communities=4, seed=7))
+
+
+def _shared_cells_configs():
+    """Each family at pre_layers 2 and 3 with PReLU, and the SimpleHGN
+    attention that reads each fused edge's relation index."""
+    out = []
+    for k in range(6):
+        family = FAMILIES[k // 2]
+        out.append(DesignConfig(
+            model_family=family, micro_conv=MICRO_KINDS[k % 4],
+            macro_agg=None if family == "Homogenization" else MACROS[k % 4],
+            has_bn=k % 2 == 1, dropout_p=0.3 if k % 3 == 0 else 0.0,
+            activation="PReLU", connectivity=CONNECTIVITIES[k % 3],
+            pre_layers=2 + k % 2, mp_layers=2, hidden_dim=8, seed=30 + k))
+    for pre in (2, 3):
+        out.append(DesignConfig(model_family="Homogenization", micro_conv="GATConv",
+                                macro_agg=None, attention_form="SimpleHGN",
+                                activation="PReLU", pre_layers=pre, hidden_dim=8,
+                                seed=34 + pre))
+    return out
+
+
+def _plan_inputs(name):
+    """(graph, task, target, meta-paths, configs) of a golden plan."""
+    if name == "shared_cells":
+        return (_shared_cells_graph(), "node_classification", "P", SHARED_METAPATHS,
+                _shared_cells_configs())
     graph = generate_synthetic(SyntheticSpec(
         node_types=(("P", 60, 8), ("A", 30, 8)),
         relations=(("ap", "A", "P", 150), ("pa", "P", "A", 150)),
         target_type="P", num_communities=4, seed=3))
+    if name == "node_classification":
+        return graph, name, "P", METAPATHS, _nc_configs()
+    return graph, name, "ap", METAPATHS, _lp_configs()
+
+
+def body_digest(name, workdir) -> str:
+    """Run the named plan under `workdir`; sha256 of the finalized body."""
+    workdir = Path(workdir)
+    graph, task, target, metapaths, configs = _plan_inputs(name)
     bundle = save_graph(graph, workdir / "bundle")
-    configs = workdir / f"{task}.json"
-    nc = task == "node_classification"
-    save_config_list(_nc_configs() if nc else _lp_configs(), configs)
+    config_path = workdir / f"{name}.json"
+    save_config_list(configs, config_path)
     out = run_plan(ExperimentPlan(
-        graph=bundle, task=task, target="P" if nc else "ap", space=str(configs),
-        splits=2, seed=5, metapaths=METAPATHS, epoch_override=2,
-        out=str(workdir / f"{task}.ndrec")))
+        graph=bundle, task=task, target=target, space=str(config_path),
+        splits=2, seed=5, metapaths=metapaths, epoch_override=2,
+        out=str(workdir / f"{name}.ndrec")))
     body = Path(out).read_bytes().split(b"\n", 1)[1]
     return hashlib.sha256(body).hexdigest()
 
@@ -103,10 +150,17 @@ def test_finalized_records_match_the_committed_digest(task, tmp_path):
     assert body_digest(task, tmp_path) == DIGESTS[task]
 
 
+def test_shared_cells_plan_has_shared_cells():
+    g = _shared_cells_graph()
+    cites = g.adjacency["cites"].to_dense() > 0
+    refs = g.adjacency["refs"].to_dense() > 0
+    assert (cites & refs).any() and (cites ^ refs).any()
+
+
 if __name__ == "__main__":
     import tempfile
 
     print(f"RECORDED_WITH = {_environment()}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        for task in sorted(DIGESTS):
-            print(f'    "{task}": "{body_digest(task, Path(tmp) / task)}",')
+        for name in sorted(DIGESTS):
+            print(f'    "{name}": "{body_digest(name, Path(tmp) / name)}",')
