@@ -24,8 +24,16 @@ class Dimension:
     choices: tuple
     when: tuple | None = None  # (earlier dimension, values it applies under)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_typed", tuple((type(c), c) for c in self.choices))
+
     def applies(self, partial: dict) -> bool:
         return self.when is None or partial.get(self.when[0]) in self.when[1]
+
+    def admits(self, value) -> bool:
+        """Whether `value` is a choice of the same type: 1 is not True, 100.0
+        is not 100, and a bool never stands in for a number."""
+        return (type(value), value) in self._typed
 
 
 @dataclass(frozen=True)
@@ -291,7 +299,7 @@ def validate(cfg: DesignConfig, graph=None) -> list:
             if value is not None:
                 errors.append(f"{d.name}: must be absent unless {d.when[0]} is "
                               f"one of {list(d.when[1])}")
-        elif value not in d.choices:
+        elif not d.admits(value):
             errors.append(f"{d.name}: '{value}' not in {list(d.choices)}")
     if cfg.attention_form not in L.ATTENTION_FORMS:
         errors.append(f"attention_form: '{cfg.attention_form}' not in "

@@ -6,8 +6,9 @@ outputs that share a destination node set. The model families differ only in
 the graph transformation that gives the node sets and subgraphs: Relation
 and Metapath keep one node set per type and one subgraph per relation or
 meta-path, Homogenization fuses every type into one node set with one
-subgraph (`homograph_view`), whose convolution may use the relation-aware
-attention variant.
+subgraph. `subgraph_view` prepares every family's subgraphs; a view of the
+fused one carries each edge's relation index, which the relation-aware
+attention variant reads.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import BatchNormState, Parameter, SpmmPlan, Tensor, TensorError
-from .transform import HomoGraph, Subgraph
+from .transform import Subgraph
 
 GAT_LEAKY_SLOPE = 0.2
 PRELU_INIT = 0.25
@@ -127,14 +128,7 @@ class GraphView:
 def subgraph_view(sub: Subgraph) -> GraphView:
     adj = sub.adjacency
     return GraphView(adj.indices, adj.expanded_rows(), adj.data, adj.n_cols,
-                     adj.n_rows, sub.same_type)
-
-
-def homograph_view(hg: HomoGraph) -> GraphView:
-    order = np.argsort(hg.edge_dst, kind="stable")
-    return GraphView(hg.edge_src[order], hg.edge_dst[order],
-                     hg.edge_weight[order].astype(np.float64),
-                     hg.n_nodes, hg.n_nodes, True, edge_type=hg.edge_type[order])
+                     adj.n_rows, sub.same_type, edge_type=sub.edge_type)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +318,13 @@ def dual_aggregate(subgraphs, h_by_set, macros):
 
 
 # ---------------------------------------------------------------------------
-# heterogeneous linear transformation (the shared pre-process entry)
+# heterogeneous linear transformation (every pre-process layer)
 # ---------------------------------------------------------------------------
 
 class HeteroLinear(Module):
     """Type-specific projection into a shared space; featureless types get
-    trainable embedding tables instead."""
+    trainable embedding tables instead. The first pre-process layer maps
+    the features, each extra one maps the shared space into itself."""
 
     def __init__(self, type_specs, out_dim, rng, prefix="pre0"):
         # type_specs: ordered (name, in_dim, count)
@@ -367,24 +362,6 @@ class HeteroLinear(Module):
             else:
                 out[name] = self.embeddings[name]
         return out
-
-
-class TypedLinearBlock(Module):
-    """Per-type linear + activation applied in the shared space (extra
-    pre-process layers)."""
-
-    def __init__(self, type_names, dim, rng, prefix, activation):
-        self.order = tuple(type_names)
-        self.weights = {n: Parameter(glorot(rng, dim, dim), f"{prefix}.{n}.W")
-                        for n in self.order}
-        self.biases = {n: Parameter(np.zeros((1, dim)), f"{prefix}.{n}.b")
-                       for n in self.order}
-        self.activation = activation
-
-    def __call__(self, h_by_type, types=None):
-        return {n: self.activation(T.add(T.matmul(h_by_type[n], self.weights[n]),
-                                         self.biases[n]))
-                for n in self.order if types is None or n in types}
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Pipeline: typed linear pre-process, a message-passing stack over the node
 sets and subgraphs the family's graph transformation gives (layer =
 aggregate, post-ops, connectivity), a shared post-process MLP and a task
-head. Parameter initialization is a pure function of the configuration
-seed.
+head. The family picks the transformation in `Model._graph_data` and
+nowhere else; everything after reads the returned subgraphs. Parameter
+initialization is a pure function of the configuration seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from . import tensor as T
 from . import layers as L
 from .hgraph import GraphError, HeteroGraph
 from .tensor import Parameter, Tensor, TensorError
-from .transform import MetaPath, compose_metapath, extract_relation_subgraphs, homogenize
+from .transform import (MetaPath, compose_metapath, extract_relation_subgraphs,
+                        homogenize, type_offsets)
 
 FAMILIES = ("Homogenization", "Relation", "Metapath")
 
@@ -123,26 +125,23 @@ class Model(L.Module):
 
         type_specs = [(t.name, t.feature_dim, t.count) for t in graph.node_types]
         self.pre = L.HeteroLinear(type_specs, hid, rng, prefix="pre0")
-        self.pre_extra = []
-        for i in range(cfg.pre_layers - 1):
-            act = L.Activation(cfg.activation, prefix=f"pre{i + 1}.act")
-            self.pre_extra.append(
-                L.TypedLinearBlock(graph.type_names, hid, rng, f"pre{i + 1}", act))
+        self.pre_extra = [
+            (L.HeteroLinear([(t, hid, 0) for t in self.type_names], hid, rng,
+                            prefix=f"pre{i}"),
+             L.Activation(cfg.activation, prefix=f"pre{i}.act"))
+            for i in range(1, cfg.pre_layers)]
 
         # the graph transformation fixes the node sets message passing runs on
         # (name -> node count) and the subgraphs between them (name, source
-        # set, destination set)
-        self.node_sets = dict(self.type_counts)
-        if cfg.model_family == "Relation":
-            self.sub_specs = [(r.name, r.src_type, r.dst_type) for r in graph.relations]
-        elif cfg.model_family == "Metapath":
-            self.sub_specs = []
-            for name, rels in cfg.metapaths:
-                chain = [graph.relation(r) for r in rels]
-                self.sub_specs.append((name, chain[0].src_type, chain[-1].dst_type))
-        else:  # Homogenization: every type fused into one node set
-            self.node_sets = {"*": sum(self.type_counts.values())}
-            self.sub_specs = [("*", "*", "*")]
+        # set, destination set); the fused set "*" holds every type, each at
+        # its offset
+        self._graph_cache = None  # (graph, prepared data) for the last graph seen
+        subs = self._graph_data(graph)["subs"]
+        self.sub_specs = [(s.name, s.src_type, s.dst_type) for s in subs]
+        fused = any(s.dst_type == "*" for s in subs)
+        self.offsets = type_offsets(graph) if fused else None
+        self.node_sets = ({"*": sum(self.type_counts.values())} if fused
+                          else dict(self.type_counts))
         receiving = {dst for _, _, dst in self.sub_specs}
         self.receiving = tuple(s for s in self.node_sets if s in receiving)
 
@@ -154,16 +153,18 @@ class Model(L.Module):
         self.final_width = w
         self.widths_in = tuple(widths_in)
 
-        # relation-aware attention reads the edge types only the fused graph keeps
-        conv_kw = ({"attention_form": cfg.attention_form,
+        # relation-aware attention reads the edge types only the fused
+        # subgraph keeps
+        typed_kw = {"attention_form": cfg.attention_form,
                     "n_edge_types": len(graph.relations)}
-                   if cfg.model_family == "Homogenization" else {})
         self.mp = []
         for li in range(cfg.mp_layers):
             layer = _MpLayer()
             layer.convs = [L.make_micro_conv(cfg.micro_conv, widths_in[li], hid, rng,
-                                             f"mp{li}.conv.{name}", **conv_kw)
-                           for name, _, _ in self.sub_specs]
+                                             f"mp{li}.conv.{s.name}",
+                                             **(typed_kw if s.edge_type is not None
+                                                else {}))
+                           for s in subs]
             # a macro for every receiving type, even one fed by a single
             # subgraph: Attention macros draw their parameters from `rng`, so
             # they fix the init stream. Homogenization configs have none.
@@ -195,30 +196,24 @@ class Model(L.Module):
             self.head_W = None
             self.head_b = None
 
-        # (graph, prepared data) for the last graph seen; holding the graph
-        # keeps its identity from being reused by another object
-        self._graph_cache = None
-
     # -- graph preparation ----------------------------------------------------
 
     def _graph_data(self, g: HeteroGraph):
-        """Features, one view per subgraph spec, and the offsets of each type
-        in the fused node set (None unless the family fuses the types)."""
+        """Features, the subgraphs of the family's graph transformation and
+        one view per subgraph; kept for the last graph seen, whose identity
+        the held reference keeps from being reused by another object."""
         if self._graph_cache is not None and self._graph_cache[0] is g:
             return self._graph_cache[1]
-        feats = {t.name: Tensor(g.features[t.name])
-                 for t in g.node_types if t.feature_dim > 0}
-        offsets = None
         if self.cfg.model_family == "Homogenization":
-            hg = homogenize(g)
-            views, offsets = [L.homograph_view(hg)], hg.offsets
+            subs = [homogenize(g)]
         elif self.cfg.model_family == "Relation":
-            views = [L.subgraph_view(s)
-                     for s in extract_relation_subgraphs(g, g.relation_names)]
+            subs = extract_relation_subgraphs(g, g.relation_names)
         else:
-            views = [L.subgraph_view(compose_metapath(g, MetaPath(name, rels)))
-                     for name, rels in self.cfg.metapaths]
-        data = {"feats": feats, "views": views, "offsets": offsets}
+            subs = [compose_metapath(g, MetaPath(name, rels))
+                    for name, rels in self.cfg.metapaths]
+        data = {"feats": {t.name: Tensor(g.features[t.name])
+                          for t in g.node_types if t.feature_dim > 0},
+                "subs": subs, "views": [L.subgraph_view(s) for s in subs]}
         self._graph_cache = (g, data)
         return data
 
@@ -253,13 +248,13 @@ class Model(L.Module):
                 raise GraphError(f"unknown node types {sorted(unknown)}")
             want = tuple(t for t in self.type_names if t in types)
         data = self._graph_data(g)
-        offsets = data["offsets"]
+        offsets = self.offsets
         # a fused node set needs every type's projection
         need = self._demand(want if offsets is None else {"*"})
         pre_types = need[0] if offsets is None else self.type_names
         h = self.pre(data["feats"], types=pre_types)
-        for block in self.pre_extra:
-            h = block(h, types=pre_types)
+        for linear, act in self.pre_extra:
+            h = {t: act(x) for t, x in linear(h, types=pre_types).items()}
         if offsets is not None:
             h = {"*": T.concat([h[t] for t in self.type_names], axis=0)}
 

@@ -184,20 +184,15 @@ def expand_plan(plan: ExperimentPlan):
     return graph, task, splits, resolved
 
 
-def _record_to_json(record: TrialRecord, with_wall_time: bool) -> str:
-    d = {
-        "trial_id": record.trial_id,
-        "config": record.config,
-        "seed": record.seed,
-        "split_id": record.split_id,
-        "status": record.status,
-        "best_score": record.best_score,
-        "metric": record.metric,
-        "history": record.history,
-        "format_version": record.format_version,
-    }
-    if with_wall_time:
-        d["wall_time"] = record.wall_time
+def _record_to_json(record: TrialRecord) -> str:
+    return json.dumps(asdict(record), sort_keys=True, separators=(",", ":"))
+
+
+def _finalized_line(line: str) -> str:
+    """A `.partial` line as the finalized file holds it: without the
+    volatile wall time."""
+    d = json.loads(line)
+    d.pop("wall_time", None)
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
@@ -269,16 +264,14 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
             if i in done:
                 continue
             record = _run_one(plan, graph, task, splits, configs, i)
-            done[i] = _record_to_json(record, with_wall_time=True)
+            done[i] = _record_to_json(record)
             partial.write(done[i] + "\n")
             partial.flush()
 
     with open(plan.out, "w") as out:
         out.write(header)
         for i in range(n_trials):
-            d = json.loads(done[i])
-            d.pop("wall_time", None)
-            out.write(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
+            out.write(_finalized_line(done[i]) + "\n")
     return plan.out
 
 

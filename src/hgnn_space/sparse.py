@@ -15,7 +15,9 @@ _INT_SAFE = np.int64(1) << 62
 
 
 class CSRMatrix:
-    """Minimal CSR matrix: construction accumulates duplicates, rows stay sorted."""
+    """Minimal CSR matrix. `from_edges` accumulates duplicate cells and sorts
+    each row; a homogenized adjacency stores a shared cell once per relation,
+    and `to_dense` sums such entries."""
 
     __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data")
 
@@ -66,7 +68,7 @@ class CSRMatrix:
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols), dtype=self.data.dtype)
-        out[self.expanded_rows(), self.indices] = self.data
+        np.add.at(out, (self.expanded_rows(), self.indices), self.data)
         return out
 
     # -- algebra --------------------------------------------------------------

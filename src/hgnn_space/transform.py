@@ -1,6 +1,11 @@
 """Graph transformations: relation extraction, meta-path composition,
 homogenization and homophily analysis.
 
+Each transformation returns `Subgraph`s, and which one runs is all that a
+model family decides: relation extraction gives one subgraph per relation,
+meta-path composition one per meta-path, and homogenization one subgraph
+over a single node set "*" that fuses every type.
+
 A meta-path subgraph's adjacency is the product of its relations' adjacency
 matrices; entries count meta-path instances between node pairs. With rows
 indexing destinations the chain r1..rl multiplies in reverse:
@@ -30,43 +35,31 @@ class MetaPath:
 
 @dataclass(eq=False)
 class Subgraph:
-    """One adjacency with typed endpoints; origin is 'relation' or 'metapath'."""
+    """One adjacency between typed endpoints, the one thing a graph
+    transformation returns; rows index destinations, columns sources.
 
-    origin: str
+    `edge_type` is None except on the fused subgraph `homogenize` gives,
+    whose node set "*" holds every type. There it holds each stored entry's
+    relation index, which relation-aware attention reads, and a cell that
+    two relations share stays two entries, one per relation.
+    """
+
     name: str
     src_type: str
     dst_type: str
     adjacency: CSRMatrix
+    edge_type: np.ndarray | None = None
 
     @property
     def same_type(self) -> bool:
         return self.src_type == self.dst_type
 
 
-@dataclass(eq=False)
-class HomoGraph:
-    """Fused single-node-set view of a heterogeneous graph.
-
-    Node ids are global: type t's nodes are `offsets[t]` to
-    `offsets[t] + count - 1`. Each edge keeps the index of its relation in
-    `relation_names` as its `edge_type`, which relation-aware attention reads.
-    """
-
-    offsets: dict
-    n_nodes: int
-    relation_names: tuple
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-    edge_weight: np.ndarray
-    edge_type: np.ndarray
-
-
 def extract_relation_subgraphs(g: HeteroGraph, relation_names) -> list:
     subs = []
     for name in relation_names:
         r = g.relation(name)
-        subs.append(Subgraph("relation", name, r.src_type, r.dst_type,
-                             g.adjacency[name]))
+        subs.append(Subgraph(name, r.src_type, r.dst_type, g.adjacency[name]))
     return subs
 
 
@@ -80,30 +73,38 @@ def compose_metapath(g: HeteroGraph, mp: MetaPath) -> Subgraph:
     product = g.adjacency[rels[0].name]
     for r in rels[1:]:
         product = g.adjacency[r.name] @ product
-    return Subgraph("metapath", mp.name, rels[0].src_type, rels[-1].dst_type,
-                    freeze(product))
+    return Subgraph(mp.name, rels[0].src_type, rels[-1].dst_type, freeze(product))
 
 
-def homogenize(g: HeteroGraph) -> HomoGraph:
-    offsets = {}
-    base = 0
+def type_offsets(g: HeteroGraph) -> dict:
+    """Global id of each type's first node in the fused node set: type t's
+    nodes are `offsets[t]` to `offsets[t] + count - 1`, in type order."""
+    offsets, base = {}, 0
     for t in g.node_types:
         offsets[t.name] = base
         base += t.count
+    return offsets
 
-    src_parts, dst_parts, w_parts, t_parts = [], [], [], []
+
+def homogenize(g: HeteroGraph) -> Subgraph:
+    """Every type fused into one node set "*" with global ids and one
+    adjacency over it that stores one entry per relation edge. Within a
+    row, entries come in relation order, then in source order."""
+    offsets = type_offsets(g)
+    n = sum(t.count for t in g.node_types)
+    src, dst, weight, edge_type = [], [], [], []
     for k, r in enumerate(g.relations):
         adj = g.adjacency[r.name]
-        src_parts.append(adj.indices + offsets[r.src_type])
-        dst_parts.append(adj.expanded_rows() + offsets[r.dst_type])
-        w_parts.append(adj.data)
-        t_parts.append(np.full(adj.nnz, k, dtype=np.int64))
-
-    def cat(parts):
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    return HomoGraph(offsets, base, g.relation_names, cat(src_parts),
-                     cat(dst_parts), cat(w_parts), cat(t_parts))
+        src.append(adj.indices + offsets[r.src_type])
+        dst.append(adj.expanded_rows() + offsets[r.dst_type])
+        weight.append(adj.data)
+        edge_type.append(np.full(adj.nnz, k, dtype=np.int64))
+    src, dst, weight, edge_type = (np.concatenate(p) if p else np.empty(0, dtype=np.int64)
+                                   for p in (src, dst, weight, edge_type))
+    order = np.argsort(dst, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
+    adjacency = freeze(CSRMatrix(n, n, indptr, src[order], weight[order]))
+    return Subgraph("*", "*", "*", adjacency, edge_type[order])
 
 
 def homophily(sub: Subgraph, labels: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from hgnn_space.hgraph import (SyntheticSpec, build_graph, generate_synthetic,
 from hgnn_space.model import DesignConfig, build_model
 from hgnn_space.runner import (ExperimentPlan, read_results, run_plan,
                                run_trial_by_id, save_config_list,
-                               _record_to_json)
+                               _finalized_line, _record_to_json)
 from hgnn_space.tensor import Tensor, grad_check
 from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
                                   extract_relation_subgraphs, homogenize,
@@ -222,7 +222,7 @@ def _check_dual(g, micro, macro, post, seed):
 def _check_direct(g, micro, form, post, seed):
     bn_on, act_name, l2 = post
     hg = homogenize(g)
-    view = L.homograph_view(hg)
+    view = L.subgraph_view(hg)
     prng = np.random.default_rng(seed)
     conv = L.make_micro_conv(micro, 3, 3, prng, "c", attention_form=form,
                              n_edge_types=2)
@@ -305,8 +305,8 @@ def test_acceptance_4_equivalence_oracle():
         shgn = L.GATConv(6, 8, np.random.default_rng(16), "g",
                          form="SimpleHGN", n_edge_types=1)
         shgn.W_r.data[:] = 0.0
-        assert np.array_equal(gat(L.homograph_view(hg), h, h).data,
-                              shgn(L.homograph_view(hg), h, h).data)
+        assert np.array_equal(gat(L.subgraph_view(hg), h, h).data,
+                              shgn(L.subgraph_view(hg), h, h).data)
     _announce(4, started, "Relation == Homogenization to 1e-10 (12 combos x 3 "
                           "graphs); SimpleHGN(W_r=0) == GAT bit-for-bit")
 
@@ -341,7 +341,7 @@ def test_acceptance_5_attention_normalization():
                 assert np.abs(sums[present] - 1.0).max() < 1e-12
         # direct scope: softmax over the full homogenized neighborhood
         hg = homogenize(g)
-        view = L.homograph_view(hg)
+        view = L.subgraph_view(hg)
         h = Tensor(np.concatenate([g.features["P"], g.features["A"]], axis=0))
         for form in L.ATTENTION_FORMS:
             conv = L.GATConv(4, 4, np.random.default_rng(10), "g", form=form,
@@ -377,13 +377,12 @@ def test_acceptance_6_homophily_oracle():
         n = int(rng.integers(2, 15))
         dense = (rng.random((n, n)) < 0.3).astype(int) * rng.integers(1, 3, (n, n))
         labels = rng.integers(0, 4, n)
-        sub = Subgraph("relation", "r", "X", "X",
+        sub = Subgraph("r", "X", "X",
                        CSRMatrix.from_edges(*np.nonzero(dense), n, n,
                                             data=dense[np.nonzero(dense)]))
         assert homophily(sub, labels) == pytest.approx(
             _brute_homophily(dense, labels), abs=1e-15)
-    uniform = Subgraph("relation", "r", "X", "X",
-                       CSRMatrix.from_edges([0, 1], [1, 0], 2, 2))
+    uniform = Subgraph("r", "X", "X", CSRMatrix.from_edges([0, 1], [1, 0], 2, 2))
     assert homophily(uniform, np.zeros(2, dtype=int)) == 1.0
     spec = SyntheticSpec(
         node_types=(("P", 48, 4), ("A", 24, 4)),
@@ -544,7 +543,7 @@ def test_acceptance_10_determinism(protocol_run):
             file_lines[d["trial_id"]] = line.strip()
     for trial_id in (0, 397, 791):
         rec = run_trial_by_id(protocol_run["plan"], trial_id)
-        assert _record_to_json(rec, with_wall_time=False) == file_lines[trial_id]
+        assert _finalized_line(_record_to_json(rec)) == file_lines[trial_id]
     _announce(10, started, "isolated re-runs of trials 0/397/791 reproduce "
                            "their records bit-for-bit; parallelism "
                            "independence shown in criterion 8")

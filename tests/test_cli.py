@@ -142,6 +142,26 @@ def test_a_config_seed_that_is_not_a_non_negative_integer_is_reported_in_one_lin
         "non-negative integer\n")
 
 
+@pytest.mark.parametrize("key,value,choices", [
+    ("has_bn", 1, "[True, False]"),
+    ("dropout_p", False, "[0.0, 0.3, 0.6]"),
+    ("mp_layers", True, "[1, 2, 3, 4, 5, 6]"),
+    ("epochs", 100.0, "[100, 200, 400]"),
+    ("hidden_dim", 64.0, "[8, 16, 32, 64, 128]"),
+])
+def test_a_config_value_of_the_wrong_type_is_reported_in_one_line(
+        tmp_path, capsys, key, value, choices):
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps([{"mp_layers": 1, "epochs": 100, key: value}]))
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"graph = {bundle(tmp_path)}\ntask = node_classification\n"
+                    f"target = P\nspace = {configs}\nsplits = 1\nepoch_override = 0\n"
+                    f"out = {tmp_path / 'r.ndrec'}\n")
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == (
+        f"hgnn-space: error: config 0 is invalid: {key}: '{value}' not in {choices}\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ("", "is not a results file"),
     ("not json\n", "is not a results file"),

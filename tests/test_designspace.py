@@ -133,6 +133,19 @@ def test_validate_reads_the_macro_when_rule():
         "macro_agg: 'None' not in ['Mean', 'Max', 'Sum', 'Attention']"]
 
 
+def test_validate_compares_type_as_well_as_value():
+    for key, value in (("has_bn", 1), ("has_bn", 0), ("has_l2norm", 1.0),
+                       ("dropout_p", False), ("dropout_p", 0), ("lr", 1e-2 + 0j),
+                       ("mp_layers", True), ("pre_layers", 1.0), ("epochs", 100.0),
+                       ("hidden_dim", 64.0), ("activation", b"ReLU")):
+        choices = list(ds.full_space().dim(key).choices)
+        assert ds.validate(DesignConfig().with_values(**{key: value})) == [
+            f"{key}: '{value}' not in {choices}"]
+    for key, value in (("has_bn", True), ("dropout_p", 0.0), ("mp_layers", 1),
+                       ("epochs", 100), ("hidden_dim", 64)):
+        assert ds.validate(DesignConfig().with_values(**{key: value})) == []
+
+
 def test_condensed_subset_of_full():
     space = ds.condensed_space()
     for i, assignment in enumerate(space.enumerate()):

@@ -9,6 +9,8 @@ from hgnn_space.hgraph import build_graph
 from hgnn_space.tensor import Parameter, Tensor, TensorError, grad_check
 from hgnn_space.transform import extract_relation_subgraphs, homogenize
 
+from conftest import random_hetero_graph
+
 
 def leaky(x, slope=0.2):
     return np.where(x > 0, x, slope * x)
@@ -231,7 +233,7 @@ def test_direct_equals_micro_on_single_relation(kind):
     conv_b = L.make_micro_conv(kind, 3, 4, np.random.default_rng(14), "b",
                                n_edge_types=1)
     out_micro = conv_a(L.subgraph_view(sub), h, h)
-    out_direct = conv_b(L.homograph_view(hg), h, h)
+    out_direct = conv_b(L.subgraph_view(hg), h, h)
     assert np.allclose(out_micro.data, out_direct.data, atol=1e-12)
 
 
@@ -244,8 +246,8 @@ def test_simple_hgn_with_zero_relation_projection_equals_gat():
     shgn = L.GATConv(3, 4, np.random.default_rng(16), "g", form="SimpleHGN",
                      n_edge_types=1)
     shgn.W_r.data[:] = 0.0
-    out_a = gat(L.homograph_view(hg), h, h)
-    out_b = shgn(L.homograph_view(hg), h, h)
+    out_a = gat(L.subgraph_view(hg), h, h)
+    out_b = shgn(L.subgraph_view(hg), h, h)
     assert np.array_equal(out_a.data, out_b.data)  # bit-for-bit
 
 
@@ -264,8 +266,44 @@ def test_simple_hgn_uses_edge_types():
     shgn = L.GATConv(3, 4, np.random.default_rng(18), "g", form="SimpleHGN",
                      n_edge_types=2)
     gat = L.GATConv(3, 4, np.random.default_rng(18), "g", form="GAT")
-    assert not np.allclose(shgn(L.homograph_view(hg), h, h).data,
-                           gat(L.homograph_view(hg), h, h).data)
+    assert not np.allclose(shgn(L.subgraph_view(hg), h, h).data,
+                           gat(L.subgraph_view(hg), h, h).data)
+
+
+def _former_homogenized_view(g):
+    """The reference: the fused view as it was built before homogenization
+    returned a Subgraph. Relation edges are concatenated in relation order
+    with global ids, then stably sorted by destination."""
+    offsets, base = {}, 0
+    for t in g.node_types:
+        offsets[t.name], base = base, base + t.count
+    src, dst, weight, edge_type = [], [], [], []
+    for k, r in enumerate(g.relations):
+        adj = g.adjacency[r.name]
+        src.append(adj.indices + offsets[r.src_type])
+        dst.append(adj.expanded_rows() + offsets[r.dst_type])
+        weight.append(adj.data)
+        edge_type.append(np.full(adj.nnz, k, dtype=np.int64))
+    src, dst, weight, edge_type = map(np.concatenate, (src, dst, weight, edge_type))
+    order = np.argsort(dst, kind="stable")
+    return L.GraphView(src[order], dst[order], weight[order].astype(np.float64),
+                       base, base, True, edge_type=edge_type[order])
+
+
+def test_homogenized_view_equals_the_former_construction():
+    rng = np.random.default_rng(19)
+    shared = 0
+    for _ in range(60):
+        g = random_hetero_graph(rng, edge_prob=0.4)
+        got = L.subgraph_view(homogenize(g))
+        want = _former_homogenized_view(g)
+        for attr in ("_src", "_dst", "_weight", "edge_type"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), attr
+        assert (got.n_src, got.n_dst, got.same_type) == (want.n_src, want.n_dst, True)
+        cells = want._dst * want.n_src + want._src
+        shared += cells.size - np.unique(cells).size
+    assert shared > 0  # the graphs include cells that two relations share
 
 
 # ---------------------------------------------------------------------------

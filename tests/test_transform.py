@@ -7,7 +7,7 @@ from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic)
 from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
                                   extract_relation_subgraphs, homogenize,
-                                  homophily)
+                                  homophily, type_offsets)
 from hgnn_space.sparse import CSRMatrix
 
 from conftest import random_hetero_graph
@@ -46,7 +46,8 @@ def brute_force_path_counts(g, relation_names):
 def test_extract_all_relations(academic_graph):
     subs = extract_relation_subgraphs(academic_graph, academic_graph.relation_names)
     assert len(subs) == 4
-    assert [s.origin for s in subs] == ["relation"] * 4
+    assert [s.name for s in subs] == list(academic_graph.relation_names)
+    assert all(s.edge_type is None for s in subs)
     assert subs[0].src_type == "A" and subs[0].dst_type == "P"
 
 
@@ -129,21 +130,42 @@ def test_metapath_composition_is_associative():
 def test_homogenize_single_type_single_relation():
     edges = np.array([[0, 1], [1, 2], [2, 0]])
     g = build_graph([("X", 3, 0)], [("r", "X", "X")], {"r": edges})
-    hg = homogenize(g)
-    assert hg.offsets == {"X": 0}
-    adj = g.adjacency["r"]
-    assert np.array_equal(hg.edge_dst, adj.expanded_rows())
-    assert np.array_equal(hg.edge_src, adj.indices)
-    assert np.array_equal(hg.edge_weight, adj.data)
+    sub = homogenize(g)
+    assert type_offsets(g) == {"X": 0}
+    assert (sub.name, sub.src_type, sub.dst_type) == ("*", "*", "*")
+    assert sub.adjacency.equals(g.adjacency["r"])
+    assert sub.edge_type.tolist() == [0, 0, 0]
 
 
 def test_homogenize_counts(academic_graph):
-    hg = homogenize(academic_graph)
-    assert hg.n_nodes == sum(t.count for t in academic_graph.node_types)
+    sub = homogenize(academic_graph)
+    n = sum(t.count for t in academic_graph.node_types)
+    assert sub.adjacency.shape == (n, n)
+    assert type_offsets(academic_graph) == {"P": 0, "A": 3, "C": 5}
     nnz = [academic_graph.adjacency[r].nnz for r in academic_graph.relation_names]
-    assert hg.edge_src.shape[0] == sum(nnz)
-    # edges come in one contiguous block per relation, in relation order
-    assert hg.edge_type.tolist() == [k for k, m in enumerate(nnz) for _ in range(m)]
+    assert sub.adjacency.nnz == sum(nnz)
+    assert np.bincount(sub.edge_type).tolist() == nnz
+    # within a row, entries come in relation order, then in source order
+    adj = sub.adjacency
+    for v in range(n):
+        lo, hi = adj.indptr[v], adj.indptr[v + 1]
+        keys = list(zip(sub.edge_type[lo:hi].tolist(), adj.indices[lo:hi].tolist()))
+        assert keys == sorted(keys)
+
+
+def test_homogenize_keeps_a_shared_cell_as_two_entries():
+    # 0 -> 1 is an edge of both relations; 1 -> 2 only of r2, twice
+    g = build_graph([("X", 3, 0)], [("r1", "X", "X"), ("r2", "X", "X")],
+                    {"r1": np.array([[0, 1], [2, 1]]),
+                     "r2": np.array([[1, 2], [0, 1], [1, 2]])})
+    sub = homogenize(g)
+    adj = sub.adjacency
+    assert adj.indptr.tolist() == [0, 0, 3, 4]
+    assert adj.indices.tolist() == [0, 2, 0, 1]
+    assert adj.data.tolist() == [1, 1, 1, 2]
+    assert sub.edge_type.tolist() == [0, 0, 1, 1]
+    # densified, the shared cell sums both relations' entries
+    assert adj.to_dense().tolist() == [[0, 0, 0], [2, 0, 1], [0, 2, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +176,7 @@ def _square_subgraph(dense):
     dense = np.asarray(dense)
     m = CSRMatrix.from_edges(*np.nonzero(dense), *dense.shape,
                              data=dense[np.nonzero(dense)])
-    return Subgraph("relation", "r", "X", "X", m)
+    return Subgraph("r", "X", "X", m)
 
 
 def brute_force_homophily(dense, labels):
@@ -198,8 +220,7 @@ def test_homophily_matches_brute_force_and_skips_isolated():
 
 
 def test_homophily_type_mismatch_and_missing_labels():
-    sub = Subgraph("relation", "r", "X", "Y",
-                   CSRMatrix.from_edges([0], [0], 1, 1))
+    sub = Subgraph("r", "X", "Y", CSRMatrix.from_edges([0], [0], 1, 1))
     with pytest.raises(GraphError, match="matching endpoint types"):
         homophily(sub, np.array([0]))
     with pytest.raises(GraphError, match="labels cover"):
