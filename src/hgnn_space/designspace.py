@@ -111,15 +111,20 @@ class DesignSpace:
         restricted to those that take the values in `fixed`; a fixed
         dimension must apply).
 
-        A draw is one `rng.choice` of a branch combination, weighted by its
-        configuration count, then one `rng.integers` over the choice counts
-        of that combination's free dimensions, in dimension order."""
+        A draw picks a branch combination, weighted by its configuration
+        count, with one `rng.random()` looked up in the cumulative weights
+        (the recipe, and so the picks and the generator's state, of
+        `rng.choice(len(picks), p=p)`), then takes one `rng.integers` over
+        the choice counts of that combination's free dimensions, in
+        dimension order. A fixed value must be a choice of the same type
+        (`Dimension.admits`): `{"has_bn": 1}` is a ValueError, as it is for
+        `validate`."""
         fixed = dict(fixed or {})
         for name, value in fixed.items():
-            if value not in self.dim(name).choices:
+            if not self.dim(name).admits(value):
                 raise ValueError(f"'{value}' is not a choice of dimension '{name}'")
-        picks, p, free = self._draw_table(fixed)
-        i = int(rng.choice(len(picks), p=p))
+        picks, cdf, free = self._draw_table(fixed)
+        i = int(cdf.searchsorted(rng.random(), side="right"))
         out = dict(picks[i])
         for name in fixed:
             if name not in self.branch_names:
@@ -130,11 +135,12 @@ class DesignSpace:
         return out
 
     def _draw_table(self, fixed):
-        """The branch combinations that agree with `fixed`, their probability
-        vector and, per combination, its free dimensions (names, choices and
-        choice counts). Built once per fixed dimension set and fixed branch
-        choice; the table holds choices of this space only, never a value
-        from `fixed`, so a caller's value is always returned as given."""
+        """The branch combinations that agree with `fixed`, the cumulative sum
+        of their probability vector scaled to end at 1 and, per combination,
+        its free dimensions (names, choices and choice counts). Built once
+        per fixed dimension set and fixed branch choice; the table holds
+        choices of this space only, never a value from `fixed`, so a
+        caller's value is always returned as given."""
         key = (frozenset(fixed), tuple(self.dim(k).choices.index(fixed[k])
                                        for k in self.branch_names if k in fixed))
         table = self._tables.get(key)
@@ -157,7 +163,9 @@ class DesignSpace:
             picks.append(pick)
             free.append(([d.name for d in dims], [d.choices for d in dims],
                          np.array([len(d.choices) for d in dims], dtype=np.int64)))
-        table = self._tables[key] = (picks, weights / weights.sum(), free)
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        table = self._tables[key] = (picks, cdf, free)
         return table
 
 

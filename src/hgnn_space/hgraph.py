@@ -168,6 +168,11 @@ def build_graph(node_types, relations, edge_lists, features=None, labels=None) -
         if vec.shape != (by_name[tn].count,):
             raise GraphError(f"labels for '{tn}': expected {by_name[tn].count} entries, "
                              f"got {vec.shape}")
+        below = np.flatnonzero(vec < -1)
+        if below.size:
+            raise GraphError(f"labels for '{tn}': node {below[0]} has label "
+                             f"{vec[below[0]]}; a label is a class id >= 0, or -1 "
+                             f"for an unlabeled node")
         vec = vec.copy()
         vec.flags.writeable = False
         labs[tn] = vec
@@ -251,14 +256,31 @@ def _read_table(fname, dtype, widths) -> np.ndarray:
     (rows, max(widths)) array in file order; a row of a narrower allowed
     width is padded on the right with ones, the default edge count.
 
-    Rows are grouped by their number of cells and each group goes through
-    numpy's C reader once. Any other width, or a cell numpy cannot parse
-    (it accepts no `#` comments and no `1_0` digit groups), is a GraphError
-    naming the file and its 1-based line."""
+    The whole file goes through numpy's C reader once. Only when that call
+    fails, or gives a width outside `widths`, are the rows grouped by their
+    number of cells, each group parsed once, to read a file whose edge rows
+    mix both widths or to locate its first bad row. Numpy skips only empty
+    lines and cannot parse a whitespace-only one, so a file it reads whole
+    has rows of one width, which is the one call grouping would make. Any
+    other width, or a cell numpy cannot parse (it accepts no `#` comments
+    and no `1_0` digit groups), is a GraphError naming the file and its
+    1-based line."""
     lines = read_text(fname, lines=True)  # never the whole text and its lines at once
+    width = max(widths)
+    if any(map(str.strip, lines)):  # numpy warns on a file without data rows
+        try:
+            values = _loadtxt(lines, dtype)
+        except ValueError:
+            pass
+        else:
+            if values.shape[1] == width:
+                return values
+            if values.shape[1] in widths:
+                out = np.ones((len(values), width), dtype=dtype)
+                out[:, :values.shape[1]] = values
+                return out
     rows = [line for line in lines if line.strip()]
     cells = np.array([row.count(",") + 1 for row in rows], dtype=np.int64)
-    width = max(widths)
     out = None
     problems = []  # (row index, reason)
     wrong = np.flatnonzero(np.all(cells[:, None] != widths, axis=1))

@@ -286,6 +286,25 @@ def test_a_non_finite_feature_is_reported_in_one_line_before_any_trial(
     assert not (tmp_path / "r.ndrec.partial").exists()
 
 
+def test_a_label_below_minus_one_is_reported_in_one_line_before_any_trial(
+        tmp_path, capsys):
+    spec = SyntheticSpec(
+        node_types=(("P", 40, 8), ("A", 20, 8)),
+        relations=(("ap", "A", "P", 90), ("pa", "P", "A", 90)),
+        target_type="P", num_communities=4, boost=1.0, noise=0.0, seed=1)
+    g = generate_synthetic(spec)
+    y = g.labels["P"].copy()
+    y[[7, 12]] = [-3, -7]
+    g.labels["P"] = y
+    graph = save_graph(g, tmp_path / "bundle")
+    plan = _sampled_plan(tmp_path, graph, n=2, strata_hits=0)
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == (
+        "hgnn-space: error: labels for 'P': node 7 has label -3; a label is a "
+        "class id >= 0, or -1 for an unlabeled node\n")
+    assert not (tmp_path / "r.ndrec.partial").exists()
+
+
 def test_analyze_errors_exit_with_status_two_in_one_line(tmp_path, capsys):
     assert main(["analyze", "homophily", "--graph", bundle(tmp_path)]) == 2
     assert "nothing to analyze" in _one_line_error(capsys)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hgnn_space.designspace as ds
 from hgnn_space.hgraph import build_graph
@@ -187,6 +189,36 @@ def _reference_sample_assignment(space, rng, fixed=None):
     return out
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-12.0, 0.0), min_size=1, max_size=60),
+       st.integers(0, 2 ** 63 - 1))
+def test_the_inverse_cdf_pick_is_the_pick_of_rng_choice(log_weights, seed):
+    """`sample_assignment`'s branch pick, one `random()` looked up in the
+    table's normalised cumulative sum, picks what `rng.choice` picks given
+    the probabilities and leaves the generator in the same state, for
+    weights from 1e-12 to 1."""
+    weights = 10.0 ** np.array(log_weights)
+    p = weights / weights.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        got = int(cdf.searchsorted(got_rng.random(), side="right"))
+        assert got == int(want_rng.choice(len(p), p=p))
+    assert got_rng.random() == want_rng.random()
+
+
+def test_a_draw_table_holds_the_cumulative_probabilities():
+    space = ds.condensed_space()
+    for fixed in _fixed_cases(space):
+        picks, cdf, _ = space._draw_table(dict(fixed or {}))
+        weights = np.array([space._free_count(
+            {k: v for k, v in pick.items() if k in space.branch_names}, fixed or {})
+            for pick in picks], dtype=np.float64)
+        want = (weights / weights.sum()).cumsum()
+        assert cdf.tobytes() == (want / want[-1]).tobytes()
+
+
 def _when_rule_space():
     return ds.DesignSpace([
         ds.Dimension("optimizer", ("Adam", "SGD")),
@@ -226,9 +258,14 @@ def test_table_draws_equal_the_reference_draws_and_generator_state(make):
 def test_a_fixed_value_is_returned_as_the_caller_gave_it():
     space = ds.full_space()
     rng = np.random.default_rng(0)
-    one = space.sample_assignment(rng, fixed={"has_bn": 1})
+    # a value equal to a choice but of another type is refused, as `validate`
+    # would refuse the config it ends up in
+    for value in (1, 1.0, 0):
+        with pytest.raises(ValueError, match="is not a choice of dimension 'has_bn'"):
+            space.sample_assignment(rng, fixed={"has_bn": value})
+    with pytest.raises(ValueError, match="is not a choice of dimension 'mp_layers'"):
+        space.sample_assignment(rng, fixed={"mp_layers": True})
     true = space.sample_assignment(rng, fixed={"has_bn": True})
-    assert type(one["has_bn"]) is int and one["has_bn"] == 1
     assert true["has_bn"] is True
 
 

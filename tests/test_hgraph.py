@@ -6,11 +6,14 @@ import os
 import tempfile
 from pathlib import Path
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgnn_space import hgraph
 from hgnn_space.cli import main
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic, load_graph, save_graph)
@@ -18,6 +21,9 @@ from hgnn_space.model import DesignConfig
 from hgnn_space.runner import save_config_list
 from hgnn_space.sparse import CSRMatrix
 from hgnn_space.transform import MetaPath, compose_metapath, homophily
+
+# numpy's "input contained no data" warning must never escape the loader
+pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,16 @@ def test_build_errors_are_located():
     with pytest.raises(GraphError, match="relation names must be unique"):
         build_graph([("A", 2, 0), ("B", 2, 0)],
                     [("r", "A", "B"), ("r", "B", "A")], {})
+
+
+def test_labels_below_minus_one_are_rejected():
+    labels = np.zeros(14, dtype=np.int64)
+    labels[[4, 9]] = [-3, -7]
+    with pytest.raises(GraphError, match=r"labels for 'P': node 4 has label -3"):
+        build_graph([("P", 14, 0)], [], {}, labels={"P": labels})
+    labels[[4, 9]] = -1
+    g = build_graph([("P", 14, 0)], [], {}, labels={"P": labels})
+    assert g.labels["P"].tolist().count(-1) == 2
 
 
 def test_adjacency_sums_match_raw_edge_list():
@@ -343,6 +359,161 @@ def test_bundle_graph_json_that_is_not_an_object(tmp_path):
     (d / "graph.json").write_text("[1, 2]")
     with pytest.raises(GraphError, match=r"graph.json in '.*' must be an object"):
         load_graph(d)
+
+
+def _reference_read_table(fname, dtype, widths):
+    """The former reader: group the non-blank rows by their comma count and
+    parse each group with one numpy call."""
+    lines = hgraph.read_text(fname, lines=True)
+    rows = [line for line in lines if line.strip()]
+    cells = np.array([row.count(",") + 1 for row in rows], dtype=np.int64)
+    width = max(widths)
+    out = None
+    problems = []
+    wrong = np.flatnonzero(np.all(cells[:, None] != widths, axis=1))
+    if wrong.size:
+        want = " or ".join(map(str, widths))
+        problems.append((wrong[0], f"row width {cells[wrong[0]]}, expected {want}"))
+    for w in widths:
+        at = np.flatnonzero(cells == w)
+        if not at.size:
+            continue
+        group = rows if at.size == len(rows) else [rows[i] for i in at]
+        try:
+            values = hgraph._loadtxt(group, dtype)
+        except ValueError as e:
+            bad, e = hgraph._first_bad_row(group, dtype, e)
+            problems.append((at[bad], re.sub(r"at row \d+, ", "at ", str(e))))
+            continue
+        if at.size == len(rows) and w == width:
+            out = values
+            continue
+        if out is None:
+            out = np.ones((len(rows), width), dtype=dtype)
+        out[at, :w] = values
+    if problems:
+        row, why = min(problems)
+        line = [ln for ln, text in enumerate(lines, 1) if text.strip()][row]
+        raise GraphError(f"{fname}:{line}: {why}")
+    return out if out is not None else np.empty((0, width), dtype=dtype)
+
+
+def _assert_read_as_before(path, text, dtype, widths):
+    """The reader gives the former reader's array, or its error text."""
+    path.write_bytes(text.encode())
+    results = []
+    for read in (hgraph._read_table, _reference_read_table):
+        try:
+            results.append(read(str(path), dtype, widths))
+        except GraphError as e:
+            results.append(str(e))
+    got, want = results
+    if isinstance(want, str):
+        assert got == want, repr(text)
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape, repr(text)
+        assert got.tobytes() == want.tobytes(), repr(text)
+
+
+_EDGE, _FEATURE, _LABEL = (np.int64, (2, 3)), (np.float64, (2,)), (np.int64, (1,))
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("0,1,2\n1,0,1\n", _EDGE),
+    ("0,1\n1,0\n1,1\n", _EDGE),
+    ("0,1,4\n1,1\n1,0,2\n0,1\n", _EDGE),
+    ("0,1\n1,1\n1,0,2\n", _EDGE),
+    ("0.5,1.5\n2.5,3.5\n", _FEATURE),
+    ("3\n-1\n0\n", _LABEL),
+    ("\n0,1\n\n\n1,0\n\n", _EDGE),
+    ("0,1\n \n1,0\n", _EDGE),
+    ("0,1\n\x0c\n1,0\n", _EDGE),
+    ("0.5,1.5\n\xa0\n2.5,3.5\n", _FEATURE),
+    ("1\n\t \x0b\n2\n", _LABEL),
+    ("\r\n 0 , 1 , 3 \r\n \t \r\n1,0\r\n", _EDGE),
+    ("  -0.0 ,\t1e-320\r\n\r\n\r\n2.5e300, -inf \r\n   \r\n", _FEATURE),
+    ("\n 1 \r\n\x0c\r\n-1", _LABEL),
+    ("0,1\r1,0\r", _EDGE),
+    ("0,1", _EDGE),
+    ("0,1,7", _EDGE),
+    ("0.25,-3\n", _FEATURE),
+    ("5", _LABEL),
+    ("", _EDGE), ("", _FEATURE), ("", _LABEL),
+    ("\n\n", _EDGE), ("\r\n", _FEATURE), (" \n\x0c\n\xa0\n", _LABEL),
+    ("  \t\n", _FEATURE),
+    ("0,1\n1,0,1,1\n", _EDGE),
+    ("0\n", _EDGE),
+    ("0.5\n1.5\n", _FEATURE),
+    ("0.5,1.5,2.5\n", _FEATURE),
+    ("0\n1,1\n", _LABEL),
+    ("0,1\n\n1,x\n", _EDGE),
+    ("0,1\n1,1,1\n0,#1\n1,0,1,1\n", _EDGE),
+    ("1_0,1\n", _EDGE),
+    ("0.0,1\n", _EDGE),
+    ("0,99999999999999999999\n", _EDGE),
+    ("0.5,1.5\r\n2.5,abc\r\n", _FEATURE),
+    ("0.5,1.5\n2.5,\n", _FEATURE),
+    ("0.5,1.5\n# note\n2.5,3.5\n", _FEATURE),
+    ("0\n\n\ntwo\n", _LABEL),
+    (",\n", _LABEL),
+], ids=["edge-3", "edge-2", "edge-mixed", "edge-mixed-2-first", "feature", "label",
+        "empty-lines", "space-line", "formfeed-line", "nbsp-line", "tab-vt-line",
+        "crlf-padded-edge", "crlf-padded-feature", "crlf-padded-label", "cr-only",
+        "one-row-2", "one-row-3", "one-row-feature", "one-row-label",
+        "empty-edge", "empty-feature", "empty-label", "blank-edge", "blank-feature",
+        "blank-label", "whitespace-feature", "edge-width-4", "edge-width-1",
+        "feature-width-1", "feature-width-3", "label-width-2", "edge-cell",
+        "mixed-cell-and-width", "digit-groups", "float-id", "int64-overflow",
+        "feature-cell", "empty-feature-cell", "feature-comment", "label-cell",
+        "label-empty-cells"])
+def test_the_reader_matches_the_former_grouping_reader(tmp_path, text, kind):
+    _assert_read_as_before(tmp_path / "t.csv", text, *kind)
+
+
+def test_the_reader_skips_every_whitespace_only_line_as_before(tmp_path):
+    spaces = [chr(c) for c in range(0x3000 + 1) if chr(c).isspace()
+              and chr(c) not in "\n\r"]
+    for ch in spaces:
+        for text, kind in ((f"0,1\n{ch}\n1,0\n", _EDGE), (f"{ch}\n", _EDGE),
+                           (f"0.5,1.5\n{ch}{ch}\n", _FEATURE), (f"1\n{ch}\n", _LABEL)):
+            _assert_read_as_before(tmp_path / "t.csv", text, *kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(alphabet="01-9,. \t\r\x0c\xa0x", max_size=9), max_size=6),
+       st.sampled_from([_EDGE, _FEATURE, _LABEL]))
+def test_the_reader_matches_the_former_reader_on_random_text(lines, kind):
+    with tempfile.TemporaryDirectory() as d:
+        _assert_read_as_before(Path(d) / "t.csv", "\n".join(lines), *kind)
+
+
+@pytest.mark.parametrize("name,text,kind", [
+    ("aa.csv", "0,1\n1,0\n1,1\n", _EDGE),
+    ("aa.csv", "0,1,2\n1,0,1\n", _EDGE),
+    ("A.features.csv", "0.5,1.5\n\n2.5,3.5\n", _FEATURE),
+    ("A.labels.csv", "0\n1\n", _LABEL),
+], ids=["edge-2", "edge-3", "feature", "label"])
+def test_a_uniform_file_reaches_numpy_once(tmp_path, monkeypatch, name, text, kind):
+    calls, loadtxt = [], hgraph._loadtxt
+
+    def counting(rows, dtype):
+        calls.append(len(rows))
+        return loadtxt(rows, dtype)
+
+    monkeypatch.setattr(hgraph, "_loadtxt", counting)
+    (tmp_path / name).write_text(text)
+    hgraph._read_table(str(tmp_path / name), *kind)
+    assert len(calls) == 1
+
+
+def test_a_blank_only_file_never_reaches_numpy(tmp_path, monkeypatch):
+    def unexpected(rows, dtype):
+        raise AssertionError(f"numpy was asked to parse {rows!r}")
+
+    monkeypatch.setattr(hgraph, "_loadtxt", unexpected)
+    for text in ("", "\n", "\r\n\n", " \n\x0c\n"):
+        (tmp_path / "t.csv").write_text(text)
+        assert hgraph._read_table(str(tmp_path / "t.csv"), np.int64, (2, 3)).shape == (0, 3)
 
 
 _SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
