@@ -18,6 +18,12 @@ from .model import DesignConfig, FAMILIES
 from . import layers as L
 
 
+def _quote(value) -> str:
+    """A value as a message shows it: `1 (int)`, so that it cannot be read as
+    the string '1' or as the choice True it equals."""
+    return f"{value!r} ({type(value).__name__})"
+
+
 @dataclass(frozen=True)
 class Dimension:
     name: str
@@ -122,7 +128,7 @@ class DesignSpace:
         fixed = dict(fixed or {})
         for name, value in fixed.items():
             if not self.dim(name).admits(value):
-                raise ValueError(f"'{value}' is not a choice of dimension '{name}'")
+                raise ValueError(f"{_quote(value)} is not a choice of dimension '{name}'")
         picks, cdf, free = self._draw_table(fixed)
         i = int(cdf.searchsorted(rng.random(), side="right"))
         out = dict(picks[i])
@@ -308,7 +314,7 @@ def validate(cfg: DesignConfig, graph=None) -> list:
                 errors.append(f"{d.name}: must be absent unless {d.when[0]} is "
                               f"one of {list(d.when[1])}")
         elif not d.admits(value):
-            errors.append(f"{d.name}: '{value}' not in {list(d.choices)}")
+            errors.append(f"{d.name}: {_quote(value)} not in {list(d.choices)}")
     if cfg.attention_form not in L.ATTENTION_FORMS:
         errors.append(f"attention_form: '{cfg.attention_form}' not in "
                       f"{list(L.ATTENTION_FORMS)}")

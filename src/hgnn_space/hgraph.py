@@ -8,8 +8,10 @@ edges. Graphs are immutable once built and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +184,10 @@ def build_graph(node_types, relations, edge_lists, features=None, labels=None) -
 
 # ---------------------------------------------------------------------------
 # Bundle format: a directory with graph.json, <relation>.csv edge files,
-# <type>.features.csv feature files and <type>.labels.csv label files.
+# <type>.labels.csv label files and one feature file per featured type.
+# save_graph writes features as <type>.features.npy (float64, no pickles);
+# load_graph reads a feature file named in graph.json by its extension: a
+# .npy name as binary, any other name as CSV text like the other files.
 # ---------------------------------------------------------------------------
 
 _FORMAT_TAG = "hgnn-space-graph/1"
@@ -197,7 +202,7 @@ def save_graph(g: HeteroGraph, path) -> str:
                        for t in g.node_types],
         "relations": [{"name": r.name, "src_type": r.src_type, "dst_type": r.dst_type}
                       for r in g.relations],
-        "features": {tn: f"{tn}.features.csv" for tn in sorted(g.features)},
+        "features": {tn: f"{tn}.features.npy" for tn in sorted(g.features)},
         "labels": {tn: f"{tn}.labels.csv" for tn in sorted(g.labels)},
     }
     with open(os.path.join(path, "graph.json"), "w") as fh:
@@ -210,9 +215,7 @@ def save_graph(g: HeteroGraph, path) -> str:
             for s, d, c in zip(adj.indices, dst, adj.data):
                 fh.write(f"{s},{d},{c}\n")
     for tn, name in header["features"].items():
-        with open(os.path.join(path, name), "w") as fh:
-            for row in g.features[tn]:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        np.save(os.path.join(path, name), g.features[tn], allow_pickle=False)
     for tn, name in header["labels"].items():
         with open(os.path.join(path, name), "w") as fh:
             for v in g.labels[tn]:
@@ -311,6 +314,56 @@ def _read_table(fname, dtype, widths) -> np.ndarray:
     return out if out is not None else np.empty((0, width), dtype=dtype)
 
 
+_FLOAT64 = (np.dtype("<f8"), np.dtype(">f8"))
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _npy_header(fh):
+    """(shape, fortran_order, dtype) from the header of an open .npy file."""
+    version = np.lib.format.read_magic(fh)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"unsupported .npy format version {version[0]}.{version[1]}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns on a header written by Python 2
+        return _NPY_HEADERS[version](fh)
+
+
+def _read_npy(fname, shape) -> np.ndarray:
+    """The float64 matrix of `shape` stored in a .npy file.
+
+    The header's shape and dtype, and the file's size, are checked before
+    any data is read, so a file claiming more rows than graph.json, another
+    dtype or pickled objects, or one cut short, is refused without
+    allocating for it. The data is then read into one array of the
+    header's byte order. A damaged file is a GraphError naming it."""
+    try:
+        with open(fname, "rb") as fh:
+            try:
+                have, fortran, dtype = _npy_header(fh)
+            except Exception as e:  # numpy's parse of a damaged header raises ValueError
+                # and, depending on the damage, TokenError, TypeError or MemoryError
+                why = str(e).splitlines() or [type(e).__name__]
+                raise ValueError(f"bad .npy header: {why[0]}") from None
+            if have != shape:
+                raise ValueError(f"shape {have} in the header, expected (count, "
+                                 f"feature_dim) = {shape} from graph.json")
+            if dtype not in _FLOAT64:
+                raise ValueError(f"dtype {dtype} in the header, expected float64")
+            need = math.prod(shape) * dtype.itemsize
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left < need:
+                raise ValueError(f"data ends after {left} of {need} bytes")
+            out = np.empty(shape[::-1] if fortran else shape, dtype=dtype)
+            if fh.readinto(out) != need:
+                raise ValueError("the file shrank while it was read")
+    except OSError as e:
+        raise GraphError(f"{fname}: {e.strerror or e}") from None
+    except ValueError as e:
+        raise GraphError(f"{fname}: {e}") from None
+    return out.T if fortran else out
+
+
 _KINDS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
@@ -370,6 +423,9 @@ def load_graph(path) -> HeteroGraph:
         if not os.path.exists(full):
             raise GraphError(f"bundle missing feature file for type '{tn}'")
         t = by_name[tn]
+        if full.endswith(".npy"):
+            features[tn] = _read_npy(full, (t.count, t.feature_dim))
+            continue
         mat = _read_table(full, np.float64, (t.feature_dim,))
         if mat.shape[0] != t.count:
             raise GraphError(f"feature file for type '{tn}' has {mat.shape[0]} rows, "

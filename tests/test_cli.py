@@ -159,7 +159,8 @@ def test_a_config_value_of_the_wrong_type_is_reported_in_one_line(
                     f"out = {tmp_path / 'r.ndrec'}\n")
     assert main(["run", "--plan", str(plan)]) == 2
     assert _one_line_error(capsys) == (
-        f"hgnn-space: error: config 0 is invalid: {key}: '{value}' not in {choices}\n")
+        f"hgnn-space: error: config 0 is invalid: {key}: {value!r} "
+        f"({type(value).__name__}) not in {choices}\n")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -282,6 +283,24 @@ def test_a_non_finite_feature_is_reported_in_one_line_before_any_trial(
     assert main(["run", "--plan", str(plan)]) == 2
     assert _one_line_error(capsys) == (
         f"hgnn-space: error: graph '{graph}': node type '{node_type}' has a "
+        f"non-finite feature in row {row}\n")
+    assert not (tmp_path / "r.ndrec.partial").exists()
+
+
+@pytest.mark.parametrize("bits,row", [(0xFFF0000000000002, 0), (0x7FF0000000000000, 19)],
+                         ids=["negative-signalling-nan", "inf-last-row"])
+def test_a_non_finite_cell_of_an_npy_feature_file_is_reported_in_one_line(
+        tmp_path, capsys, bits, row):
+    graph = Path(bundle(tmp_path))
+    name = json.loads((graph / "graph.json").read_text())["features"]["A"]
+    assert name == "A.features.npy"
+    x = np.load(graph / name).astype(">f8")  # either byte order is read
+    x[row, 5] = np.array([bits], dtype=np.uint64).view(np.float64)[0]
+    np.save(graph / name, x)
+    plan = _sampled_plan(tmp_path, graph, n=2, strata_hits=0)
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == (
+        f"hgnn-space: error: graph '{graph}': node type 'A' has a "
         f"non-finite feature in row {row}\n")
     assert not (tmp_path / "r.ndrec.partial").exists()
 

@@ -132,7 +132,7 @@ def test_validate_reads_the_macro_when_rule():
     relation = DesignConfig(model_family="Relation", macro_agg="Sum")
     assert ds.validate(relation) == []
     assert ds.validate(relation.with_values(macro_agg=None)) == [
-        "macro_agg: 'None' not in ['Mean', 'Max', 'Sum', 'Attention']"]
+        "macro_agg: None (NoneType) not in ['Mean', 'Max', 'Sum', 'Attention']"]
 
 
 def test_validate_compares_type_as_well_as_value():
@@ -142,7 +142,11 @@ def test_validate_compares_type_as_well_as_value():
                        ("hidden_dim", 64.0), ("activation", b"ReLU")):
         choices = list(ds.full_space().dim(key).choices)
         assert ds.validate(DesignConfig().with_values(**{key: value})) == [
-            f"{key}: '{value}' not in {choices}"]
+            f"{key}: {value!r} ({type(value).__name__}) not in {choices}"]
+    assert ds.validate(DesignConfig().with_values(has_bn=1)) == [
+        "has_bn: 1 (int) not in [True, False]"]
+    assert ds.validate(DesignConfig().with_values(activation=b"ReLU")) == [
+        "activation: b'ReLU' (bytes) not in ['ReLU', 'LeakyReLU', 'ELU', 'Tanh', 'PReLU']"]
     for key, value in (("has_bn", True), ("dropout_p", 0.0), ("mp_layers", 1),
                        ("epochs", 100), ("hidden_dim", 64)):
         assert ds.validate(DesignConfig().with_values(**{key: value})) == []
@@ -260,11 +264,13 @@ def test_a_fixed_value_is_returned_as_the_caller_gave_it():
     rng = np.random.default_rng(0)
     # a value equal to a choice but of another type is refused, as `validate`
     # would refuse the config it ends up in
-    for value in (1, 1.0, 0):
-        with pytest.raises(ValueError, match="is not a choice of dimension 'has_bn'"):
+    for value, shown in ((1, "1 (int)"), (1.0, "1.0 (float)"), (0, "0 (int)")):
+        with pytest.raises(ValueError) as info:
             space.sample_assignment(rng, fixed={"has_bn": value})
-    with pytest.raises(ValueError, match="is not a choice of dimension 'mp_layers'"):
+        assert str(info.value) == f"{shown} is not a choice of dimension 'has_bn'"
+    with pytest.raises(ValueError) as info:
         space.sample_assignment(rng, fixed={"mp_layers": True})
+    assert str(info.value) == "True (bool) is not a choice of dimension 'mp_layers'"
     true = space.sample_assignment(rng, fixed={"has_bn": True})
     assert true["has_bn"] is True
 

@@ -221,7 +221,8 @@ def test_bundle_round_trip(tmp_path):
 def test_bundle_missing_feature_file_names_type(tmp_path):
     g = build_graph([("A", 2, 2)], [], {}, features={"A": np.zeros((2, 2))})
     save_graph(g, tmp_path / "b")
-    (tmp_path / "b" / "A.features.csv").unlink()
+    header = json.loads((tmp_path / "b" / "graph.json").read_text())
+    (tmp_path / "b" / header["features"]["A"]).unlink()
     with pytest.raises(GraphError, match="feature file for type 'A'"):
         load_graph(tmp_path / "b")
 
@@ -518,7 +519,10 @@ def test_a_blank_only_file_never_reaches_numpy(tmp_path, monkeypatch):
 
 _SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                                 1.7976931348623157e308, -1e300, np.inf, -np.inf,
-                                np.nan, 0.1, 1 / 3])
+                                np.nan, -np.nan, 0.1, 1 / 3,
+                                # NaNs with a payload, quiet and signalling
+                                *np.array([0x7FF8000000000001, 0xFFF0000000000002],
+                                          dtype=np.uint64).view(np.float64).tolist()])
 
 
 @settings(max_examples=40, deadline=None)
@@ -527,12 +531,120 @@ _SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
 def test_bundle_feature_round_trip_is_bitwise(rows, cols, pool):
     x = np.array([pool[(i * cols + j) % len(pool)] for i in range(rows)
                   for j in range(cols)], dtype=np.float64).reshape(rows, cols)
-    # the CSV writes every NaN as `nan`, which reads back as the canonical NaN
-    want = np.where(np.isnan(x), np.nan, x)
     g = build_graph([("A", rows, cols)], [], {}, features={"A": x})
     with tempfile.TemporaryDirectory() as d:
         back = load_graph(save_graph(g, Path(d) / "b")).features["A"]
-    assert back.dtype == np.float64 and back.tobytes() == want.tobytes()
+    assert back.dtype == np.float64 and back.tobytes() == x.tobytes()
+
+
+def test_a_csv_feature_bundle_and_its_npy_bundle_load_the_same_bytes(tmp_path):
+    text = "  -0.0 ,\t1e-320\r\n\n2.5e300, -inf \n"
+    old = load_graph(_raw_bundle(tmp_path / "csv", features=text))
+    new_dir = save_graph(old, tmp_path / "npy")
+    assert json.loads((tmp_path / "npy" / "graph.json").read_text())["features"] == {
+        "A": "A.features.npy"}
+    assert not (tmp_path / "npy" / "A.features.csv").exists()
+    new = load_graph(new_dir)
+    assert new.equals(old)
+    assert new.features["A"].tobytes() == old.features["A"].tobytes()
+    assert new.features["A"].tobytes() == np.array([[-0.0, 1e-320],
+                                                    [2.5e300, -np.inf]]).tobytes()
+
+
+def _npy_bundle(d, data):
+    """The two-node bundle of `_raw_bundle`, its features in A.features.npy
+    holding `data` byte for byte."""
+    _raw_bundle(d)
+    header = json.loads((d / "graph.json").read_text())
+    header["features"]["A"] = "A.features.npy"
+    (d / "graph.json").write_text(json.dumps(header))
+    (d / "A.features.npy").write_bytes(data)
+    return d
+
+
+def _npy_bytes(array=None, header=None, allow_pickle=False):
+    """A .npy file of `array`, or of the header dict `header` and no data."""
+    buf = io.BytesIO()
+    if header is None:
+        np.save(buf, array, allow_pickle=allow_pickle)
+    else:
+        np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue()
+
+
+_GOOD = np.array([[0.5, 1.5], [2.5, 3.5]])
+_GOOD_NPY = _npy_bytes(_GOOD)
+_GOOD_HEADER = {"descr": "<f8", "fortran_order": False, "shape": (2, 2)}
+
+
+def _header_text(text):
+    """A version 1.0 .npy header holding `text`, padded like numpy pads."""
+    body = text.encode("latin1") + b"\n"
+    return b"\x93NUMPY\x01\x00" + len(body).to_bytes(2, "little") + body
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"", "bad .npy header: EOF: reading magic string"),
+    (_GOOD_NPY[:40], "bad .npy header: EOF: reading array header"),
+    (_GOOD_NPY[:-1], "data ends after 31 of 32 bytes"),
+    (_npy_bytes(np.zeros((3, 2))),
+     "shape (3, 2) in the header, expected (count, feature_dim) = (2, 2)"),
+    (_npy_bytes(np.zeros(4)),
+     "shape (4,) in the header, expected (count, feature_dim) = (2, 2)"),
+    (_npy_bytes(header=dict(_GOOD_HEADER, shape=(10**12, 2))) + _GOOD_NPY[-32:],
+     "shape (1000000000000, 2) in the header, expected"),
+    (_npy_bytes(_GOOD.astype(np.float32)), "dtype float32 in the header, expected float64"),
+    (_npy_bytes(_GOOD.astype(np.int64)), "dtype int64 in the header, expected float64"),
+    (_npy_bytes(np.array([[{"x": 1}, None], [[2], "y"]], dtype=object), allow_pickle=True),
+     "dtype object in the header, expected float64"),
+    (b"PK\x03\x04" + _GOOD_NPY[4:], "the magic string is not correct"),
+    (_GOOD_NPY[:6] + b"\x03\x00" + _GOOD_NPY[8:], "unsupported .npy format version 3.0"),
+    (_header_text("{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), "),
+     "bad .npy header: "),
+    (_header_text("{(1, [2]): 3}"), "bad .npy header: "),
+    (_header_text("{'descr': '<f8', 'shape': (2, 2)}"), "bad .npy header: "),
+    (_header_text("-" * 9000 + "1"), "bad .npy header: MemoryError"),
+    (_header_text("{" + " " * 12000 + "}"),
+     "bad .npy header: Header info length (12003) is large and may not be safe"),
+], ids=["empty", "truncated-header", "truncated-data", "other-rows", "one-dimensional",
+        "huge-rows", "float32", "int64", "pickled-objects", "zip-magic", "version-3",
+        "unclosed-brace", "unhashable-key", "missing-key", "parser-stack",
+        "oversized-header"])
+def test_a_damaged_npy_feature_file_is_one_error_naming_it(tmp_path, data, message):
+    d = _npy_bundle(tmp_path / "b", data)
+    with pytest.raises(GraphError) as info:
+        load_graph(d)
+    assert str(info.value).startswith(f"{d / 'A.features.npy'}: ")
+    assert message in str(info.value) and "\n" not in str(info.value)
+
+
+def test_a_huge_npy_header_is_refused_before_any_allocation(tmp_path, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an array was allocated for a refused file")
+
+    header = dict(_GOOD_HEADER, shape=(10**12, 2))
+    d = _npy_bundle(tmp_path / "b", _npy_bytes(header=header) + _GOOD_NPY[-32:])
+    monkeypatch.setattr(hgraph.np, "empty", no_allocation)
+    with pytest.raises(GraphError, match=r"shape \(1000000000000, 2\) in the header"):
+        hgraph._read_npy(str(d / "A.features.npy"), (2, 2))
+    # graph.json claiming as many rows only moves the refusal to the file size
+    with pytest.raises(GraphError, match="data ends after 32 of 16000000000000 bytes"):
+        hgraph._read_npy(str(d / "A.features.npy"), (10**12, 2))
+
+
+@pytest.mark.parametrize("array", [np.asfortranarray(_GOOD), _GOOD.astype(">f8")],
+                         ids=["fortran-order", "big-endian"])
+def test_an_npy_feature_file_in_any_float64_layout_loads(tmp_path, array):
+    g = load_graph(_npy_bundle(tmp_path / "b", _npy_bytes(array)))
+    assert g.features["A"].dtype == np.float64
+    assert g.features["A"].tobytes() == _GOOD.tobytes()
+
+
+def test_an_npy_header_written_by_python_2_loads_without_a_warning(tmp_path):
+    # numpy re-parses an `L`-suffixed shape and warns; the warning must not escape
+    header = _header_text("{'descr': '<f8', 'fortran_order': False, 'shape': (2L, 2L), }")
+    g = load_graph(_npy_bundle(tmp_path / "b", header + _GOOD.tobytes()))
+    assert g.features["A"].tobytes() == _GOOD.tobytes()
 
 
 @functools.lru_cache(maxsize=None)
