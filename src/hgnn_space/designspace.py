@@ -316,13 +316,13 @@ def validate(cfg: DesignConfig, graph=None) -> list:
         elif not d.admits(value):
             errors.append(f"{d.name}: {_quote(value)} not in {list(d.choices)}")
     if cfg.attention_form not in L.ATTENTION_FORMS:
-        errors.append(f"attention_form: '{cfg.attention_form}' not in "
+        errors.append(f"attention_form: {_quote(cfg.attention_form)} not in "
                       f"{list(L.ATTENTION_FORMS)}")
     if cfg.task not in _TASKS:
-        errors.append(f"task: '{cfg.task}' not in {list(_TASKS)}")
+        errors.append(f"task: {_quote(cfg.task)} not in {list(_TASKS)}")
     if (isinstance(cfg.seed, bool) or not isinstance(cfg.seed, (int, np.integer))
             or cfg.seed < 0):
-        errors.append(f"seed: '{cfg.seed}' is not a non-negative integer")
+        errors.append(f"seed: {_quote(cfg.seed)} is not a non-negative integer")
 
     if cfg.model_family == "Metapath":
         if not cfg.metapaths:

@@ -154,9 +154,7 @@ def build_graph(node_types, relations, edge_lists, features=None, labels=None) -
             raise GraphError(
                 f"features for '{tn}': shape {mat.shape} does not match "
                 f"(count, feature_dim) = ({t.count}, {t.feature_dim})")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        feats[tn] = mat
+        feats[tn] = _frozen(mat)
     for t in node_types:
         if t.feature_dim > 0 and t.name not in feats:
             raise GraphError(f"features for '{t.name}': missing matrix of width "
@@ -175,11 +173,18 @@ def build_graph(node_types, relations, edge_lists, features=None, labels=None) -
             raise GraphError(f"labels for '{tn}': node {below[0]} has label "
                              f"{vec[below[0]]}; a label is a class id >= 0, or -1 "
                              f"for an unlabeled node")
-        vec = vec.copy()
-        vec.flags.writeable = False
-        labs[tn] = vec
+        labs[tn] = _frozen(vec)
 
     return HeteroGraph(node_types, relations, adjacency, feats, labs)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr` itself when it owns its data and is read-only, so that only its
+    owner could unfreeze it; otherwise a read-only copy."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +429,13 @@ def load_graph(path) -> HeteroGraph:
             raise GraphError(f"bundle missing feature file for type '{tn}'")
         t = by_name[tn]
         if full.endswith(".npy"):
-            features[tn] = _read_npy(full, (t.count, t.feature_dim))
-            continue
-        mat = _read_table(full, np.float64, (t.feature_dim,))
-        if mat.shape[0] != t.count:
-            raise GraphError(f"feature file for type '{tn}' has {mat.shape[0]} rows, "
-                             f"expected {t.count}")
+            mat = _read_npy(full, (t.count, t.feature_dim))
+        else:
+            mat = _read_table(full, np.float64, (t.feature_dim,))
+            if mat.shape[0] != t.count:
+                raise GraphError(f"feature file for type '{tn}' has {mat.shape[0]} "
+                                 f"rows, expected {t.count}")
+        mat.flags.writeable = False  # no one else holds it: build_graph keeps it
         features[tn] = mat
 
     labels = {}

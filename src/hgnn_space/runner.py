@@ -13,13 +13,14 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from itertools import groupby
 
 import numpy as np
 
 from . import designspace as ds
 from .hgraph import GraphError, load_graph, read_text
 from .model import DesignConfig, metapaths_from_text, metapaths_to_text
-from .train import Task, TrialRecord, make_splits, train_trial
+from .train import Task, TrialRecord, TrialStart, make_splits, train_trial
 
 RESULTS_FORMAT = "hgnn-space-results/1"
 
@@ -202,10 +203,11 @@ def run_trial_by_id(plan: ExperimentPlan, trial_id: int) -> TrialRecord:
     return _run_one(plan, graph, task, splits, configs, trial_id)
 
 
-def _run_one(plan, graph, task, splits, configs, trial_id) -> TrialRecord:
+def _run_one(plan, graph, task, splits, configs, trial_id, start=None) -> TrialRecord:
     cfg = configs[trial_id // len(splits)]
     split = splits[trial_id % len(splits)]
-    record = train_trial(cfg, graph, split, task, max_epochs=plan.epoch_override)
+    record = train_trial(cfg, graph, split, task, max_epochs=plan.epoch_override,
+                         start=start)
     record.trial_id = trial_id
     return record
 
@@ -243,9 +245,10 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
              resume: bool = False) -> str:
     """Execute every trial of the plan and write the finalized results file.
 
-    Trials run one at a time in the calling thread. `parallelism` (the
-    keyword or the plan key) is accepted and not read: it is reserved for a
-    process pool, and the results never depend on it."""
+    Trials run one at a time in the calling thread, and the pending splits
+    of a config share one `TrialStart`. `parallelism` (the keyword or the
+    plan key) is accepted and not read: it is reserved for a process pool,
+    and the results never depend on it."""
     graph, task, splits, configs = expand_plan(plan)
     n_trials = len(configs) * len(splits)
     h = plan_hash(plan)
@@ -260,13 +263,18 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
         if mode == "w":
             partial.write(header)
             partial.flush()
-        for i in range(n_trials):
-            if i in done:
-                continue
-            record = _run_one(plan, graph, task, splits, configs, i)
-            done[i] = _record_to_json(record)
-            partial.write(done[i] + "\n")
-            partial.flush()
+        pending = [i for i in range(n_trials) if i not in done]
+        # the pending splits of one config (equal configs in a row count as
+        # one) start from one built model; rebinding `start` drops the last
+        # config's before the next model is built
+        for cfg, ids in groupby(pending, key=lambda i: configs[i // len(splits)]):
+            ids = list(ids)
+            start = TrialStart(cfg, graph, task, splits=len(ids))
+            for i in ids:
+                record = _run_one(plan, graph, task, splits, configs, i, start)
+                done[i] = _record_to_json(record)
+                partial.write(done[i] + "\n")
+                partial.flush()
 
     with open(plan.out, "w") as out:
         out.write(header)

@@ -176,8 +176,10 @@ def backward(loss: Tensor):
             if gin is None or parent is None:
                 continue
             # gin may alias another node's gradient (add returns g for
-            # both inputs); sharing it is safe because no vjp, optimizer
-            # or caller writes into a gradient array in place
+            # both inputs), so two leaves can end with one array as .grad;
+            # sharing it is safe because no vjp, optimizer or caller writes
+            # into a gradient array in place (the in-place Adam step writes
+            # only its scratch arrays, its moments and the parameters)
             if parent.grad is None:
                 parent.grad = gin
             else:
@@ -810,10 +812,16 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool):
     n = a.shape[0]
     ad, gd, g_shape, b_shape = a.data, gamma.data, gamma.shape, beta.shape
     if training:
+        # numpy's own `var` steps, without its second pass for the mean;
+        # the N x h arrays are reused in place, each step rounding as the
+        # plain expressions `(ad - mu) * inv * gd + beta` would
         mu = ad.mean(axis=0)
-        var = ad.var(axis=0)  # biased: normalized batch has unit variance
+        out = ad - mu
+        var = (out * out).sum(axis=0) / n  # biased: normalized batch has unit variance
         inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (ad - mu) * inv
+        out *= inv
+        out *= gd
+        out += beta.data
         m = state.momentum
         unbiased = var * n / (n - 1) if n > 1 else var
         state.running_mean = (1 - m) * state.running_mean + m * mu
@@ -823,16 +831,23 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool):
             dxhat = g * gd
             # recomputed from the input: captured copies are N x h arrays per site
             centred = ad - mu
-            xhat = centred * inv
-            dvar = (dxhat * centred).sum(axis=0) * (-0.5) * inv ** 3
-            dmu = (-dxhat * inv).sum(axis=0) + dvar * (-2.0 / n) * centred.sum(axis=0)
-            gx = dxhat * inv + dvar * 2.0 * centred / n + dmu / n
-            ggamma = (g * xhat).sum(axis=0).reshape(g_shape)
+            t = dxhat * centred
+            dvar = t.sum(axis=0) * (-0.5) * inv ** 3
+            np.multiply(dxhat, inv, out=t)
+            # -(x * inv).sum() is (-x * inv).sum() exactly: rounding is sign-symmetric
+            dmu = -t.sum(axis=0) + dvar * (-2.0 / n) * centred.sum(axis=0)
+            xhat = np.multiply(centred, inv, out=dxhat)
+            ggamma = np.multiply(g, xhat, out=xhat).sum(axis=0).reshape(g_shape)
+            centred *= dvar * 2.0
+            centred /= n
+            t += centred
+            t += dmu / n  # gx = dxhat * inv + dvar * 2 * centred / n + dmu / n
             gbeta = g.sum(axis=0).reshape(b_shape)
-            return gx, ggamma, gbeta
+            return t, ggamma, gbeta
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (ad - state.running_mean) * inv
+        out = xhat * gd + beta.data
 
         def vjp(g):
             gx = g * gd * inv
@@ -840,7 +855,7 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool):
             gbeta = g.sum(axis=0).reshape(b_shape)
             return gx, ggamma, gbeta
 
-    return _make(xhat * gd + beta.data, (a, gamma, beta), vjp)
+    return _make(out, (a, gamma, beta), vjp)
 
 
 def l2_normalize(a, axis=1):

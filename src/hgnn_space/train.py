@@ -237,20 +237,33 @@ class Adam:
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         # non-finite gradients propagate into the parameters on purpose: the
         # trial loop detects them and records the run as failed
         with np.errstate(invalid="ignore", over="ignore"):
             for p in self.params:
                 if p.grad is None:
                     continue
+                # `lr * (m / c1) / (sqrt(v / c2) + eps)` one operation at a
+                # time in two scratch arrays, so every element rounds as in
+                # that expression; p.grad may be another leaf's too and is
+                # only read
                 m, v = self.slots[p.name]
+                g = p.grad
+                a = (1 - b1) * g
                 m *= b1
-                m += (1 - b1) * p.grad
+                m += a
+                np.multiply(g, g, out=a)
+                a *= 1 - b2
                 v *= b2
-                v += (1 - b2) * p.grad ** 2
-                mhat = m / (1 - b1 ** self.t)
-                vhat = v / (1 - b2 ** self.t)
-                p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+                v += a
+                np.divide(m, c1, out=a)
+                a *= self.lr
+                b = v / c2
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                p.data -= a
 
     def zero_grad(self):
         for p in self.params:
@@ -301,8 +314,66 @@ def _val_score(out, graph, task, split, val_negs):
 # the trial loop
 # ---------------------------------------------------------------------------
 
+class TrialStart:
+    """What the trials of one config on `splits` splits start from: the
+    built model, its initial parameter arrays and batch-norm statistics, and
+    the node-classification evaluation output at those parameters, none of
+    which depends on the split.
+
+    The first trial to begin builds the model. Every trial but the last
+    trains on fresh copies of the initial arrays, which stay read-only
+    while they are shared; the last trains on them. A link-prediction
+    trial's message graph differs per split, so its model prepares the
+    graph again in its first forward pass."""
+
+    def __init__(self, cfg: DesignConfig, graph: HeteroGraph, task: Task,
+                 splits: int = 1):
+        self.cfg, self.graph, self.task = cfg, graph, task
+        self.remaining = splits
+        self.model = None
+        self._eval0 = None
+
+    def begin(self, msg_graph: HeteroGraph):
+        """The model, set to its initial state for one more trial."""
+        if self.remaining < 1:
+            raise ValueError("every trial of this start has begun")
+        self.remaining -= 1
+        if self.model is None:
+            task = self.task
+            self.model = build_model(
+                self.cfg, msg_graph, num_classes=task.num_classes,
+                target_type=task.target if task.kind == "node_classification" else None)
+            self._params = self.model.parameters()
+            self.initial = [p.data for p in self._params]
+            # batch norm replaces its running statistics, never writes them
+            self._bn = [(bn.state, bn.state.running_mean, bn.state.running_var)
+                        for layer in self.model.mp for bn in layer.bns.values()]
+            for a in self.initial:
+                a.flags.writeable = False
+        for p, a in zip(self._params, self.initial):
+            if self.remaining:
+                p.data = a.copy()
+            else:
+                a.flags.writeable = True
+                p.data = a
+            p.grad = None
+        for state, mean, var in self._bn:
+            state.running_mean, state.running_var = mean, var
+        return self.model
+
+    def initial_eval(self, forward):
+        """`forward(False)` at the initial parameters, run once for all trials."""
+        out = self._eval0
+        if out is None:
+            with T.no_grad():
+                out = forward(False)
+        self._eval0 = out if self.remaining else None
+        return out
+
+
 def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
-                max_epochs: int | None = None) -> TrialRecord:
+                max_epochs: int | None = None,
+                start: TrialStart | None = None) -> TrialRecord:
     """Full-graph training of one config on one split.
 
     Validation runs before training (epoch 0) and after every epoch; the
@@ -315,8 +386,16 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     Without dropout and batch norm the training mode changes nothing, so
     epoch e's training forward also scores the parameters left by epoch
     e-1, and a trial of N epochs runs N+1 forward passes instead of 2N+1.
+
+    `start`, shared by the trials of one config, saves building the model
+    and the node-classification epoch-0 evaluation for every split; without
+    it the trial builds its own. The record is the same either way.
     """
     started = time.perf_counter()
+    if start is None:
+        start = TrialStart(cfg, graph, task)
+    elif start.cfg != cfg or start.task != task or start.graph is not graph:
+        raise ValueError("the trial start belongs to another config, task or graph")
     if task.kind == "link_prediction":
         msg_graph = graph_without_edges(graph, task.target, split.val)
         val_negs = negative_sample(graph, task.target, split.val, 1,
@@ -329,8 +408,7 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         metric_name = "macro_f1"
         labels = graph.labels.get(task.target)
 
-    model = build_model(cfg, msg_graph, num_classes=task.num_classes,
-                        target_type=task.target if task.kind == "node_classification" else None)
+    model = start.begin(msg_graph)
     params = model.parameters()
     opt = make_optimizer(cfg.optimizer, params, cfg.lr)
 
@@ -360,6 +438,8 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         # one pass: this epoch's training forward scores the last step's parameters
         if one_pass and trains:
             out = forward(True, drop_rng)
+        elif epoch == 0 and task.kind == "node_classification":
+            out = start.initial_eval(forward)  # the same for every split
         else:
             with T.no_grad():
                 out = forward(False)

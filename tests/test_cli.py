@@ -138,8 +138,8 @@ def test_a_config_seed_that_is_not_a_non_negative_integer_is_reported_in_one_lin
                     f"out = {tmp_path / 'r.ndrec'}\n")
     assert main(["run", "--plan", str(plan)]) == 2
     assert _one_line_error(capsys) == (
-        f"hgnn-space: error: config 0 is invalid: seed: '{seed}' is not a "
-        "non-negative integer\n")
+        f"hgnn-space: error: config 0 is invalid: seed: {seed!r} "
+        f"({type(seed).__name__}) is not a non-negative integer\n")
 
 
 @pytest.mark.parametrize("key,value,choices", [

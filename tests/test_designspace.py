@@ -152,6 +152,19 @@ def test_validate_compares_type_as_well_as_value():
         assert ds.validate(DesignConfig().with_values(**{key: value})) == []
 
 
+def test_validate_quotes_seed_task_and_attention_form_with_their_type():
+    for key, value, rest in (
+            ("seed", True, "is not a non-negative integer"),
+            ("seed", "7", "is not a non-negative integer"),
+            ("seed", -1, "is not a non-negative integer"),
+            ("task", 1, "not in ['node_classification', 'link_prediction']"),
+            ("attention_form", "gat", "not in ['GAT', 'SimpleHGN']")):
+        assert ds.validate(DesignConfig().with_values(**{key: value})) == [
+            f"{key}: {value!r} ({type(value).__name__}) {rest}"]
+    assert ds.validate(DesignConfig(seed=True)) == [
+        "seed: True (bool) is not a non-negative integer"]
+
+
 def test_condensed_subset_of_full():
     space = ds.condensed_space()
     for i, assignment in enumerate(space.enumerate()):

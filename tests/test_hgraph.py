@@ -168,6 +168,58 @@ def test_duplicate_edge_accumulates_multiplicity():
     assert g.adjacency["w"].to_dense()[0, 1] == 2
 
 
+def _features_kept(x):
+    g = build_graph([("A", 3, 2)], [], {}, features={"A": x}, labels={"A": [0, -1, 1]})
+    got = g.features["A"]
+    assert not got.flags.writeable and np.array_equal(got, np.asarray(x))
+    return got is x
+
+
+def test_build_graph_keeps_a_feature_array_no_one_else_can_write():
+    x = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    x.flags.writeable = False
+    assert _features_kept(x)
+
+
+def test_build_graph_copies_a_writeable_feature_array():
+    x = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    assert not _features_kept(x)
+    assert x.flags.writeable  # the caller's array is left as it was
+    x[0, 0] = 7.0  # and writing it does not reach the graph
+
+
+@pytest.mark.parametrize("view", ["slice", "transpose", "reshape"])
+def test_build_graph_copies_a_read_only_view(view):
+    base = np.arange(12.0)
+    x = {"slice": lambda: base.reshape(6, 2)[::2],
+         "transpose": lambda: base[:6].reshape(2, 3).T,
+         "reshape": lambda: base[:6].reshape(3, 2)}[view]()
+    x.flags.writeable = False
+    assert not _features_kept(x)  # its base stays writeable
+
+
+def test_build_graph_copies_features_of_another_dtype():
+    x = np.arange(6, dtype=np.float32).reshape(3, 2)
+    x.flags.writeable = False
+    assert not _features_kept(x)
+
+
+def test_a_loaded_graph_shares_its_frozen_features_with_its_message_graphs(tmp_path):
+    from hgnn_space.train import graph_without_edges
+
+    g = load_graph(save_graph(generate_synthetic(SyntheticSpec(
+        node_types=(("P", 30, 4), ("A", 10, 3)),
+        relations=(("ap", "A", "P", 60), ("pa", "P", "A", 60)),
+        target_type="P", num_communities=3, seed=1)), tmp_path / "b"))
+    for x in g.features.values():
+        assert x.flags.owndata and not x.flags.writeable
+    cut = graph_without_edges(g, "ap", np.stack([g.adjacency["ap"].indices[:5],
+                                                 g.adjacency["ap"].expanded_rows()[:5]], 1))
+    assert cut.adjacency["ap"].nnz < g.adjacency["ap"].nnz
+    assert all(cut.features[t] is g.features[t] for t in g.features)
+    assert all(cut.labels[t] is g.labels[t] for t in g.labels)
+
+
 def test_build_errors_are_located():
     with pytest.raises(GraphError, match="unknown destination type 'Q'"):
         build_graph([("A", 2, 0)], [("r", "A", "Q")], {})

@@ -285,3 +285,53 @@ def test_sampled_space_plan(tmp_path):
     assert len(records) == 4
     assert {r["config"]["model_family"] for r in records} <= {
         "Homogenization", "Relation", "Metapath"}
+
+
+# ---------------------------------------------------------------------------
+# the splits of a config share one start
+# ---------------------------------------------------------------------------
+
+def _mixed_configs(task):
+    base = dict(hidden_dim=16, mp_layers=2, epochs=100, task=task)
+    relation = dict(model_family="Relation", micro_conv="GCNConv", macro_agg="Sum")
+    return [
+        DesignConfig(**relation, **base, seed=1),                          # one pass
+        DesignConfig(**relation, **base, has_bn=True, seed=2),
+        DesignConfig(**relation, **base, has_bn=True, seed=2),           # equal: one group
+        DesignConfig(model_family="Homogenization", micro_conv="GATConv", macro_agg=None,
+                     dropout_p=0.3, **base, seed=3),
+        DesignConfig(model_family="Metapath", micro_conv="SageConv", macro_agg="Attention",
+                     metapaths=(("PAP", ("pa", "ap")),), activation="PReLU",
+                     has_bn=True, dropout_p=0.3, **base, seed=4),
+        DesignConfig(model_family="Relation", micro_conv="GINConv", macro_agg="Sum",
+                     optimizer="SGD", lr=0.1, hidden_dim=64, mp_layers=6,
+                     connectivity="SKIP-SUM", epochs=100, task=task, seed=3),  # diverges
+    ]
+
+
+@pytest.mark.parametrize("task,target,splits", [("node_classification", "P", 3),
+                                                ("link_prediction", "ap", 2)])
+def test_every_plan_record_equals_its_isolated_rerun(tmp_path, monkeypatch, task,
+                                                     target, splits):
+    import hgnn_space.train as train_mod
+    from hgnn_space.runner import _finalized_line, _record_to_json
+
+    configs = _mixed_configs(task)
+    save_config_list(configs, tmp_path / "configs.json")
+    plan = ExperimentPlan(graph=str(make_bundle(tmp_path)), task=task, target=target,
+                          space=str(tmp_path / "configs.json"), splits=splits, seed=7,
+                          out=str(tmp_path / "results.ndrec"), epoch_override=3)
+    builds = []
+    build_model = train_mod.build_model
+    monkeypatch.setattr(train_mod, "build_model",
+                        lambda *a, **kw: builds.append(1) or build_model(*a, **kw))
+    lines = open(run_plan(plan)).read().splitlines()[1:]
+    assert len(builds) == 5  # one per run of equal configs
+    assert len(lines) == len(configs) * splits
+    statuses = set()
+    for i, line in enumerate(lines):
+        alone = _finalized_line(_record_to_json(run_trial_by_id(plan, i)))
+        assert line == alone, f"trial {i}"
+        statuses.add(json.loads(line)["status"])
+    assert statuses == {"ok", "failed"}
+    assert len(builds) == 5 + len(lines)  # an isolated rerun builds its own

@@ -356,6 +356,46 @@ def test_grad_batch_norm_training_and_eval():
     check(run(False), [x, gamma, beta])
 
 
+def _reference_training_batch_norm(ad, gd, bd, eps=1e-5):
+    """Training-mode batch norm as plain expressions: output, statistics and
+    the vjp of an upstream gradient."""
+    n = ad.shape[0]
+    mu = ad.mean(axis=0)
+    var = ad.var(axis=0)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = (ad - mu) * inv * gd + bd
+
+    def vjp(g):
+        dxhat = g * gd
+        centred = ad - mu
+        xhat = centred * inv
+        dvar = (dxhat * centred).sum(axis=0) * (-0.5) * inv ** 3
+        dmu = (-dxhat * inv).sum(axis=0) + dvar * (-2.0 / n) * centred.sum(axis=0)
+        gx = dxhat * inv + dvar * 2.0 * centred / n + dmu / n
+        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    return out, mu, var, vjp
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 1), (37, 5), (1200, 64)])
+def test_training_batch_norm_equals_the_plain_expressions_bitwise(shape):
+    rng = np.random.default_rng(shape[0])
+    x = Parameter(rng.normal(3.0, 2.0, size=shape), "x")
+    gamma = Parameter(rng.normal(1.0, 0.3, size=(1, shape[1])), "g")
+    beta = Parameter(rng.normal(0.0, 0.3, size=(1, shape[1])), "b")
+    g = rng.standard_normal(shape)
+    state = BatchNormState(shape[1])
+    out = T.batch_norm(x, gamma, beta, state, True)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    want, mu, var, vjp = _reference_training_batch_norm(x.data, gamma.data, beta.data)
+    unbiased = var * shape[0] / (shape[0] - 1) if shape[0] > 1 else var
+    pairs = [(out.data, want), (state.running_mean, 0.9 * np.zeros(shape[1]) + 0.1 * mu),
+             (state.running_var, 0.9 * np.ones(shape[1]) + 0.1 * unbiased)]
+    pairs += list(zip((x.grad, gamma.grad, beta.grad), vjp(g)))
+    for got, ref in pairs:
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_grad_random_shapes_all_primitives():
     # sweep over random small shapes, mixing primitives in one expression
     rng = np.random.default_rng(14)

@@ -11,10 +11,10 @@ from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic)
 from hgnn_space.model import DesignConfig, build_model, score_links
 from hgnn_space.tensor import Parameter
-from hgnn_space.train import (Adam, SGD, Task, TrialRecord, binary_cross_entropy,
-                              cross_entropy, graph_without_edges, macro_f1,
-                              make_optimizer, make_splits, negative_sample,
-                              roc_auc, train_trial)
+from hgnn_space.train import (Adam, SGD, Task, TrialRecord, TrialStart,
+                              binary_cross_entropy, cross_entropy,
+                              graph_without_edges, macro_f1, make_optimizer,
+                              make_splits, negative_sample, roc_auc, train_trial)
 
 
 def planted_graph(seed=0, n_p=80, n_a=40, edges=200):
@@ -343,6 +343,70 @@ def test_adam_zero_gradient_leaves_parameters():
     assert np.array_equal(p.data, before)
 
 
+def adam_step_reference(params, slots, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam's step as plain expressions, each allocating its result."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        for p in params:
+            if p.grad is None:
+                continue
+            m, v = slots[p.name]
+            m *= b1
+            m += (1 - b1) * p.grad
+            v *= b2
+            v += (1 - b2) * p.grad ** 2
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def _odd_arrays(rng, shape):
+    """Random arrays salted with inf, -inf, nan and -0.0."""
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    flat = a.reshape(-1)
+    picks = rng.choice(flat.size, size=min(8, flat.size), replace=False)
+    flat[picks] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 0.0], size=picks.size)
+    return a
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["Adam", "SGD"])
+def test_in_place_optimizer_steps_equal_the_plain_formulas_bitwise(kind, seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(7, 5), (1, 5), (1, 1), (40, 3)]
+    got = [Parameter(_odd_arrays(rng, s), f"p{i}") for i, s in enumerate(shapes)]
+    want = [Parameter(p.data.copy(), p.name) for p in got]
+    # the last two leaves hold one gradient array, as `backward` may leave them
+    got.append(Parameter(rng.normal(size=(3, 3)), "s0"))
+    got.append(Parameter(rng.normal(size=(3, 3)), "s1"))
+    want += [Parameter(p.data.copy(), p.name) for p in got[-2:]]
+    opt = make_optimizer(kind, got, 0.01)
+    slots = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in want}
+    for t in range(1, 5):
+        grads = [_odd_arrays(rng, p.shape) for p in got[:-2]]
+        shared = rng.normal(size=(3, 3)) if t % 2 else _odd_arrays(rng, (3, 3))
+        grads += [shared, shared]
+        for p, q, g in zip(got, want, grads):
+            p.grad, q.grad = g, g.copy()
+        before = [_bits(g) for g in grads]
+        with np.errstate(invalid="ignore", over="ignore"):
+            opt.step()
+            if kind == "Adam":
+                adam_step_reference(want, slots, t, 0.01)
+            else:
+                for q in want:
+                    q.data -= 0.01 * q.grad
+        assert [_bits(g) for g in grads] == before  # no gradient written
+        for p, q in zip(got, want):
+            assert _bits(p.data) == _bits(q.data), (t, p.name)
+            if kind == "Adam":
+                assert all(_bits(a) == _bits(b)
+                           for a, b in zip(opt.slots[p.name], slots[q.name]))
+
+
 # ---------------------------------------------------------------------------
 # train_trial
 # ---------------------------------------------------------------------------
@@ -618,3 +682,76 @@ def test_trial_matches_loop_on_nonfinite_score(monkeypatch, kind, bad_call, drop
     # a non-finite first score is kept in the history; later ones are not
     assert len(got.history["val_score"]) == max(bad_call, 1)
     assert np.isnan(got.history["val_score"][-1]) == (bad_call == 0)
+
+
+# ---------------------------------------------------------------------------
+# the trials of one config share a start
+# ---------------------------------------------------------------------------
+
+START_CFG = DesignConfig(model_family="Metapath", micro_conv="GATConv",
+                         macro_agg="Attention", metapaths=(("PAP", ("pa", "ap")),),
+                         has_bn=True, dropout_p=0.3, activation="PReLU",
+                         hidden_dim=16, seed=9)
+
+
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+def test_each_split_starts_from_the_initial_arrays(kind):
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task = (Task("node_classification", "P", num_classes=4) if kind == "NC"
+            else Task("link_prediction", "ap"))
+    splits = make_splits(task, g, 3, seed=2)
+    cfg = START_CFG.with_values(task=task.kind)
+    fresh = build_model(cfg, graph_without_edges(g, "ap", splits[0].val)
+                        if kind == "LP" else g, num_classes=task.num_classes,
+                        target_type="P" if kind == "NC" else None)
+    want = [(p.name, p.data) for p in fresh.parameters()]
+    seen = []
+
+    class Spy(TrialStart):
+        def begin(self, msg_graph):
+            model = super().begin(msg_graph)
+            params = model.parameters()
+            seen.append((self.remaining, params, [p.data for p in params]))
+            assert [p.name for p in params] == [n for n, _ in want]
+            for p, (_, a) in zip(params, want):
+                assert np.array_equal(p.data, a) and p.grad is None
+                assert p.data.flags.writeable
+            for layer in model.mp:
+                for bn in layer.bns.values():
+                    assert not bn.state.running_mean.any()
+                    assert (bn.state.running_var == 1).all()
+            # the snapshot is read-only while a later split still needs it
+            assert all(a.flags.writeable == (self.remaining == 0)
+                       for a in self.initial)
+            return model
+
+    start = Spy(cfg, g, task, splits=3)
+    for split in splits:
+        got = train_trial(cfg, g, split, task, max_epochs=3, start=start)
+        alone = train_trial(cfg, g, split, task, max_epochs=3)
+        for f in dataclasses.fields(TrialRecord):
+            if f.name != "wall_time":
+                assert repr(getattr(got, f.name)) == repr(getattr(alone, f.name))
+        assert got.status == "ok" and len(got.history["train_loss"]) == 3
+        assert any(not np.array_equal(p.data, a)  # the split trained
+                   for p, (_, a) in zip(seen[-1][1], want))
+    assert [r for r, _, _ in seen] == [2, 1, 0]
+    # one model for all three, trained on copies but for the last split
+    assert seen[0][1][0] is seen[2][1][0]
+    assert not any(a is b for a, b in zip(seen[0][2], start.initial))
+    assert all(a is b for a, b in zip(seen[2][2], start.initial))
+    with pytest.raises(ValueError, match="every trial of this start has begun"):
+        start.begin(g)
+
+
+def test_a_start_refuses_another_config_task_or_graph():
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task = Task("node_classification", "P", num_classes=4)
+    split = make_splits(task, g, 1, seed=2)[0]
+    start = TrialStart(NC_CFG, g, task, splits=2)
+    for cfg, graph, other in ((NC_CFG.with_values(seed=6), g, task),
+                              (NC_CFG, planted_graph(n_p=40, n_a=20, edges=100), task),
+                              (NC_CFG, g, Task("node_classification", "P", 5))):
+        with pytest.raises(ValueError, match="another config, task or graph"):
+            train_trial(cfg, graph, split, other, max_epochs=1, start=start)
+    assert start.remaining == 2
