@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CSRMatrix, freeze
+from .sparse import CSRMatrix
 
 
 class GraphError(ValueError):
@@ -41,7 +41,7 @@ class Relation:
 class HeteroGraph:
     node_types: tuple
     relations: tuple
-    adjacency: dict  # relation name -> CSRMatrix (rows = dst, cols = src)
+    adjacency: dict  # relation name -> read-only CSRMatrix (rows = dst, cols = src)
     features: dict   # type name -> float64 (count, feature_dim), only if dim > 0
     labels: dict     # type name -> int64 (count,), -1 marks unlabeled
 
@@ -72,7 +72,10 @@ class HeteroGraph:
         if self.node_types != other.node_types or self.relations != other.relations:
             return False
         for name in self.relation_names:
-            if not self.adjacency[name].equals(other.adjacency[name]):
+            a, b = self.adjacency[name], other.adjacency[name]
+            if (a.shape != b.shape or a.dtype != b.dtype
+                    or not all(np.array_equal(getattr(a, k), getattr(b, k))
+                               for k in ("indptr", "indices", "data"))):
                 return False
         if set(self.features) != set(other.features):
             return False
@@ -141,8 +144,7 @@ def build_graph(node_types, relations, edge_lists, features=None, labels=None) -
                 raise GraphError(
                     f"relation '{r.name}': destination id out of range for type "
                     f"'{r.dst_type}' (count {n_dst})")
-        adjacency[r.name] = freeze(CSRMatrix.from_edges(dst, src, n_dst, n_src,
-                                                        data=counts))
+        adjacency[r.name] = CSRMatrix.from_edges(dst, src, n_dst, n_src, data=counts)
 
     feats = {}
     for tn, mat in features.items():

@@ -127,8 +127,8 @@ class GraphView:
 
 def subgraph_view(sub: Subgraph) -> GraphView:
     adj = sub.adjacency
-    return GraphView(adj.indices, adj.expanded_rows(), adj.data, adj.n_cols,
-                     adj.n_rows, sub.same_type, edge_type=sub.edge_type)
+    return GraphView(adj.indices, adj.expanded_rows(), adj.data, adj.shape[1],
+                     adj.shape[0], sub.same_type, edge_type=sub.edge_type)
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,10 @@ def graph_without_edges(graph: HeteroGraph, relation: str, pairs) -> HeteroGraph
         adj = graph.adjacency[r.name]
         src, dst, cnt = adj.indices, adj.expanded_rows(), adj.data
         if r.name == relation and pairs.size:
-            n_dst = adj.n_rows  # rows are destinations
+            n_dst, n_src = adj.shape  # rows are destinations
             # a pair outside the relation matches no cell, but its key could
             # alias one that is inside
-            ok = ((pairs >= 0).all(axis=1) & (pairs[:, 0] < adj.n_cols)
+            ok = ((pairs >= 0).all(axis=1) & (pairs[:, 0] < n_src)
                   & (pairs[:, 1] < n_dst))
             keep = ~np.isin(src * n_dst + dst, pairs[ok, 0] * n_dst + pairs[ok, 1])
             src, dst, cnt = src[keep], dst[keep], cnt[keep]
@@ -130,13 +130,13 @@ def negative_sample(graph: HeteroGraph, relation: str, positives, k: int, seed):
         raise GraphError(f"unknown relation '{relation}'")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     src = np.asarray(positives, dtype=np.int64).reshape(-1, 2)[:, 0]
-    n_dst = adj.n_rows  # rows are destinations
-    if src.size and (src.min() < 0 or src.max() >= adj.n_cols):
+    n_dst, n_src = adj.shape  # rows are destinations
+    if src.size and (src.min() < 0 or src.max() >= n_src):
         raise GraphError(f"source id out of range for relation '{relation}'")
     # sorted keys src*n_dst + dst of the observed cells
     keys = np.sort(adj.indices * n_dst + adj.expanded_rows())
     keys = keys[np.append(True, keys[1:] != keys[:-1])]
-    out_degree = np.diff(np.searchsorted(keys, np.arange(adj.n_cols + 1) * n_dst))
+    out_degree = np.diff(np.searchsorted(keys, np.arange(n_src + 1) * n_dst))
     saturated = out_degree[src] >= n_dst
     if saturated.any():
         s = int(src[np.argmax(saturated)])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hgraph import GraphError, HeteroGraph
-from .sparse import CSRMatrix, freeze
+from .sparse import CSRMatrix
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,12 @@ def compose_metapath(g: HeteroGraph, mp: MetaPath) -> Subgraph:
                 f"meta-path '{mp.name}' does not chain: '{a.name}' ends at "
                 f"'{a.dst_type}' but '{b.name}' starts at '{b.src_type}'")
     product = g.adjacency[rels[0].name]
-    for r in rels[1:]:
-        product = g.adjacency[r.name] @ product
-    return Subgraph(mp.name, rels[0].src_type, rels[-1].dst_type, freeze(product))
+    try:
+        for r in rels[1:]:
+            product = g.adjacency[r.name] @ product
+    except OverflowError as e:
+        raise GraphError(f"meta-path '{mp.name}': {e}") from None
+    return Subgraph(mp.name, rels[0].src_type, rels[-1].dst_type, product)
 
 
 def type_offsets(g: HeteroGraph) -> dict:
@@ -103,7 +106,7 @@ def homogenize(g: HeteroGraph) -> Subgraph:
                                    for p in (src, dst, weight, edge_type))
     order = np.argsort(dst, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
-    adjacency = freeze(CSRMatrix(n, n, indptr, src[order], weight[order]))
+    adjacency = CSRMatrix.frozen((weight[order], src[order], indptr), (n, n))
     return Subgraph("*", "*", "*", adjacency, edge_type[order])
 
 
@@ -118,7 +121,7 @@ def homophily(sub: Subgraph, labels: np.ndarray) -> float:
             f"homophily needs matching endpoint types, got "
             f"'{sub.src_type}' -> '{sub.dst_type}'")
     labels = np.asarray(labels)
-    n = sub.adjacency.n_rows
+    n = sub.adjacency.shape[0]
     if labels.shape[0] != n:
         raise GraphError(f"labels cover {labels.shape[0]} nodes, expected {n}")
     # neighbors of v are the rows u with A[u, v] >= 1, i.e. column v

@@ -4,6 +4,13 @@ import pytest
 from hgnn_space.hgraph import build_graph
 
 
+def same_csr(a, b):
+    """Adjacency equality: shape, dtype and the three CSR arrays."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and all(np.array_equal(getattr(a, k), getattr(b, k))
+                    for k in ("indptr", "indices", "data")))
+
+
 @pytest.fixture
 def academic_graph():
     """Three node types, four relations (both directions of two links)."""

@@ -88,7 +88,7 @@ def _enumerate_paths(g, relation_names):
     n_src = g.num_nodes(rels[0].src_type)
     n_dst = g.num_nodes(rels[-1].dst_type)
     counts = np.zeros((n_dst, n_src), dtype=np.int64)
-    dense = [g.adjacency[n].to_dense() for n in relation_names]
+    dense = [g.adjacency[n].toarray() for n in relation_names]
 
     def walk(step, node, start):
         if step == len(rels):
@@ -136,7 +136,7 @@ def test_acceptance_2_metapath_oracle():
             chain.append(opts[int(rng.integers(0, len(opts)))])
         names = tuple(r.name for r in chain)
         sub = compose_metapath(g, MetaPath("mp", names))
-        assert np.array_equal(sub.adjacency.to_dense(), _enumerate_paths(g, names))
+        assert np.array_equal(sub.adjacency.toarray(), _enumerate_paths(g, names))
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 200

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import hgnn_space
 
 from hgnn_space.cli import main
-from hgnn_space.hgraph import GraphError, SyntheticSpec, generate_synthetic, save_graph
+from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph, generate_synthetic,
+                               save_graph)
 from hgnn_space.model import DesignConfig
 from hgnn_space.runner import parse_plan, save_config_list
 
@@ -331,6 +332,38 @@ def test_analyze_errors_exit_with_status_two_in_one_line(tmp_path, capsys):
     empty.write_text('{"format":"hgnn-space-results/1","plan_hash":"x"}\n')
     assert main(["analyze", "edf", "--results", str(empty)]) == 2
     assert f"no successful trials in {empty}" in _one_line_error(capsys)
+
+
+def _overflowing_metapath_bundle(tmp_path):
+    """12 P / 4 A nodes; the `ap` and `pa` edge files each hold one count of
+    2**40, so the PAP count product could overflow int64."""
+    ap = np.array([[p % 4, p, 1] for p in range(12)])
+    ap[0, 2] = 1 << 40
+    g = build_graph([("P", 12, 0), ("A", 4, 0)], [("ap", "A", "P"), ("pa", "P", "A")],
+                    {"ap": ap, "pa": ap[:, [1, 0, 2]]}, labels={"P": np.arange(12) % 2})
+    return save_graph(g, tmp_path / "bundle")
+
+
+@pytest.mark.parametrize("command", ["homophily", "run"])
+def test_a_metapath_count_that_may_overflow_is_reported_in_one_line(tmp_path, capsys,
+                                                                    command):
+    graph = _overflowing_metapath_bundle(tmp_path)
+    if command == "homophily":
+        argv = ["analyze", "homophily", "--graph", graph, "--metapaths", "PAP:pa,ap"]
+    else:
+        cfg_path = tmp_path / "configs.json"
+        save_config_list([DesignConfig(model_family="Metapath", micro_conv="GCNConv",
+                                       macro_agg="Sum", hidden_dim=16, mp_layers=1,
+                                       epochs=100, seed=5)], cfg_path)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(f"graph = {graph}\ntask = node_classification\ntarget = P\n"
+                        f"space = {cfg_path}\nsplits = 1\nepoch_override = 1\n"
+                        "metapaths = PAP:pa,ap\n"
+                        f"out = {tmp_path / 'r.ndrec'}\n")
+        argv = ["run", "--plan", str(plan)]
+    assert main(argv) == 2
+    assert _one_line_error(capsys) == ("hgnn-space: error: meta-path 'PAP': sparse "
+                                       "product may overflow int64 counts\n")
 
 
 def test_analyze_homophily(tmp_path, capsys):

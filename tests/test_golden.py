@@ -152,8 +152,8 @@ def test_finalized_records_match_the_committed_digest(task, tmp_path):
 
 def test_shared_cells_plan_has_shared_cells():
     g = _shared_cells_graph()
-    cites = g.adjacency["cites"].to_dense() > 0
-    refs = g.adjacency["refs"].to_dense() > 0
+    cites = g.adjacency["cites"].toarray() > 0
+    refs = g.adjacency["refs"].toarray() > 0
     assert (cites & refs).any() and (cites ^ refs).any()
 
 

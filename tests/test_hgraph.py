@@ -22,6 +22,8 @@ from hgnn_space.runner import save_config_list
 from hgnn_space.sparse import CSRMatrix
 from hgnn_space.transform import MetaPath, compose_metapath, homophily
 
+from conftest import same_csr
+
 # numpy's "input contained no data" warning must never escape the loader
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
@@ -32,7 +34,7 @@ pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 def test_csr_accumulates_duplicates():
     m = CSRMatrix.from_edges([0, 0, 1], [2, 2, 0], 2, 3)
-    assert m.to_dense().tolist() == [[0, 0, 2], [1, 0, 0]]
+    assert m.toarray().tolist() == [[0, 0, 2], [1, 0, 0]]
 
 
 def from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=None):
@@ -42,8 +44,8 @@ def from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=None):
     cols = np.asarray(cols, dtype=np.int64)
     data = np.ones(rows.shape[0], dtype=np.int64) if data is None else np.asarray(data)
     if rows.size == 0:
-        return CSRMatrix(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64),
-                         np.empty(0, dtype=np.int64), np.empty(0, dtype=data.dtype))
+        return CSRMatrix.frozen((np.empty(0, dtype=data.dtype), np.empty(0, dtype=np.int64),
+                                 np.zeros(n_rows + 1, dtype=np.int64)), (n_rows, n_cols))
     order = np.lexsort((cols, rows))
     r, c, d = rows[order], cols[order], data[order]
     new_cell = np.empty(r.shape[0], dtype=bool)
@@ -53,7 +55,8 @@ def from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=None):
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.add.at(indptr, r[starts] + 1, 1)
     np.cumsum(indptr, out=indptr)
-    return CSRMatrix(n_rows, n_cols, indptr, c[starts], np.add.reduceat(d, starts))
+    return CSRMatrix.frozen((np.add.reduceat(d, starts), c[starts], indptr),
+                            (n_rows, n_cols))
 
 
 def test_csr_from_edges_matches_the_sorted_merge():
@@ -72,7 +75,7 @@ def test_csr_from_edges_matches_the_sorted_merge():
         want = from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=data)
         assert got.data.dtype == want.data.dtype, case
         if case % 4 < 3:
-            assert got.equals(want), case
+            assert same_csr(got, want), case
         else:  # float duplicates may be added in another order
             assert np.array_equal(got.indptr, want.indptr), case
             assert np.array_equal(got.indices, want.indices), case
@@ -96,7 +99,7 @@ def test_csr_matmul_matches_dense():
         b = (rng.random((a.shape[1], rng.integers(1, 8))) < 0.4).astype(np.int64)
         ca = CSRMatrix.from_edges(*np.nonzero(a), *a.shape)
         cb = CSRMatrix.from_edges(*np.nonzero(b), *b.shape)
-        assert np.array_equal((ca @ cb).to_dense(), a @ b)
+        assert np.array_equal((ca @ cb).toarray(), a @ b)
 
 
 def test_csr_matmul_matches_dense_with_empty_rows_and_columns():
@@ -114,7 +117,7 @@ def test_csr_matmul_matches_dense_with_empty_rows_and_columns():
         got = ca @ cb
         want = a @ b
         assert got.data.dtype == np.int64 and got.indices.dtype == np.int64
-        assert np.array_equal(got.to_dense(), want)
+        assert np.array_equal(got.toarray(), want)
         assert np.array_equal(np.diff(got.indptr), (want != 0).sum(axis=1))
         rows = got.expanded_rows()
         assert np.all((rows[1:] > rows[:-1]) | (got.indices[1:] > got.indices[:-1]))
@@ -131,17 +134,43 @@ def test_csr_matmul_overflow_bound_is_exact_at_int_safe():
         _ = above @ b
 
 
-def test_csr_transpose_matches_dense():
-    rng = np.random.default_rng(3)
-    a = (rng.random((6, 4)) < 0.5).astype(np.int64) * rng.integers(1, 4, (6, 4))
-    ca = CSRMatrix.from_edges(*np.nonzero(a), 6, 4, data=a[np.nonzero(a)])
-    assert np.array_equal(ca.transpose().to_dense(), a.T)
-
-
 def test_csr_matmul_overflow_guard():
     big = CSRMatrix.from_edges([0], [0], 1, 1, data=np.array([1 << 40]))
     with pytest.raises(OverflowError):
         _ = big @ big
+
+
+def test_every_adjacency_is_int64_and_read_only(tmp_path):
+    from hgnn_space.train import graph_without_edges
+    from hgnn_space.transform import homogenize
+
+    # "wrote" shares the cell A0 -> P0 with "ap"; "pc" has no edges, so the
+    # APC product is empty, which scipy would store with int32 indices
+    ap = np.array([[0, 0], [0, 1], [1, 1]])
+    g = build_graph([("P", 3, 0), ("A", 2, 0), ("C", 2, 0)],
+                    [("ap", "A", "P"), ("wrote", "A", "P"), ("pa", "P", "A"),
+                     ("pc", "P", "C")],
+                    {"ap": ap, "wrote": np.array([[0, 0], [1, 2]]), "pa": ap[:, ::-1]})
+    fused = homogenize(g).adjacency
+    adjacencies = [*g.adjacency.values(),
+                   *load_graph(save_graph(g, tmp_path / "b")).adjacency.values(),
+                   *graph_without_edges(g, "ap", ap[:1]).adjacency.values(),
+                   compose_metapath(g, MetaPath("APA", ("ap", "pa"))).adjacency,
+                   compose_metapath(g, MetaPath("APC", ("ap", "pc"))).adjacency,
+                   fused]
+    for adj in adjacencies:
+        assert adj.indptr.dtype == adj.indices.dtype == np.int64
+        assert not (adj.indptr.flags.writeable or adj.indices.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            adj.data[:] = 0
+    # scipy's in-place canonicalisation cannot merge the shared cell's two
+    # entries, one per relation
+    total = sum(a.nnz for a in g.adjacency.values())
+    indices, data = fused.indices.copy(), fused.data.copy()
+    with pytest.raises(ValueError):
+        fused.sum_duplicates()
+    assert fused.nnz == total == 8
+    assert np.array_equal(fused.indices, indices) and np.array_equal(fused.data, data)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +187,14 @@ def test_academic_schema_has_four_adjacencies(academic_graph):
 def test_empty_edge_list_is_valid():
     g = build_graph([("X", 2, 0), ("Y", 3, 0)], [("r", "X", "Y")], {})
     assert g.adjacency["r"].nnz == 0
-    assert g.adjacency["r"].to_dense().tolist() == [[0, 0], [0, 0], [0, 0]]
+    assert g.adjacency["r"].toarray().tolist() == [[0, 0], [0, 0], [0, 0]]
 
 
 def test_duplicate_edge_accumulates_multiplicity():
     g = build_graph([("A", 2, 0), ("P", 2, 0)], [("w", "A", "P")],
                     {"w": np.array([[1, 0], [1, 0]])})
     # cell (dst=p0, src=a1) carries count 2
-    assert g.adjacency["w"].to_dense()[0, 1] == 2
+    assert g.adjacency["w"].toarray()[0, 1] == 2
 
 
 def _features_kept(x):
@@ -249,8 +278,8 @@ def test_adjacency_sums_match_raw_edge_list():
     g = build_graph([("S", 5, 0), ("D", 5, 0)], [("r", "S", "D")], {"r": edges})
     out_deg = np.bincount(edges[:, 0], minlength=5)
     in_deg = np.bincount(edges[:, 1], minlength=5)
-    assert np.array_equal(g.adjacency["r"].to_dense().sum(axis=0), out_deg)
-    assert np.array_equal(g.adjacency["r"].to_dense().sum(axis=1), in_deg)
+    assert np.array_equal(g.adjacency["r"].toarray().sum(axis=0), out_deg)
+    assert np.array_equal(g.adjacency["r"].toarray().sum(axis=1), in_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +360,9 @@ def _raw_bundle(d, edges="0,1\n", features="0.5,1.5\n2.5,3.5\n", labels="0\n1\n"
 
 def test_bundle_reader_accepts_two_and_three_column_rows(tmp_path):
     g = load_graph(_raw_bundle(tmp_path / "two", edges="0,1\n1,1\n0,1\n"))
-    assert g.adjacency["aa"].to_dense().tolist() == [[0, 0], [2, 1]]  # [dst, src]
+    assert g.adjacency["aa"].toarray().tolist() == [[0, 0], [2, 1]]  # [dst, src]
     g = load_graph(_raw_bundle(tmp_path / "mixed", edges="0,1,4\n1,1\n1,0,2\n0,1\n"))
-    assert g.adjacency["aa"].to_dense().tolist() == [[0, 2], [5, 1]]
+    assert g.adjacency["aa"].toarray().tolist() == [[0, 2], [5, 1]]
 
 
 def test_bundle_reader_skips_blank_lines_and_accepts_crlf_and_padded_cells(tmp_path):
@@ -342,7 +371,7 @@ def test_bundle_reader_skips_blank_lines_and_accepts_crlf_and_padded_cells(tmp_p
         edges="\r\n 0 , 1 , 3 \r\n \t \r\n1,0\r\n",
         features="  -0.0 ,\t1e-320\r\n\r\n\r\n2.5e300, -inf \r\n   \r\n",
         labels="\n 1 \r\n\x0c\r\n-1"))
-    assert g.adjacency["aa"].to_dense().tolist() == [[0, 1], [3, 0]]
+    assert g.adjacency["aa"].toarray().tolist() == [[0, 1], [3, 0]]
     want = np.array([[-0.0, 1e-320], [2.5e300, -np.inf]])
     assert g.features["A"].tobytes() == want.tobytes()
     assert g.labels["A"].tolist() == [1, -1]

@@ -85,7 +85,7 @@ def test_forward_dense_composition_oracle():
 
     def gcn_out(rel_idx, rel_name, src, dst):
         conv = layer.convs[rel_idx]
-        A = g.adjacency[rel_name].to_dense().astype(float)
+        A = g.adjacency[rel_name].toarray().astype(float)
         din = A.sum(axis=1)
         norm = np.divide(A, din[:, None], out=np.zeros_like(A),
                          where=din[:, None] > 0)

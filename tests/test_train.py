@@ -16,6 +16,8 @@ from hgnn_space.train import (Adam, SGD, Task, TrialRecord, TrialStart,
                               graph_without_edges, macro_f1, make_optimizer,
                               make_splits, negative_sample, roc_auc, train_trial)
 
+from conftest import same_csr
+
 
 def planted_graph(seed=0, n_p=80, n_a=40, edges=200):
     spec = SyntheticSpec(
@@ -98,7 +100,7 @@ def test_lp_split_removes_validation_positives_from_message_graph():
     splits = make_splits(task, g, 3, seed=1)
     for s in splits:
         msg = graph_without_edges(g, "ap", s.val)
-        dense = msg.adjacency["ap"].to_dense()
+        dense = msg.adjacency["ap"].toarray()
         for src, dst in s.val:
             assert dense[dst, src] == 0  # membership oracle: cell really gone
         # training positives survive unless they share a cell with a dropped one
@@ -107,7 +109,7 @@ def test_lp_split_removes_validation_positives_from_message_graph():
             if (int(src), int(dst)) not in val_cells:
                 assert dense[dst, src] >= 1
         # other relations untouched
-        assert msg.adjacency["pa"].equals(g.adjacency["pa"])
+        assert same_csr(msg.adjacency["pa"], g.adjacency["pa"])
 
 
 def graph_without_edges_loop(graph, relation, pairs):
@@ -128,7 +130,7 @@ def graph_without_edges_loop(graph, relation, pairs):
 def test_graph_without_edges_matches_set_loop():
     g = planted_graph(seed=3)
     task = Task("link_prediction", "pa")
-    n_dst = g.adjacency["pa"].n_rows
+    n_dst = g.adjacency["pa"].shape[0]
     for s in make_splits(task, g, 2, seed=5):
         # pairs outside the relation's shape whose keys src*n_dst+dst equal
         # those of training cells, which must survive
@@ -139,7 +141,7 @@ def test_graph_without_edges_matches_set_loop():
             got = graph_without_edges(g, "pa", pairs)
             want = graph_without_edges_loop(g, "pa", pairs)
             for r in g.relation_names:
-                assert got.adjacency[r].equals(want.adjacency[r])
+                assert same_csr(got.adjacency[r], want.adjacency[r])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,7 @@ def test_negative_sampling_avoids_positives():
                     g.adjacency["ap"].expanded_rows()], axis=1)[:10]
     negs = negative_sample(g, "ap", pos, 1, seed=3)
     assert negs.shape == (10, 2)
-    dense = g.adjacency["ap"].to_dense()
+    dense = g.adjacency["ap"].toarray()
     for s, d in negs:
         assert dense[d, s] == 0
     again = negative_sample(g, "ap", pos, 1, seed=3)
@@ -170,8 +172,8 @@ def test_negative_sampling_saturation():
 def negative_sample_loop(graph, relation, positives, k, rng):
     """Reference sampler: one scalar draw per attempt, rejecting observed cells."""
     adj = graph.adjacency[relation]
-    n_dst = adj.n_rows
-    tadj = adj.transpose()
+    n_dst = adj.shape[0]
+    tadj = adj.T.tocsr()
     out = []
     for s, _ in np.asarray(positives, dtype=np.int64):
         s = int(s)
@@ -232,6 +234,25 @@ def test_negative_sampling_saturation_names_the_first_saturated_source():
     with pytest.raises(GraphError, match="source 3") as got:
         negative_sample(g, "r", pos, 2, seed=0)
     assert str(got.value) == str(want.value)
+
+
+def test_edge_keys_above_int32_match_python_int_references():
+    # 100 000 nodes a side: a key src * n_dst + dst reaches 1e10, past int32.
+    # The sampler's first three draws are observed destinations of source
+    # n - 1, so a wrapped key would let an observed cell through.
+    n, seed = 100_000, 5
+    draws = np.random.default_rng(seed)
+    first = [int(draws.integers(0, n)) for _ in range(3)]
+    cells = np.array([[n - 1, d] for d in first] + [[70_000, n - 1], [3, n - 2]])
+    g = build_graph([("A", n, 0), ("B", n, 0)], [("r", "A", "B")], {"r": cells})
+    pos = cells[[0, 3]]
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = negative_sample(g, "r", pos, 2, rng)
+    assert np.array_equal(got, negative_sample_loop(g, "r", pos, 2, rng_ref))
+    assert not {tuple(p) for p in got.tolist()} & {tuple(c) for c in cells.tolist()}
+    got = graph_without_edges(g, "r", pos).adjacency["r"]
+    assert same_csr(got, graph_without_edges_loop(g, "r", pos).adjacency["r"])
+    assert got.nnz == 3
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
                                   homophily, type_offsets)
 from hgnn_space.sparse import CSRMatrix
 
-from conftest import random_hetero_graph
+from conftest import random_hetero_graph, same_csr
 
 
 def brute_force_path_counts(g, relation_names):
@@ -23,7 +23,7 @@ def brute_force_path_counts(g, relation_names):
     n_src = g.num_nodes(rels[0].src_type)
     n_dst = g.num_nodes(rels[-1].dst_type)
     counts = np.zeros((n_dst, n_src), dtype=np.int64)
-    adj_dense = {n: g.adjacency[n].to_dense() for n in relation_names}
+    adj_dense = {n: g.adjacency[n].toarray() for n in relation_names}
 
     def walk(step, node, start):
         if step == len(rels):
@@ -54,7 +54,7 @@ def test_extract_all_relations(academic_graph):
 def test_extract_empty_and_identity(academic_graph):
     assert extract_relation_subgraphs(academic_graph, []) == []
     sub = extract_relation_subgraphs(academic_graph, ["written"])[0]
-    assert sub.adjacency.equals(academic_graph.adjacency["written"])
+    assert same_csr(sub.adjacency, academic_graph.adjacency["written"])
     with pytest.raises(GraphError, match="unknown relation"):
         extract_relation_subgraphs(academic_graph, ["nope"])
 
@@ -66,7 +66,7 @@ def test_extract_empty_and_identity(academic_graph):
 def test_length_one_metapath_equals_relation(academic_graph):
     sub = compose_metapath(academic_graph, MetaPath("W", ("written",)))
     rel = extract_relation_subgraphs(academic_graph, ["written"])[0]
-    assert sub.adjacency.equals(rel.adjacency)
+    assert same_csr(sub.adjacency, rel.adjacency)
     assert (sub.src_type, sub.dst_type) == (rel.src_type, rel.dst_type)
 
 
@@ -77,7 +77,7 @@ def test_apa_hand_case():
                     [("ap", "A", "P"), ("pa", "P", "A")],
                     {"ap": ap, "pa": ap[:, ::-1]})
     sub = compose_metapath(g, MetaPath("APA", ("ap", "pa")))
-    assert sub.adjacency.to_dense().tolist() == [[2, 1], [1, 1]]
+    assert sub.adjacency.toarray().tolist() == [[2, 1], [1, 1]]
     assert sub.src_type == "A" and sub.dst_type == "A"
 
 
@@ -104,7 +104,7 @@ def test_metapath_counts_match_brute_force():
             chain.append(options[int(rng.integers(0, len(options)))])
         names = tuple(r.name for r in chain)
         sub = compose_metapath(g, MetaPath("mp", names))
-        assert np.array_equal(sub.adjacency.to_dense(),
+        assert np.array_equal(sub.adjacency.toarray(),
                               brute_force_path_counts(g, names))
 
 
@@ -120,7 +120,24 @@ def test_metapath_composition_is_associative():
     apa = compose_metapath(g, MetaPath("APA", ("ap", "pa")))
     # (ap ∘ pa) then ap == full chain; rows are destinations so the later
     # segment multiplies from the left
-    assert (ap_sub.adjacency @ apa.adjacency).equals(apap.adjacency)
+    assert same_csr(ap_sub.adjacency @ apa.adjacency, apap.adjacency)
+
+
+def test_metapath_products_go_through_the_matmul_method(monkeypatch, academic_graph):
+    # profilers count sparse products by wrapping CSRMatrix.matmul
+    calls = []
+    matmul = CSRMatrix.matmul
+
+    def counting(self, other):
+        calls.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(CSRMatrix, "matmul", counting)
+    names = ("written", "published", "publishes")
+    sub = compose_metapath(academic_graph, MetaPath("APCP", names))
+    assert calls == [((2, 3), (3, 2)), ((3, 2), (2, 2))]  # C<-P @ P<-A, P<-C @ C<-A
+    assert np.array_equal(sub.adjacency.toarray(),
+                          brute_force_path_counts(academic_graph, names))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +150,7 @@ def test_homogenize_single_type_single_relation():
     sub = homogenize(g)
     assert type_offsets(g) == {"X": 0}
     assert (sub.name, sub.src_type, sub.dst_type) == ("*", "*", "*")
-    assert sub.adjacency.equals(g.adjacency["r"])
+    assert same_csr(sub.adjacency, g.adjacency["r"])
     assert sub.edge_type.tolist() == [0, 0, 0]
 
 
@@ -165,7 +182,7 @@ def test_homogenize_keeps_a_shared_cell_as_two_entries():
     assert adj.data.tolist() == [1, 1, 1, 2]
     assert sub.edge_type.tolist() == [0, 0, 1, 1]
     # densified, the shared cell sums both relations' entries
-    assert adj.to_dense().tolist() == [[0, 0, 0], [2, 0, 1], [0, 2, 0]]
+    assert adj.toarray().tolist() == [[0, 0, 0], [2, 0, 1], [0, 2, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +263,10 @@ def test_homophily_permutation_invariant(n, seed):
 def homophily_loop(sub, labels):
     """Reference: the per-node loop over the transposed adjacency."""
     labels = np.asarray(labels)
-    adj_t = sub.adjacency.transpose()
+    adj_t = sub.adjacency.T.tocsr()
     total = 0.0
     seen = 0
-    for v in range(sub.adjacency.n_rows):
+    for v in range(sub.adjacency.shape[0]):
         s, e = adj_t.indptr[v], adj_t.indptr[v + 1]
         if s == e:
             continue
