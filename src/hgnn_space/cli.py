@@ -32,6 +32,8 @@ def cmd_space(args):
         print(space.cardinality())
         return 0
     if args.space_cmd == "sample":
+        if args.n < 1:  # `run` refuses an empty config list
+            return _error(f"--n must be at least 1, got {args.n}")
         strata = ds.default_strata(space, args.strata_hits) if args.strata_hits else []
         try:
             configs = ds.sample_controlled(space, args.n, strata, args.seed)

@@ -37,8 +37,10 @@ class Relation:
     dst_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeteroGraph:
+    """A typed graph; `==` is identity, `equals` compares the contents."""
+
     node_types: tuple
     relations: tuple
     adjacency: dict  # relation name -> read-only CSRMatrix (rows = dst, cols = src)

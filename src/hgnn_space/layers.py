@@ -1,19 +1,21 @@
 """Heterogeneous message-passing layers.
 
 Micro-level graph convolutions (GCN / GAT / Sage / GIN) run on one subgraph
-view; macro-level reducers (Mean / Max / Sum / Attention) fuse per-subgraph
-outputs that share a destination node set. The model families differ only in
-the graph transformation that gives the node sets and subgraphs: Relation
-and Metapath keep one node set per type and one subgraph per relation or
-meta-path, Homogenization fuses every type into one node set with one
-subgraph. `subgraph_view` prepares every family's subgraphs; a view of the
-fused one carries each edge's relation index, which the relation-aware
-attention variant reads.
+as one sparse-dense product; macro-level reducers (Mean / Max / Sum /
+Attention) fuse per-subgraph outputs that share a destination node set. The
+model families differ only in the graph transformation that gives the node
+sets and subgraphs: Relation and Metapath keep one node set per type and one
+subgraph per relation or meta-path, Homogenization fuses every type into one
+node set with one subgraph. `aggregation_plan` builds each convolution's
+matrix straight from a subgraph's CSR adjacency; the fused subgraph also
+carries each entry's relation index, which the relation-aware attention
+variant reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import tensor as T
 from .tensor import BatchNormState, Parameter, SpmmPlan, Tensor, TensorError
@@ -63,72 +65,41 @@ def _collect(values, found):
 
 
 # ---------------------------------------------------------------------------
-# prepared subgraph views
+# aggregation matrices
 # ---------------------------------------------------------------------------
 
-class GraphView:
-    """Lazy cache of the matrices one subgraph can be aggregated with; edges
-    are sorted by destination, and `edge_type` (fused graphs only) holds each
-    edge's relation index."""
-
-    def __init__(self, src, dst, weight, n_src, n_dst, same_type, edge_type=None):
-        self._src = src
-        self._dst = dst
-        self._weight = np.asarray(weight, dtype=np.float64)
-        self.n_src = int(n_src)
-        self.n_dst = int(n_dst)
-        self.same_type = bool(same_type)
-        self.edge_type = edge_type
-        self._cache = {}
-
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def _plan(self, weight):
-        return SpmmPlan(self._dst, self._src, self.n_dst, self.n_src, weight)
-
-    def weighted(self) -> SpmmPlan:
-        """Edge multiplicities as weights (sum aggregation)."""
-        return self._cached("weighted", lambda: self._plan(self._weight))
-
-    def row_normalized(self) -> SpmmPlan:
-        """Each destination's weights divided by their sum (mean aggregation)."""
-        def build():
-            din = np.bincount(self._dst, weights=self._weight, minlength=self.n_dst)
-            safe = np.where(din > 0, din, 1.0)
-            return self._plan(self._weight / safe[self._dst])
-        return self._cached("mean", build)
-
-    def attention(self) -> SpmmPlan:
-        """The unit-weight pattern attention coefficients fill; parallel
-        edges within a subgraph count as one neighbor."""
-        return self._cached("attention", lambda: self._plan(None))
-
-    def gcn_normalized(self) -> SpmmPlan:
-        """Count-weighted normalized edges; self-loops only on same-type views."""
-        if not self.same_type:
-            return self.row_normalized()
-
-        def build():
-            loops = np.arange(self.n_dst, dtype=np.int64)
-            src = np.concatenate([self._src, loops])
-            dst = np.concatenate([self._dst, loops])
-            w = np.concatenate([self._weight, np.ones(self.n_dst)])
-            din = np.bincount(dst, weights=w, minlength=self.n_dst)
-            dout = np.bincount(src, weights=w, minlength=self.n_src)
-            norm = w / np.sqrt(din[dst] * dout[src])
-            order = np.argsort(dst, kind="stable")
-            return SpmmPlan(dst[order], src[order], self.n_dst, self.n_src,
-                            norm[order])
-        return self._cached("gcn", build)
-
-
-def subgraph_view(sub: Subgraph) -> GraphView:
+def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
+    """The matrix convolution `kind` aggregates `sub` with, built from the
+    subgraph's CSR adjacency: its counts (GIN), each destination's counts
+    divided by their sum (Sage, and GCN across types), the counts with one
+    self-loop per node, symmetrically normalized (GCN within one type), or
+    the unit pattern attention coefficients fill (GAT; parallel edges
+    within a subgraph count as one neighbor)."""
+    if kind not in MICRO_KINDS:
+        raise TensorError(f"unknown micro convolution '{kind}'")
     adj = sub.adjacency
-    return GraphView(adj.indices, adj.expanded_rows(), adj.data, adj.shape[1],
-                     adj.shape[0], sub.same_type, edge_type=sub.edge_type)
+    n_dst, n_src = adj.shape
+    indices, indptr = adj.indices, adj.indptr
+    w = adj.data.astype(np.float64)
+    if kind == "GATConv":
+        w = np.ones(adj.nnz)
+    elif kind == "GCNConv" and sub.same_type:
+        # each row's loop goes after its edges: the stable sort by row keeps
+        # the edges' order, and every row grows by one entry
+        loops = np.arange(n_dst, dtype=np.int64)
+        src = np.concatenate([indices, loops])
+        dst = np.concatenate([adj.expanded_rows(), loops])
+        w = np.concatenate([w, np.ones(n_dst)])
+        din = np.bincount(dst, weights=w, minlength=n_dst)
+        dout = np.bincount(src, weights=w, minlength=n_src)
+        order = np.argsort(dst, kind="stable")
+        w = (w / np.sqrt(din[dst] * dout[src]))[order]
+        indices, indptr = src[order], indptr + np.arange(n_dst + 1)
+    elif kind != "GINConv":
+        rows = adj.expanded_rows()
+        din = np.bincount(rows, weights=w, minlength=n_dst)
+        w = w / np.where(din > 0, din, 1.0)[rows]
+    return SpmmPlan(sp.csr_array((w, indices, indptr), shape=adj.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +111,8 @@ class GCNConv(Module):
         self.W = Parameter(glorot(rng, in_dim, out_dim), f"{prefix}.W")
         self.b = Parameter(np.zeros((1, out_dim)), f"{prefix}.b")
 
-    def __call__(self, view: GraphView, h_src, h_dst):
-        agg = T.spmm(view.gcn_normalized(), h_src)
+    def __call__(self, plan: SpmmPlan, h_src, h_dst):
+        agg = T.spmm(plan, h_src)
         return T.add(T.matmul(agg, self.W), self.b)
 
 
@@ -164,25 +135,25 @@ class GATConv(Module):
                 f"{prefix}.r_emb")
             self.a_rel = Parameter(glorot(rng, out_dim, 1), f"{prefix}.a_rel")
 
-    def _attention(self, view: GraphView, h_src, h_dst):
-        """Projected sources and one softmax coefficient per edge of the
-        view's attention pattern, normalized over each destination."""
-        A = view.attention()
+    def _attention(self, A: SpmmPlan, h_src, h_dst, edge_type=None):
+        """Projected sources and one softmax coefficient per entry of the
+        attention pattern `A`, normalized over each destination;
+        `edge_type` holds each entry's relation index."""
         z_src = T.matmul(h_src, self.W)
         z_dst = z_src if h_dst is h_src else T.matmul(h_dst, self.W)
         logits = T.add(T.gather_rows(T.matmul(z_dst, self.a_dst), A.by_row),
                        T.gather_rows(T.matmul(z_src, self.a_src), A.by_col))
         if self.form == "SimpleHGN":
-            if view.edge_type is None:
-                raise TensorError("SimpleHGN attention needs a typed edge view")
+            if edge_type is None:
+                raise TensorError("SimpleHGN attention needs edge types")
             s_rel = T.matmul(T.matmul(self.r_emb, self.W_r), self.a_rel)
-            logits = T.add(logits, T.gather_rows(s_rel, view.edge_type))
+            logits = T.add(logits, T.gather_rows(s_rel, edge_type))
         e = T.leaky_relu(logits, GAT_LEAKY_SLOPE)
         return z_src, T.segment_softmax(e, A.by_row)
 
-    def __call__(self, view: GraphView, h_src, h_dst):
-        z_src, alpha = self._attention(view, h_src, h_dst)
-        return T.spmm(view.attention(), z_src, values=alpha)
+    def __call__(self, plan: SpmmPlan, h_src, h_dst, edge_type=None):
+        z_src, alpha = self._attention(plan, h_src, h_dst, edge_type)
+        return T.spmm(plan, z_src, values=alpha)
 
 
 class SageConv(Module):
@@ -192,8 +163,8 @@ class SageConv(Module):
         self.W = Parameter(glorot(rng, 2 * in_dim, out_dim), f"{prefix}.W")
         self.b = Parameter(np.zeros((1, out_dim)), f"{prefix}.b")
 
-    def __call__(self, view: GraphView, h_src, h_dst):
-        mean = T.spmm(view.row_normalized(), h_src)
+    def __call__(self, plan: SpmmPlan, h_src, h_dst):
+        mean = T.spmm(plan, h_src)
         return T.add(T.matmul(T.concat([h_dst, mean], axis=1), self.W), self.b)
 
 
@@ -207,8 +178,8 @@ class GINConv(Module):
         self.W2 = Parameter(glorot(rng, out_dim, out_dim), f"{prefix}.W2")
         self.b2 = Parameter(np.zeros((1, out_dim)), f"{prefix}.b2")
 
-    def __call__(self, view: GraphView, h_src, h_dst):
-        sums = T.spmm(view.weighted(), h_src)
+    def __call__(self, plan: SpmmPlan, h_src, h_dst):
+        sums = T.spmm(plan, h_src)
         pre = T.add(T.mul(h_dst, T.add(self.eps, Tensor(1.0))), sums)
         hidden = T.relu(T.add(T.matmul(pre, self.W1), self.b1))
         return T.add(T.matmul(hidden, self.W2), self.b2)
@@ -306,14 +277,17 @@ def macro_aggregate(macro, per_subgraph_outputs):
 
 
 def dual_aggregate(subgraphs, h_by_set, macros):
-    """Micro-level convolution per subgraph, given as (spec, view, conv)
-    triples with spec = (name, source set, destination set), then
-    macro-level fusion per destination set; a set without a macro module
-    takes its one subgraph's output unchanged. Sets receiving no subgraph are
-    absent from the result (the caller's pass-through rule applies)."""
+    """Micro-level convolution per subgraph, given as (subgraph, plan, conv)
+    triples, then macro-level fusion per destination set; a set without a
+    macro module takes its one subgraph's output unchanged. Sets receiving
+    no subgraph are absent from the result (the caller's pass-through rule
+    applies). Attention also reads the subgraph's edge types."""
     outs = {}
-    for (_, src, dst), view, conv in subgraphs:
-        outs.setdefault(dst, []).append(conv(view, h_by_set[src], h_by_set[dst]))
+    for sub, plan, conv in subgraphs:
+        args = (plan, h_by_set[sub.src_type], h_by_set[sub.dst_type])
+        if isinstance(conv, GATConv):
+            args += (sub.edge_type,)
+        outs.setdefault(sub.dst_type, []).append(conv(*args))
     return {t: macro_aggregate(macros.get(t), zs) for t, zs in outs.items()}
 
 

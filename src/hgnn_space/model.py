@@ -4,8 +4,10 @@ Pipeline: typed linear pre-process, a message-passing stack over the node
 sets and subgraphs the family's graph transformation gives (layer =
 aggregate, post-ops, connectivity), a shared post-process MLP and a task
 head. The family picks the transformation in `Model._graph_data` and
-nowhere else; everything after reads the returned subgraphs. Parameter
-initialization is a pure function of the configuration seed.
+nowhere else; everything after reads the returned subgraphs, each with
+the one aggregation plan the config's micro convolution runs on, built
+from the subgraph's CSR adjacency. Parameter initialization is a pure
+function of the configuration seed.
 """
 
 from __future__ import annotations
@@ -200,8 +202,9 @@ class Model(L.Module):
 
     def _graph_data(self, g: HeteroGraph):
         """Features, the subgraphs of the family's graph transformation and
-        one view per subgraph; kept for the last graph seen, whose identity
-        the held reference keeps from being reused by another object."""
+        one aggregation plan per subgraph for the config's micro convolution;
+        kept for the last graph seen, whose identity the held reference keeps
+        from being reused by another object."""
         if self._graph_cache is not None and self._graph_cache[0] is g:
             return self._graph_cache[1]
         if self.cfg.model_family == "Homogenization":
@@ -213,7 +216,8 @@ class Model(L.Module):
                     for name, rels in self.cfg.metapaths]
         data = {"feats": {t.name: Tensor(g.features[t.name])
                           for t in g.node_types if t.feature_dim > 0},
-                "subs": subs, "views": [L.subgraph_view(s) for s in subs]}
+                "subs": subs,
+                "plans": [L.aggregation_plan(self.cfg.micro_conv, s) for s in subs]}
         self._graph_cache = (g, data)
         return data
 
@@ -264,9 +268,9 @@ class Model(L.Module):
         for li, layer in enumerate(self.mp):
             out_sets = need[li + 1]
             fused = L.dual_aggregate(
-                [(spec, view, conv) for spec, view, conv
-                 in zip(self.sub_specs, data["views"], layer.convs)
-                 if spec[2] in out_sets], h, layer.macros)
+                [(sub, plan, conv) for sub, plan, conv
+                 in zip(data["subs"], data["plans"], layer.convs)
+                 if sub.dst_type in out_sets], h, layer.macros)
             new = {}
             for s in self.receiving:
                 if s in out_sets:

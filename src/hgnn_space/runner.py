@@ -58,9 +58,9 @@ def _plan_int(path, ln, key, val):
 
 
 def parse_plan(path) -> ExperimentPlan:
-    """Flat key = value text; lists are comma-separated, meta-paths are
-    `name:rel,rel` chunks joined by `;`."""
-    values = {}
+    """Flat key = value text, each key once; lists are comma-separated,
+    meta-paths are `name:rel,rel` chunks joined by `;`."""
+    values, first_line = {}, {}
     for ln, raw in enumerate(read_text(path).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,6 +71,10 @@ def parse_plan(path) -> ExperimentPlan:
         key, val = key.strip(), val.strip()
         if key not in _PLAN_KEYS:
             raise GraphError(f"{path}:{ln}: unknown plan key '{key}'")
+        if key in first_line:
+            raise GraphError(f"{path}:{ln}: plan key '{key}' repeats line "
+                             f"{first_line[key]}")
+        first_line[key] = ln
         values[key] = _plan_int(path, ln, key, val) if key in _INT_KEYS else val
     if "metapaths" in values:
         values["metapaths"] = metapaths_from_text(values["metapaths"])

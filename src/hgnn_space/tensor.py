@@ -16,7 +16,9 @@ is how evaluation forwards run. 64-bit floats throughout.
 
 One structure groups edges by endpoint: a `SegmentIndex` serves the
 gathers (whose backward is a segment sum), the segment reductions and the
-CSR patterns of the sparse-dense and sampled dense-dense products.
+CSR patterns of the sampled dense-dense product's backward. A sparse-dense
+product runs on the `csr_array` its `SpmmPlan` is built from, and on that
+array's transpose.
 """
 
 from __future__ import annotations
@@ -664,33 +666,28 @@ def segment_softmax(a, seg: SegmentIndex):
 # ---------------------------------------------------------------------------
 
 class SpmmPlan:
-    """A fixed CSR pattern for repeated `spmm` calls: rows are destinations,
-    columns sources, one stored entry per edge in row-sorted order.
+    """A fixed CSR matrix for repeated `spmm` calls: rows are destinations,
+    columns sources, one stored entry per edge.
 
-    `by_row` and `by_col` group the entries by row and by column. `data`
-    fills the entries of the fixed matrix (ones by default); the transpose
-    the backward pass needs is built here, once."""
+    `matrix` is the row-grouped `csr_array` the plan is built from;
+    `by_row` and `by_col` group its entries by row and by column, and the
+    transpose the backward pass needs is built here, once."""
 
     __slots__ = ("by_row", "by_col", "shape", "matrix", "t_matrix")
 
-    def __init__(self, rows, cols, n_rows, n_cols, data=None):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise TensorError("spmm rows and cols must be equal-length vectors")
-        self.by_row = SegmentIndex(rows, n_rows)
-        self.by_col = SegmentIndex(cols, n_cols)
-        if self.by_row.order is not None:
-            raise TensorError("spmm entries must be sorted by row")
-        self.shape = (int(n_rows), int(n_cols))
-        data = (np.ones(rows.shape[0]) if data is None
-                else np.asarray(data, dtype=np.float64))
-        self.matrix = self.by_row.csr(data, cols, n_cols)
-        self.t_matrix = self.by_col.csr(data, rows, n_rows)
+    def __init__(self, matrix: sp.csr_array):
+        if not isinstance(matrix, sp.csr_array):
+            raise TensorError("an SpmmPlan is built from a csr_array")
+        n_rows, n_cols = self.shape = matrix.shape
+        self.matrix = matrix
+        self.t_matrix = matrix.T.tocsr()
+        self.by_row = SegmentIndex(
+            np.repeat(np.arange(n_rows), np.diff(matrix.indptr)), n_rows)
+        self.by_col = SegmentIndex(matrix.indices, n_cols)
 
     @property
     def nnz(self):
-        return int(self.by_row.index.shape[0])
+        return int(self.matrix.nnz)
 
 
 def _on_pattern(m, data):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hgnn_space.layers as L
 from hgnn_space.hgraph import build_graph
 
 
@@ -9,6 +10,15 @@ def same_csr(a, b):
     return (a.shape == b.shape and a.dtype == b.dtype
             and all(np.array_equal(getattr(a, k), getattr(b, k))
                     for k in ("indptr", "indices", "data")))
+
+
+def run_conv(conv, sub, h_src, h_dst):
+    """`conv` on the subgraph `sub` through the plan its kind aggregates
+    with; attention also reads the subgraph's edge types."""
+    plan = L.aggregation_plan(type(conv).__name__, sub)
+    if isinstance(conv, L.GATConv):
+        return conv(plan, h_src, h_dst, sub.edge_type)
+    return conv(plan, h_src, h_dst)
 
 
 @pytest.fixture

@@ -193,7 +193,7 @@ def _kink_safe_grad_check(f, params, seed):
 def _check_dual(g, micro, macro, post, seed):
     bn_on, act_name, l2 = post
     subs = extract_relation_subgraphs(g, g.relation_names)
-    views = [L.subgraph_view(s) for s in subs]
+    plans = [L.aggregation_plan(micro, s) for s in subs]
     prng = np.random.default_rng(seed)
     convs = [L.make_micro_conv(micro, 3, 3, prng, f"c{i}") for i in range(2)]
     macro_mod = L.make_macro(macro, 3, prng, "m")
@@ -204,8 +204,8 @@ def _check_dual(g, micro, macro, post, seed):
 
     def f():
         feats = {"P": hp, "A": ha}
-        zs = [conv(view, feats[s.src_type], feats[s.dst_type])
-              for s, view, conv in zip(subs, views, convs) if s.dst_type == "P"]
+        zs = [conv(plan, feats[s.src_type], feats[s.dst_type])
+              for s, plan, conv in zip(subs, plans, convs) if s.dst_type == "P"]
         fused = L.macro_aggregate(macro_mod, zs)
         # dropout off, BN frozen (eval-mode running stats)
         out = L.intra_layer_post(fused, bn, 0.0, act, l2, training=False)
@@ -222,7 +222,7 @@ def _check_dual(g, micro, macro, post, seed):
 def _check_direct(g, micro, form, post, seed):
     bn_on, act_name, l2 = post
     hg = homogenize(g)
-    view = L.subgraph_view(hg)
+    plan = L.aggregation_plan(micro, hg)
     prng = np.random.default_rng(seed)
     conv = L.make_micro_conv(micro, 3, 3, prng, "c", attention_form=form,
                              n_edge_types=2)
@@ -232,8 +232,8 @@ def _check_direct(g, micro, form, post, seed):
     v = np.random.default_rng(seed + 1).standard_normal((7, 3))
 
     def f():
-        out = L.intra_layer_post(conv(view, h, h), bn, 0.0, act, l2,
-                                 training=False)
+        z = L.dual_aggregate([(hg, plan, conv)], {"*": h}, {})["*"]
+        out = L.intra_layer_post(z, bn, 0.0, act, l2, training=False)
         return T.tsum(T.mul(out, Tensor(v)))
 
     params = conv.parameters() + act.parameters()
@@ -305,8 +305,9 @@ def test_acceptance_4_equivalence_oracle():
         shgn = L.GATConv(6, 8, np.random.default_rng(16), "g",
                          form="SimpleHGN", n_edge_types=1)
         shgn.W_r.data[:] = 0.0
-        assert np.array_equal(gat(L.subgraph_view(hg), h, h).data,
-                              shgn(L.subgraph_view(hg), h, h).data)
+        plan = L.aggregation_plan("GATConv", hg)
+        assert np.array_equal(gat(plan, h, h).data,
+                              shgn(plan, h, h, hg.edge_type).data)
     _announce(4, started, "Relation == Homogenization to 1e-10 (12 combos x 3 "
                           "graphs); SimpleHGN(W_r=0) == GAT bit-for-bit")
 
@@ -331,9 +332,9 @@ def test_acceptance_5_attention_normalization():
         conv = L.GATConv(4, 4, np.random.default_rng(9), "g")
         feats = {"P": Tensor(g.features["P"]), "A": Tensor(g.features["A"])}
         for sub in extract_relation_subgraphs(g, g.relation_names):
-            view = L.subgraph_view(sub)
-            seg = view.attention().by_row
-            alpha = conv._attention(view, feats[sub.src_type], feats[sub.dst_type])[1]
+            plan = L.aggregation_plan("GATConv", sub)
+            seg = plan.by_row
+            alpha = conv._attention(plan, feats[sub.src_type], feats[sub.dst_type])[1]
             sums = np.zeros(seg.num_segments)
             np.add.at(sums, seg.index, alpha.data[:, 0])
             present = np.bincount(seg.index, minlength=seg.num_segments) > 0
@@ -341,13 +342,13 @@ def test_acceptance_5_attention_normalization():
                 assert np.abs(sums[present] - 1.0).max() < 1e-12
         # direct scope: softmax over the full homogenized neighborhood
         hg = homogenize(g)
-        view = L.subgraph_view(hg)
+        plan = L.aggregation_plan("GATConv", hg)
         h = Tensor(np.concatenate([g.features["P"], g.features["A"]], axis=0))
         for form in L.ATTENTION_FORMS:
             conv = L.GATConv(4, 4, np.random.default_rng(10), "g", form=form,
                              n_edge_types=2)
-            seg = view.attention().by_row
-            alpha = conv._attention(view, h, h)[1]
+            seg = plan.by_row
+            alpha = conv._attention(plan, h, h, hg.edge_type)[1]
             sums = np.zeros(seg.num_segments)
             np.add.at(sums, seg.index, alpha.data[:, 0])
             present = np.bincount(seg.index, minlength=seg.num_segments) > 0

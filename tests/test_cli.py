@@ -60,7 +60,10 @@ def test_space_sample_writes_configs(tmp_path, capsys):
     (["--expand-dim", "macro_agg"], "dimension 'macro_agg' does not apply"),
     (["--strata-hits", "2"], "strata require 24 samples but n=6"),
     (["--strata-hits", "-1"], "stratum hit counts must not be negative"),
-], ids=["unknown-dim", "inapplicable-dim", "strata-over-n", "negative-hits"])
+    (["--n", "0"], "--n must be at least 1, got 0"),
+    (["--n", "-2"], "--n must be at least 1, got -2"),
+], ids=["unknown-dim", "inapplicable-dim", "strata-over-n", "negative-hits",
+        "zero-n", "negative-n"])
 def test_space_sample_reports_a_bad_request_in_one_line(tmp_path, capsys, args,
                                                         message):
     out = tmp_path / "c.json"
@@ -472,8 +475,9 @@ _MUTATIONS = st.lists(st.tuples(st.sampled_from(["truncate", "flip", "drop"]),
 
 
 def _fuzz_plan(d, space):
-    """A plan on `space` as (mutable body, fixed tail): the last value of a
-    key wins, so `graph` and `out` always name files in `d`."""
+    """A plan on `space` as (mutable body, fixed tail): a key may appear
+    once, so a body line mutated into `graph` or `out` is refused and the
+    plan never names a file outside `d`."""
     space = d / space if space.endswith(".json") else space
     body = (f"task = node_classification\ntarget = P\nspace = {space}\nn = 2\n"
             "strata_hits = 0\nsplits = 1\nseed = 13\nnum_classes = 2\n"

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import re
@@ -817,6 +818,18 @@ def test_synthetic_deterministic():
     assert g1.equals(g2)
     g3 = generate_synthetic(_two_type_spec(4, 0.8, 0.1))
     assert not g1.equals(g3)
+
+
+def test_graph_equality_operator_is_identity():
+    """`==` on two equal graphs built separately neither raises nor warns:
+    it is identity, and `equals` compares the contents."""
+    spec = _two_type_spec(3, 0.8, 0.1)
+    a, b = generate_synthetic(spec), generate_synthetic(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert a == a and not (a == b) and a != b
+    assert a.equals(b)
+    assert len({a, b}) == 2
 
 
 def test_synthetic_full_boost_is_fully_assortative():

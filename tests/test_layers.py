@@ -6,10 +6,12 @@ import pytest
 import hgnn_space.layers as L
 import hgnn_space.tensor as T
 from hgnn_space.hgraph import build_graph
+from hgnn_space.sparse import CSRMatrix
 from hgnn_space.tensor import Parameter, Tensor, TensorError, grad_check
-from hgnn_space.transform import extract_relation_subgraphs, homogenize
+from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
+                                  extract_relation_subgraphs, homogenize)
 
-from conftest import random_hetero_graph
+from conftest import random_hetero_graph, run_conv
 
 
 def leaky(x, slope=0.2):
@@ -65,10 +67,16 @@ def dense_gin(adj, h_src, h_dst, eps, W1, b1, W2, b2):
 def bipartite_fixture(rng, n_src=5, n_dst=4, d=3):
     adj = (rng.random((n_dst, n_src)) < 0.5).astype(np.int64)
     adj[0, :] = 0  # keep one isolated destination
-    view = L.GraphView(*_edges_of(adj), n_src, n_dst, same_type=False)
     h_src = rng.standard_normal((n_src, d))
     h_dst = rng.standard_normal((n_dst, d))
-    return adj, view, h_src, h_dst
+    return adj, _subgraph(adj), h_src, h_dst
+
+
+def _subgraph(adj, same_type=False):
+    """The subgraph whose adjacency holds the dense counts `adj` (rows are
+    destinations)."""
+    src_type = "X" if same_type else "S"
+    return Subgraph("s", src_type, "X", CSRMatrix.frozen(adj, adj.shape))
 
 
 def _edges_of(adj):
@@ -83,9 +91,9 @@ def _edges_of(adj):
 
 def test_gcn_bipartite_matches_dense_oracle():
     rng = np.random.default_rng(0)
-    adj, view, h_src, h_dst = bipartite_fixture(rng)
+    adj, sub, h_src, h_dst = bipartite_fixture(rng)
     conv = L.GCNConv(3, 2, np.random.default_rng(1), "c")
-    got = conv(view, Tensor(h_src), Tensor(h_dst))
+    got = run_conv(conv, sub, Tensor(h_src), Tensor(h_dst))
     want = dense_gcn(adj, h_src, h_dst, conv.W.data, conv.b.data, same_type=False)
     assert np.allclose(got.data, want, atol=1e-12)
     # empty neighborhood: aggregated sum is zero, so the row equals the bias
@@ -95,23 +103,23 @@ def test_gcn_bipartite_matches_dense_oracle():
 def test_gcn_square_self_loops_match_dense_oracle():
     rng = np.random.default_rng(2)
     adj = (rng.random((6, 6)) < 0.4).astype(np.int64) * rng.integers(1, 3, (6, 6))
-    view = L.GraphView(*_edges_of(adj), 6, 6, same_type=True)
     h = rng.standard_normal((6, 3))
     conv = L.GCNConv(3, 3, np.random.default_rng(3), "c")
-    got = conv(view, Tensor(h), Tensor(h))
+    got = run_conv(conv, _subgraph(adj, same_type=True), Tensor(h), Tensor(h))
     want = dense_gcn(adj, h, h, conv.W.data, conv.b.data, same_type=True)
     assert np.allclose(got.data, want, atol=1e-12)
 
 
 def test_gat_matches_dense_oracle_and_normalizes():
     rng = np.random.default_rng(4)
-    adj, view, h_src, h_dst = bipartite_fixture(rng)
+    adj, sub, h_src, h_dst = bipartite_fixture(rng)
     conv = L.GATConv(3, 4, np.random.default_rng(5), "g")
-    got = conv(view, Tensor(h_src), Tensor(h_dst))
+    got = run_conv(conv, sub, Tensor(h_src), Tensor(h_dst))
     want = dense_gat(adj, h_src, h_dst, conv.W.data, conv.a_src.data, conv.a_dst.data)
     assert np.allclose(got.data, want, atol=1e-12)
-    seg = view.attention().by_row
-    alpha = conv._attention(view, Tensor(h_src), Tensor(h_dst))[1]
+    plan = L.aggregation_plan("GATConv", sub)
+    seg = plan.by_row
+    alpha = conv._attention(plan, Tensor(h_src), Tensor(h_dst))[1]
     sums = np.zeros(seg.num_segments)
     np.add.at(sums, seg.index, alpha.data[:, 0])
     present = np.bincount(seg.index, minlength=seg.num_segments) > 0
@@ -121,10 +129,10 @@ def test_gat_matches_dense_oracle_and_normalizes():
 
 def test_gat_single_neighbor_alpha_is_one():
     adj = np.array([[1, 0], [0, 0]])
-    view = L.GraphView(*_edges_of(adj), 2, 2, same_type=False)
+    plan = L.aggregation_plan("GATConv", _subgraph(adj))
     conv = L.GATConv(3, 4, np.random.default_rng(6), "g")
     rng = np.random.default_rng(7)
-    alpha = conv._attention(view, Tensor(rng.standard_normal((2, 3))),
+    alpha = conv._attention(plan, Tensor(rng.standard_normal((2, 3))),
                             Tensor(rng.standard_normal((2, 3))))[1]
     assert alpha.data.tolist() == [[1.0]]
 
@@ -132,22 +140,22 @@ def test_gat_single_neighbor_alpha_is_one():
 def test_gat_equal_logits_split_half():
     # two parallel sources with identical features: logits tie, alpha = 0.5
     adj = np.array([[1, 1]])
-    view = L.GraphView(*_edges_of(adj), 2, 1, same_type=False)
+    plan = L.aggregation_plan("GATConv", _subgraph(adj))
     conv = L.GATConv(3, 4, np.random.default_rng(8), "g")
     h_src = np.tile(np.random.default_rng(9).standard_normal((1, 3)), (2, 1))
-    alpha = conv._attention(view, Tensor(h_src), Tensor(np.ones((1, 3))))[1]
+    alpha = conv._attention(plan, Tensor(h_src), Tensor(np.ones((1, 3))))[1]
     assert np.allclose(alpha.data, 0.5, atol=1e-15)
 
 
 def test_sage_and_gin_match_dense_oracles():
     rng = np.random.default_rng(10)
-    adj, view, h_src, h_dst = bipartite_fixture(rng)
+    adj, sub, h_src, h_dst = bipartite_fixture(rng)
     sage = L.SageConv(3, 2, np.random.default_rng(11), "s")
-    got = sage(view, Tensor(h_src), Tensor(h_dst))
+    got = run_conv(sage, sub, Tensor(h_src), Tensor(h_dst))
     assert np.allclose(got.data, dense_sage(adj, h_src, h_dst, sage.W.data,
                                             sage.b.data), atol=1e-12)
     gin = L.GINConv(3, 3, np.random.default_rng(12), "gin")
-    got = gin(view, Tensor(h_src), Tensor(h_dst))
+    got = run_conv(gin, sub, Tensor(h_src), Tensor(h_dst))
     want = dense_gin(adj, h_src, h_dst, gin.eps.data.item(), gin.W1.data,
                      gin.b1.data, gin.W2.data, gin.b2.data)
     assert np.allclose(got.data, want, atol=1e-12)
@@ -159,8 +167,8 @@ def _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type):
     src, dst, w = _edges_of(adj)
     n_dst, n_src = adj.shape
     if kind == "GATConv":
-        view = L.GraphView(src, dst, w, n_src, n_dst, same_type)
-        w = conv._attention(view, h_src, h_dst)[1]
+        plan = L.aggregation_plan(kind, _subgraph(adj, same_type))
+        w = conv._attention(plan, h_src, h_dst)[1]
         h_src = T.matmul(h_src, conv.W)
     elif kind == "GCNConv" and same_type:
         loops = np.arange(n_dst)
@@ -193,13 +201,13 @@ def test_spmm_aggregation_equals_composed_kernels(kind, same_type):
     n_dst, n_src = (9, 9) if same_type else (9, 6)
     adj = (rng.random((n_dst, n_src)) < 0.4) * rng.integers(1, 4, (n_dst, n_src))
     adj[2, :] = 0  # one destination without neighbors
-    view = L.GraphView(*_edges_of(adj), n_src, n_dst, same_type)
+    sub = _subgraph(adj, same_type)
     h_src = Parameter(rng.standard_normal((n_src, 5)), "h_src")
     h_dst = h_src if same_type else Tensor(rng.standard_normal((n_dst, 5)))
     conv = L.make_micro_conv(kind, 5, 4, np.random.default_rng(51), "c")
     v = Tensor(rng.standard_normal((n_dst, 4)))
     outs, grads = [], []
-    for out in (conv(view, h_src, h_dst),
+    for out in (run_conv(conv, sub, h_src, h_dst),
                 _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type)):
         h_src.grad = None
         T.tsum(T.mul(out, v)).backward()
@@ -232,8 +240,8 @@ def test_direct_equals_micro_on_single_relation(kind):
     conv_a = L.make_micro_conv(kind, 3, 4, np.random.default_rng(14), "a")
     conv_b = L.make_micro_conv(kind, 3, 4, np.random.default_rng(14), "b",
                                n_edge_types=1)
-    out_micro = conv_a(L.subgraph_view(sub), h, h)
-    out_direct = conv_b(L.subgraph_view(hg), h, h)
+    out_micro = run_conv(conv_a, sub, h, h)
+    out_direct = run_conv(conv_b, hg, h, h)
     assert np.allclose(out_micro.data, out_direct.data, atol=1e-12)
 
 
@@ -246,8 +254,8 @@ def test_simple_hgn_with_zero_relation_projection_equals_gat():
     shgn = L.GATConv(3, 4, np.random.default_rng(16), "g", form="SimpleHGN",
                      n_edge_types=1)
     shgn.W_r.data[:] = 0.0
-    out_a = gat(L.subgraph_view(hg), h, h)
-    out_b = shgn(L.subgraph_view(hg), h, h)
+    out_a = run_conv(gat, hg, h, h)
+    out_b = run_conv(shgn, hg, h, h)
     assert np.array_equal(out_a.data, out_b.data)  # bit-for-bit
 
 
@@ -266,14 +274,14 @@ def test_simple_hgn_uses_edge_types():
     shgn = L.GATConv(3, 4, np.random.default_rng(18), "g", form="SimpleHGN",
                      n_edge_types=2)
     gat = L.GATConv(3, 4, np.random.default_rng(18), "g", form="GAT")
-    assert not np.allclose(shgn(L.subgraph_view(hg), h, h).data,
-                           gat(L.subgraph_view(hg), h, h).data)
+    assert not np.allclose(run_conv(shgn, hg, h, h).data,
+                           run_conv(gat, hg, h, h).data)
 
 
-def _former_homogenized_view(g):
-    """The reference: the fused view as it was built before homogenization
-    returned a Subgraph. Relation edges are concatenated in relation order
-    with global ids, then stably sorted by destination."""
+def _former_homogenized_edges(g):
+    """The reference: the fused edge lists as they were built before
+    homogenization returned a Subgraph. Relation edges are concatenated in
+    relation order with global ids, then stably sorted by destination."""
     offsets, base = {}, 0
     for t in g.node_types:
         offsets[t.name], base = base, base + t.count
@@ -286,8 +294,7 @@ def _former_homogenized_view(g):
         edge_type.append(np.full(adj.nnz, k, dtype=np.int64))
     src, dst, weight, edge_type = map(np.concatenate, (src, dst, weight, edge_type))
     order = np.argsort(dst, kind="stable")
-    return L.GraphView(src[order], dst[order], weight[order].astype(np.float64),
-                       base, base, True, edge_type=edge_type[order])
+    return base, src[order], dst[order], weight[order], edge_type[order]
 
 
 def test_homogenized_view_equals_the_former_construction():
@@ -295,15 +302,65 @@ def test_homogenized_view_equals_the_former_construction():
     shared = 0
     for _ in range(60):
         g = random_hetero_graph(rng, edge_prob=0.4)
-        got = L.subgraph_view(homogenize(g))
-        want = _former_homogenized_view(g)
-        for attr in ("_src", "_dst", "_weight", "edge_type"):
-            a, b = getattr(got, attr), getattr(want, attr)
-            assert a.dtype == b.dtype and np.array_equal(a, b), attr
-        assert (got.n_src, got.n_dst, got.same_type) == (want.n_src, want.n_dst, True)
-        cells = want._dst * want.n_src + want._src
+        hg = homogenize(g)
+        adj = hg.adjacency
+        n, *want = _former_homogenized_edges(g)
+        got = (adj.indices, adj.expanded_rows(), adj.data, hg.edge_type)
+        for name, a, b in zip(("src", "dst", "weight", "edge_type"), got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert adj.shape == (n, n) and hg.same_type
+        plan = L.aggregation_plan("GATConv", hg)
+        assert np.array_equal(plan.by_col.index, want[0])
+        assert np.array_equal(plan.by_row.index, want[1])
+        cells = want[1] * n + want[0]
         shared += cells.size - np.unique(cells).size
     assert shared > 0  # the graphs include cells that two relations share
+
+
+def _former_plan_arrays(kind, sub):
+    """The reference: a plan's matrix and transpose as they were built from
+    the subgraph's edge lists in row order, each through a SegmentIndex."""
+    adj = sub.adjacency
+    n_dst, n_src = adj.shape
+    src, dst, w = adj.indices, adj.expanded_rows(), adj.data.astype(np.float64)
+    if kind == "GATConv":
+        w = np.ones(w.size)
+    elif kind == "GCNConv" and sub.same_type:
+        loops = np.arange(n_dst, dtype=np.int64)
+        src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+        w = np.concatenate([w, np.ones(n_dst)])
+        din = np.bincount(dst, weights=w, minlength=n_dst)
+        dout = np.bincount(src, weights=w, minlength=n_src)
+        w = w / np.sqrt(din[dst] * dout[src])
+        order = np.argsort(dst, kind="stable")
+        src, dst, w = src[order], dst[order], w[order]
+    elif kind in ("GCNConv", "SageConv"):
+        din = np.bincount(dst, weights=w, minlength=n_dst)
+        w = w / np.where(din > 0, din, 1.0)[dst]
+    return (T.SegmentIndex(dst, n_dst).csr(w, src, n_src),
+            T.SegmentIndex(src, n_src).csr(w, dst, n_dst))
+
+
+def test_aggregation_plans_equal_the_former_edge_list_construction():
+    rng = np.random.default_rng(60)
+    n_subs = 0
+    for _ in range(25):
+        g = random_hetero_graph(rng, edge_prob=0.4)
+        subs = extract_relation_subgraphs(g, g.relation_names) + [homogenize(g)]
+        subs += [compose_metapath(g, MetaPath(f"{a.name}{b.name}", (a.name, b.name)))
+                 for a in g.relations for b in g.relations
+                 if a.dst_type == b.src_type][:3]
+        for sub in subs:
+            for kind in L.MICRO_KINDS:
+                plan = L.aggregation_plan(kind, sub)
+                for got, want in zip((plan.matrix, plan.t_matrix),
+                                     _former_plan_arrays(kind, sub)):
+                    assert got.shape == want.shape
+                    for field in ("indptr", "indices", "data"):
+                        assert np.array_equal(getattr(got, field),
+                                              getattr(want, field)), (kind, field)
+        n_subs += len(subs)
+    assert n_subs > 100
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +420,14 @@ def test_dual_aggregate_mean_of_two_relations():
         features={t: rng.standard_normal((n, 3))
                   for t, n in (("P", 4), ("A", 3), ("C", 2))})
     subs = extract_relation_subgraphs(g, g.relation_names)
-    views = [L.subgraph_view(s) for s in subs]
+    plans = [L.aggregation_plan("GCNConv", s) for s in subs]
     prng = np.random.default_rng(41)
     convs = [L.make_micro_conv("GCNConv", 3, 4, prng, f"c{i}") for i in range(2)]
     h = {t: Tensor(g.features[t]) for t in ("P", "A", "C")}
-    specs = [(s.name, s.src_type, s.dst_type) for s in subs]
-    fused = L.dual_aggregate(list(zip(specs, views, convs)), h, {"P": L.MacroMean()})
+    fused = L.dual_aggregate(list(zip(subs, plans, convs)), h, {"P": L.MacroMean()})
     assert set(fused) == {"P"}
-    z0 = convs[0](views[0], h["A"], h["P"])
-    z1 = convs[1](views[1], h["C"], h["P"])
+    z0 = convs[0](plans[0], h["A"], h["P"])
+    z1 = convs[1](plans[1], h["C"], h["P"])
     assert np.allclose(fused["P"].data, 0.5 * (z0.data + z1.data), atol=1e-12)
 
 
@@ -383,7 +439,7 @@ def test_dual_aggregate_without_macro_takes_the_one_output():
                     features={"P": rng.standard_normal((4, 3)),
                               "A": rng.standard_normal((3, 3))})
     subs = extract_relation_subgraphs(g, g.relation_names)
-    triples = [((s.name, s.src_type, s.dst_type), L.subgraph_view(s),
+    triples = [(s, L.aggregation_plan("SageConv", s),
                 L.make_micro_conv("SageConv", 3, 4, np.random.default_rng(43), s.name))
                for s in subs]
     h = {t: Tensor(g.features[t]) for t in ("P", "A")}
@@ -510,9 +566,9 @@ def test_permutation_equivariance_bitwise_low_degree(kind):
     perm = rng.permutation(n)
     inv = np.argsort(perm)  # new id of old node i is inv[i]
     conv = L.make_micro_conv(kind, 3, 4, np.random.default_rng(32), "c")
-    out = conv(L.GraphView(*_edges_of(adj), n, n, True), Tensor(h), Tensor(h))
+    out = run_conv(conv, _subgraph(adj, True), Tensor(h), Tensor(h))
     padj, ph = _permute_graph(adj, h, perm)
-    pout = conv(L.GraphView(*_edges_of(padj), n, n, True), Tensor(ph), Tensor(ph))
+    pout = run_conv(conv, _subgraph(padj, True), Tensor(ph), Tensor(ph))
     assert np.array_equal(out.data[perm], pout.data)
 
 
@@ -524,9 +580,9 @@ def test_permutation_equivariance_general(kind):
     h = rng.standard_normal((n, 3))
     perm = rng.permutation(n)
     conv = L.make_micro_conv(kind, 3, 4, np.random.default_rng(34), "c")
-    out = conv(L.GraphView(*_edges_of(adj), n, n, True), Tensor(h), Tensor(h))
+    out = run_conv(conv, _subgraph(adj, True), Tensor(h), Tensor(h))
     padj, ph = _permute_graph(adj, h, perm)
-    pout = conv(L.GraphView(*_edges_of(padj), n, n, True), Tensor(ph), Tensor(ph))
+    pout = run_conv(conv, _subgraph(padj, True), Tensor(ph), Tensor(ph))
     assert np.allclose(out.data[perm], pout.data, rtol=0, atol=1e-12)
 
 
@@ -551,7 +607,7 @@ def test_grad_dual_layer(micro, macro):
     rng = np.random.default_rng(35)
     g = _dual_fixture(rng)
     subs = extract_relation_subgraphs(g, g.relation_names)
-    views = [L.subgraph_view(s) for s in subs]
+    plans = [L.aggregation_plan(micro, s) for s in subs]
     prng = np.random.default_rng(36)
     convs = [L.make_micro_conv(micro, 3, 3, prng, f"c{i}") for i in range(2)]
     macro_mod = L.make_macro(macro, 3, prng, "m")
@@ -562,8 +618,8 @@ def test_grad_dual_layer(micro, macro):
     def f():
         feats = {"P": hp, "A": ha}
         zs = []
-        for sub, view, conv in zip(subs, views, convs):
-            z = conv(view, feats[sub.src_type], feats[sub.dst_type])
+        for sub, plan, conv in zip(subs, plans, convs):
+            z = conv(plan, feats[sub.src_type], feats[sub.dst_type])
             if sub.dst_type == "P":
                 zs.append(z)
         fused = L.macro_aggregate(macro_mod, zs)
@@ -582,15 +638,18 @@ def test_gat_backward_holds_less_than_one_edge_by_feature_array():
     n, d = 64, 64
     n_edges = 4 * T._SDDMM_BLOCK + n
     dst = np.sort(rng.integers(0, n, n_edges))
-    view = L.GraphView(rng.integers(0, n, n_edges), dst, np.ones(n_edges), n, n,
-                       same_type=True)
-    view.attention()
+    # built from (data, indices, indptr), so a repeated pair stays two entries
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
+    adj = CSRMatrix.frozen((np.ones(n_edges, dtype=np.int64),
+                            rng.integers(0, n, n_edges), indptr), (n, n))
+    plan = L.aggregation_plan("GATConv", Subgraph("g", "X", "X", adj))
+    assert plan.nnz == n_edges
     conv = L.GATConv(d, d, rng, "g")
     h = Tensor(rng.standard_normal((n, d)))
     weights = Tensor(rng.standard_normal((n, d)))
     tracemalloc.start()
     try:
-        loss = T.tsum(T.mul(conv(view, h, h), weights))
+        loss = T.tsum(T.mul(conv(plan, h, h), weights))
         after_forward = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         loss.backward()

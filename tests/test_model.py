@@ -12,6 +12,8 @@ from hgnn_space.model import (DesignConfig, Model, build_model, metapaths_from_t
 from hgnn_space.tensor import Parameter, Tensor
 from hgnn_space.transform import homogenize, type_offsets
 
+from conftest import run_conv
+
 
 def two_type_graph(rng, n_p=6, n_a=4, d=3, labeled=True):
     ap = np.stack(np.nonzero(rng.random((n_a, n_p)) < 0.5), axis=1)
@@ -246,7 +248,7 @@ def homogenization_forward_loop(model, g, training=False, rng=None, types=None):
     hg = homogenize(g)
     x = T.concat([h[t] for t in model.type_names], axis=0)
     for layer in model.mp:
-        z = layer.convs[0](L.subgraph_view(hg), x, x)
+        z = run_conv(layer.convs[0], hg, x, x)
         z = L.intra_layer_post(z, layer.bns.get("*"), cfg.dropout_p,
                                layer.activation, cfg.has_l2norm, training, rng)
         x = L.connect(cfg.connectivity, x, z)
@@ -498,6 +500,102 @@ def test_the_three_families_agree_on_a_one_type_graph(micro):
                       for c in cfgs]
             assert np.array_equal(logits[0], logits[1]), (macro, connectivity)
             assert np.array_equal(logits[0], logits[2]), (macro, connectivity)
+
+
+def _copy_parameters(src_model, dst_model, rows=None):
+    """Every parameter of `dst_model` set from the one of `src_model` with
+    the same name; `rows` maps an embedding table's name to the row order
+    it takes."""
+    by_name = {p.name: p for p in src_model.parameters()}
+    for p in dst_model.parameters():
+        data = by_name[p.name].data
+        p.data = data[(rows or {}).get(p.name, slice(None))].copy()
+
+
+@pytest.mark.parametrize("micro", L.MICRO_KINDS)
+def test_metapath_model_equals_relation_model_on_the_product(micro):
+    """A meta-path subgraph is a relation whose counts are the product's:
+    a Metapath model over `PAP` on a P/A graph and a Relation model on a P
+    graph whose one relation `PAP` lists the count-weighted product give
+    the same logits, once parameters are copied by name (the extra type A
+    draws its projection first and so shifts every later draw)."""
+    rng = np.random.default_rng(31)
+    g = two_type_graph(rng, n_p=12, n_a=5, d=4)
+    # the path counts, from the dense product of the two relations
+    product = g.adjacency["ap"].toarray() @ g.adjacency["pa"].toarray()
+    assert product.max() > 1  # some pairs meet through several authors
+    dst, src = np.nonzero(product)
+    counts = product[dst, src]
+    g_pp = build_graph([("P", 12, 4)], [("PAP", "P", "P")],
+                       {"PAP": np.stack([src, dst, counts], axis=1)},
+                       features={"P": g.features["P"]}, labels=g.labels)
+    for k, (macro, connectivity) in enumerate(
+            [(m, c) for m in L.MACRO_KINDS for c in L.CONNECTIVITIES]):
+        meta = DesignConfig(model_family="Metapath", micro_conv=micro,
+                            macro_agg=macro, connectivity=connectivity,
+                            metapaths=(("PAP", ("pa", "ap")),),
+                            has_bn=k % 2 == 0, activation=L.ACTIVATIONS[k % 5],
+                            has_l2norm=k % 3 == 1, pre_layers=1 + k % 2,
+                            mp_layers=2, hidden_dim=8, seed=40 + k)
+        m_meta = build_model(meta, g, num_classes=3, target_type="P")
+        m_rel = build_model(meta.with_values(model_family="Relation", metapaths=()),
+                            g_pp, num_classes=3, target_type="P")
+        _copy_parameters(m_meta, m_rel)
+        want = m_meta.predict_logits(g).data
+        got = m_rel.predict_logits(g_pp).data
+        assert np.abs(got - want).max() < 1e-12, (macro, connectivity)
+
+
+def _permuted(g, perms):
+    """`g` with type t's node i renamed to perms[t]'s position of i: node
+    perms[t][j] of `g` becomes node j, with its features, labels and edges."""
+    inv = {t: np.argsort(p) for t, p in perms.items()}
+    edges = {}
+    for r in g.relations:
+        adj = g.adjacency[r.name]
+        dst, src = adj.nonzero()
+        edges[r.name] = np.stack([inv[r.src_type][src], inv[r.dst_type][dst],
+                                  adj.toarray()[dst, src]], axis=1)
+    return build_graph(g.node_types, g.relations, edges,
+                       features={t: x[perms[t]] for t, x in g.features.items()},
+                       labels={t: y[perms[t]] for t, y in g.labels.items()})
+
+
+@pytest.mark.parametrize("micro", L.MICRO_KINDS)
+def test_logits_permute_with_the_node_ids(micro):
+    """Renaming the nodes of every type (ids, features, labels, edges and
+    the rows of every embedding table) renames the rows of the
+    evaluation-mode logits the same way, for every family."""
+    rng = np.random.default_rng(37)
+    n_p, n_a, n_c = 10, 6, 4
+    g = build_graph(
+        [("P", n_p, 3), ("A", n_a, 0), ("C", n_c, 2)],
+        [("ap", "A", "P"), ("pa", "P", "A"), ("pp", "P", "P"), ("cp", "C", "P")],
+        {"ap": np.stack(np.nonzero(rng.random((n_a, n_p)) < 0.4), axis=1),
+         "pa": np.stack(np.nonzero(rng.random((n_p, n_a)) < 0.4), axis=1),
+         "pp": np.concatenate([np.stack(np.nonzero(rng.random((n_p, n_p)) < 0.3),
+                                        axis=1), [[1, 2], [1, 2], [3, 3]]]),
+         "cp": np.stack(np.nonzero(rng.random((n_c, n_p)) < 0.5), axis=1)},
+        features={"P": rng.standard_normal((n_p, 3)),
+                  "C": rng.standard_normal((n_c, 2))},
+        labels={"P": rng.integers(0, 3, n_p)})
+    perms = {"P": rng.permutation(n_p), "A": rng.permutation(n_a),
+             "C": rng.permutation(n_c)}
+    pg = _permuted(g, perms)
+    base = DesignConfig(micro_conv=micro, activation="ELU", has_bn=True,
+                        connectivity="SKIP-SUM", hidden_dim=8, seed=9)
+    cfgs = [base.with_values(model_family="Relation", macro_agg="Attention"),
+            base.with_values(model_family="Metapath", macro_agg="Mean",
+                             metapaths=(("PAP", ("pa", "ap")), ("PP", ("pp",)))),
+            base.with_values(model_family="Homogenization", macro_agg=None,
+                             attention_form="SimpleHGN")]
+    for cfg in cfgs:
+        model = build_model(cfg, g, num_classes=3, target_type="P")
+        moved = build_model(cfg, pg, num_classes=3, target_type="P")
+        _copy_parameters(model, moved, rows={"pre0.A.emb": perms["A"]})
+        want = model.predict_logits(g).data[perms["P"]]
+        got = moved.predict_logits(pg).data
+        assert np.abs(got - want).max() < 1e-12, cfg.model_family
 
 
 # ---------------------------------------------------------------------------

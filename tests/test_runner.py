@@ -95,6 +95,15 @@ def test_parse_plan_rejects_a_non_integer_with_its_line(tmp_path):
         parse_plan(p)
 
 
+def test_parse_plan_rejects_a_repeated_key_with_both_lines(tmp_path):
+    p = tmp_path / "plan.cfg"
+    p.write_text("graph = g\ntask = link_prediction\ntarget = ap\nsplits = 3\n"
+                 "# splits = 2\n\nsplits = 1\n")
+    with pytest.raises(GraphError,
+                       match=r"plan\.cfg:7: plan key 'splits' repeats line 4"):
+        parse_plan(p)
+
+
 def test_parse_plan_reads_back_the_canonical_text(tmp_path):
     """`epoch_override = None` is how the canonical text writes an unset
     optional key, so a plan written that way must parse to the default."""

@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -419,6 +420,14 @@ SPMM_ROWS = np.array([0, 0, 2, 2, 2, 3])
 SPMM_COLS = np.array([1, 3, 0, 0, 2, 3])
 
 
+def _plan(rows, cols, n_rows, n_cols, data=None):
+    """The plan whose CSR matrix stores (rows[i], cols[i]) = data[i] for every
+    i (rows sorted); a repeated cell stays two entries."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    data = np.ones(len(rows)) if data is None else data
+    return SpmmPlan(sp.csr_array((data, cols, indptr), shape=(n_rows, n_cols)))
+
+
 def _dense_of(rows, cols, data, shape):
     out = np.zeros(shape)
     np.add.at(out, (rows, cols), data)
@@ -429,20 +438,21 @@ def test_spmm_matches_dense_with_duplicates_and_empty_rows():
     rng = np.random.default_rng(40)
     w = rng.standard_normal(SPMM_ROWS.size)
     x = rng.standard_normal((4, 3))
-    plan = SpmmPlan(SPMM_ROWS, SPMM_COLS, 5, 4, w)
+    plan = _plan(SPMM_ROWS, SPMM_COLS, 5, 4, w)
+    assert plan.nnz == SPMM_ROWS.size
     want = _dense_of(SPMM_ROWS, SPMM_COLS, w, (5, 4)) @ x
     assert np.allclose(T.spmm(plan, Tensor(x)).data, want, atol=1e-14)
     alpha = rng.standard_normal((SPMM_ROWS.size, 1))
     want = _dense_of(SPMM_ROWS, SPMM_COLS, alpha[:, 0], (5, 4)) @ x
     assert np.allclose(T.spmm(plan, Tensor(x), values=Tensor(alpha)).data, want,
                        atol=1e-14)
-    ones = SpmmPlan(SPMM_ROWS, SPMM_COLS, 5, 4)
+    ones = _plan(SPMM_ROWS, SPMM_COLS, 5, 4)
     assert np.allclose(T.spmm(ones, Tensor(x)).data,
                        _dense_of(SPMM_ROWS, SPMM_COLS, 1.0, (5, 4)) @ x)
 
 
 def test_spmm_zero_edges_gives_zero_rows_and_gradients():
-    plan = SpmmPlan([], [], 3, 2)
+    plan = SpmmPlan(sp.csr_array((3, 2)))
     x = Parameter(np.ones((2, 4)), "x")
     values = Parameter(np.zeros((0, 1)), "alpha")
     for out in (T.spmm(plan, x), T.spmm(plan, x, values=values)):
@@ -455,7 +465,7 @@ def test_spmm_zero_edges_gives_zero_rows_and_gradients():
 
 def test_grad_spmm_fixed_weights():
     rng = np.random.default_rng(41)
-    plan = SpmmPlan(SPMM_ROWS, SPMM_COLS, 5, 4, rng.standard_normal(SPMM_ROWS.size))
+    plan = _plan(SPMM_ROWS, SPMM_COLS, 5, 4, rng.standard_normal(SPMM_ROWS.size))
     x = param(rng, 4, 3, name="x")
     v = rng.standard_normal((5, 3))
     check(lambda: T.tsum(T.mul(T.spmm(plan, x), Tensor(v))), [x])
@@ -463,7 +473,7 @@ def test_grad_spmm_fixed_weights():
 
 def test_grad_spmm_edge_values():
     rng = np.random.default_rng(42)
-    plan = SpmmPlan(SPMM_ROWS, SPMM_COLS, 5, 4)
+    plan = _plan(SPMM_ROWS, SPMM_COLS, 5, 4)
     x = param(rng, 4, 3, name="x")
     alpha = param(rng, SPMM_ROWS.size, 1, name="alpha")
     v = rng.standard_normal((5, 3))
@@ -472,11 +482,10 @@ def test_grad_spmm_edge_values():
 
 
 def test_spmm_rejects_bad_inputs():
-    with pytest.raises(TensorError):
-        SpmmPlan([1, 0], [0, 0], 2, 2)          # rows not sorted
-    with pytest.raises(TensorError):
-        SpmmPlan([0, 2], [0, 0], 2, 2)          # row out of range
-    plan = SpmmPlan([0, 1], [0, 1], 2, 2)
+    for not_csr in (np.eye(2), sp.coo_array(np.eye(2)), sp.csr_matrix(np.eye(2))):
+        with pytest.raises(TensorError, match="csr_array"):
+            SpmmPlan(not_csr)
+    plan = SpmmPlan(sp.csr_array(np.eye(2)))
     with pytest.raises(TensorError):
         T.spmm(plan, Tensor(np.ones((3, 2))))
     with pytest.raises(TensorError):
@@ -662,8 +671,9 @@ def test_gather_rows_rejects_bad_indices():
                                         np.array([], dtype=np.int64))])
 def test_spmm_plan_transpose_is_the_stable_transpose(rows, cols):
     w = np.random.default_rng(52).standard_normal(rows.size)
-    plan = SpmmPlan(rows, cols, 5, 4, w)
-    want = plan.matrix.T.tocsr()   # a stable counting sort by column
+    plan = _plan(rows, cols, 5, 4, w)
+    # the former construction: the entries stably sorted by column
+    want = SegmentIndex(cols, 4).csr(w, rows, 5)
     got = plan.t_matrix
     assert got.shape == want.shape == (4, 5)
     for field in ("indptr", "indices", "data"):
