@@ -73,14 +73,19 @@ def cmd_analyze(args):
         return 0
 
     if args.analyze_cmd == "edf":
-        curves = {}
+        curves, sources = {}, {}
         for path in args.results:
+            name = os.path.splitext(os.path.basename(path))[0]
+            if name in sources:  # its curve and edf_<name>.csv would be overwritten
+                raise GraphError(f"results files {sources[name]} and {path} both name "
+                                 f"the curve '{name}'; give them different base names")
+            sources[name] = path
+        for name, path in sources.items():
             records = runner.read_results(path)
             scores = [r["best_score"] for r in records
                       if r["status"] == "ok" and r["best_score"] is not None]
             if not scores:
                 raise GraphError(f"no successful trials in {path}")
-            name = os.path.splitext(os.path.basename(path))[0]
             curves[name] = analysis.edf(scores)
         paths = analysis.emit_report([], curves, args.out_dir)
         for p in paths:

@@ -192,11 +192,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bundle format: a directory with graph.json, <relation>.csv edge files,
-# <type>.labels.csv label files and one feature file per featured type.
-# save_graph writes features as <type>.features.npy (float64, no pickles);
-# load_graph reads a feature file named in graph.json by its extension: a
-# .npy name as binary, any other name as CSV text like the other files.
+# Bundle format: a directory with graph.json and one file per relation,
+# labeled type and featured type, each named in graph.json's `edges`,
+# `labels` and `features` maps. save_graph writes them as .npy arrays
+# saved without pickles: <relation>.edges.npy (int64 src, dst, count rows),
+# <type>.labels.npy (int64, one per node) and <type>.features.npy (float64,
+# count x feature_dim). load_graph reads a file by its extension: a .npy
+# name as binary, any other name as CSV text; a bundle without an `edges`
+# map has its edges in <relation>.csv.
 # ---------------------------------------------------------------------------
 
 _FORMAT_TAG = "hgnn-space-graph/1"
@@ -211,24 +214,21 @@ def save_graph(g: HeteroGraph, path) -> str:
                        for t in g.node_types],
         "relations": [{"name": r.name, "src_type": r.src_type, "dst_type": r.dst_type}
                       for r in g.relations],
+        "edges": {r.name: f"{r.name}.edges.npy" for r in g.relations},
         "features": {tn: f"{tn}.features.npy" for tn in sorted(g.features)},
-        "labels": {tn: f"{tn}.labels.csv" for tn in sorted(g.labels)},
+        "labels": {tn: f"{tn}.labels.npy" for tn in sorted(g.labels)},
     }
     with open(os.path.join(path, "graph.json"), "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    arrays = {name: g.features[tn] for tn, name in header["features"].items()}
+    arrays.update((name, g.labels[tn]) for tn, name in header["labels"].items())
     for r in g.relations:
         adj = g.adjacency[r.name]
-        dst = adj.expanded_rows()
-        with open(os.path.join(path, f"{r.name}.csv"), "w") as fh:
-            for s, d, c in zip(adj.indices, dst, adj.data):
-                fh.write(f"{s},{d},{c}\n")
-    for tn, name in header["features"].items():
-        np.save(os.path.join(path, name), g.features[tn], allow_pickle=False)
-    for tn, name in header["labels"].items():
-        with open(os.path.join(path, name), "w") as fh:
-            for v in g.labels[tn]:
-                fh.write(f"{v}\n")
+        arrays[header["edges"][r.name]] = np.stack(  # src, dst, count rows
+            [adj.indices, adj.expanded_rows(), adj.data], axis=1)
+    for name, arr in arrays.items():
+        np.save(os.path.join(path, name), arr, allow_pickle=False)
     return path
 
 
@@ -323,7 +323,6 @@ def _read_table(fname, dtype, widths) -> np.ndarray:
     return out if out is not None else np.empty((0, width), dtype=dtype)
 
 
-_FLOAT64 = (np.dtype("<f8"), np.dtype(">f8"))
 _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
                 (2, 0): np.lib.format.read_array_header_2_0}
 
@@ -338,39 +337,50 @@ def _npy_header(fh):
         return _NPY_HEADERS[version](fh)
 
 
-def _read_npy(fname, shape) -> np.ndarray:
-    """The float64 matrix of `shape` stored in a .npy file.
+def _fits(have, shape):
+    """Whether a header's `have` matches `shape`, whose entries are a size,
+    a tuple of allowed sizes or None for any size."""
+    return len(have) == len(shape) and all(
+        d >= 0 if want is None else d in want if isinstance(want, tuple) else d == want
+        for d, want in zip(have, shape))
+
+
+def _read_npy(fname, dtype, shape, expected) -> np.ndarray:
+    """The array of `dtype`, in either byte order, and of `shape` (see
+    `_fits`) stored in a .npy file; `expected` describes `shape` in errors.
 
     The header's shape and dtype, and the file's size, are checked before
-    any data is read, so a file claiming more rows than graph.json, another
-    dtype or pickled objects, or one cut short, is refused without
-    allocating for it. The data is then read into one array of the
-    header's byte order. A damaged file is a GraphError naming it."""
+    any data is read, so a file claiming more rows than it holds or than
+    graph.json gives, another dtype or pickled objects, or one cut short, is
+    refused without allocating for it. The data is then read into one array
+    of the header's byte order. A damaged file is a GraphError naming it."""
+    dtype = np.dtype(dtype)
     try:
         with open(fname, "rb") as fh:
             try:
-                have, fortran, dtype = _npy_header(fh)
+                have, fortran, got = _npy_header(fh)
             except Exception as e:  # numpy's parse of a damaged header raises ValueError
                 # and, depending on the damage, TokenError, TypeError or MemoryError
                 why = str(e).splitlines() or [type(e).__name__]
                 raise ValueError(f"bad .npy header: {why[0]}") from None
-            if have != shape:
-                raise ValueError(f"shape {have} in the header, expected (count, "
-                                 f"feature_dim) = {shape} from graph.json")
-            if dtype not in _FLOAT64:
-                raise ValueError(f"dtype {dtype} in the header, expected float64")
-            need = math.prod(shape) * dtype.itemsize
+            if not _fits(have, shape):
+                raise ValueError(f"shape {have} in the header, expected {expected}")
+            if got not in (dtype.newbyteorder("<"), dtype.newbyteorder(">")):
+                raise ValueError(f"dtype {got} in the header, expected {dtype}")
+            need = math.prod(have) * got.itemsize
             left = os.fstat(fh.fileno()).st_size - fh.tell()
             if left < need:
                 raise ValueError(f"data ends after {left} of {need} bytes")
-            out = np.empty(shape[::-1] if fortran else shape, dtype=dtype)
+            out = np.empty(have[::-1] if fortran else have, dtype=got)
             if fh.readinto(out) != need:
                 raise ValueError("the file shrank while it was read")
     except OSError as e:
         raise GraphError(f"{fname}: {e.strerror or e}") from None
     except ValueError as e:
         raise GraphError(f"{fname}: {e}") from None
-    return out.T if fortran else out
+    out = out.T if fortran else out
+    out.flags.writeable = False  # no one else holds it: build_graph keeps it
+    return out
 
 
 _KINDS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
@@ -415,42 +425,54 @@ def load_graph(path) -> HeteroGraph:
         relations.append(Relation(*(_get(r, k, str, at)
                                     for k in ("name", "src_type", "dst_type"))))
     by_name = {t.name: t for t in node_types}
+    rel_names = [r.name for r in relations]
 
-    edge_lists = {}
-    for r in relations:
-        fname = os.path.join(path, f"{r.name}.csv")
-        if not os.path.exists(fname):
-            raise GraphError(f"bundle missing edge file for relation '{r.name}'")
-        edge_lists[r.name] = _read_table(fname, np.int64, (2, 3))  # src,dst[,count]
+    def files(key, known, noun, default):
+        """(name, path) of each file in graph.json's `key` map, checking
+        that the name is `known` and the file exists."""
+        entries = _get(header, key, dict, where, default=default)
+        for name in entries:
+            full = os.path.join(path, _get(entries, name, str, f"{where}, {key}"))
+            if name not in known:
+                raise GraphError(f"{key} entry references unknown {noun} '{name}'")
+            if not os.path.exists(full):
+                raise GraphError(f"bundle missing {key[:-1]} file for {noun} '{name}'")
+            yield name, full
+
+    edge_lists = {}  # a bundle without an `edges` map has <relation>.csv files
+    for name, full in files("edges", rel_names, "relation",
+                            {name: f"{name}.csv" for name in rel_names}):
+        if full.endswith(".npy"):
+            edge_lists[name] = _read_npy(full, np.int64, (None, (2, 3)), "(rows, 2 or 3)")
+        else:
+            edge_lists[name] = _read_table(full, np.int64, (2, 3))  # src,dst[,count]
+    omitted = [name for name in rel_names if name not in edge_lists]
+    if omitted:
+        raise GraphError(f"{where}, edges has no file for relation '{omitted[0]}'")
 
     features = {}
-    files = _get(header, "features", dict, where, default={})
-    for tn in files:
-        full = os.path.join(path, _get(files, tn, str, f"{where}, features"))
-        if tn not in by_name:
-            raise GraphError(f"features entry references unknown type '{tn}'")
-        if not os.path.exists(full):
-            raise GraphError(f"bundle missing feature file for type '{tn}'")
+    for tn, full in files("features", by_name, "type", {}):
         t = by_name[tn]
         if full.endswith(".npy"):
-            mat = _read_npy(full, (t.count, t.feature_dim))
+            features[tn] = _read_npy(full, np.float64, (t.count, t.feature_dim),
+                                     f"(count, feature_dim) = {(t.count, t.feature_dim)} "
+                                     f"from graph.json")
         else:
             mat = _read_table(full, np.float64, (t.feature_dim,))
             if mat.shape[0] != t.count:
                 raise GraphError(f"feature file for type '{tn}' has {mat.shape[0]} "
                                  f"rows, expected {t.count}")
-        mat.flags.writeable = False  # no one else holds it: build_graph keeps it
-        features[tn] = mat
+            mat.flags.writeable = False  # no one else holds it: build_graph keeps it
+            features[tn] = mat
 
     labels = {}
-    files = _get(header, "labels", dict, where, default={})
-    for tn in files:
-        full = os.path.join(path, _get(files, tn, str, f"{where}, labels"))
-        if tn not in by_name:
-            raise GraphError(f"labels entry references unknown type '{tn}'")
-        if not os.path.exists(full):
-            raise GraphError(f"bundle missing label file for type '{tn}'")
-        labels[tn] = _read_table(full, np.int64, (1,))[:, 0]
+    for tn, full in files("labels", by_name, "type", {}):
+        count = by_name[tn].count
+        if full.endswith(".npy"):
+            labels[tn] = _read_npy(full, np.int64, (count,),
+                                   f"(count,) = {(count,)} from graph.json")
+        else:
+            labels[tn] = _read_table(full, np.int64, (1,))[:, 0]
 
     return build_graph(node_types, relations, edge_lists, features, labels)
 

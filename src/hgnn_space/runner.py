@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, fields
 from itertools import groupby
 
@@ -45,6 +46,7 @@ class ExperimentPlan:
 _PLAN_KEYS = {f.name for f in fields(ExperimentPlan)}
 _INT_KEYS = {f.name for f in fields(ExperimentPlan) if f.type in ("int", "int | None")}
 _OPTIONAL_KEYS = {f.name for f in fields(ExperimentPlan) if f.type == "int | None"}
+_COMMENT = re.compile(r"(?:^|\s)#")  # a `#` inside a value, as in a path, is kept
 
 
 def _plan_int(path, ln, key, val):
@@ -59,10 +61,11 @@ def _plan_int(path, ln, key, val):
 
 def parse_plan(path) -> ExperimentPlan:
     """Flat key = value text, each key once; lists are comma-separated,
-    meta-paths are `name:rel,rel` chunks joined by `;`."""
+    meta-paths are `name:rel,rel` chunks joined by `;`. A `#` at the start
+    of a line or after whitespace starts a comment."""
     values, first_line = {}, {}
     for ln, raw in enumerate(read_text(path).split("\n"), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

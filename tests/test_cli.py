@@ -415,6 +415,29 @@ def test_run_and_analyze_end_to_end(tmp_path, capsys):
     assert (out_dir / "edf.svg").exists()
 
 
+def test_edf_refuses_two_results_files_with_one_base_name(tmp_path, capsys):
+    b = bundle(tmp_path)
+    cfg_path = tmp_path / "configs.json"
+    save_config_list([DesignConfig(hidden_dim=8, mp_layers=1, seed=5)], cfg_path)
+    results = []
+    for sub in ("x", "y"):
+        (tmp_path / sub).mkdir()
+        results.append(tmp_path / sub / "a.ndrec")
+        plan = tmp_path / sub / "plan.cfg"
+        plan.write_text(f"graph = {b}\ntask = node_classification\ntarget = P\n"
+                        f"space = {cfg_path}\nsplits = 1\nepoch_override = 1\n"
+                        f"out = {results[-1]}\n")
+        assert main(["run", "--plan", str(plan)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "analysis"
+    assert main(["analyze", "edf", "--results", *map(str, results),
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"hgnn-space: error: results files {results[0]} and {results[1]} both "
+                   f"name the curve 'a'; give them different base names\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
 def test_importing_the_package_pins_blas_unless_set(preset, want):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

@@ -241,7 +241,7 @@ def test_a_loaded_graph_shares_its_frozen_features_with_its_message_graphs(tmp_p
         node_types=(("P", 30, 4), ("A", 10, 3)),
         relations=(("ap", "A", "P", 60), ("pa", "P", "A", 60)),
         target_type="P", num_communities=3, seed=1)), tmp_path / "b"))
-    for x in g.features.values():
+    for x in [*g.features.values(), *g.labels.values()]:
         assert x.flags.owndata and not x.flags.writeable
     cut = graph_without_edges(g, "ap", np.stack([g.adjacency["ap"].indices[:5],
                                                  g.adjacency["ap"].expanded_rows()[:5]], 1))
@@ -708,10 +708,10 @@ def test_a_huge_npy_header_is_refused_before_any_allocation(tmp_path, monkeypatc
     d = _npy_bundle(tmp_path / "b", _npy_bytes(header=header) + _GOOD_NPY[-32:])
     monkeypatch.setattr(hgraph.np, "empty", no_allocation)
     with pytest.raises(GraphError, match=r"shape \(1000000000000, 2\) in the header"):
-        hgraph._read_npy(str(d / "A.features.npy"), (2, 2))
+        hgraph._read_npy(str(d / "A.features.npy"), np.float64, (2, 2), "(2, 2)")
     # graph.json claiming as many rows only moves the refusal to the file size
     with pytest.raises(GraphError, match="data ends after 32 of 16000000000000 bytes"):
-        hgraph._read_npy(str(d / "A.features.npy"), (10**12, 2))
+        hgraph._read_npy(str(d / "A.features.npy"), np.float64, (10**12, 2), "(10**12, 2)")
 
 
 @pytest.mark.parametrize("array", [np.asfortranarray(_GOOD), _GOOD.astype(">f8")],
@@ -727,6 +727,117 @@ def test_an_npy_header_written_by_python_2_loads_without_a_warning(tmp_path):
     header = _header_text("{'descr': '<f8', 'fortran_order': False, 'shape': (2L, 2L), }")
     g = load_graph(_npy_bundle(tmp_path / "b", header + _GOOD.tobytes()))
     assert g.features["A"].tobytes() == _GOOD.tobytes()
+
+
+def _saved_bundle(d, **files):
+    """`_raw_bundle` saved by `save_graph`, then each named file replaced by
+    the given bytes."""
+    save_graph(load_graph(_raw_bundle(d.with_name(d.name + "-csv"))), d)
+    for name, data in files.items():
+        (d / name).write_bytes(data)
+    return d
+
+
+_EDGES = np.array([[0, 1, 1]])  # the one edge of `_raw_bundle`: src, dst, count
+_LABELS = np.array([0, 1])
+
+
+@pytest.mark.parametrize("name,data,message", [
+    ("aa.edges.npy", b"", "bad .npy header: EOF: reading magic string"),
+    ("aa.edges.npy", _npy_bytes(_EDGES.astype(np.float64)),
+     "dtype float64 in the header, expected int64"),
+    ("aa.edges.npy", _npy_bytes(_EDGES.astype(np.int32)),
+     "dtype int32 in the header, expected int64"),
+    ("aa.edges.npy", _npy_bytes(_EDGES[0]), "shape (3,) in the header, expected (rows, 2 or 3)"),
+    ("aa.edges.npy", _npy_bytes(np.array([[0, 1, 1, 1]])),
+     "shape (1, 4) in the header, expected (rows, 2 or 3)"),
+    ("aa.edges.npy", _npy_bytes(_EDGES)[:-1], "data ends after 23 of 24 bytes"),
+    ("aa.edges.npy", _npy_bytes(np.array([[0, 1, None]], dtype=object), allow_pickle=True),
+     "dtype object in the header, expected int64"),
+    ("aa.edges.npy", _npy_bytes(header={"descr": "<i8", "fortran_order": False,
+                                        "shape": (-1, 3)}),
+     "shape (-1, 3) in the header, expected (rows, 2 or 3)"),
+    ("A.labels.npy", _npy_bytes(np.array([0, 1, 1])),
+     "shape (3,) in the header, expected (count,) = (2,) from graph.json"),
+    ("A.labels.npy", _npy_bytes(_LABELS[:, None]),
+     "shape (2, 1) in the header, expected (count,) = (2,)"),
+    ("A.labels.npy", _npy_bytes(_LABELS.astype(np.float64)),
+     "dtype float64 in the header, expected int64"),
+    ("A.labels.npy", _npy_bytes(_LABELS.astype(np.int32)),
+     "dtype int32 in the header, expected int64"),
+    ("A.labels.npy", _npy_bytes(_LABELS)[:-8], "data ends after 8 of 16 bytes"),
+    ("A.labels.npy", _npy_bytes(np.array([0, None], dtype=object), allow_pickle=True),
+     "dtype object in the header, expected int64"),
+], ids=["edge-empty", "edge-float64", "edge-int32", "edge-one-dimensional", "edge-4-wide",
+        "edge-truncated-data", "edge-pickled-objects", "edge-negative-rows",
+        "label-other-length", "label-two-dimensional", "label-float64", "label-int32",
+        "label-truncated-data", "label-pickled-objects"])
+def test_a_damaged_npy_edge_or_label_file_is_one_error_naming_it(tmp_path, name, data,
+                                                                  message):
+    d = _saved_bundle(tmp_path / "b", **{name: data})
+    with pytest.raises(GraphError) as info:
+        load_graph(d)
+    assert str(info.value).startswith(f"{d / name}: ")
+    assert message in str(info.value) and "\n" not in str(info.value)
+
+
+def test_a_huge_npy_edge_header_is_refused_before_any_allocation(tmp_path, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an array was allocated for a refused file")
+
+    header = {"descr": "<i8", "fortran_order": False, "shape": (10**12, 3)}
+    d = _saved_bundle(tmp_path / "b",
+                      **{"aa.edges.npy": _npy_bytes(header=header) + _EDGES.tobytes()})
+    monkeypatch.setattr(hgraph.np, "empty", no_allocation)
+    with pytest.raises(GraphError) as info:
+        load_graph(d)
+    assert str(info.value) == (f"{d / 'aa.edges.npy'}: data ends after 24 of "
+                               f"24000000000000 bytes")
+
+
+@pytest.mark.parametrize("name,array", [
+    ("aa.edges.npy", np.asfortranarray([[0, 1, 2], [1, 1, 1], [1, 0, 3]])),
+    ("aa.edges.npy", np.array([[0, 1, 2], [1, 1, 1], [1, 0, 3]], dtype=">i8")),
+    ("aa.edges.npy", np.asfortranarray([[0, 1], [1, 1], [0, 1], [1, 0], [1, 0], [1, 0]],
+                                       dtype=">i8")),
+    ("A.labels.npy", np.array([1, -1], dtype=">i8")),
+], ids=["edges-fortran-order", "edges-big-endian", "edges-2-wide-both", "labels-big-endian"])
+def test_an_npy_edge_or_label_file_in_any_int64_layout_loads(tmp_path, name, array):
+    g = load_graph(_saved_bundle(tmp_path / "b", **{name: _npy_bytes(array)}))
+    if name == "aa.edges.npy":
+        assert g.adjacency["aa"].toarray().tolist() == [[0, 3], [2, 1]]  # [dst, src]
+    else:
+        assert g.labels["A"].dtype == np.int64 and g.labels["A"].tolist() == [1, -1]
+
+
+def test_a_csv_bundle_and_its_npy_conversion_are_equal(tmp_path):
+    old = load_graph(_raw_bundle(tmp_path / "csv", edges="0,1,4\n1,1\n1,0,2\n0,1\n",
+                                 labels="\n 1 \r\n-1\n"))
+    new_dir = tmp_path / "npy"
+    save_graph(old, new_dir)
+    header = json.loads((new_dir / "graph.json").read_text())
+    assert (header["edges"], header["features"], header["labels"]) == (
+        {"aa": "aa.edges.npy"}, {"A": "A.features.npy"}, {"A": "A.labels.npy"})
+    assert sorted(os.listdir(new_dir)) == ["A.features.npy", "A.labels.npy",
+                                           "aa.edges.npy", "graph.json"]
+    new = load_graph(new_dir)
+    assert new.equals(old) and not new.equals(load_graph(_raw_bundle(tmp_path / "other")))
+    assert np.load(new_dir / "aa.edges.npy").tolist() == [[1, 0, 2], [0, 1, 5], [1, 1, 1]]
+
+
+@pytest.mark.parametrize("edges,message", [
+    ({"aa": "aa.csv", "zz": "aa.csv"}, "edges entry references unknown relation 'zz'"),
+    ({}, "graph.json in '{d}', edges has no file for relation 'aa'"),
+    ({"aa": 3}, "graph.json in '{d}', edges: key 'aa' must be a string, got 3"),
+    ({"aa": "nosuch.npy"}, "bundle missing edge file for relation 'aa'"),
+], ids=["unknown-relation", "omitted-relation", "not-a-string", "missing-file"])
+def test_an_edges_map_must_name_one_file_per_relation(tmp_path, edges, message):
+    d = _raw_bundle(tmp_path / "b")
+    header = json.loads((d / "graph.json").read_text())
+    (d / "graph.json").write_text(json.dumps(dict(header, edges=edges)))
+    with pytest.raises(GraphError) as info:
+        load_graph(d)
+    assert str(info.value) == message.format(d=d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -780,6 +891,7 @@ def _mutate(files, kind, a, b, c):
                           st.integers(1, 255)), min_size=1, max_size=3))
 def test_a_damaged_bundle_runs_or_fails_in_one_line(mutations):
     files = dict(_fuzz_base())
+    assert {"ap.edges.npy", "pa.edges.npy", "P.labels.npy"} <= set(files)  # all mutable
     for mutation in mutations:
         _mutate(files, *mutation)
     with tempfile.TemporaryDirectory() as d:

@@ -104,6 +104,19 @@ def test_parse_plan_rejects_a_repeated_key_with_both_lines(tmp_path):
         parse_plan(p)
 
 
+def test_a_plan_comment_starts_only_at_a_line_start_or_after_whitespace(tmp_path):
+    p = tmp_path / "plan.cfg"
+    p.write_text("#graph = elsewhere\n"
+                 "graph = runs/exp#3/bundle # the bundle\n"
+                 "task = node_classification\t# or link_prediction\n"
+                 "target = P#1\n"
+                 "  # seed = 3\n"
+                 "out = res#1.ndrec#\n")
+    plan = parse_plan(p)
+    assert (plan.graph, plan.task, plan.target, plan.seed, plan.out) == (
+        "runs/exp#3/bundle", "node_classification", "P#1", 0, "res#1.ndrec#")
+
+
 def test_parse_plan_reads_back_the_canonical_text(tmp_path):
     """`epoch_override = None` is how the canonical text writes an unset
     optional key, so a plan written that way must parse to the default."""
