@@ -282,8 +282,11 @@ def perturb_dimension(base: DesignConfig, dim_name: str,
     one ranking setup."""
     space = space or full_space()
     d = space.dim(dim_name)
-    partial = base.to_flat()
-    if not d.applies(partial):
+    dependents = [e.name for e in space.dimensions if e.when and e.when[0] == dim_name]
+    if dependents:
+        raise ValueError(f"dimension '{dim_name}' cannot be expanded: whether "
+                         f"{', '.join(map(repr, dependents))} applies depends on it")
+    if not d.applies(base.to_flat()):
         raise ValueError(f"dimension '{dim_name}' does not apply to a "
                          f"{base.model_family}-family config")
     return [base.with_values(**{dim_name: c}) for c in d.choices]

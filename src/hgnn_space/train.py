@@ -8,14 +8,16 @@ diverging trial is recorded as failed, never raised.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .analysis import midranks
-from .hgraph import GraphError, HeteroGraph, build_graph
+# `build_graph` is unused here, but the benchmark's layer map wraps it by this name
+from .hgraph import GraphError, HeteroGraph, build_graph  # noqa: F401
 from .model import DesignConfig, build_model, score_links
+from .sparse import CSRMatrix
 from .tensor import Tensor
 
 RECORD_FORMAT = "1"
@@ -28,7 +30,6 @@ class Task:
     kind: str                      # node_classification | link_prediction
     target: str                    # node type (NC) or relation name (LP)
     num_classes: int = 0
-    neg_per_pos: int = TRAIN_NEG_PER_POS
 
 
 @dataclass(frozen=True)
@@ -89,25 +90,27 @@ def make_splits(task: Task, graph: HeteroGraph, n_splits: int = 3,
     return splits
 
 
+def _cell_keys(adj):
+    """Key dst * n_src + src of each stored cell; strictly increasing, since
+    `CSRMatrix.from_edges` sums duplicate cells and sorts each row."""
+    return adj.expanded_rows() * adj.shape[1] + adj.indices
+
+
 def graph_without_edges(graph: HeteroGraph, relation: str, pairs) -> HeteroGraph:
-    """Copy of the graph with the given (src, dst) cells of one relation removed;
-    keeps validation positives out of the message-passing adjacency."""
+    """The graph with the given (src, dst) cells of one relation removed;
+    keeps validation positives out of the message-passing adjacency. Every
+    other adjacency, and the features and labels, are the same objects."""
+    adj = graph.adjacency.get(relation)
+    if adj is None:
+        raise GraphError(f"unknown relation '{relation}'")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    edge_lists = {}
-    for r in graph.relations:
-        adj = graph.adjacency[r.name]
-        src, dst, cnt = adj.indices, adj.expanded_rows(), adj.data
-        if r.name == relation and pairs.size:
-            n_dst, n_src = adj.shape  # rows are destinations
-            # a pair outside the relation matches no cell, but its key could
-            # alias one that is inside
-            ok = ((pairs >= 0).all(axis=1) & (pairs[:, 0] < n_src)
-                  & (pairs[:, 1] < n_dst))
-            keep = ~np.isin(src * n_dst + dst, pairs[ok, 0] * n_dst + pairs[ok, 1])
-            src, dst, cnt = src[keep], dst[keep], cnt[keep]
-        edge_lists[r.name] = np.stack([src, dst, cnt], axis=1)
-    return build_graph(graph.node_types, graph.relations, edge_lists,
-                       graph.features, graph.labels)
+    n_dst, n_src = adj.shape  # rows are destinations
+    # a pair outside the relation matches no cell, but could alias a cell's key
+    ok = (pairs >= 0).all(axis=1) & (pairs[:, 0] < n_src) & (pairs[:, 1] < n_dst)
+    keep = ~np.isin(_cell_keys(adj), pairs[ok, 1] * n_src + pairs[ok, 0])
+    cut = CSRMatrix.from_edges(adj.expanded_rows()[keep], adj.indices[keep],
+                               n_dst, n_src, data=adj.data[keep])
+    return replace(graph, adjacency={**graph.adjacency, relation: cut})
 
 
 # Draws tested per step of negative_sample's rejection loop: a rejection
@@ -133,29 +136,25 @@ def negative_sample(graph: HeteroGraph, relation: str, positives, k: int, seed):
     n_dst, n_src = adj.shape  # rows are destinations
     if src.size and (src.min() < 0 or src.max() >= n_src):
         raise GraphError(f"source id out of range for relation '{relation}'")
-    # sorted keys src*n_dst + dst of the observed cells
-    keys = np.sort(adj.indices * n_dst + adj.expanded_rows())
-    keys = keys[np.append(True, keys[1:] != keys[:-1])]
-    out_degree = np.diff(np.searchsorted(keys, np.arange(n_src + 1) * n_dst))
+    out_degree = np.bincount(adj.indices, minlength=n_src)  # cells are distinct
     saturated = out_degree[src] >= n_dst
     if saturated.any():
         s = int(src[np.argmax(saturated)])
         raise GraphError(f"relation '{relation}' is saturated for source {s}: "
                          f"no negative destinations exist")
-    keys = np.append(keys, np.iinfo(np.int64).max)  # keeps searchsorted in bounds
+    keys = np.append(_cell_keys(adj), np.iinfo(np.int64).max)  # bounds searchsorted
 
     sources = np.repeat(src, k)
-    slots = sources * n_dst
-    dst = np.empty(slots.size, dtype=np.int64)
+    dst = np.empty(sources.size, dtype=np.int64)
     filled = 0
-    while filled < slots.size:
-        draws = rng.integers(0, n_dst, size=slots.size - filled)
+    while filled < sources.size:
+        draws = rng.integers(0, n_dst, size=sources.size - filled)
         used = 0
         while used < draws.size:
             # assume no rejection in the window, then keep the draws before
             # the first one that hits an edge and skip that one
             w = min(_SAMPLE_WINDOW, draws.size - used)
-            cand = slots[filled:filled + w] + draws[used:used + w]
+            cand = draws[used:used + w] * n_src + sources[filled:filled + w]
             hit = keys[np.searchsorted(keys, cand)] == cand
             n_ok = int(np.argmax(hit)) if hit.any() else w
             dst[filled:filled + n_ok] = draws[used:used + n_ok]
@@ -302,12 +301,10 @@ def _val_score(out, graph, task, split, val_negs):
         preds = np.argmax(out.data[split.val], axis=1)
         return macro_f1(preds, graph.labels[task.target][split.val], task.num_classes)
     rel = graph.relation(task.target)
-    h_src, h_dst = out[rel.src_type], out[rel.dst_type]
-    pos = score_links(h_src, h_dst, split.val[:, 0], split.val[:, 1]).data[:, 0]
-    neg = score_links(h_src, h_dst, val_negs[:, 0], val_negs[:, 1]).data[:, 0]
-    scores = np.concatenate([pos, neg])
-    labels = np.concatenate([np.ones(pos.size), np.zeros(neg.size)])
-    return roc_auc(scores, labels)
+    pairs = np.concatenate([split.val, val_negs])
+    scores = score_links(out[rel.src_type], out[rel.dst_type],
+                         pairs[:, 0], pairs[:, 1]).data[:, 0]
+    return roc_auc(scores, np.repeat([1, 0], [len(split.val), len(val_negs)]))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +418,7 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     def train_loss(out, epoch):
         if task.kind == "node_classification":
             return cross_entropy(T.gather_rows(out, split.train), labels[split.train])
-        negs = negative_sample(graph, task.target, split.train, task.neg_per_pos,
+        negs = negative_sample(graph, task.target, split.train, TRAIN_NEG_PER_POS,
                                np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
         return binary_cross_entropy(
             score_links(out[rel.src_type], out[rel.dst_type],
@@ -472,8 +469,7 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
             break
         del out, loss  # free this epoch's pass before the next one
 
-    finite = [s for s in scores if np.isfinite(s)]
-    best = max(finite) if status == "ok" and finite else None
+    best = max(scores) if status == "ok" else None  # then every score is finite
     return TrialRecord(
         config=cfg.to_flat(),
         seed=cfg.seed,

@@ -58,12 +58,14 @@ def test_space_sample_writes_configs(tmp_path, capsys):
 @pytest.mark.parametrize("args,message", [
     (["--expand-dim", "nosuch"], "unknown design dimension 'nosuch'"),
     (["--expand-dim", "macro_agg"], "dimension 'macro_agg' does not apply"),
+    (["--n", "12", "--seed", "1", "--expand-dim", "model_family"],
+     "dimension 'model_family' cannot be expanded: whether 'macro_agg' applies"),
     (["--strata-hits", "2"], "strata require 24 samples but n=6"),
     (["--strata-hits", "-1"], "stratum hit counts must not be negative"),
     (["--n", "0"], "--n must be at least 1, got 0"),
     (["--n", "-2"], "--n must be at least 1, got -2"),
-], ids=["unknown-dim", "inapplicable-dim", "strata-over-n", "negative-hits",
-        "zero-n", "negative-n"])
+], ids=["unknown-dim", "inapplicable-dim", "dependent-dim", "strata-over-n",
+        "negative-hits", "zero-n", "negative-n"])
 def test_space_sample_reports_a_bad_request_in_one_line(tmp_path, capsys, args,
                                                         message):
     out = tmp_path / "c.json"

@@ -388,6 +388,19 @@ def test_perturb_closure_validates():
         assert ds.validate(c) == []
 
 
+@pytest.mark.parametrize("family", ["Homogenization", "Relation", "Metapath"])
+def test_perturb_refuses_a_dimension_another_one_depends_on(family):
+    # every family variant of a config would keep the base's macro_agg, which
+    # is invalid for some of them
+    base = DesignConfig(model_family=family,
+                        macro_agg=None if family == "Homogenization" else "Sum",
+                        metapaths=(("PP", ("r",)),) if family == "Metapath" else ())
+    for space in (ds.full_space(), ds.condensed_space()):
+        with pytest.raises(ValueError, match="^dimension 'model_family' cannot be "
+                           "expanded: whether 'macro_agg' applies depends on it$"):
+            ds.perturb_dimension(base, "model_family", space)
+
+
 def test_perturb_inapplicable_dimension():
     base = DesignConfig(model_family="Homogenization", macro_agg=None)
     with pytest.raises(ValueError, match="does not apply"):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import hgnn_space.tensor as T
 import hgnn_space.train as train_mod
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
-                               generate_synthetic)
+                               generate_synthetic, load_graph)
 from hgnn_space.model import DesignConfig, build_model, score_links
 from hgnn_space.tensor import Parameter
 from hgnn_space.train import (Adam, SGD, Task, TrialRecord, TrialStart,
@@ -142,6 +143,68 @@ def test_graph_without_edges_matches_set_loop():
             want = graph_without_edges_loop(g, "pa", pairs)
             for r in g.relation_names:
                 assert same_csr(got.adjacency[r], want.adjacency[r])
+
+
+# ---------------------------------------------------------------------------
+# cell keys: both link-prediction helpers read them as a sorted set
+# ---------------------------------------------------------------------------
+
+# (src, dst, count) rows out of order, with the cells 3 -> 1 and 1 -> 0 twice
+UNSORTED_EDGES = np.array([[3, 1, 2], [0, 2, 1], [3, 1, 1], [1, 0, 1], [0, 0, 4],
+                           [1, 0, 2], [2, 3, 1], [0, 4, 1]])
+KEYED_TYPES = [{"name": "A", "count": 4, "feature_dim": 0},
+               {"name": "B", "count": 5, "feature_dim": 0}]
+KEYED_RELATIONS = [{"name": "r", "src_type": "A", "dst_type": "B"},
+                   {"name": "s", "src_type": "B", "dst_type": "A"}]
+KEYED_EDGES = {"r": UNSORTED_EDGES, "s": UNSORTED_EDGES[[4, 0, 6, 2, 1], :][:, [1, 0, 2]]}
+
+
+def assert_cell_keys_are_the_sorted_cell_set(graph):
+    for rel in graph.relations:
+        adj = graph.adjacency[rel.name]
+        keys = train_mod._cell_keys(adj)
+        assert keys.dtype == np.int64 and keys.size == adj.nnz
+        assert np.all(np.diff(keys) > 0), rel.name
+        rows, cols = adj.nonzero()  # scipy's own reading of the stored cells
+        assert np.array_equal(keys, np.unique(rows * adj.shape[1] + cols))
+
+
+def test_cell_keys_of_a_graph_built_from_unsorted_duplicate_rows_increase():
+    g = build_graph([tuple(t.values()) for t in KEYED_TYPES],
+                    [tuple(r.values()) for r in KEYED_RELATIONS], KEYED_EDGES)
+    assert_cell_keys_are_the_sorted_cell_set(g)
+    assert np.array_equal(train_mod._cell_keys(g.adjacency["r"]),
+                          np.unique(UNSORTED_EDGES[:, 1] * 4 + UNSORTED_EDGES[:, 0]))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "npy"])
+def test_cell_keys_of_a_loaded_bundle_increase(tmp_path, fmt):
+    header = {"format": "hgnn-space-graph/1", "node_types": KEYED_TYPES,
+              "relations": KEYED_RELATIONS}
+    if fmt == "npy":
+        header["edges"] = {r: f"{r}.edges.npy" for r in KEYED_EDGES}
+    for r, edges in KEYED_EDGES.items():
+        if fmt == "npy":
+            np.save(tmp_path / f"{r}.edges.npy", edges, allow_pickle=False)
+        else:
+            (tmp_path / f"{r}.csv").write_text(
+                "".join(",".join(map(str, row)) + "\n" for row in edges))
+    (tmp_path / "graph.json").write_text(json.dumps(header))
+    assert_cell_keys_are_the_sorted_cell_set(load_graph(tmp_path))
+
+
+def test_graph_without_edges_rebuilds_only_the_target_relation():
+    g = planted_graph(seed=4)
+    task = Task("link_prediction", "ap")
+    for s in make_splits(task, g, 2, seed=6):
+        cut = graph_without_edges(g, "ap", s.val)
+        assert_cell_keys_are_the_sorted_cell_set(cut)
+        assert cut.adjacency["ap"].nnz < g.adjacency["ap"].nnz
+        assert cut.adjacency["pa"] is g.adjacency["pa"]
+        assert cut.features is g.features and cut.labels is g.labels
+        assert (cut.node_types, cut.relations) == (g.node_types, g.relations)
+    with pytest.raises(GraphError, match="unknown relation 'zz'"):
+        graph_without_edges(g, "zz", s.val)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +611,8 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
             loss = cross_entropy(T.gather_rows(logits(True, drop_rng), split.train),
                                  graph.labels[task.target][split.train])
         else:
-            negs = negative_sample(graph, task.target, split.train, task.neg_per_pos,
+            negs = negative_sample(graph, task.target, split.train,
+                                   train_mod.TRAIN_NEG_PER_POS,
                                    np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
             h = model.forward(msg_graph, training=True, rng=drop_rng)
             loss = binary_cross_entropy(
