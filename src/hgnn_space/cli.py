@@ -35,15 +35,26 @@ def cmd_space(args):
         if args.n < 1:  # `run` refuses an empty config list
             return _error(f"--n must be at least 1, got {args.n}")
         strata = ds.default_strata(space, args.strata_hits) if args.strata_hits else []
+        skipped = ""
         try:
             configs = ds.sample_controlled(space, args.n, strata, args.seed)
             if args.expand_dim:
-                configs = [c for cfg in configs
+                # expand only the base configs the dimension applies to
+                # (macro_agg skips Homogenization-family configs)
+                dim = space.dim(args.expand_dim)
+                bases = [c for c in configs if dim.applies(c.to_flat())]
+                if not bases:
+                    raise ValueError(f"dimension '{dim.name}' does not apply to any "
+                                     f"of the {len(configs)} sampled configs")
+                if len(bases) < len(configs):
+                    skipped = (f" ({len(configs) - len(bases)} of {len(configs)} base "
+                               f"configs skipped: '{dim.name}' does not apply to them)")
+                configs = [c for cfg in bases
                            for c in ds.perturb_dimension(cfg, args.expand_dim, space)]
-        except (KeyError, ValueError) as e:  # strata over n; unknown or inapplicable dim
+        except (KeyError, ValueError) as e:  # strata over n; unknown or unexpandable dim
             return _error(e.args[0])
         runner.save_config_list(configs, args.out)
-        print(f"wrote {len(configs)} configs to {args.out}")
+        print(f"wrote {len(configs)} configs to {args.out}{skipped}")
         return 0
     raise GraphError(f"unknown space subcommand '{args.space_cmd}'")
 

@@ -16,7 +16,7 @@ _INT_SAFE = np.int64(1) << 62
 
 class CSRMatrix(sp.csr_array):
     """A scipy `csr_array` with int64 indices, so that edge keys such as
-    src * n_dst + dst cannot overflow, and read-only arrays, so that parallel
+    dst * n_src + src cannot overflow, and read-only arrays, so that parallel
     trials can share it. `from_edges` accumulates duplicate cells and sorts
     each row; a homogenized adjacency stores a shared cell once per relation,
     and `toarray` sums such entries."""

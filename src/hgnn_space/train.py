@@ -388,6 +388,8 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     and the node-classification epoch-0 evaluation for every split; without
     it the trial builds its own. The record is the same either way.
     """
+    if max_epochs is not None and max_epochs < 0:
+        raise ValueError(f"max_epochs must not be negative, got {max_epochs}")
     started = time.perf_counter()
     if start is None:
         start = TrialStart(cfg, graph, task)

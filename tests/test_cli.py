@@ -57,7 +57,9 @@ def test_space_sample_writes_configs(tmp_path, capsys):
 
 @pytest.mark.parametrize("args,message", [
     (["--expand-dim", "nosuch"], "unknown design dimension 'nosuch'"),
-    (["--expand-dim", "macro_agg"], "dimension 'macro_agg' does not apply"),
+    # at seed 3 the full space's one draw is a Homogenization config
+    (["--n", "1", "--seed", "3", "--expand-dim", "macro_agg"],
+     "dimension 'macro_agg' does not apply to any of the 1 sampled configs"),
     (["--n", "12", "--seed", "1", "--expand-dim", "model_family"],
      "dimension 'model_family' cannot be expanded: whether 'macro_agg' applies"),
     (["--strata-hits", "2"], "strata require 24 samples but n=6"),
@@ -75,6 +77,28 @@ def test_space_sample_reports_a_bad_request_in_one_line(tmp_path, capsys, args,
     assert err.startswith("hgnn-space: error: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_expanding_macro_agg_skips_the_homogenization_draws(tmp_path, capsys, seed):
+    from hgnn_space import designspace as ds
+
+    out = tmp_path / "c.json"
+    assert main(["space", "sample", "--space", "condensed", "--n", "12", "--seed",
+                 str(seed), "--expand-dim", "macro_agg", "--out", str(out)]) == 0
+    configs = [DesignConfig.from_flat(d) for d in json.load(open(out))]
+    kinds = ds.condensed_space().dim("macro_agg").choices
+    assert len(kinds) == 4 and configs and len(configs) % 4 == 0
+    for i in range(0, len(configs), 4):
+        setup = configs[i:i + 4]
+        assert setup[0].model_family in ("Relation", "Metapath")
+        assert tuple(c.macro_agg for c in setup) == kinds
+        assert all(c == setup[0].with_values(macro_agg=c.macro_agg) for c in setup)
+    skipped = 12 - len(configs) // 4
+    line = capsys.readouterr().out
+    assert line.startswith(f"wrote {len(configs)} configs to {out}")
+    assert (f"({skipped} of 12 base configs skipped: 'macro_agg' does not apply"
+            in line) == (skipped > 0)
 
 
 def test_run_reports_a_bad_plan_in_one_line_with_its_line_number(tmp_path):

@@ -162,8 +162,9 @@ def test_sage_and_gin_match_dense_oracles():
 
 
 def _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type):
-    """The gather_rows -> mul -> segment_sum aggregation each convolution
-    used before its single spmm, with the weights computed as it did then."""
+    """The gather -> scale -> segment-sum aggregation each convolution used
+    before its single spmm, with the weights computed as it did then; the
+    segment sum is a product with the dense 0/1 destination indicator."""
     src, dst, w = _edges_of(adj)
     n_dst, n_src = adj.shape
     if kind == "GATConv":
@@ -182,7 +183,7 @@ def _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type):
         w = w / np.where(din > 0, din, 1.0)[dst]
     weight = w if isinstance(w, Tensor) else Tensor(w[:, None])
     msg = T.mul(T.gather_rows(h_src, T.SegmentIndex(src, n_src)), weight)
-    agg = T.segment_sum(msg, T.SegmentIndex(dst, n_dst))
+    agg = T.matmul(Tensor(np.eye(n_dst)[:, dst]), msg)
     if kind == "GCNConv":
         return T.add(T.matmul(agg, conv.W), conv.b)
     if kind == "SageConv":

@@ -10,6 +10,7 @@ from hgnn_space.hgraph import GraphError, build_graph
 from hgnn_space.model import (DesignConfig, Model, build_model, metapaths_from_text,
                               metapaths_to_text, score_links)
 from hgnn_space.tensor import Parameter, Tensor
+from hgnn_space.train import Split, Task, train_trial
 from hgnn_space.transform import homogenize, type_offsets
 
 from conftest import run_conv
@@ -468,7 +469,8 @@ def test_the_three_families_agree_on_a_one_type_graph(micro):
     """The families differ only in the graph transformation: with one type
     and one relation `pp`, relation extraction, the meta-path `PP: pp` and
     homogenization give the same single subgraph, so the three models give
-    identical logits, in training and in evaluation. Left out, because the
+    identical logits, in training and in evaluation, and `train_trial`
+    records identical loss and score histories. Left out, because the
     models differ there by design: the Attention macro, which draws
     parameters a homogenized model has no place for and so shifts every
     later draw, and SimpleHGN attention, which adds a per-relation term that
@@ -480,6 +482,8 @@ def test_the_three_families_agree_on_a_one_type_graph(micro):
     g = build_graph([("P", n, 4)], [("pp", "P", "P")], {"pp": edges},
                     features={"P": rng.standard_normal((n, 4))},
                     labels={"P": rng.integers(0, 3, n)})
+    task = Task("node_classification", "P", num_classes=3)
+    split = Split(0, 99, np.arange(6), np.arange(6, n))
     cells = [(m, c) for m in ("Sum", "Mean", "Max") for c in L.CONNECTIVITIES]
     for k, (macro, connectivity) in enumerate(cells):
         # the post-ops and pre-process depths spread over the cells
@@ -500,6 +504,11 @@ def test_the_three_families_agree_on_a_one_type_graph(micro):
                       for c in cfgs]
             assert np.array_equal(logits[0], logits[1]), (macro, connectivity)
             assert np.array_equal(logits[0], logits[2]), (macro, connectivity)
+        records = [train_trial(c, g, split, task, max_epochs=10) for c in cfgs]
+        for rec in records[1:]:
+            assert rec.history == records[0].history, (macro, connectivity)
+            assert rec.best_score == records[0].best_score, (macro, connectivity)
+            assert rec.status == records[0].status, (macro, connectivity)
 
 
 def _copy_parameters(src_model, dst_model, rows=None):

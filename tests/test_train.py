@@ -523,6 +523,19 @@ def test_trial_zero_epochs_returns_initial_metrics():
     assert rec.status == "ok"
 
 
+def test_trial_refuses_negative_max_epochs_before_building_anything(monkeypatch):
+    g = planted_graph()
+    task = Task("node_classification", "P", num_classes=4)
+    split = make_splits(task, g, 1, seed=2)[0]
+
+    def build(*args):
+        raise AssertionError("a trial start was built")
+
+    monkeypatch.setattr(train_mod, "TrialStart", build)
+    with pytest.raises(ValueError, match="^max_epochs must not be negative, got -1$"):
+        train_trial(NC_CFG, g, split, task, max_epochs=-1)
+
+
 def test_trial_divergence_recorded_not_raised():
     g = planted_graph()
     task = Task("node_classification", "P", num_classes=4)
