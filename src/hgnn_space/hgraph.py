@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CSRMatrix
+from .sparse import expanded_rows, from_edges
 
 
 class GraphError(ValueError):
@@ -43,7 +43,7 @@ class HeteroGraph:
 
     node_types: tuple
     relations: tuple
-    adjacency: dict  # relation name -> read-only CSRMatrix (rows = dst, cols = src)
+    adjacency: dict  # relation name -> read-only int64 csr_array (rows dst, cols src)
     features: dict   # type name -> float64 (count, feature_dim), only if dim > 0
     labels: dict     # type name -> int64 (count,), -1 marks unlabeled
 
@@ -146,7 +146,7 @@ def build_graph(node_types, relations, edge_lists, features=None, labels=None) -
                 raise GraphError(
                     f"relation '{r.name}': destination id out of range for type "
                     f"'{r.dst_type}' (count {n_dst})")
-        adjacency[r.name] = CSRMatrix.from_edges(dst, src, n_dst, n_src, data=counts)
+        adjacency[r.name] = from_edges(dst, src, n_dst, n_src, data=counts)
 
     feats = {}
     for tn, mat in features.items():
@@ -226,7 +226,7 @@ def save_graph(g: HeteroGraph, path) -> str:
     for r in g.relations:
         adj = g.adjacency[r.name]
         arrays[header["edges"][r.name]] = np.stack(  # src, dst, count rows
-            [adj.indices, adj.expanded_rows(), adj.data], axis=1)
+            [adj.indices, expanded_rows(adj), adj.data], axis=1)
     for name, arr in arrays.items():
         np.save(os.path.join(path, name), arr, allow_pickle=False)
     return path
@@ -268,29 +268,14 @@ def _read_table(fname, dtype, widths) -> np.ndarray:
     (rows, max(widths)) array in file order; a row of a narrower allowed
     width is padded on the right with ones, the default edge count.
 
-    The whole file goes through numpy's C reader once. Only when that call
-    fails, or gives a width outside `widths`, are the rows grouped by their
-    number of cells, each group parsed once, to read a file whose edge rows
-    mix both widths or to locate its first bad row. Numpy skips only empty
-    lines and cannot parse a whitespace-only one, so a file it reads whole
-    has rows of one width, which is the one call grouping would make. Any
-    other width, or a cell numpy cannot parse (it accepts no `#` comments
-    and no `1_0` digit groups), is a GraphError naming the file and its
-    1-based line."""
+    The rows are grouped by their number of cells and each group is parsed
+    by one call to numpy's C reader, so a file whose rows share one width is
+    one call and a blank file is none. A width outside `widths`, or a cell
+    numpy cannot parse (it accepts no `#` comments and no `1_0` digit
+    groups), is a GraphError naming the file and its 1-based line; the first
+    bad row of a group is found by bisection."""
     lines = read_text(fname, lines=True)  # never the whole text and its lines at once
     width = max(widths)
-    if any(map(str.strip, lines)):  # numpy warns on a file without data rows
-        try:
-            values = _loadtxt(lines, dtype)
-        except ValueError:
-            pass
-        else:
-            if values.shape[1] == width:
-                return values
-            if values.shape[1] in widths:
-                out = np.ones((len(values), width), dtype=dtype)
-                out[:, :values.shape[1]] = values
-                return out
     rows = [line for line in lines if line.strip()]
     cells = np.array([row.count(",") + 1 for row in rows], dtype=np.int64)
     out = None

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor as T
+from .sparse import expanded_rows
 from .tensor import BatchNormState, Parameter, SpmmPlan, Tensor, TensorError
 from .transform import Subgraph
 
@@ -88,7 +89,7 @@ def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
         # the edges' order, and every row grows by one entry
         loops = np.arange(n_dst, dtype=np.int64)
         src = np.concatenate([indices, loops])
-        dst = np.concatenate([adj.expanded_rows(), loops])
+        dst = np.concatenate([expanded_rows(adj), loops])
         w = np.concatenate([w, np.ones(n_dst)])
         din = np.bincount(dst, weights=w, minlength=n_dst)
         dout = np.bincount(src, weights=w, minlength=n_src)
@@ -96,7 +97,7 @@ def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
         w = (w / np.sqrt(din[dst] * dout[src]))[order]
         indices, indptr = src[order], indptr + np.arange(n_dst + 1)
     elif kind != "GINConv":
-        rows = adj.expanded_rows()
+        rows = expanded_rows(adj)
         din = np.bincount(rows, weights=w, minlength=n_dst)
         w = w / np.where(din > 0, din, 1.0)[rows]
     return SpmmPlan(sp.csr_array((w, indices, indptr), shape=adj.shape))

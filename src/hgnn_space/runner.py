@@ -154,10 +154,11 @@ def expand_plan(plan: ExperimentPlan):
         labels = graph.labels.get(plan.target)
         if labels is None:
             raise GraphError(f"graph has no labels for target '{plan.target}'")
-        if plan.num_classes is not None and plan.num_classes <= labels.max():
+        top = int(labels.max(initial=-1))  # a type without nodes has no labels
+        if plan.num_classes is not None and plan.num_classes <= top:
             raise GraphError(f"plan key 'num_classes' is {plan.num_classes}, but "
-                             f"target '{plan.target}' has label {int(labels.max())}")
-        num_classes = plan.num_classes or int(labels.max()) + 1
+                             f"target '{plan.target}' has label {top}")
+        num_classes = plan.num_classes or top + 1
         task = Task("node_classification", plan.target, num_classes=num_classes)
     elif plan.task == "link_prediction":
         graph.relation(plan.target)

@@ -29,6 +29,8 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 
+from .sparse import expanded_rows
+
 
 class TensorError(ValueError):
     pass
@@ -601,8 +603,7 @@ class SpmmPlan:
         n_rows, n_cols = self.shape = matrix.shape
         self.matrix = matrix
         self.t_matrix = matrix.T.tocsr()
-        self.by_row = SegmentIndex(
-            np.repeat(np.arange(n_rows), np.diff(matrix.indptr)), n_rows)
+        self.by_row = SegmentIndex(expanded_rows(matrix), n_rows)
         self.by_col = SegmentIndex(matrix.indices, n_cols)
 
     @property
@@ -812,23 +813,24 @@ def grad_check(f, params, eps=1e-3, max_coords=24, rng=None):
     analytic = {id(p): (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for p in params}
     worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        ana = analytic[id(p)].reshape(-1)
-        if flat.size <= max_coords:
-            coords = np.arange(flat.size)
-        else:
-            coords = np.sort(rng.choice(flat.size, size=max_coords, replace=False))
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            f_plus = float(f().data)
-            flat[c] = orig - eps
-            f_minus = float(f().data)
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            denom = max(1.0, abs(numeric), abs(ana[c]))
-            worst = max(worst, abs(numeric - ana[c]) / denom)
+    with no_grad():  # a difference quotient needs no tape
+        for p in params:
+            flat = p.data.reshape(-1)
+            ana = analytic[id(p)].reshape(-1)
+            if flat.size <= max_coords:
+                coords = np.arange(flat.size)
+            else:
+                coords = np.sort(rng.choice(flat.size, size=max_coords, replace=False))
+            for c in coords:
+                orig = flat[c]
+                flat[c] = orig + eps
+                f_plus = float(f().data)
+                flat[c] = orig - eps
+                f_minus = float(f().data)
+                flat[c] = orig
+                numeric = (f_plus - f_minus) / (2.0 * eps)
+                denom = max(1.0, abs(numeric), abs(ana[c]))
+                worst = max(worst, abs(numeric - ana[c]) / denom)
     for p in params:
         p.grad = None
     return worst

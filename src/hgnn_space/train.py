@@ -17,7 +17,7 @@ from .analysis import midranks
 # `build_graph` is unused here, but the benchmark's layer map wraps it by this name
 from .hgraph import GraphError, HeteroGraph, build_graph  # noqa: F401
 from .model import DesignConfig, build_model, score_links
-from .sparse import CSRMatrix
+from .sparse import expanded_rows, from_edges
 from .tensor import Tensor
 
 RECORD_FORMAT = "1"
@@ -75,7 +75,7 @@ def make_splits(task: Task, graph: HeteroGraph, n_splits: int = 3,
         adj = graph.adjacency.get(task.target)
         if adj is None:
             raise GraphError(f"unknown target relation '{task.target}'")
-        items = np.stack([adj.indices, adj.expanded_rows()], axis=1)  # (src, dst)
+        items = np.stack([adj.indices, expanded_rows(adj)], axis=1)  # (src, dst)
         if items.shape[0] < 5:
             raise GraphError("too few positive edges to split")
     else:
@@ -92,8 +92,8 @@ def make_splits(task: Task, graph: HeteroGraph, n_splits: int = 3,
 
 def _cell_keys(adj):
     """Key dst * n_src + src of each stored cell; strictly increasing, since
-    `CSRMatrix.from_edges` sums duplicate cells and sorts each row."""
-    return adj.expanded_rows() * adj.shape[1] + adj.indices
+    `sparse.from_edges` sums duplicate cells and sorts each row."""
+    return expanded_rows(adj) * adj.shape[1] + adj.indices
 
 
 def graph_without_edges(graph: HeteroGraph, relation: str, pairs) -> HeteroGraph:
@@ -108,8 +108,8 @@ def graph_without_edges(graph: HeteroGraph, relation: str, pairs) -> HeteroGraph
     # a pair outside the relation matches no cell, but could alias a cell's key
     ok = (pairs >= 0).all(axis=1) & (pairs[:, 0] < n_src) & (pairs[:, 1] < n_dst)
     keep = ~np.isin(_cell_keys(adj), pairs[ok, 1] * n_src + pairs[ok, 0])
-    cut = CSRMatrix.from_edges(adj.expanded_rows()[keep], adj.indices[keep],
-                               n_dst, n_src, data=adj.data[keep])
+    cut = from_edges(expanded_rows(adj)[keep], adj.indices[keep],
+                     n_dst, n_src, data=adj.data[keep])
     return replace(graph, adjacency={**graph.adjacency, relation: cut})
 
 

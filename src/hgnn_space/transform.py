@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hgraph import GraphError, HeteroGraph
-from .sparse import CSRMatrix
+from .sparse import CSRMatrix, expanded_rows, frozen
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class Subgraph:
     name: str
     src_type: str
     dst_type: str
-    adjacency: CSRMatrix
+    adjacency: sp.csr_array
     edge_type: np.ndarray | None = None
 
     @property
@@ -73,7 +74,8 @@ def compose_metapath(g: HeteroGraph, mp: MetaPath) -> Subgraph:
     product = g.adjacency[rels[0].name]
     try:
         for r in rels[1:]:
-            product = g.adjacency[r.name] @ product
+            # by this name, so the benchmark's layer map can count products
+            product = CSRMatrix.matmul(g.adjacency[r.name], product)
     except OverflowError as e:
         raise GraphError(f"meta-path '{mp.name}': {e}") from None
     return Subgraph(mp.name, rels[0].src_type, rels[-1].dst_type, product)
@@ -99,14 +101,14 @@ def homogenize(g: HeteroGraph) -> Subgraph:
     for k, r in enumerate(g.relations):
         adj = g.adjacency[r.name]
         src.append(adj.indices + offsets[r.src_type])
-        dst.append(adj.expanded_rows() + offsets[r.dst_type])
+        dst.append(expanded_rows(adj) + offsets[r.dst_type])
         weight.append(adj.data)
         edge_type.append(np.full(adj.nnz, k, dtype=np.int64))
     src, dst, weight, edge_type = (np.concatenate(p) if p else np.empty(0, dtype=np.int64)
                                    for p in (src, dst, weight, edge_type))
     order = np.argsort(dst, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
-    adjacency = CSRMatrix.frozen((weight[order], src[order], indptr), (n, n))
+    adjacency = frozen((weight[order], src[order], indptr), (n, n))
     return Subgraph("*", "*", "*", adjacency, edge_type[order])
 
 
@@ -126,7 +128,7 @@ def homophily(sub: Subgraph, labels: np.ndarray) -> float:
         raise GraphError(f"labels cover {labels.shape[0]} nodes, expected {n}")
     # neighbors of v are the rows u with A[u, v] >= 1, i.e. column v
     adj = sub.adjacency
-    same = labels[adj.expanded_rows()] == labels[adj.indices]
+    same = labels[expanded_rows(adj)] == labels[adj.indices]
     degree = np.bincount(adj.indices, minlength=n)
     hits = np.bincount(adj.indices, weights=same, minlength=n)
     seen = degree > 0

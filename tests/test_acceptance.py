@@ -4,6 +4,7 @@ from independent oracles computed inside this module or frozen constants."""
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,15 +16,16 @@ from hgnn_space.analysis import edf, rank_choices
 from hgnn_space.cli import main as cli_main
 from hgnn_space.hgraph import (SyntheticSpec, build_graph, generate_synthetic,
                                save_graph)
-from hgnn_space.model import DesignConfig, build_model
+from hgnn_space.model import DesignConfig, build_model, score_links
 from hgnn_space.runner import (ExperimentPlan, read_results, run_plan,
                                run_trial_by_id, save_config_list,
                                _finalized_line, _record_to_json)
 from hgnn_space.tensor import Tensor, grad_check
+from hgnn_space.train import binary_cross_entropy, cross_entropy
 from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
                                   extract_relation_subgraphs, homogenize,
                                   homophily)
-from hgnn_space.sparse import CSRMatrix
+from hgnn_space.sparse import from_edges
 
 DECLARED_METAPATHS = (("PAP", ("pa", "ap")), ("APA", ("ap", "pa")))
 
@@ -56,7 +58,7 @@ def protocol_run(small_bundle, tmp_path_factory):
     started = time.perf_counter()
     path = run_plan(plan)
     return {"plan": plan, "path": path, "seconds": time.perf_counter() - started,
-            "bytes": open(path, "rb").read()}
+            "bytes": Path(path).read_bytes()}
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +272,47 @@ def test_acceptance_3_gradient_suite():
                           f"error {worst:.2e} < 1e-4")
 
 
+@pytest.mark.parametrize("task", ["node_classification", "link_prediction"])
+@pytest.mark.parametrize("connectivity", L.CONNECTIVITIES)
+@pytest.mark.parametrize("family", ["Homogenization", "Relation", "Metapath"])
+def test_whole_model_gradient_of_the_task_loss(family, connectivity, task):
+    """Every parameter's gradient of the training loss, through pre-process,
+    two message-passing layers with their connection, post-process, the
+    head and the loss, against central differences. Batch norm runs in eval
+    mode and dropout is off, so the loss is a fixed function."""
+    case = (L.CONNECTIVITIES.index(connectivity)
+            + 3 * ["Homogenization", "Relation", "Metapath"].index(family))
+    g = _grad_fixture()
+    cfg = DesignConfig(
+        model_family=family, micro_conv=L.MICRO_KINDS[case % len(L.MICRO_KINDS)],
+        macro_agg=None if family == "Homogenization" else L.MACRO_KINDS[case % 4],
+        has_bn=True, dropout_p=0.3, activation="Tanh", has_l2norm=True,
+        connectivity=connectivity, pre_layers=2, mp_layers=2, post_layers=2,
+        hidden_dim=8, task=task, seed=case,
+        metapaths=DECLARED_METAPATHS if family == "Metapath" else ())
+    model = build_model(cfg, g, num_classes=3, target_type="P")
+    params = model.parameters()
+    _nudge(params, 700 + case)
+    rng = np.random.default_rng(701 + case)
+    for bn in (bn for layer in model.mp for bn in layer.bns.values()):
+        bn.state.running_mean = rng.standard_normal(8)
+        bn.state.running_var = rng.uniform(0.5, 2.0, 8)
+    train_idx, labels = np.array([0, 1, 3]), np.array([2, 0, 1, 1])
+    pos, neg = np.array([[0, 0], [1, 1], [2, 3]]), np.array([[2, 0], [0, 3]])
+
+    def f():
+        if task == "node_classification":
+            logits = model.predict_logits(g)
+            return cross_entropy(T.gather_rows(logits, train_idx), labels[train_idx])
+        out = model.forward(g, types=("A", "P"))
+        return binary_cross_entropy(
+            score_links(out["A"], out["P"], pos[:, 0], pos[:, 1]),
+            score_links(out["A"], out["P"], neg[:, 0], neg[:, 1]))
+
+    err = _kink_safe_grad_check(f, params, 702 + case)
+    assert err < 1e-4, f"{family}/{connectivity}/{task}: {err:.2e}"
+
+
 # ---------------------------------------------------------------------------
 # 4. dual-vs-direct equivalence and the SimpleHGN reduction
 # ---------------------------------------------------------------------------
@@ -379,11 +422,11 @@ def test_acceptance_6_homophily_oracle():
         dense = (rng.random((n, n)) < 0.3).astype(int) * rng.integers(1, 3, (n, n))
         labels = rng.integers(0, 4, n)
         sub = Subgraph("r", "X", "X",
-                       CSRMatrix.from_edges(*np.nonzero(dense), n, n,
-                                            data=dense[np.nonzero(dense)]))
+                       from_edges(*np.nonzero(dense), n, n,
+                                  data=dense[np.nonzero(dense)]))
         assert homophily(sub, labels) == pytest.approx(
             _brute_homophily(dense, labels), abs=1e-15)
-    uniform = Subgraph("r", "X", "X", CSRMatrix.from_edges([0, 1], [1, 0], 2, 2))
+    uniform = Subgraph("r", "X", "X", from_edges([0, 1], [1, 0], 2, 2))
     assert homophily(uniform, np.zeros(2, dtype=int)) == 1.0
     spec = SyntheticSpec(
         node_types=(("P", 48, 4), ("A", 24, 4)),
@@ -460,7 +503,7 @@ def test_acceptance_8_protocol_reproduction(protocol_run, small_bundle, tmp_path
             assert cells.get((fam, micro), 0) >= 2
 
     rerun = run_plan(protocol_run["plan"], parallelism=4)
-    assert open(rerun, "rb").read() == protocol_run["bytes"]
+    assert Path(rerun).read_bytes() == protocol_run["bytes"]
 
     # ranking over an explicitly expanded dimension: perturbation setups
     space = ds.condensed_space()

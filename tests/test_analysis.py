@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,7 +195,7 @@ def test_emit_report_deterministic(tmp_path):
     paths2 = emit_report([table], curves, tmp_path / "b")
     assert [p.split("/")[-1] for p in paths1] == [p.split("/")[-1] for p in paths2]
     for p1, p2 in zip(paths1, paths2):
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
     assert any(p.endswith(".svg") for p in paths1)
 
 

@@ -47,11 +47,11 @@ def test_space_describe(capsys):
 def test_space_sample_writes_configs(tmp_path, capsys):
     out = tmp_path / "c.json"
     main(["space", "sample", "--n", "6", "--seed", "3", "--out", str(out)])
-    configs = json.load(open(out))
+    configs = json.loads(Path(out).read_text())
     assert len(configs) == 6
     main(["space", "sample", "--n", "2", "--seed", "3", "--space", "condensed",
           "--expand-dim", "has_bn", "--out", str(out)])
-    expanded = json.load(open(out))
+    expanded = json.loads(Path(out).read_text())
     assert len(expanded) == 4  # 2 base configs x 2 BN choices
 
 
@@ -86,7 +86,7 @@ def test_expanding_macro_agg_skips_the_homogenization_draws(tmp_path, capsys, se
     out = tmp_path / "c.json"
     assert main(["space", "sample", "--space", "condensed", "--n", "12", "--seed",
                  str(seed), "--expand-dim", "macro_agg", "--out", str(out)]) == 0
-    configs = [DesignConfig.from_flat(d) for d in json.load(open(out))]
+    configs = [DesignConfig.from_flat(d) for d in json.loads(Path(out).read_text())]
     kinds = ds.condensed_space().dim("macro_agg").choices
     assert len(kinds) == 4 and configs and len(configs) % 4 == 0
     for i in range(0, len(configs), 4):
@@ -354,6 +354,19 @@ def test_a_label_below_minus_one_is_reported_in_one_line_before_any_trial(
     assert not (tmp_path / "r.ndrec.partial").exists()
 
 
+@pytest.mark.parametrize("keys", [{}, {"num_classes": 3}], ids=["inferred", "given"])
+def test_a_target_type_without_nodes_is_reported_in_one_line(tmp_path, capsys, keys):
+    g = build_graph([("P", 0, 2), ("A", 4, 2)], [("ap", "A", "P"), ("pa", "P", "A")],
+                    {}, features={"P": np.zeros((0, 2)), "A": np.ones((4, 2))},
+                    labels={"P": np.zeros(0, dtype=np.int64)})
+    plan = _sampled_plan(tmp_path, save_graph(g, tmp_path / "bundle"), n=2,
+                         strata_hits=0, **keys)
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == ("hgnn-space: error: too few labeled nodes: "
+                                       "need at least 5 per class\n")
+    assert not (tmp_path / "r.ndrec.partial").exists()
+
+
 def test_analyze_errors_exit_with_status_two_in_one_line(tmp_path, capsys):
     assert main(["analyze", "homophily", "--graph", bundle(tmp_path)]) == 2
     assert "nothing to analyze" in _one_line_error(capsys)
@@ -400,7 +413,7 @@ def test_analyze_homophily(tmp_path, capsys):
     out = tmp_path / "beta.csv"
     main(["analyze", "homophily", "--graph", b,
           "--metapaths", "PAP:pa,ap", "--out", str(out)])
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "metapath,beta"
     name, beta = lines[1].split(",")
     assert name == "PAP" and float(beta) == 1.0  # boost 1, noise 0

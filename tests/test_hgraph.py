@@ -11,6 +11,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic, load_graph, save_graph)
 from hgnn_space.model import DesignConfig
 from hgnn_space.runner import save_config_list
-from hgnn_space.sparse import CSRMatrix
+from hgnn_space.sparse import expanded_rows, from_edges, frozen, matmul
 from hgnn_space.transform import MetaPath, compose_metapath, homophily
 
 from conftest import same_csr
@@ -34,7 +35,7 @@ pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 # ---------------------------------------------------------------------------
 
 def test_csr_accumulates_duplicates():
-    m = CSRMatrix.from_edges([0, 0, 1], [2, 2, 0], 2, 3)
+    m = from_edges([0, 0, 1], [2, 2, 0], 2, 3)
     assert m.toarray().tolist() == [[0, 0, 2], [1, 0, 0]]
 
 
@@ -45,8 +46,8 @@ def from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=None):
     cols = np.asarray(cols, dtype=np.int64)
     data = np.ones(rows.shape[0], dtype=np.int64) if data is None else np.asarray(data)
     if rows.size == 0:
-        return CSRMatrix.frozen((np.empty(0, dtype=data.dtype), np.empty(0, dtype=np.int64),
-                                 np.zeros(n_rows + 1, dtype=np.int64)), (n_rows, n_cols))
+        return frozen((np.empty(0, dtype=data.dtype), np.empty(0, dtype=np.int64),
+                       np.zeros(n_rows + 1, dtype=np.int64)), (n_rows, n_cols))
     order = np.lexsort((cols, rows))
     r, c, d = rows[order], cols[order], data[order]
     new_cell = np.empty(r.shape[0], dtype=bool)
@@ -56,8 +57,8 @@ def from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=None):
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.add.at(indptr, r[starts] + 1, 1)
     np.cumsum(indptr, out=indptr)
-    return CSRMatrix.frozen((np.add.reduceat(d, starts), c[starts], indptr),
-                            (n_rows, n_cols))
+    return frozen((np.add.reduceat(d, starts), c[starts], indptr),
+                  (n_rows, n_cols))
 
 
 def test_csr_from_edges_matches_the_sorted_merge():
@@ -72,7 +73,7 @@ def test_csr_from_edges_matches_the_sorted_merge():
                 rng.integers(0, 5, n_edges),  # explicit counts, zeros included
                 rng.integers(-3, 4, n_edges),  # counts that may cancel to zero
                 rng.standard_normal(n_edges))[case % 4]
-        got = CSRMatrix.from_edges(rows, cols, n_rows, n_cols, data=data)
+        got = from_edges(rows, cols, n_rows, n_cols, data=data)
         want = from_edges_sorted_merge(rows, cols, n_rows, n_cols, data=data)
         assert got.data.dtype == want.data.dtype, case
         if case % 4 < 3:
@@ -86,11 +87,11 @@ def test_csr_from_edges_matches_the_sorted_merge():
 
 def test_csr_from_edges_rejects_out_of_range_cells():
     with pytest.raises(ValueError, match="row index"):
-        CSRMatrix.from_edges([0, 2], [0, 0], 2, 1)
+        from_edges([0, 2], [0, 0], 2, 1)
     with pytest.raises(ValueError, match="column index"):
-        CSRMatrix.from_edges([0, 1], [0, -1], 2, 1)
+        from_edges([0, 1], [0, -1], 2, 1)
     with pytest.raises(ValueError, match="equal length"):
-        CSRMatrix.from_edges([0, 1], [0], 2, 1)
+        from_edges([0, 1], [0], 2, 1)
 
 
 def test_csr_matmul_matches_dense():
@@ -98,9 +99,9 @@ def test_csr_matmul_matches_dense():
     for _ in range(25):
         a = (rng.random((rng.integers(1, 8), rng.integers(1, 8))) < 0.4).astype(np.int64)
         b = (rng.random((a.shape[1], rng.integers(1, 8))) < 0.4).astype(np.int64)
-        ca = CSRMatrix.from_edges(*np.nonzero(a), *a.shape)
-        cb = CSRMatrix.from_edges(*np.nonzero(b), *b.shape)
-        assert np.array_equal((ca @ cb).toarray(), a @ b)
+        ca = from_edges(*np.nonzero(a), *a.shape)
+        cb = from_edges(*np.nonzero(b), *b.shape)
+        assert np.array_equal(matmul(ca, cb).toarray(), a @ b)
 
 
 def test_csr_matmul_matches_dense_with_empty_rows_and_columns():
@@ -113,32 +114,32 @@ def test_csr_matmul_matches_dense_with_empty_rows_and_columns():
         a[:, rng.integers(k)] = 0
         b[rng.integers(k)] = 0
         b[:, rng.integers(m)] = 0
-        ca = CSRMatrix.from_edges(*np.nonzero(a), n, k, data=a[np.nonzero(a)])
-        cb = CSRMatrix.from_edges(*np.nonzero(b), k, m, data=b[np.nonzero(b)])
-        got = ca @ cb
+        ca = from_edges(*np.nonzero(a), n, k, data=a[np.nonzero(a)])
+        cb = from_edges(*np.nonzero(b), k, m, data=b[np.nonzero(b)])
+        got = matmul(ca, cb)
         want = a @ b
         assert got.data.dtype == np.int64 and got.indices.dtype == np.int64
         assert np.array_equal(got.toarray(), want)
         assert np.array_equal(np.diff(got.indptr), (want != 0).sum(axis=1))
-        rows = got.expanded_rows()
+        rows = expanded_rows(got)
         assert np.all((rows[1:] > rows[:-1]) | (got.indices[1:] > got.indices[:-1]))
 
 
 def test_csr_matmul_overflow_bound_is_exact_at_int_safe():
     # bound = max|a| * max|b| * inner dimension, refused only above _INT_SAFE
-    b = CSRMatrix.from_edges([0, 1], [0, 0], 2, 1, data=np.array([1 << 31, 1]))
-    at_bound = CSRMatrix.from_edges([0, 0], [0, 1], 1, 2, data=np.array([1 << 30, 1]))
-    assert (at_bound @ b).data.tolist() == [(1 << 61) + 1]
-    above = CSRMatrix.from_edges([0, 0], [0, 1], 1, 2,
-                                 data=np.array([(1 << 30) + 1, 1]))
+    b = from_edges([0, 1], [0, 0], 2, 1, data=np.array([1 << 31, 1]))
+    at_bound = from_edges([0, 0], [0, 1], 1, 2, data=np.array([1 << 30, 1]))
+    assert matmul(at_bound, b).data.tolist() == [(1 << 61) + 1]
+    above = from_edges([0, 0], [0, 1], 1, 2,
+                       data=np.array([(1 << 30) + 1, 1]))
     with pytest.raises(OverflowError):
-        _ = above @ b
+        matmul(above, b)
 
 
 def test_csr_matmul_overflow_guard():
-    big = CSRMatrix.from_edges([0], [0], 1, 1, data=np.array([1 << 40]))
+    big = from_edges([0], [0], 1, 1, data=np.array([1 << 40]))
     with pytest.raises(OverflowError):
-        _ = big @ big
+        matmul(big, big)
 
 
 def test_every_adjacency_is_int64_and_read_only(tmp_path):
@@ -159,7 +160,11 @@ def test_every_adjacency_is_int64_and_read_only(tmp_path):
                    compose_metapath(g, MetaPath("APA", ("ap", "pa"))).adjacency,
                    compose_metapath(g, MetaPath("APC", ("ap", "pc"))).adjacency,
                    fused]
+    x = np.random.default_rng(3).standard_normal((7, 3))
     for adj in adjacencies:
+        # a plain scipy array, whose own `@` takes a dense operand
+        assert type(adj) is sp.csr_array
+        assert np.allclose(adj @ x[:adj.shape[1]], adj.toarray() @ x[:adj.shape[1]])
         assert adj.indptr.dtype == adj.indices.dtype == np.int64
         assert not (adj.indptr.flags.writeable or adj.indices.flags.writeable)
         with pytest.raises(ValueError, match="read-only"):
@@ -243,8 +248,8 @@ def test_a_loaded_graph_shares_its_frozen_features_with_its_message_graphs(tmp_p
         target_type="P", num_communities=3, seed=1)), tmp_path / "b"))
     for x in [*g.features.values(), *g.labels.values()]:
         assert x.flags.owndata and not x.flags.writeable
-    cut = graph_without_edges(g, "ap", np.stack([g.adjacency["ap"].indices[:5],
-                                                 g.adjacency["ap"].expanded_rows()[:5]], 1))
+    ap = g.adjacency["ap"]
+    cut = graph_without_edges(g, "ap", np.stack([ap.indices[:5], expanded_rows(ap)[:5]], 1))
     assert cut.adjacency["ap"].nnz < g.adjacency["ap"].nnz
     assert all(cut.features[t] is g.features[t] for t in g.features)
     assert all(cut.labels[t] is g.labels[t] for t in g.labels)

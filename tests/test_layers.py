@@ -6,7 +6,7 @@ import pytest
 import hgnn_space.layers as L
 import hgnn_space.tensor as T
 from hgnn_space.hgraph import build_graph
-from hgnn_space.sparse import CSRMatrix
+from hgnn_space.sparse import expanded_rows, frozen
 from hgnn_space.tensor import Parameter, Tensor, TensorError, grad_check
 from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
                                   extract_relation_subgraphs, homogenize)
@@ -76,7 +76,7 @@ def _subgraph(adj, same_type=False):
     """The subgraph whose adjacency holds the dense counts `adj` (rows are
     destinations)."""
     src_type = "X" if same_type else "S"
-    return Subgraph("s", src_type, "X", CSRMatrix.frozen(adj, adj.shape))
+    return Subgraph("s", src_type, "X", frozen(adj, adj.shape))
 
 
 def _edges_of(adj):
@@ -290,7 +290,7 @@ def _former_homogenized_edges(g):
     for k, r in enumerate(g.relations):
         adj = g.adjacency[r.name]
         src.append(adj.indices + offsets[r.src_type])
-        dst.append(adj.expanded_rows() + offsets[r.dst_type])
+        dst.append(expanded_rows(adj) + offsets[r.dst_type])
         weight.append(adj.data)
         edge_type.append(np.full(adj.nnz, k, dtype=np.int64))
     src, dst, weight, edge_type = map(np.concatenate, (src, dst, weight, edge_type))
@@ -306,7 +306,7 @@ def test_homogenized_view_equals_the_former_construction():
         hg = homogenize(g)
         adj = hg.adjacency
         n, *want = _former_homogenized_edges(g)
-        got = (adj.indices, adj.expanded_rows(), adj.data, hg.edge_type)
+        got = (adj.indices, expanded_rows(adj), adj.data, hg.edge_type)
         for name, a, b in zip(("src", "dst", "weight", "edge_type"), got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert adj.shape == (n, n) and hg.same_type
@@ -323,7 +323,7 @@ def _former_plan_arrays(kind, sub):
     the subgraph's edge lists in row order, each through a SegmentIndex."""
     adj = sub.adjacency
     n_dst, n_src = adj.shape
-    src, dst, w = adj.indices, adj.expanded_rows(), adj.data.astype(np.float64)
+    src, dst, w = adj.indices, expanded_rows(adj), adj.data.astype(np.float64)
     if kind == "GATConv":
         w = np.ones(w.size)
     elif kind == "GCNConv" and sub.same_type:
@@ -641,8 +641,8 @@ def test_gat_backward_holds_less_than_one_edge_by_feature_array():
     dst = np.sort(rng.integers(0, n, n_edges))
     # built from (data, indices, indptr), so a repeated pair stays two entries
     indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
-    adj = CSRMatrix.frozen((np.ones(n_edges, dtype=np.int64),
-                            rng.integers(0, n, n_edges), indptr), (n, n))
+    adj = frozen((np.ones(n_edges, dtype=np.int64),
+                  rng.integers(0, n, n_edges), indptr), (n, n))
     plan = L.aggregation_plan("GATConv", Subgraph("g", "X", "X", adj))
     assert plan.nnz == n_edges
     conv = L.GATConv(d, d, rng, "g")

@@ -206,7 +206,7 @@ def test_expand_plan_checks_declared_metapaths_whatever_the_sample_draws(tmp_pat
 def test_run_plan_record_count_and_rerun_identical(tmp_path):
     plan = make_plan(tmp_path)
     out = run_plan(plan)
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     records = read_results(out)
     assert len(records) == 2 * 2  # configs x splits
     assert [r["trial_id"] for r in records] == [0, 1, 2, 3]
@@ -215,13 +215,13 @@ def test_run_plan_record_count_and_rerun_identical(tmp_path):
         assert "wall_time" not in r
         assert len(r["history"]["train_loss"]) == 2  # epoch_override applied
     out2 = run_plan(plan)
-    assert open(out2, "rb").read() == first
+    assert Path(out2).read_bytes() == first
 
 
 def test_run_plan_parallelism_invariant(tmp_path):
     plan = make_plan(tmp_path)
-    seq = open(run_plan(plan, parallelism=1), "rb").read()
-    par = open(run_plan(plan, parallelism=3), "rb").read()
+    seq = Path(run_plan(plan, parallelism=1)).read_bytes()
+    par = Path(run_plan(plan, parallelism=3)).read_bytes()
     assert seq == par
 
 
@@ -239,17 +239,17 @@ def test_single_trial_reproduces_file_record(tmp_path):
 def test_resume_completes_missing_and_keeps_done(tmp_path):
     plan = make_plan(tmp_path)
     out = run_plan(plan)
-    want = open(out, "rb").read()
+    want = Path(out).read_bytes()
     partial = out + ".partial"
-    lines = open(partial).read().splitlines()
+    lines = Path(partial).read_text().splitlines()
     assert len(lines) == 5  # header + 4 records
     # drop one record and corrupt the trailing one
     kept = lines[:3] + [lines[4][:25]]
-    open(partial, "w").write("\n".join(kept) + "\n")
+    Path(partial).write_text("\n".join(kept) + "\n")
     os.remove(out)
     run_plan(plan, resume=True)
-    assert open(out, "rb").read() == want
-    after = open(partial).read().splitlines()
+    assert Path(out).read_bytes() == want
+    after = Path(partial).read_text().splitlines()
     done_ids = sorted(json.loads(l)["trial_id"] for l in after[1:]
                       if _parses(l))
     assert done_ids == [0, 1, 2, 3]
@@ -259,17 +259,17 @@ def test_resume_completes_missing_and_keeps_done(tmp_path):
 def test_resume_reruns_what_a_damaged_partial_file_loses(tmp_path, damage):
     plan = make_plan(tmp_path)
     out = run_plan(plan)
-    want = open(out, "rb").read()
+    want = Path(out).read_bytes()
     partial = out + ".partial"
-    lines = open(partial).read().splitlines()
+    lines = Path(partial).read_text().splitlines()
     if damage == "header":  # JSON, but not an object: nothing is kept
         lines[0] = "[1]"
     else:  # JSON records of the wrong shape: those trials rerun
         lines[1:3] = ["[0]", '{"trial_id": [1]}']
-    open(partial, "w").write("\n".join(lines) + "\n")
+    Path(partial).write_text("\n".join(lines) + "\n")
     os.remove(out)
     run_plan(plan, resume=True)
-    assert open(out, "rb").read() == want
+    assert Path(out).read_bytes() == want
 
 
 def _parses(line):
@@ -283,9 +283,9 @@ def _parses(line):
 def test_resume_complete_file_is_noop(tmp_path):
     plan = make_plan(tmp_path)
     out = run_plan(plan)
-    partial_before = open(out + ".partial").read()
+    partial_before = Path(out + ".partial").read_text()
     run_plan(plan, resume=True)
-    assert open(out + ".partial").read() == partial_before
+    assert Path(out + ".partial").read_text() == partial_before
 
 
 def test_resume_rejects_other_plan(tmp_path):
@@ -347,7 +347,7 @@ def test_every_plan_record_equals_its_isolated_rerun(tmp_path, monkeypatch, task
     build_model = train_mod.build_model
     monkeypatch.setattr(train_mod, "build_model",
                         lambda *a, **kw: builds.append(1) or build_model(*a, **kw))
-    lines = open(run_plan(plan)).read().splitlines()[1:]
+    lines = Path(run_plan(plan)).read_text().splitlines()[1:]
     assert len(builds) == 5  # one per run of equal configs
     assert len(lines) == len(configs) * splits
     statuses = set()

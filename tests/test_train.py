@@ -11,6 +11,7 @@ import hgnn_space.train as train_mod
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic, load_graph)
 from hgnn_space.model import DesignConfig, build_model, score_links
+from hgnn_space.sparse import expanded_rows
 from hgnn_space.tensor import Parameter
 from hgnn_space.train import (Adam, SGD, Task, TrialRecord, TrialStart,
                               binary_cross_entropy, cross_entropy,
@@ -69,7 +70,7 @@ def make_splits_loop(task, graph, n_splits, seed):
                            np.sort(perm[:cut]), np.sort(perm[cut:])))
     else:
         adj = graph.adjacency[task.target]
-        pairs = np.stack([adj.indices, adj.expanded_rows()], axis=1)
+        pairs = np.stack([adj.indices, expanded_rows(adj)], axis=1)
         for i in range(n_splits):
             perm = np.random.default_rng([seed, i, 17]).permutation(pairs.shape[0])
             cut = min(max(1, int(round(pairs.shape[0] * 0.8))), pairs.shape[0] - 1)
@@ -119,7 +120,7 @@ def graph_without_edges_loop(graph, relation, pairs):
     edge_lists = {}
     for r in graph.relations:
         adj = graph.adjacency[r.name]
-        src, dst, cnt = adj.indices, adj.expanded_rows(), adj.data
+        src, dst, cnt = adj.indices, expanded_rows(adj), adj.data
         if r.name == relation and drop:
             keep = np.array([(int(s), int(d)) not in drop for s, d in zip(src, dst)])
             src, dst, cnt = src[keep], dst[keep], cnt[keep]
@@ -214,7 +215,7 @@ def test_graph_without_edges_rebuilds_only_the_target_relation():
 def test_negative_sampling_avoids_positives():
     g = planted_graph()
     pos = np.stack([g.adjacency["ap"].indices,
-                    g.adjacency["ap"].expanded_rows()], axis=1)[:10]
+                    expanded_rows(g.adjacency["ap"])], axis=1)[:10]
     negs = negative_sample(g, "ap", pos, 1, seed=3)
     assert negs.shape == (10, 2)
     dense = g.adjacency["ap"].toarray()
@@ -261,7 +262,7 @@ def _dense_relation(n_src, n_dst, density, seed):
 
 def _sampler_cases():
     g = planted_graph()
-    ap = np.stack([g.adjacency["ap"].indices, g.adjacency["ap"].expanded_rows()], axis=1)
+    ap = np.stack([g.adjacency["ap"].indices, expanded_rows(g.adjacency["ap"])], axis=1)
     near, cells = _dense_relation(6, 40, 0.9, seed=1)
     sparse, few = _dense_relation(5, 500, 0.01, seed=2)
     return {

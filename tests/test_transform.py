@@ -8,7 +8,7 @@ from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
 from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
                                   extract_relation_subgraphs, homogenize,
                                   homophily, type_offsets)
-from hgnn_space.sparse import CSRMatrix
+from hgnn_space.sparse import CSRMatrix, from_edges, matmul
 
 from conftest import random_hetero_graph, same_csr
 
@@ -120,7 +120,7 @@ def test_metapath_composition_is_associative():
     apa = compose_metapath(g, MetaPath("APA", ("ap", "pa")))
     # (ap ∘ pa) then ap == full chain; rows are destinations so the later
     # segment multiplies from the left
-    assert same_csr(ap_sub.adjacency @ apa.adjacency, apap.adjacency)
+    assert same_csr(matmul(ap_sub.adjacency, apa.adjacency), apap.adjacency)
 
 
 def test_metapath_products_go_through_the_matmul_method(monkeypatch, academic_graph):
@@ -191,8 +191,8 @@ def test_homogenize_keeps_a_shared_cell_as_two_entries():
 
 def _square_subgraph(dense):
     dense = np.asarray(dense)
-    m = CSRMatrix.from_edges(*np.nonzero(dense), *dense.shape,
-                             data=dense[np.nonzero(dense)])
+    m = from_edges(*np.nonzero(dense), *dense.shape,
+                   data=dense[np.nonzero(dense)])
     return Subgraph("r", "X", "X", m)
 
 
@@ -237,7 +237,7 @@ def test_homophily_matches_brute_force_and_skips_isolated():
 
 
 def test_homophily_type_mismatch_and_missing_labels():
-    sub = Subgraph("r", "X", "Y", CSRMatrix.from_edges([0], [0], 1, 1))
+    sub = Subgraph("r", "X", "Y", from_edges([0], [0], 1, 1))
     with pytest.raises(GraphError, match="matching endpoint types"):
         homophily(sub, np.array([0]))
     with pytest.raises(GraphError, match="labels cover"):
