@@ -71,7 +71,7 @@ def _average_ranks(scores):
     return midranks(-keys)
 
 
-def rank_choices(records, dimension: str, choices=None) -> RankingTable:
+def rank_choices(records, dimension: str) -> RankingTable:
     """Aggregate per-setup rankings of one dimension's choices.
 
     A setup is the set of records whose configs agree everywhere except in
@@ -85,9 +85,7 @@ def rank_choices(records, dimension: str, choices=None) -> RankingTable:
             raise GraphError(f"records carry no dimension '{dimension}'")
         if v not in observed:
             observed.append(v)
-    if choices is None:
-        choices = _domain_order(dimension, observed)
-    choices = tuple(choices)
+    choices = _domain_order(dimension, observed)
     if len(choices) < 2:
         raise GraphError(f"records carry a single choice for dimension "
                          f"'{dimension}'; nothing to rank")

@@ -8,23 +8,12 @@ import os
 import sys
 
 
-def _space_from_flag(name):
-    from . import designspace as ds
-    from .hgraph import GraphError
-
-    if name == "full":
-        return ds.full_space()
-    if name == "condensed":
-        return ds.condensed_space()
-    raise GraphError(f"unknown space '{name}' (expected full or condensed)")
-
-
 def cmd_space(args):
     from . import designspace as ds
     from . import runner
     from .hgraph import GraphError
 
-    space = _space_from_flag(args.space)
+    space = ds.SPACES[args.space]()
     if args.space_cmd == "describe":
         print(ds.describe(space))
         return 0

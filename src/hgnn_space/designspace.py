@@ -185,9 +185,9 @@ _UNIQUE_DIMS = (
 _COMMON_FULL = (
     Dimension("has_bn", (True, False)),
     Dimension("dropout_p", (0.0, 0.3, 0.6)),
-    Dimension("activation", ("ReLU", "LeakyReLU", "ELU", "Tanh", "PReLU")),
+    Dimension("activation", L.ACTIVATIONS),
     Dimension("has_l2norm", (True, False)),
-    Dimension("connectivity", ("STACK", "SKIP-SUM", "SKIP-CAT")),
+    Dimension("connectivity", L.CONNECTIVITIES),
     Dimension("pre_layers", (1, 2, 3)),
     Dimension("mp_layers", (1, 2, 3, 4, 5, 6)),
     Dimension("post_layers", (1, 2, 3)),
@@ -221,6 +221,10 @@ def condensed_space() -> DesignSpace:
     """Common dimensions restricted to the strong choices; the family, micro
     and macro dimensions keep all of their options."""
     return DesignSpace(_UNIQUE_DIMS + _COMMON_CONDENSED)
+
+
+# the named spaces; each call builds a fresh space
+SPACES = {"full": full_space, "condensed": condensed_space}
 
 
 def describe(space: DesignSpace) -> str:
@@ -321,6 +325,11 @@ def validate(cfg: DesignConfig, graph=None) -> list:
     if cfg.attention_form not in L.ATTENTION_FORMS:
         errors.append(f"attention_form: {_quote(cfg.attention_form)} not in "
                       f"{list(L.ATTENTION_FORMS)}")
+    elif cfg.attention_form != "GAT" and (cfg.model_family, cfg.micro_conv) != (
+            "Homogenization", "GATConv"):
+        # the homogenized subgraph is the only one that carries edge types
+        errors.append(f"attention_form: {_quote(cfg.attention_form)} applies only "
+                      "when model_family is Homogenization and micro_conv is GATConv")
     if cfg.task not in _TASKS:
         errors.append(f"task: {_quote(cfg.task)} not in {list(_TASKS)}")
     if (isinstance(cfg.seed, bool) or not isinstance(cfg.seed, (int, np.integer))
@@ -331,6 +340,8 @@ def validate(cfg: DesignConfig, graph=None) -> list:
         if not cfg.metapaths:
             errors.append("metapaths: Metapath family needs a non-empty meta-path list")
         errors += metapath_problems(cfg.metapaths, graph)
+    elif cfg.metapaths:
+        errors.append("metapaths: must be empty unless model_family is Metapath")
     return errors
 
 

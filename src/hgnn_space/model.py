@@ -74,8 +74,6 @@ def metapaths_to_text(metapaths) -> str:
 
 
 def metapaths_from_text(text) -> tuple:
-    if isinstance(text, tuple):
-        return tuple((n, tuple(r)) for n, r in text)
     if not text:
         return ()
     out = []
@@ -155,17 +153,12 @@ class Model(L.Module):
         self.final_width = w
         self.widths_in = tuple(widths_in)
 
-        # relation-aware attention reads the edge types only the fused
-        # subgraph keeps
-        typed_kw = {"attention_form": cfg.attention_form,
-                    "n_edge_types": len(graph.relations)}
         self.mp = []
         for li in range(cfg.mp_layers):
             layer = _MpLayer()
             layer.convs = [L.make_micro_conv(cfg.micro_conv, widths_in[li], hid, rng,
-                                             f"mp{li}.conv.{s.name}",
-                                             **(typed_kw if s.edge_type is not None
-                                                else {}))
+                                             f"mp{li}.conv.{s.name}", cfg.attention_form,
+                                             len(graph.relations))
                            for s in subs]
             # a macro for every receiving type, even one fed by a single
             # subgraph: Attention macros draw their parameters from `rng`, so

@@ -139,9 +139,9 @@ def expand_plan(plan: ExperimentPlan):
     if plan.epoch_override is not None and plan.epoch_override < 0:
         raise GraphError(f"plan key 'epoch_override' must not be negative, "
                          f"got {plan.epoch_override}")
-    sampled = plan.space in ("full", "condensed")
+    sampled = plan.space in ds.SPACES
     if sampled:
-        space = ds.full_space() if plan.space == "full" else ds.condensed_space()
+        space = ds.SPACES[plan.space]()
         strata = ds.default_strata(space, plan.strata_hits)
         _check_sampling_keys(plan, len(strata))
     graph = load_graph(plan.graph)

@@ -77,36 +77,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
     def backward(self):
         backward(self)
-
-    def zero_grad(self):
-        self.grad = None
-
-    # arithmetic sugar; everything routes through the primitives below
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __neg__(self):
         return mul(self, Tensor(-1.0))

@@ -325,6 +325,9 @@ class TrialStart:
 
     def __init__(self, cfg: DesignConfig, graph: HeteroGraph, task: Task,
                  splits: int = 1):
+        if cfg.task != task.kind:
+            raise ValueError(f"the config's task '{cfg.task}' is not the trial's "
+                             f"task '{task.kind}'")
         self.cfg, self.graph, self.task = cfg, graph, task
         self.remaining = splits
         self.model = None
@@ -375,8 +378,9 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
 
     Validation runs before training (epoch 0) and after every epoch; the
     best validation score wins. Non-finite losses or scores mark the trial
-    failed and stop it without raising; an invalid config raises when the
-    model is built.
+    failed and stop it without raising; a config whose task is not
+    `task.kind` raises before the model is built, and any other invalid
+    config raises when it is built.
 
     Every forward pass computes only the node types the loss and the score
     read: the target type (NC) or the target relation's two end types (LP).

@@ -16,7 +16,7 @@ from hgnn_space.analysis import edf, rank_choices
 from hgnn_space.cli import main as cli_main
 from hgnn_space.hgraph import (SyntheticSpec, build_graph, generate_synthetic,
                                save_graph)
-from hgnn_space.model import DesignConfig, build_model, score_links
+from hgnn_space.model import FAMILIES, DesignConfig, build_model, score_links
 from hgnn_space.runner import (ExperimentPlan, read_results, run_plan,
                                run_trial_by_id, save_config_list,
                                _finalized_line, _record_to_json)
@@ -272,22 +272,28 @@ def test_acceptance_3_gradient_suite():
                           f"error {worst:.2e} < 1e-4")
 
 
-@pytest.mark.parametrize("task", ["node_classification", "link_prediction"])
-@pytest.mark.parametrize("connectivity", L.CONNECTIVITIES)
-@pytest.mark.parametrize("family", ["Homogenization", "Relation", "Metapath"])
-def test_whole_model_gradient_of_the_task_loss(family, connectivity, task):
+_TASKS = ("node_classification", "link_prediction")
+
+
+@pytest.mark.parametrize("family,connectivity,task,mp_layers", [
+    *(pytest.param(f, c, t, 2, id=f"{f}-{c}-{t}")
+      for t in _TASKS for c in L.CONNECTIVITIES for f in FAMILIES),
+    # three stacked layers, where SKIP-CAT widens every layer's input
+    *(pytest.param(f, "SKIP-CAT", t, 3, id=f"{f}-SKIP-CAT-{t}-3layers")
+      for t in _TASKS for f in FAMILIES)])
+def test_whole_model_gradient_of_the_task_loss(family, connectivity, task, mp_layers):
     """Every parameter's gradient of the training loss, through pre-process,
-    two message-passing layers with their connection, post-process, the
+    the message-passing layers with their connection, post-process, the
     head and the loss, against central differences. Batch norm runs in eval
     mode and dropout is off, so the loss is a fixed function."""
-    case = (L.CONNECTIVITIES.index(connectivity)
-            + 3 * ["Homogenization", "Relation", "Metapath"].index(family))
+    case = (L.CONNECTIVITIES.index(connectivity) + 3 * FAMILIES.index(family)
+            + 9 * (mp_layers - 2))
     g = _grad_fixture()
     cfg = DesignConfig(
         model_family=family, micro_conv=L.MICRO_KINDS[case % len(L.MICRO_KINDS)],
         macro_agg=None if family == "Homogenization" else L.MACRO_KINDS[case % 4],
         has_bn=True, dropout_p=0.3, activation="Tanh", has_l2norm=True,
-        connectivity=connectivity, pre_layers=2, mp_layers=2, post_layers=2,
+        connectivity=connectivity, pre_layers=2, mp_layers=mp_layers, post_layers=2,
         hidden_dim=8, task=task, seed=case,
         metapaths=DECLARED_METAPATHS if family == "Metapath" else ())
     model = build_model(cfg, g, num_classes=3, target_type="P")
@@ -310,7 +316,7 @@ def test_whole_model_gradient_of_the_task_loss(family, connectivity, task):
             score_links(out["A"], out["P"], neg[:, 0], neg[:, 1]))
 
     err = _kink_safe_grad_check(f, params, 702 + case)
-    assert err < 1e-4, f"{family}/{connectivity}/{task}: {err:.2e}"
+    assert err < 1e-4, f"{family}/{connectivity}/{task}/{mp_layers}: {err:.2e}"
 
 
 # ---------------------------------------------------------------------------

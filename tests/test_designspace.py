@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hgnn_space.designspace as ds
+from hgnn_space import layers as L
 from hgnn_space.hgraph import build_graph
-from hgnn_space.model import DesignConfig
+from hgnn_space.model import FAMILIES, DesignConfig
 
 # chi-square critical values at p = 0.001
 CHI2_999_DOF1 = 10.827566170662733
@@ -163,6 +164,36 @@ def test_validate_quotes_seed_task_and_attention_form_with_their_type():
             f"{key}: {value!r} ({type(value).__name__}) {rest}"]
     assert ds.validate(DesignConfig(seed=True)) == [
         "seed: True (bool) is not a non-negative integer"]
+
+
+def _cell_config(family, micro, **kw):
+    fields = dict(model_family=family, micro_conv=micro,
+                  macro_agg=None if family == "Homogenization" else "Sum",
+                  metapaths=(("PP", ("r",)),) if family == "Metapath" else ())
+    return DesignConfig(**dict(fields, **kw))
+
+
+@pytest.mark.parametrize("micro", L.MICRO_KINDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_validate_refuses_simplehgn_outside_the_homogenized_gatconv_cell(family, micro):
+    simplehgn = ds.validate(_cell_config(family, micro, attention_form="SimpleHGN"))
+    if (family, micro) == ("Homogenization", "GATConv"):
+        assert simplehgn == []
+    else:
+        assert simplehgn == [
+            "attention_form: 'SimpleHGN' (str) applies only when model_family is "
+            "Homogenization and micro_conv is GATConv"]
+    assert ds.validate(_cell_config(family, micro)) == []
+    # a value outside the forms gets the domain message alone
+    assert ds.validate(_cell_config(family, micro, attention_form="gat")) == [
+        "attention_form: 'gat' (str) not in ['GAT', 'SimpleHGN']"]
+
+
+@pytest.mark.parametrize("family", ["Homogenization", "Relation"])
+def test_validate_refuses_metapaths_outside_the_metapath_family(family):
+    cfg = _cell_config(family, "GCNConv", metapaths=(("PP", ("r",)),))
+    assert ds.validate(cfg) == [
+        "metapaths: must be empty unless model_family is Metapath"]
 
 
 def test_condensed_subset_of_full():

@@ -272,7 +272,8 @@ def test_homogenization_forward_equals_its_own_loop(micro, connectivity):
     for types in (None, ("P",), ("A",), ("C", "A")):
         for training in (False, True):
             cfg = _pruning_cfg("Homogenization", micro, connectivity,
-                               attention_form="SimpleHGN", has_bn=training,
+                               attention_form="SimpleHGN" if micro == "GATConv"
+                               else "GAT", has_bn=training,
                                dropout_p=0.3 if training else 0.0)
             got, want = [], []
             for forward, into in ((Model.forward, got),
@@ -383,8 +384,11 @@ def test_parameters_are_every_parameter_the_model_constructs(family, micro, monk
     monkeypatch.setattr(Parameter, "__init__", recording_init)
     macros = (None,) if family == "Homogenization" else L.MACRO_KINDS
     mps = (("PAP", ("pa", "ap")), ("PCP", ("pc", "cp")), ("CPC", ("cp", "pc")))
+    # SimpleHGN attention applies to the homogenized GATConv cell only
+    forms = (L.ATTENTION_FORMS if (family, micro) == ("Homogenization", "GATConv")
+             else ("GAT",))
     for macro in macros:
-        for form in L.ATTENTION_FORMS:
+        for form in forms:
             for task in ("node_classification", "link_prediction"):
                 for bn, act, pre, post in ((False, "ReLU", 1, 1), (True, "PReLU", 3, 3)):
                     cfg = DesignConfig(
@@ -597,7 +601,8 @@ def test_logits_permute_with_the_node_ids(micro):
             base.with_values(model_family="Metapath", macro_agg="Mean",
                              metapaths=(("PAP", ("pa", "ap")), ("PP", ("pp",)))),
             base.with_values(model_family="Homogenization", macro_agg=None,
-                             attention_form="SimpleHGN")]
+                             attention_form="SimpleHGN" if micro == "GATConv"
+                             else "GAT")]
     for cfg in cfgs:
         model = build_model(cfg, g, num_classes=3, target_type="P")
         moved = build_model(cfg, pg, num_classes=3, target_type="P")

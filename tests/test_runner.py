@@ -199,6 +199,25 @@ def test_expand_plan_checks_declared_metapaths_whatever_the_sample_draws(tmp_pat
             expand_plan(replace(plan, metapaths=metapaths))
 
 
+def test_expand_plan_refuses_a_listed_setting_the_config_never_reads(tmp_path):
+    cfg_path = tmp_path / "listed.json"
+    relation = small_configs()[0].with_values(metapaths=(("PAP", ("pa", "ap")),))
+    save_config_list([small_configs()[1], relation], cfg_path)
+    plan = make_plan(tmp_path, space=str(cfg_path))
+    with pytest.raises(GraphError, match="^config 1 is invalid: metapaths: must be "
+                       "empty unless model_family is Metapath$"):
+        expand_plan(plan)
+    # every micro conv but GATConv drops the base's SimpleHGN attention
+    base = DesignConfig(model_family="Homogenization", micro_conv="GATConv",
+                        macro_agg=None, attention_form="SimpleHGN", hidden_dim=16,
+                        mp_layers=1, seed=6)
+    save_config_list(ds.perturb_dimension(base, "micro_conv"), cfg_path)
+    with pytest.raises(GraphError, match="^config 0 is invalid: attention_form: "
+                       "'SimpleHGN' \\(str\\) applies only when model_family is "
+                       "Homogenization and micro_conv is GATConv$"):
+        expand_plan(plan)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end runs
 # ---------------------------------------------------------------------------

@@ -192,10 +192,10 @@ def test_backward_releases_captured_arrays_while_the_loss_lives():
 
 def test_loss_independent_of_parameter_gives_no_grad():
     W = Parameter(np.ones((2, 2)), "W")
-    loss = T.tsum(Tensor(np.ones((2, 2))) * 3.0)
+    loss = T.tsum(T.mul(Tensor(np.ones((2, 2))), 3.0))
     with pytest.raises(TensorError):
         loss.backward()  # nothing requires grad
-    loss2 = T.tsum(W * 0.0 + Tensor(np.ones((2, 2))))
+    loss2 = T.tsum(T.add(T.mul(W, 0.0), Tensor(np.ones((2, 2)))))
     loss2.backward()
     assert np.allclose(W.grad, 0.0)
 

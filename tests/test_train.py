@@ -843,6 +843,26 @@ def test_each_split_starts_from_the_initial_arrays(kind):
         start.begin(g)
 
 
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+def test_a_config_of_the_other_task_is_refused_before_any_model_is_built(
+        kind, monkeypatch):
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task, split = _task_and_split(kind, g)
+    other = ("link_prediction" if task.kind == "node_classification"
+             else "node_classification")
+    cfg = NC_CFG.with_values(task=other)
+
+    def build(*args, **kw):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(train_mod, "build_model", build)
+    message = f"^the config's task '{other}' is not the trial's task '{task.kind}'$"
+    with pytest.raises(ValueError, match=message):
+        TrialStart(cfg, g, task)
+    with pytest.raises(ValueError, match=message):
+        train_trial(cfg, g, split, task, max_epochs=1)
+
+
 def test_a_start_refuses_another_config_task_or_graph():
     g = planted_graph(n_p=40, n_a=20, edges=100)
     task = Task("node_classification", "P", num_classes=4)
