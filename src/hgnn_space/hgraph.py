@@ -59,9 +59,6 @@ class HeteroGraph:
                 return r
         raise GraphError(f"unknown relation '{name}'")
 
-    def num_nodes(self, type_name: str) -> int:
-        return self.node_type(type_name).count
-
     @property
     def type_names(self):
         return tuple(t.name for t in self.node_types)

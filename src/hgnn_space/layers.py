@@ -6,10 +6,10 @@ Attention) fuse per-subgraph outputs that share a destination node set. The
 model families differ only in the graph transformation that gives the node
 sets and subgraphs: Relation and Metapath keep one node set per type and one
 subgraph per relation or meta-path, Homogenization fuses every type into one
-node set with one subgraph. `aggregation_plan` builds each convolution's
-matrix straight from a subgraph's CSR adjacency; the fused subgraph also
-carries each entry's relation index, which the relation-aware attention
-variant reads.
+node set with one subgraph. Every convolution is called as
+`conv(plan, h_src, h_dst)` on the plan `aggregation_plan` builds from a
+subgraph's CSR adjacency; a fused subgraph's attention plan also carries
+each entry's relation, which relation-aware attention reads.
 """
 
 from __future__ import annotations
@@ -70,21 +70,21 @@ def _collect(values, found):
 # ---------------------------------------------------------------------------
 
 def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
-    """The matrix convolution `kind` aggregates `sub` with, built from the
-    subgraph's CSR adjacency: its counts (GIN), each destination's counts
-    divided by their sum (Sage, and GCN across types), the counts with one
-    self-loop per node, symmetrically normalized (GCN within one type), or
-    the unit pattern attention coefficients fill (GAT; parallel edges
-    within a subgraph count as one neighbor)."""
+    """The plan convolution `kind` aggregates `sub` with, built once from
+    the subgraph's CSR adjacency: its counts (GIN), each destination's
+    counts divided by their sum (Sage, and GCN across types), or the counts
+    with one self-loop per node, symmetrically normalized (GCN within one
+    type). GAT's plan is the adjacency itself, with the relation ids:
+    attention reads only its pattern (parallel edges count as one)."""
     if kind not in MICRO_KINDS:
         raise TensorError(f"unknown micro convolution '{kind}'")
     adj = sub.adjacency
+    if kind == "GATConv":
+        return SpmmPlan(adj, sub.edge_type)
     n_dst, n_src = adj.shape
     indices, indptr = adj.indices, adj.indptr
     w = adj.data.astype(np.float64)
-    if kind == "GATConv":
-        w = np.ones(adj.nnz)
-    elif kind == "GCNConv" and sub.same_type:
+    if kind == "GCNConv" and sub.same_type:
         # each row's loop goes after its edges: the stable sort by row keeps
         # the edges' order, and every row grows by one entry
         loops = np.arange(n_dst, dtype=np.int64)
@@ -136,24 +136,24 @@ class GATConv(Module):
                 f"{prefix}.r_emb")
             self.a_rel = Parameter(glorot(rng, out_dim, 1), f"{prefix}.a_rel")
 
-    def _attention(self, A: SpmmPlan, h_src, h_dst, edge_type=None):
+    def _attention(self, A: SpmmPlan, h_src, h_dst):
         """Projected sources and one softmax coefficient per entry of the
-        attention pattern `A`, normalized over each destination;
-        `edge_type` holds each entry's relation index."""
+        attention pattern `A`, normalized over each destination; the
+        SimpleHGN form also reads `A.edge_type`, each entry's relation."""
         z_src = T.matmul(h_src, self.W)
         z_dst = z_src if h_dst is h_src else T.matmul(h_dst, self.W)
         logits = T.add(T.gather_rows(T.matmul(z_dst, self.a_dst), A.by_row),
                        T.gather_rows(T.matmul(z_src, self.a_src), A.by_col))
         if self.form == "SimpleHGN":
-            if edge_type is None:
+            if A.edge_type is None:
                 raise TensorError("SimpleHGN attention needs edge types")
             s_rel = T.matmul(T.matmul(self.r_emb, self.W_r), self.a_rel)
-            logits = T.add(logits, T.gather_rows(s_rel, edge_type))
+            logits = T.add(logits, T.gather_rows(s_rel, A.edge_type))
         e = T.leaky_relu(logits, GAT_LEAKY_SLOPE)
         return z_src, T.segment_softmax(e, A.by_row)
 
-    def __call__(self, plan: SpmmPlan, h_src, h_dst, edge_type=None):
-        z_src, alpha = self._attention(plan, h_src, h_dst, edge_type)
+    def __call__(self, plan: SpmmPlan, h_src, h_dst):
+        z_src, alpha = self._attention(plan, h_src, h_dst)
         return T.spmm(plan, z_src, values=alpha)
 
 
@@ -277,18 +277,15 @@ def macro_aggregate(macro, per_subgraph_outputs):
     return macro(per_subgraph_outputs)
 
 
-def dual_aggregate(subgraphs, h_by_set, macros):
-    """Micro-level convolution per subgraph, given as (subgraph, plan, conv)
-    triples, then macro-level fusion per destination set; a set without a
-    macro module takes its one subgraph's output unchanged. Sets receiving
-    no subgraph are absent from the result (the caller's pass-through rule
-    applies). Attention also reads the subgraph's edge types."""
+def dual_aggregate(triples, h_by_set, macros):
+    """Micro-level convolution per subgraph, given as ((name, source set,
+    destination set), plan, conv) triples, then macro-level fusion per
+    destination set; a set without a macro module takes its one subgraph's
+    output unchanged. Sets receiving no subgraph are absent from the result
+    (the caller's pass-through rule applies)."""
     outs = {}
-    for sub, plan, conv in subgraphs:
-        args = (plan, h_by_set[sub.src_type], h_by_set[sub.dst_type])
-        if isinstance(conv, GATConv):
-            args += (sub.edge_type,)
-        outs.setdefault(sub.dst_type, []).append(conv(*args))
+    for (_, src, dst), plan, conv in triples:
+        outs.setdefault(dst, []).append(conv(plan, h_by_set[src], h_by_set[dst]))
     return {t: macro_aggregate(macros.get(t), zs) for t, zs in outs.items()}
 
 

@@ -4,7 +4,7 @@ Pipeline: typed linear pre-process, a message-passing stack over the node
 sets and subgraphs the family's graph transformation gives (layer =
 aggregate, post-ops, connectivity), a shared post-process MLP and a task
 head. The family picks the transformation in `Model._graph_data` and
-nowhere else; everything after reads the returned subgraphs, each with
+nowhere else; everything after reads each subgraph's endpoint spec and
 the one aggregation plan the config's micro convolution runs on, built
 from the subgraph's CSR adjacency. Parameter initialization is a pure
 function of the configuration seed.
@@ -136,9 +136,8 @@ class Model(L.Module):
         # set, destination set); the fused set "*" holds every type, each at
         # its offset
         self._graph_cache = None  # (graph, prepared data) for the last graph seen
-        subs = self._graph_data(graph)["subs"]
-        self.sub_specs = [(s.name, s.src_type, s.dst_type) for s in subs]
-        fused = any(s.dst_type == "*" for s in subs)
+        self._graph_data(graph)  # sets `sub_specs`
+        fused = any(dst == "*" for _, _, dst in self.sub_specs)
         self.offsets = type_offsets(graph) if fused else None
         self.node_sets = ({"*": sum(self.type_counts.values())} if fused
                           else dict(self.type_counts))
@@ -157,9 +156,9 @@ class Model(L.Module):
         for li in range(cfg.mp_layers):
             layer = _MpLayer()
             layer.convs = [L.make_micro_conv(cfg.micro_conv, widths_in[li], hid, rng,
-                                             f"mp{li}.conv.{s.name}", cfg.attention_form,
+                                             f"mp{li}.conv.{name}", cfg.attention_form,
                                              len(graph.relations))
-                           for s in subs]
+                           for name, _, _ in self.sub_specs]
             # a macro for every receiving type, even one fed by a single
             # subgraph: Attention macros draw their parameters from `rng`, so
             # they fix the init stream. Homogenization configs have none.
@@ -194,10 +193,12 @@ class Model(L.Module):
     # -- graph preparation ----------------------------------------------------
 
     def _graph_data(self, g: HeteroGraph):
-        """Features, the subgraphs of the family's graph transformation and
-        one aggregation plan per subgraph for the config's micro convolution;
-        kept for the last graph seen, whose identity the held reference keeps
-        from being reused by another object."""
+        """Features and one aggregation plan per subgraph of the family's
+        graph transformation for the config's micro convolution, kept for
+        the last graph seen, whose identity the held reference keeps from
+        being reused by another object. The subgraphs are dropped once their
+        plans are built; their (name, source set, destination set) specs,
+        the same for every graph of the schema, go to `sub_specs`."""
         if self._graph_cache is not None and self._graph_cache[0] is g:
             return self._graph_cache[1]
         if self.cfg.model_family == "Homogenization":
@@ -207,9 +208,9 @@ class Model(L.Module):
         else:
             subs = [compose_metapath(g, MetaPath(name, rels))
                     for name, rels in self.cfg.metapaths]
+        self.sub_specs = [(s.name, s.src_type, s.dst_type) for s in subs]
         data = {"feats": {t.name: Tensor(g.features[t.name])
                           for t in g.node_types if t.feature_dim > 0},
-                "subs": subs,
                 "plans": [L.aggregation_plan(self.cfg.micro_conv, s) for s in subs]}
         self._graph_cache = (g, data)
         return data
@@ -261,9 +262,9 @@ class Model(L.Module):
         for li, layer in enumerate(self.mp):
             out_sets = need[li + 1]
             fused = L.dual_aggregate(
-                [(sub, plan, conv) for sub, plan, conv
-                 in zip(data["subs"], data["plans"], layer.convs)
-                 if sub.dst_type in out_sets], h, layer.macros)
+                [(spec, plan, conv) for spec, plan, conv
+                 in zip(self.sub_specs, data["plans"], layer.convs, strict=True)
+                 if spec[2] in out_sets], h, layer.macros)
             new = {}
             for s in self.receiving:
                 if s in out_sets:

@@ -161,6 +161,9 @@ def expand_plan(plan: ExperimentPlan):
         num_classes = plan.num_classes or top + 1
         task = Task("node_classification", plan.target, num_classes=num_classes)
     elif plan.task == "link_prediction":
+        if plan.num_classes is not None:
+            raise GraphError("plan key 'num_classes' applies only to "
+                             "node_classification plans")
         graph.relation(plan.target)
         task = Task("link_prediction", plan.target)
     else:
@@ -220,8 +223,27 @@ def _run_one(plan, graph, task, splits, configs, trial_id, start=None) -> TrialR
     return record
 
 
-def _read_partial(path, expect_hash):
-    """Recover completed records; a corrupt line only loses that one trial."""
+def input_digests(graph, configs) -> dict:
+    """sha256 of the loaded graph (its schema, then every adjacency, feature
+    and label array with dtype and shape) and of the resolved configs."""
+    g = hashlib.sha256(repr((graph.node_types, graph.relations)).encode())
+    arrays = [(r, k, getattr(graph.adjacency[r], k)) for r in graph.relation_names
+              for k in ("indptr", "indices", "data")]
+    arrays += [(t, kind, d[t]) for kind, d in (("features", graph.features),
+                                               ("labels", graph.labels))
+               for t in graph.type_names if t in d]
+    for name, kind, a in arrays:
+        g.update(repr((name, kind, a.dtype.str, a.shape)).encode())
+        g.update(np.ascontiguousarray(a))
+    flat = json.dumps([c.to_flat() for c in configs], sort_keys=True)
+    return {"graph_sha256": g.hexdigest(),
+            "configs_sha256": hashlib.sha256(flat.encode()).hexdigest()}
+
+
+def _read_partial(path, plan, expect):
+    """Recover completed records; a corrupt line only loses that one trial.
+    A header whose plan hash or input digests differ from `expect`'s, or
+    that holds no digests, is refused."""
     done = {}
     if not os.path.exists(path):
         return done
@@ -233,10 +255,18 @@ def _read_partial(path, expect_hash):
             header = None
         if not isinstance(header, dict):
             return {}
-        if header.get("plan_hash") != expect_hash:
+        if header.get("plan_hash") != expect["plan_hash"]:
             raise GraphError(
                 f"partial results at '{path}' come from a different plan "
-                f"(hash {header.get('plan_hash')} != {expect_hash})")
+                f"(hash {header.get('plan_hash')} != {expect['plan_hash']})")
+        for key, source in (("graph_sha256", f"graph '{plan.graph}'"),
+                            ("configs_sha256", f"configs of space '{plan.space}'")):
+            if key not in header:
+                raise GraphError(f"partial results at '{path}' hold no digest of the "
+                                 f"{source}, so they cannot be resumed")
+            if header[key] != expect[key]:
+                raise GraphError(f"partial results at '{path}' were written for other "
+                                 f"inputs: the {source} changed since")
         for line in fh:
             line = line.strip()
             if not line:
@@ -259,17 +289,20 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
     and the results never depend on it."""
     graph, task, splits, configs = expand_plan(plan)
     n_trials = len(configs) * len(splits)
-    h = plan_hash(plan)
     partial_path = plan.out + ".partial"
 
-    header = json.dumps({"format": RESULTS_FORMAT, "plan_hash": h},
-                        sort_keys=True, separators=(",", ":")) + "\n"
+    head = {"format": RESULTS_FORMAT, "plan_hash": plan_hash(plan)}
+    # only the .partial header holds the input digests; the finalized header
+    # is {format, plan_hash}
+    expect = {**head, **input_digests(graph, configs)}
+    header, partial_header = (json.dumps(d, sort_keys=True, separators=(",", ":"))
+                              + "\n" for d in (head, expect))
 
-    done = _read_partial(partial_path, h) if resume else {}
+    done = _read_partial(partial_path, plan, expect) if resume else {}
     mode = "a" if (resume and done) else "w"
     with open(partial_path, mode) as partial:
         if mode == "w":
-            partial.write(header)
+            partial.write(partial_header)
             partial.flush()
         pending = [i for i in range(n_trials) if i not in done]
         # the pending splits of one config (equal configs in a row count as

@@ -18,7 +18,7 @@ One structure groups edges by endpoint: a `SegmentIndex` serves the
 gathers (whose backward is a segment sum), the segment softmax of attention
 weights and the CSR patterns of the sampled dense-dense product's backward.
 A sparse-dense product runs on the `csr_array` its `SpmmPlan` is built from,
-and on that array's transpose.
+and on that array's transpose, a view on the same arrays.
 """
 
 from __future__ import annotations
@@ -563,29 +563,27 @@ class SpmmPlan:
     """A fixed CSR matrix for repeated `spmm` calls: rows are destinations,
     columns sources, one stored entry per edge.
 
-    `matrix` is the row-grouped `csr_array` the plan is built from;
-    `by_row` and `by_col` group its entries by row and by column, and the
-    transpose the backward pass needs is built here, once."""
+    `matrix` is the row-grouped `csr_array` the plan is built from, and
+    `t_matrix` is its transpose as scipy's CSC view on the same three
+    arrays, so the backward pass's product needs no copy. `by_row` and
+    `by_col` group the entries by row and by column. `edge_type`, a
+    `SegmentIndex` over relations or None, holds each entry's relation."""
 
-    __slots__ = ("by_row", "by_col", "shape", "matrix", "t_matrix")
+    __slots__ = ("by_row", "by_col", "shape", "matrix", "t_matrix", "edge_type")
 
-    def __init__(self, matrix: sp.csr_array):
+    def __init__(self, matrix: sp.csr_array, edge_type=None):
         if not isinstance(matrix, sp.csr_array):
             raise TensorError("an SpmmPlan is built from a csr_array")
         n_rows, n_cols = self.shape = matrix.shape
         self.matrix = matrix
-        self.t_matrix = matrix.T.tocsr()
+        self.t_matrix = matrix.T
         self.by_row = SegmentIndex(expanded_rows(matrix), n_rows)
         self.by_col = SegmentIndex(matrix.indices, n_cols)
+        self.edge_type = edge_type
 
     @property
     def nnz(self):
         return int(self.matrix.nnz)
-
-
-def _on_pattern(m, data):
-    """`m`'s sparsity pattern with `data` as its entries."""
-    return sp.csr_array((data, m.indices, m.indptr), shape=m.shape)
 
 
 def spmm(A: SpmmPlan, x, values=None):
@@ -611,14 +609,16 @@ def spmm(A: SpmmPlan, x, values=None):
     if values.size != A.nnz:
         raise TensorError(f"spmm got {values.size} values for {A.nnz} entries")
     v = values.data.reshape(-1)
-    xd, v_shape = x.data, values.shape
+    xd, v_shape, m = x.data, values.shape, A.matrix
 
     def vjp(g):
-        gv = _sddmm(g, xd, A.by_row.index, A.by_col.index)
-        return (_on_pattern(A.t_matrix, A.by_col.sorted(v)) @ g,
-                gv.reshape(v_shape))
+        gv = _sddmm(g, xd, A.by_row.index, m.indices)
+        # the transpose with `v` as entries: a CSC view on A's pattern
+        t_values = sp.csc_array((v, m.indices, m.indptr), shape=A.shape[::-1])
+        return t_values @ g, gv.reshape(v_shape)
 
-    return _make(_on_pattern(A.matrix, v) @ xd, (x, values), vjp)
+    return _make(sp.csr_array((v, m.indices, m.indptr), shape=A.shape) @ xd,
+                 (x, values), vjp)
 
 
 _SDDMM_BLOCK = 2048  # pairs per block: bounds the two gathered copies

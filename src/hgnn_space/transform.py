@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from .hgraph import GraphError, HeteroGraph
 from .sparse import CSRMatrix, expanded_rows, frozen
+from .tensor import SegmentIndex
 
 
 @dataclass(frozen=True)
@@ -37,19 +38,21 @@ class MetaPath:
 @dataclass(eq=False)
 class Subgraph:
     """One adjacency between typed endpoints, the one thing a graph
-    transformation returns; rows index destinations, columns sources.
+    transformation returns and a model keeps only while it builds plans;
+    rows index destinations, columns sources.
 
     `edge_type` is None except on the fused subgraph `homogenize` gives,
-    whose node set "*" holds every type. There it holds each stored entry's
-    relation index, which relation-aware attention reads, and a cell that
-    two relations share stays two entries, one per relation.
+    whose node set "*" holds every type. There it is a `SegmentIndex` over
+    the graph's relations of each stored entry's relation, which
+    relation-aware attention gathers with; a cell that two relations share
+    stays two entries, one per relation.
     """
 
     name: str
     src_type: str
     dst_type: str
     adjacency: sp.csr_array
-    edge_type: np.ndarray | None = None
+    edge_type: SegmentIndex | None = None
 
     @property
     def same_type(self) -> bool:
@@ -109,7 +112,9 @@ def homogenize(g: HeteroGraph) -> Subgraph:
     order = np.argsort(dst, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])
     adjacency = frozen((weight[order], src[order], indptr), (n, n))
-    return Subgraph("*", "*", "*", adjacency, edge_type[order])
+    # one segment per relation, also for a last relation without edges
+    return Subgraph("*", "*", "*", adjacency,
+                    SegmentIndex(edge_type[order], len(g.relations)))
 
 
 def homophily(sub: Subgraph, labels: np.ndarray) -> float:

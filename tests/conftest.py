@@ -14,11 +14,8 @@ def same_csr(a, b):
 
 def run_conv(conv, sub, h_src, h_dst):
     """`conv` on the subgraph `sub` through the plan its kind aggregates
-    with; attention also reads the subgraph's edge types."""
-    plan = L.aggregation_plan(type(conv).__name__, sub)
-    if isinstance(conv, L.GATConv):
-        return conv(plan, h_src, h_dst, sub.edge_type)
-    return conv(plan, h_src, h_dst)
+    with."""
+    return conv(L.aggregation_plan(type(conv).__name__, sub), h_src, h_dst)
 
 
 @pytest.fixture

@@ -87,8 +87,8 @@ def test_acceptance_1_cardinality(capsys):
 def _enumerate_paths(g, relation_names):
     """Independent oracle: walk every path instance along the chain."""
     rels = [g.relation(n) for n in relation_names]
-    n_src = g.num_nodes(rels[0].src_type)
-    n_dst = g.num_nodes(rels[-1].dst_type)
+    n_src = g.node_type(rels[0].src_type).count
+    n_dst = g.node_type(rels[-1].dst_type).count
     counts = np.zeros((n_dst, n_src), dtype=np.int64)
     dense = [g.adjacency[n].toarray() for n in relation_names]
 
@@ -234,7 +234,7 @@ def _check_direct(g, micro, form, post, seed):
     v = np.random.default_rng(seed + 1).standard_normal((7, 3))
 
     def f():
-        z = L.dual_aggregate([(hg, plan, conv)], {"*": h}, {})["*"]
+        z = L.dual_aggregate([(("*", "*", "*"), plan, conv)], {"*": h}, {})["*"]
         out = L.intra_layer_post(z, bn, 0.0, act, l2, training=False)
         return T.tsum(T.mul(out, Tensor(v)))
 
@@ -356,7 +356,7 @@ def test_acceptance_4_equivalence_oracle():
         shgn.W_r.data[:] = 0.0
         plan = L.aggregation_plan("GATConv", hg)
         assert np.array_equal(gat(plan, h, h).data,
-                              shgn(plan, h, h, hg.edge_type).data)
+                              shgn(plan, h, h).data)
     _announce(4, started, "Relation == Homogenization to 1e-10 (12 combos x 3 "
                           "graphs); SimpleHGN(W_r=0) == GAT bit-for-bit")
 
@@ -397,7 +397,7 @@ def test_acceptance_5_attention_normalization():
             conv = L.GATConv(4, 4, np.random.default_rng(10), "g", form=form,
                              n_edge_types=2)
             seg = plan.by_row
-            alpha = conv._attention(plan, h, h, hg.edge_type)[1]
+            alpha = conv._attention(plan, h, h)[1]
             sums = np.zeros(seg.num_segments)
             np.add.at(sums, seg.index, alpha.data[:, 0])
             present = np.bincount(seg.index, minlength=seg.num_segments) > 0

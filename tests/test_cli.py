@@ -354,6 +354,18 @@ def test_a_label_below_minus_one_is_reported_in_one_line_before_any_trial(
     assert not (tmp_path / "r.ndrec.partial").exists()
 
 
+def test_num_classes_on_a_link_prediction_plan_is_reported_in_one_line(tmp_path,
+                                                                        capsys):
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"graph = {bundle(tmp_path)}\ntask = link_prediction\n"
+                    "target = ap\nspace = condensed\nn = 2\nstrata_hits = 0\n"
+                    f"splits = 1\nnum_classes = 4\nout = {tmp_path / 'r.ndrec'}\n")
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == ("hgnn-space: error: plan key 'num_classes' "
+                                       "applies only to node_classification plans\n")
+    assert not (tmp_path / "r.ndrec.partial").exists()
+
+
 @pytest.mark.parametrize("keys", [{}, {"num_classes": 3}], ids=["inferred", "given"])
 def test_a_target_type_without_nodes_is_reported_in_one_line(tmp_path, capsys, keys):
     g = build_graph([("P", 0, 2), ("A", 4, 2)], [("ap", "A", "P"), ("pa", "P", "A")],

@@ -306,10 +306,11 @@ def test_homogenized_view_equals_the_former_construction():
         hg = homogenize(g)
         adj = hg.adjacency
         n, *want = _former_homogenized_edges(g)
-        got = (adj.indices, expanded_rows(adj), adj.data, hg.edge_type)
+        got = (adj.indices, expanded_rows(adj), adj.data, hg.edge_type.index)
         for name, a, b in zip(("src", "dst", "weight", "edge_type"), got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert adj.shape == (n, n) and hg.same_type
+        assert hg.edge_type.num_segments == len(g.relations)
         plan = L.aggregation_plan("GATConv", hg)
         assert np.array_equal(plan.by_col.index, want[0])
         assert np.array_equal(plan.by_row.index, want[1])
@@ -320,7 +321,8 @@ def test_homogenized_view_equals_the_former_construction():
 
 def _former_plan_arrays(kind, sub):
     """The reference: a plan's matrix and transpose as they were built from
-    the subgraph's edge lists in row order, each through a SegmentIndex."""
+    the subgraph's edge lists in row order, each through a SegmentIndex.
+    A GAT plan's data was all ones; attention reads only its pattern."""
     adj = sub.adjacency
     n_dst, n_src = adj.shape
     src, dst, w = adj.indices, expanded_rows(adj), adj.data.astype(np.float64)
@@ -354,14 +356,86 @@ def test_aggregation_plans_equal_the_former_edge_list_construction():
         for sub in subs:
             for kind in L.MICRO_KINDS:
                 plan = L.aggregation_plan(kind, sub)
-                for got, want in zip((plan.matrix, plan.t_matrix),
-                                     _former_plan_arrays(kind, sub)):
+                # the transpose is a CSC view on the plan's own arrays (two
+                # empty arrays share no memory; indptr is never empty)
+                m, t = plan.matrix, plan.t_matrix
+                for field in ("indptr", "indices", "data") if m.nnz else ("indptr",):
+                    assert np.shares_memory(getattr(t, field), getattr(m, field)), field
+                # a GAT plan is the adjacency itself: its data are the counts,
+                # which `test_gat_reads_only_the_plan_pattern` shows it ignores
+                fields = ("indptr", "indices") if kind == "GATConv" else (
+                    "indptr", "indices", "data")
+                for got, want in zip((m, t.tocsr()), _former_plan_arrays(kind, sub)):
                     assert got.shape == want.shape
-                    for field in ("indptr", "indices", "data"):
+                    for field in fields:
                         assert np.array_equal(getattr(got, field),
                                               getattr(want, field)), (kind, field)
         n_subs += len(subs)
     assert n_subs > 100
+
+
+def _three_relation_graph(rng):
+    """Two types with features; a repeated edge in `xx` and in `yx`."""
+    return build_graph([("X", 6, 3), ("Y", 4, 3)],
+                       [("xx", "X", "X"), ("yx", "Y", "X"), ("xy", "X", "Y")],
+                       {"xx": np.array([[0, 1], [0, 1], [2, 1], [3, 4], [5, 5]]),
+                        "yx": np.array([[0, 1], [1, 1], [3, 0], [3, 0]]),
+                        "xy": np.array([[0, 0], [4, 3], [1, 1]])},
+                       features={"X": rng.standard_normal((6, 3)),
+                                 "Y": rng.standard_normal((4, 3))})
+
+
+@pytest.mark.parametrize("form", L.ATTENTION_FORMS)
+def test_gat_reads_only_the_plan_pattern(form):
+    """A GAT plan is the adjacency with its counts; replacing the plan's
+    data changes neither the output nor any gradient."""
+    rng = np.random.default_rng(62)
+    g = _three_relation_graph(rng)
+    hg = homogenize(g)
+    plan = L.aggregation_plan("GATConv", hg)
+    m = plan.matrix
+    assert m is hg.adjacency and plan.edge_type is hg.edge_type
+    assert m.data.max() > 1  # a repeated edge is one entry counting 2
+    other = T.SpmmPlan(frozen((rng.uniform(-3.0, 3.0, m.nnz), m.indices, m.indptr),
+                              m.shape), plan.edge_type)
+    conv = L.GATConv(3, 4, np.random.default_rng(63), "g", form=form,
+                     n_edge_types=len(g.relations))
+    h = Parameter(np.concatenate([g.features["X"], g.features["Y"]]), "h")
+    v = Tensor(rng.standard_normal((10, 4)))
+    outs, grads = [], []
+    for p in (plan, other):
+        for q in conv.parameters() + [h]:
+            q.grad = None
+        out = conv(p, h, h)
+        T.tsum(T.mul(out, v)).backward()
+        outs.append(out.data)
+        grads.append([q.grad.copy() for q in conv.parameters() + [h]])
+    assert np.array_equal(outs[0], outs[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
+def test_simple_hgn_forward_and_backward_build_no_segment_index(monkeypatch):
+    """Relation ids are grouped once, when the graph is homogenized: a
+    SimpleHGN model's forward and backward passes construct no
+    SegmentIndex."""
+    from hgnn_space.model import DesignConfig, build_model
+
+    g = _three_relation_graph(np.random.default_rng(64))
+    cfg = DesignConfig(model_family="Homogenization", micro_conv="GATConv",
+                       macro_agg=None, attention_form="SimpleHGN", hidden_dim=8)
+    model = build_model(cfg, g)
+    built = []
+    real_init = T.SegmentIndex.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(args)
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(T.SegmentIndex, "__init__", counting_init)
+    out = model.forward(g, training=True)
+    T.tsum(T.concat([out[t] for t in g.type_names], axis=0)).backward()
+    assert built == []
+    assert all(p.grad is not None for p in model.mp[0].convs[0].parameters())
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +499,8 @@ def test_dual_aggregate_mean_of_two_relations():
     prng = np.random.default_rng(41)
     convs = [L.make_micro_conv("GCNConv", 3, 4, prng, f"c{i}") for i in range(2)]
     h = {t: Tensor(g.features[t]) for t in ("P", "A", "C")}
-    fused = L.dual_aggregate(list(zip(subs, plans, convs)), h, {"P": L.MacroMean()})
+    specs = [(s.name, s.src_type, s.dst_type) for s in subs]
+    fused = L.dual_aggregate(list(zip(specs, plans, convs)), h, {"P": L.MacroMean()})
     assert set(fused) == {"P"}
     z0 = convs[0](plans[0], h["A"], h["P"])
     z1 = convs[1](plans[1], h["C"], h["P"])
@@ -440,7 +515,7 @@ def test_dual_aggregate_without_macro_takes_the_one_output():
                     features={"P": rng.standard_normal((4, 3)),
                               "A": rng.standard_normal((3, 3))})
     subs = extract_relation_subgraphs(g, g.relation_names)
-    triples = [(s, L.aggregation_plan("SageConv", s),
+    triples = [((s.name, s.src_type, s.dst_type), L.aggregation_plan("SageConv", s),
                 L.make_micro_conv("SageConv", 3, 4, np.random.default_rng(43), s.name))
                for s in subs]
     h = {t: Tensor(g.features[t]) for t in ("P", "A")}

@@ -8,9 +8,10 @@ import pytest
 import hgnn_space.designspace as ds
 from hgnn_space.hgraph import GraphError, SyntheticSpec, generate_synthetic, save_graph
 from hgnn_space.model import DesignConfig
-from hgnn_space.runner import (ExperimentPlan, expand_plan, parse_plan,
+from hgnn_space.runner import (ExperimentPlan, expand_plan, input_digests, parse_plan,
                                plan_canonical_text, plan_hash, read_results, run_plan,
                                run_trial_by_id, save_config_list)
+from hgnn_space.sparse import frozen
 
 
 def make_bundle(tmp_path, seed=0):
@@ -313,6 +314,73 @@ def test_resume_rejects_other_plan(tmp_path):
     other = ExperimentPlan(**{**plan.__dict__, "seed": 12345})
     with pytest.raises(GraphError, match="different plan"):
         run_plan(other, resume=True)
+
+
+def _partial_header(plan):
+    return json.loads(Path(plan.out + ".partial").read_text().splitlines()[0])
+
+
+def test_only_the_partial_header_holds_the_input_digests(tmp_path):
+    plan = make_plan(tmp_path)
+    out = run_plan(plan)
+    head = json.loads(Path(out).read_text().splitlines()[0])
+    assert head == {"format": "hgnn-space-results/1", "plan_hash": plan_hash(plan)}
+    graph, _, _, configs = expand_plan(plan)
+    assert _partial_header(plan) == {**head, **input_digests(graph, configs)}
+
+
+def test_resume_rejects_a_bundle_regenerated_at_the_same_path(tmp_path):
+    plan = make_plan(tmp_path)
+    run_plan(plan)
+    make_bundle(tmp_path, seed=1)
+    with pytest.raises(GraphError, match=f"the graph '{plan.graph}' changed"):
+        run_plan(plan, resume=True)
+
+
+def test_resume_rejects_an_edited_config_list(tmp_path):
+    plan = make_plan(tmp_path)
+    run_plan(plan)
+    edited = small_configs()
+    edited[1] = edited[1].with_values(dropout_p=0.3)
+    save_config_list(edited, plan.space)
+    with pytest.raises(GraphError, match=f"the configs of space '{plan.space}' changed"):
+        run_plan(plan, resume=True)
+
+
+@pytest.mark.parametrize("key", ["graph_sha256", "configs_sha256"])
+def test_resume_rejects_a_header_without_the_input_digests(tmp_path, key):
+    plan = make_plan(tmp_path)
+    run_plan(plan)
+    partial = Path(plan.out + ".partial")
+    lines = partial.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header[key]
+    partial.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(GraphError, match="hold no digest of the"):
+        run_plan(plan, resume=True)
+
+
+def test_input_digests_cover_every_graph_array():
+    spec = SyntheticSpec(node_types=(("P", 12, 3), ("A", 6, 2)),
+                         relations=(("ap", "A", "P", 20), ("pa", "P", "A", 20)),
+                         target_type="P", num_communities=2, seed=4)
+    g = generate_synthetic(spec)
+    base = input_digests(g, small_configs())
+    assert input_digests(generate_synthetic(spec), small_configs()) == base
+    labels = g.labels["P"].copy()
+    labels[0] = (labels[0] + 1) % 2
+    features = g.features["A"].copy()
+    features[0, 0] += 1.0
+    adj = g.adjacency["ap"]
+    counts = adj.data.copy()
+    counts[0] += 1
+    for changed in (replace(g, labels={**g.labels, "P": labels}),
+                    replace(g, features={**g.features, "A": features}),
+                    replace(g, adjacency={**g.adjacency, "ap": frozen(
+                        (counts, adj.indices, adj.indptr), adj.shape)})):
+        got = input_digests(changed, small_configs())
+        assert got["graph_sha256"] != base["graph_sha256"]
+        assert got["configs_sha256"] == base["configs_sha256"]
 
 
 def test_sampled_space_plan(tmp_path):

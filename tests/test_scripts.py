@@ -17,7 +17,7 @@ def test_make_synthetic_writes_a_loadable_bundle(tmp_path):
                       "--authors", "30", "--edges", "150", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     g = load_graph(tmp_path / "bundle")
-    assert (g.num_nodes("P"), g.num_nodes("A")) == (60, 30)
+    assert (g.node_type("P").count, g.node_type("A").count) == (60, 30)
 
 
 def test_run_demo_writes_its_reports(tmp_path):

@@ -666,7 +666,7 @@ def test_spmm_plan_transpose_is_the_stable_transpose(rows, cols):
     plan = _plan(rows, cols, 5, 4, w)
     # the former construction: the entries stably sorted by column
     want = SegmentIndex(cols, 4).csr(w, rows, 5)
-    got = plan.t_matrix
+    got = plan.t_matrix.tocsr()
     assert got.shape == want.shape == (4, 5)
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field

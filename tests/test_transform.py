@@ -20,8 +20,8 @@ def brute_force_path_counts(g, relation_names):
     package's rows-are-destinations orientation.
     """
     rels = [g.relation(n) for n in relation_names]
-    n_src = g.num_nodes(rels[0].src_type)
-    n_dst = g.num_nodes(rels[-1].dst_type)
+    n_src = g.node_type(rels[0].src_type).count
+    n_dst = g.node_type(rels[-1].dst_type).count
     counts = np.zeros((n_dst, n_src), dtype=np.int64)
     adj_dense = {n: g.adjacency[n].toarray() for n in relation_names}
 
@@ -151,7 +151,7 @@ def test_homogenize_single_type_single_relation():
     assert type_offsets(g) == {"X": 0}
     assert (sub.name, sub.src_type, sub.dst_type) == ("*", "*", "*")
     assert same_csr(sub.adjacency, g.adjacency["r"])
-    assert sub.edge_type.tolist() == [0, 0, 0]
+    assert sub.edge_type.index.tolist() == [0, 0, 0]
 
 
 def test_homogenize_counts(academic_graph):
@@ -161,12 +161,13 @@ def test_homogenize_counts(academic_graph):
     assert type_offsets(academic_graph) == {"P": 0, "A": 3, "C": 5}
     nnz = [academic_graph.adjacency[r].nnz for r in academic_graph.relation_names]
     assert sub.adjacency.nnz == sum(nnz)
-    assert np.bincount(sub.edge_type).tolist() == nnz
+    assert np.bincount(sub.edge_type.index).tolist() == nnz
     # within a row, entries come in relation order, then in source order
     adj = sub.adjacency
     for v in range(n):
         lo, hi = adj.indptr[v], adj.indptr[v + 1]
-        keys = list(zip(sub.edge_type[lo:hi].tolist(), adj.indices[lo:hi].tolist()))
+        keys = list(zip(sub.edge_type.index[lo:hi].tolist(),
+                        adj.indices[lo:hi].tolist()))
         assert keys == sorted(keys)
 
 
@@ -180,7 +181,7 @@ def test_homogenize_keeps_a_shared_cell_as_two_entries():
     assert adj.indptr.tolist() == [0, 0, 3, 4]
     assert adj.indices.tolist() == [0, 2, 0, 1]
     assert adj.data.tolist() == [1, 1, 1, 2]
-    assert sub.edge_type.tolist() == [0, 0, 1, 1]
+    assert sub.edge_type.index.tolist() == [0, 0, 1, 1]
     # densified, the shared cell sums both relations' entries
     assert adj.toarray().tolist() == [[0, 0, 0], [2, 0, 1], [0, 2, 0]]
 
