@@ -14,6 +14,8 @@ each entry's relation, which relation-aware attention reads.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -74,13 +76,14 @@ def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
     the subgraph's CSR adjacency: its counts (GIN), each destination's
     counts divided by their sum (Sage, and GCN across types), or the counts
     with one self-loop per node, symmetrically normalized (GCN within one
-    type). GAT's plan is the adjacency itself, with the relation ids:
-    attention reads only its pattern (parallel edges count as one)."""
+    type). GAT's plan is an `AttentionPlan` on the adjacency itself, with
+    the relation ids: attention reads only its pattern (parallel edges
+    count as one)."""
     if kind not in MICRO_KINDS:
         raise TensorError(f"unknown micro convolution '{kind}'")
     adj = sub.adjacency
     if kind == "GATConv":
-        return SpmmPlan(adj, sub.edge_type)
+        return T.AttentionPlan(adj, sub.edge_type)
     n_dst, n_src = adj.shape
     indices, indptr = adj.indices, adj.indptr
     w = adj.data.astype(np.float64)
@@ -136,7 +139,7 @@ class GATConv(Module):
                 f"{prefix}.r_emb")
             self.a_rel = Parameter(glorot(rng, out_dim, 1), f"{prefix}.a_rel")
 
-    def _attention(self, A: SpmmPlan, h_src, h_dst):
+    def _attention(self, A: T.AttentionPlan, h_src, h_dst):
         """Projected sources and one softmax coefficient per entry of the
         attention pattern `A`, normalized over each destination; the
         SimpleHGN form also reads `A.edge_type`, each entry's relation."""
@@ -152,7 +155,7 @@ class GATConv(Module):
         e = T.leaky_relu(logits, GAT_LEAKY_SLOPE)
         return z_src, T.segment_softmax(e, A.by_row)
 
-    def __call__(self, plan: SpmmPlan, h_src, h_dst):
+    def __call__(self, plan: T.AttentionPlan, h_src, h_dst):
         z_src, alpha = self._attention(plan, h_src, h_dst)
         return T.spmm(plan, z_src, values=alpha)
 
@@ -206,26 +209,17 @@ def make_micro_conv(kind, in_dim, out_dim, rng, prefix, attention_form="GAT",
 
 class MacroSum(Module):
     def __call__(self, zs):
-        out = zs[0]
-        for z in zs[1:]:
-            out = T.add(out, z)
-        return out
+        return reduce(T.add, zs)
 
 
 class MacroMean(Module):
     def __call__(self, zs):
-        out = zs[0]
-        for z in zs[1:]:
-            out = T.add(out, z)
-        return out if len(zs) == 1 else T.mul(out, Tensor(1.0 / len(zs)))
+        return T.mul(reduce(T.add, zs), Tensor(1.0 / len(zs)))
 
 
 class MacroMax(Module):
     def __call__(self, zs):
-        out = zs[0]
-        for z in zs[1:]:
-            out = T.maximum(out, z)
-        return out
+        return reduce(T.maximum, zs)
 
 
 class MacroAttention(Module):
@@ -243,11 +237,8 @@ class MacroAttention(Module):
                             (1, 1))
                   for z in zs]
         weights = T.row_softmax(T.concat(scores, axis=1))
-        out = None
-        for k, z in enumerate(zs):
-            part = T.mul(z, T.narrow(weights, 1, k, k + 1))
-            out = part if out is None else T.add(out, part)
-        return out
+        return reduce(T.add, [T.mul(z, T.narrow(weights, 1, k, k + 1))
+                              for k, z in enumerate(zs)])
 
 
 def make_macro(kind, dim, rng, prefix):
@@ -263,14 +254,14 @@ def make_macro(kind, dim, rng, prefix):
 
 
 def macro_aggregate(macro, per_subgraph_outputs):
-    """Fuse the outputs with `macro`; without one, the only output is the
-    result."""
+    """Fuse the outputs with `macro`; a lone output is the result under every
+    macro, which gives it back exactly (a softmax over one score is 1)."""
     if not per_subgraph_outputs:
         raise TensorError("macro aggregation needs at least one subgraph output")
-    if macro is None:
-        if len(per_subgraph_outputs) != 1:
-            raise TensorError("fusing several subgraph outputs needs a macro module")
+    if len(per_subgraph_outputs) == 1:
         return per_subgraph_outputs[0]
+    if macro is None:
+        raise TensorError("fusing several subgraph outputs needs a macro module")
     widths = {z.shape[1] for z in per_subgraph_outputs}
     if len(widths) != 1:
         raise TensorError(f"macro aggregation over mixed widths {sorted(widths)}")
@@ -280,8 +271,8 @@ def macro_aggregate(macro, per_subgraph_outputs):
 def dual_aggregate(triples, h_by_set, macros):
     """Micro-level convolution per subgraph, given as ((name, source set,
     destination set), plan, conv) triples, then macro-level fusion per
-    destination set; a set without a macro module takes its one subgraph's
-    output unchanged. Sets receiving no subgraph are absent from the result
+    destination set; a set fed by one subgraph takes its output unchanged.
+    Sets receiving no subgraph are absent from the result
     (the caller's pass-through rule applies)."""
     outs = {}
     for (_, src, dst), plan, conv in triples:

@@ -159,9 +159,9 @@ class Model(L.Module):
                                              f"mp{li}.conv.{name}", cfg.attention_form,
                                              len(graph.relations))
                            for name, _, _ in self.sub_specs]
-            # a macro for every receiving type, even one fed by a single
-            # subgraph: Attention macros draw their parameters from `rng`, so
-            # they fix the init stream. Homogenization configs have none.
+            # a macro for every receiving type, even one whose lone subgraph
+            # bypasses it: Attention macros draw their parameters from `rng`,
+            # so they fix the init stream. Homogenization configs have none.
             if cfg.macro_agg is not None:
                 layer.macros = {t: L.make_macro(cfg.macro_agg, hid, rng,
                                                 f"mp{li}.macro.{t}")

@@ -13,6 +13,9 @@ import hashlib
 import json
 import os
 import re
+import sys
+import time
+import traceback
 from dataclasses import asdict, dataclass, fields
 from itertools import groupby
 
@@ -21,7 +24,7 @@ import numpy as np
 from . import designspace as ds
 from .hgraph import GraphError, load_graph, read_text
 from .model import DesignConfig, metapaths_from_text, metapaths_to_text
-from .train import Task, TrialRecord, TrialStart, make_splits, train_trial
+from .train import METRICS, Task, TrialRecord, TrialStart, make_splits, train_trial
 
 RESULTS_FORMAT = "hgnn-space-results/1"
 
@@ -197,7 +200,10 @@ def expand_plan(plan: ExperimentPlan):
 
 
 def _record_to_json(record: TrialRecord) -> str:
-    return json.dumps(asdict(record), sort_keys=True, separators=(",", ":"))
+    d = asdict(record)
+    if d["reason"] is None:  # only a trial that raised carries a reason
+        del d["reason"]
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
 def _finalized_line(line: str) -> str:
@@ -215,10 +221,26 @@ def run_trial_by_id(plan: ExperimentPlan, trial_id: int) -> TrialRecord:
 
 
 def _run_one(plan, graph, task, splits, configs, trial_id, start=None) -> TrialRecord:
+    """The trial's record. A trial that raises is recorded failed, with the
+    exception as its reason, its traceback goes to stderr, and the plan goes
+    on; a `GraphError` (bad input) still ends the run."""
     cfg = configs[trial_id // len(splits)]
     split = splits[trial_id % len(splits)]
-    record = train_trial(cfg, graph, split, task, max_epochs=plan.epoch_override,
-                         start=start)
+    started = time.perf_counter()
+    try:
+        record = train_trial(cfg, graph, split, task, max_epochs=plan.epoch_override,
+                             start=start)
+    except GraphError:
+        raise
+    except Exception as exc:
+        print(f"trial {trial_id} raised; it is recorded as failed", file=sys.stderr)
+        traceback.print_exc()
+        record = TrialRecord(
+            config=cfg.to_flat(), seed=cfg.seed, split_id=split.split_id,
+            status="failed", best_score=None, metric=METRICS[task.kind],
+            history={"train_loss": [], "val_score": []},
+            wall_time=time.perf_counter() - started,
+            reason=f"{type(exc).__name__}: {exc}")
     record.trial_id = trial_id
     return record
 

@@ -319,13 +319,11 @@ def narrow(a, axis, start, stop):
 
 
 def gather_rows(a, seg):
-    """Select rows a[index]; the backward pass sums, per row of a, the
-    gradients of its copies.
-
-    `seg` is a `SegmentIndex` over a's rows or a raw row index."""
+    """Select rows a[seg.index], `seg` being a `SegmentIndex` over a's rows;
+    the backward pass sums, per row of a, the gradients of its copies."""
     a = _wrap(a)
     if not isinstance(seg, SegmentIndex):
-        seg = SegmentIndex(seg, a.shape[0])
+        raise TensorError("gather_rows needs a SegmentIndex")
     if seg.num_segments != a.shape[0]:
         raise TensorError("gather index built for a different row count")
 
@@ -561,36 +559,37 @@ segment_sum = segment_mean = segment_max = broadcast_to = transpose = exp = None
 
 class SpmmPlan:
     """A fixed CSR matrix for repeated `spmm` calls: rows are destinations,
-    columns sources, one stored entry per edge.
+    columns sources, one stored entry per edge. `matrix` is the `csr_array`
+    the plan is built from, and `t_matrix` its transpose as scipy's CSC view
+    on the same three arrays, so the backward product needs no copy."""
 
-    `matrix` is the row-grouped `csr_array` the plan is built from, and
-    `t_matrix` is its transpose as scipy's CSC view on the same three
-    arrays, so the backward pass's product needs no copy. `by_row` and
-    `by_col` group the entries by row and by column. `edge_type`, a
-    `SegmentIndex` over relations or None, holds each entry's relation."""
+    __slots__ = ("shape", "matrix", "t_matrix")
 
-    __slots__ = ("by_row", "by_col", "shape", "matrix", "t_matrix", "edge_type")
-
-    def __init__(self, matrix: sp.csr_array, edge_type=None):
+    def __init__(self, matrix: sp.csr_array):
         if not isinstance(matrix, sp.csr_array):
             raise TensorError("an SpmmPlan is built from a csr_array")
-        n_rows, n_cols = self.shape = matrix.shape
-        self.matrix = matrix
-        self.t_matrix = matrix.T
-        self.by_row = SegmentIndex(expanded_rows(matrix), n_rows)
-        self.by_col = SegmentIndex(matrix.indices, n_cols)
-        self.edge_type = edge_type
+        self.shape, self.matrix, self.t_matrix = matrix.shape, matrix, matrix.T
 
-    @property
-    def nnz(self):
-        return int(self.matrix.nnz)
+
+class AttentionPlan(SpmmPlan):
+    """A plan whose entries attention replaces: `by_row` and `by_col` group
+    them by row and by column, and `edge_type`, a `SegmentIndex` over
+    relations or None, holds each one's relation."""
+
+    __slots__ = ("by_row", "by_col", "edge_type")
+
+    def __init__(self, matrix: sp.csr_array, edge_type=None):
+        super().__init__(matrix)
+        self.by_row = SegmentIndex(expanded_rows(matrix), self.shape[0])
+        self.by_col = SegmentIndex(matrix.indices, self.shape[1])
+        self.edge_type = edge_type
 
 
 def spmm(A: SpmmPlan, x, values=None):
     """Sparse-dense product A @ x; the backward pass is Aᵀ @ g.
 
-    With `values`, a tensor holding one entry per edge of A (in A's entry
-    order) becomes the matrix data, and its gradient is the sampled
+    With `values` and an `AttentionPlan` A, a tensor holding one entry per
+    edge of A (in A's entry order) becomes the matrix data, and its gradient is the sampled
     dense-dense product (g[row] * x[col]).sum(1)."""
     x = _wrap(x)
     if not isinstance(A, SpmmPlan):
@@ -605,9 +604,11 @@ def spmm(A: SpmmPlan, x, values=None):
 
         return _make(A.matrix @ x.data, (x,), vjp)
 
+    if not isinstance(A, AttentionPlan):
+        raise TensorError("spmm with values needs an AttentionPlan")
     values = _wrap(values)
-    if values.size != A.nnz:
-        raise TensorError(f"spmm got {values.size} values for {A.nnz} entries")
+    if values.size != A.matrix.nnz:
+        raise TensorError(f"spmm got {values.size} values for {A.matrix.nnz} entries")
     v = values.data.reshape(-1)
     xd, v_shape, m = x.data, values.shape, A.matrix
 

@@ -24,6 +24,8 @@ RECORD_FORMAT = "1"
 
 TRAIN_NEG_PER_POS = 1   # negatives per positive in the link-prediction loss
 
+METRICS = {"node_classification": "macro_f1", "link_prediction": "roc_auc"}
+
 
 @dataclass(frozen=True)
 class Task:
@@ -52,6 +54,7 @@ class TrialRecord:
     wall_time: float
     format_version: str = RECORD_FORMAT
     trial_id: int = -1
+    reason: str | None = None      # "<ExceptionType>: <message>" of a trial that raised
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +406,12 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         msg_graph = graph_without_edges(graph, task.target, split.val)
         val_negs = negative_sample(graph, task.target, split.val, 1,
                                    np.random.default_rng([split.seed, 19]))
-        metric_name = "roc_auc"
         rel = graph.relation(task.target)
     else:
         msg_graph = graph
         val_negs = None
-        metric_name = "macro_f1"
         labels = graph.labels.get(task.target)
+        train_rows = T.SegmentIndex(split.train, labels.shape[0])
 
     model = start.begin(msg_graph)
     params = model.parameters()
@@ -423,7 +425,7 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
 
     def train_loss(out, epoch):
         if task.kind == "node_classification":
-            return cross_entropy(T.gather_rows(out, split.train), labels[split.train])
+            return cross_entropy(T.gather_rows(out, train_rows), labels[split.train])
         negs = negative_sample(graph, task.target, split.train, TRAIN_NEG_PER_POS,
                                np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
         return binary_cross_entropy(
@@ -482,7 +484,7 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         split_id=split.split_id,
         status=status,
         best_score=best,
-        metric=metric_name,
+        metric=METRICS[task.kind],
         history={"train_loss": losses, "val_score": scores},
         wall_time=time.perf_counter() - started,
     )

@@ -1,7 +1,11 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 import hgnn_space.layers as L
+import hgnn_space.tensor as T
 from hgnn_space.hgraph import build_graph
 
 
@@ -16,6 +20,22 @@ def run_conv(conv, sub, h_src, h_dst):
     """`conv` on the subgraph `sub` through the plan its kind aggregates
     with."""
     return conv(L.aggregation_plan(type(conv).__name__, sub), h_src, h_dst)
+
+
+@pytest.fixture
+def segment_index_sites(monkeypatch):
+    """The call site, (file name, function), of every SegmentIndex built
+    while the test runs, in construction order."""
+    sites = []
+    real_init = T.SegmentIndex.__init__
+
+    def counting_init(self, *args, **kw):
+        caller = sys._getframe(1).f_code
+        sites.append((os.path.basename(caller.co_filename), caller.co_name))
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(T.SegmentIndex, "__init__", counting_init)
+    return sites
 
 
 @pytest.fixture

@@ -288,7 +288,6 @@ def test_whole_model_gradient_of_the_task_loss(family, connectivity, task, mp_la
     mode and dropout is off, so the loss is a fixed function."""
     case = (L.CONNECTIVITIES.index(connectivity) + 3 * FAMILIES.index(family)
             + 9 * (mp_layers - 2))
-    g = _grad_fixture()
     cfg = DesignConfig(
         model_family=family, micro_conv=L.MICRO_KINDS[case % len(L.MICRO_KINDS)],
         macro_agg=None if family == "Homogenization" else L.MACRO_KINDS[case % 4],
@@ -296,6 +295,46 @@ def test_whole_model_gradient_of_the_task_loss(family, connectivity, task, mp_la
         connectivity=connectivity, pre_layers=2, mp_layers=mp_layers, post_layers=2,
         hidden_dim=8, task=task, seed=case,
         metapaths=DECLARED_METAPATHS if family == "Metapath" else ())
+    err = _task_loss_grad_error(_grad_fixture(), cfg, case)
+    assert err < 1e-4, f"{family}/{connectivity}/{task}/{mp_layers}: {err:.2e}"
+
+
+def _fusing_fixture():
+    """`_grad_fixture` with a P -> P relation, so that P receives two
+    relations (ap, pp) and two meta-paths (PAP, PP)."""
+    return build_graph(
+        [("P", 4, 3), ("A", 3, 3)],
+        [("ap", "A", "P"), ("pa", "P", "A"), ("pp", "P", "P")],
+        {"ap": np.array([[0, 0], [1, 0], [1, 1], [2, 3]]),
+         "pa": np.array([[0, 1], [3, 2], [2, 0]]),
+         "pp": np.array([[0, 1], [1, 1], [2, 0], [3, 2], [3, 3]])},
+        features=_grad_fixture().features)
+
+
+@pytest.mark.parametrize("family,macro,task", [
+    pytest.param(f, m, _TASKS[(i + j) % 2], id=f"{f}-{m}-{_TASKS[(i + j) % 2]}")
+    for i, f in enumerate(("Relation", "Metapath"))
+    for j, m in enumerate(L.MACRO_KINDS)])
+def test_whole_model_gradient_through_a_two_subgraph_fusion(family, macro, task):
+    """The same oracle where every macro fuses two subgraphs at P; a lone
+    subgraph passes through its macro untouched, so the cases above run
+    none."""
+    case = 40 + 4 * FAMILIES.index(family) + L.MACRO_KINDS.index(macro)
+    cfg = DesignConfig(
+        model_family=family, micro_conv=L.MICRO_KINDS[case % len(L.MICRO_KINDS)],
+        macro_agg=macro, has_bn=True, dropout_p=0.3, activation="Tanh",
+        has_l2norm=True, connectivity=L.CONNECTIVITIES[case % 3], pre_layers=2,
+        mp_layers=2, post_layers=2, hidden_dim=8, task=task, seed=case,
+        metapaths=(("PAP", ("pa", "ap")), ("PP", ("pp",))) if family == "Metapath"
+        else ())
+    err = _task_loss_grad_error(_fusing_fixture(), cfg, case)
+    assert err < 1e-4, f"{family}/{macro}/{task}: {err:.2e}"
+
+
+def _task_loss_grad_error(g, cfg, case):
+    """The gradient check's worst relative error for the task loss of `cfg`
+    on `g`, with every parameter nudged and batch norm frozen at random
+    running statistics."""
     model = build_model(cfg, g, num_classes=3, target_type="P")
     params = model.parameters()
     _nudge(params, 700 + case)
@@ -304,19 +343,19 @@ def test_whole_model_gradient_of_the_task_loss(family, connectivity, task, mp_la
         bn.state.running_mean = rng.standard_normal(8)
         bn.state.running_var = rng.uniform(0.5, 2.0, 8)
     train_idx, labels = np.array([0, 1, 3]), np.array([2, 0, 1, 1])
+    train_rows = T.SegmentIndex(train_idx, 4)
     pos, neg = np.array([[0, 0], [1, 1], [2, 3]]), np.array([[2, 0], [0, 3]])
 
     def f():
-        if task == "node_classification":
+        if cfg.task == "node_classification":
             logits = model.predict_logits(g)
-            return cross_entropy(T.gather_rows(logits, train_idx), labels[train_idx])
+            return cross_entropy(T.gather_rows(logits, train_rows), labels[train_idx])
         out = model.forward(g, types=("A", "P"))
         return binary_cross_entropy(
             score_links(out["A"], out["P"], pos[:, 0], pos[:, 1]),
             score_links(out["A"], out["P"], neg[:, 0], neg[:, 1]))
 
-    err = _kink_safe_grad_check(f, params, 702 + case)
-    assert err < 1e-4, f"{family}/{connectivity}/{task}/{mp_layers}: {err:.2e}"
+    return _kink_safe_grad_check(f, params, 702 + case)
 
 
 # ---------------------------------------------------------------------------

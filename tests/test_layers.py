@@ -385,6 +385,24 @@ def _three_relation_graph(rng):
                                  "Y": rng.standard_normal((4, 3))})
 
 
+def test_only_attention_plans_group_their_entries(segment_index_sites):
+    """GCN, Sage and GIN plans hold the matrix and its transpose and build
+    no SegmentIndex; a GAT plan groups its entries once, by row and by
+    column."""
+    rng = np.random.default_rng(61)
+    g = _three_relation_graph(rng)
+    subs = extract_relation_subgraphs(g, g.relation_names) + [homogenize(g)]
+    segment_index_sites.clear()  # homogenize groups the relation ids
+    for kind in ("GCNConv", "SageConv", "GINConv"):
+        for sub in subs:
+            plan = L.aggregation_plan(kind, sub)
+            assert type(plan) is T.SpmmPlan and not hasattr(plan, "by_row")
+    assert segment_index_sites == []
+    for sub in subs:
+        assert isinstance(L.aggregation_plan("GATConv", sub), T.AttentionPlan)
+    assert segment_index_sites == [("tensor.py", "__init__")] * 2 * len(subs)
+
+
 @pytest.mark.parametrize("form", L.ATTENTION_FORMS)
 def test_gat_reads_only_the_plan_pattern(form):
     """A GAT plan is the adjacency with its counts; replacing the plan's
@@ -396,7 +414,7 @@ def test_gat_reads_only_the_plan_pattern(form):
     m = plan.matrix
     assert m is hg.adjacency and plan.edge_type is hg.edge_type
     assert m.data.max() > 1  # a repeated edge is one entry counting 2
-    other = T.SpmmPlan(frozen((rng.uniform(-3.0, 3.0, m.nnz), m.indices, m.indptr),
+    other = T.AttentionPlan(frozen((rng.uniform(-3.0, 3.0, m.nnz), m.indices, m.indptr),
                               m.shape), plan.edge_type)
     conv = L.GATConv(3, 4, np.random.default_rng(63), "g", form=form,
                      n_edge_types=len(g.relations))
@@ -414,7 +432,7 @@ def test_gat_reads_only_the_plan_pattern(form):
     assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
 
-def test_simple_hgn_forward_and_backward_build_no_segment_index(monkeypatch):
+def test_simple_hgn_forward_and_backward_build_no_segment_index(segment_index_sites):
     """Relation ids are grouped once, when the graph is homogenized: a
     SimpleHGN model's forward and backward passes construct no
     SegmentIndex."""
@@ -424,17 +442,10 @@ def test_simple_hgn_forward_and_backward_build_no_segment_index(monkeypatch):
     cfg = DesignConfig(model_family="Homogenization", micro_conv="GATConv",
                        macro_agg=None, attention_form="SimpleHGN", hidden_dim=8)
     model = build_model(cfg, g)
-    built = []
-    real_init = T.SegmentIndex.__init__
-
-    def counting_init(self, *args, **kw):
-        built.append(args)
-        real_init(self, *args, **kw)
-
-    monkeypatch.setattr(T.SegmentIndex, "__init__", counting_init)
+    segment_index_sites.clear()  # the build groups the relation ids and the plan
     out = model.forward(g, training=True)
     T.tsum(T.concat([out[t] for t in g.type_names], axis=0)).backward()
-    assert built == []
+    assert segment_index_sites == []
     assert all(p.grad is not None for p in model.mp[0].convs[0].parameters())
 
 
@@ -448,12 +459,62 @@ def test_macro_sum_hand_case():
 
 
 @pytest.mark.parametrize("kind", L.MACRO_KINDS)
-def test_macro_singleton_is_identity(kind):
+def test_macro_singleton_is_identity(kind, monkeypatch):
+    """A lone subgraph output passes through every macro: the same tensor
+    comes back, and no tape node is recorded."""
     rng = np.random.default_rng(19)
     macro = L.make_macro(kind, 4, np.random.default_rng(20), "m")
-    z = Tensor(rng.standard_normal((5, 4)))
-    out = L.macro_aggregate(macro, [z])
-    assert np.allclose(out.data, z.data, atol=1e-15)
+    z = T.tanh(Parameter(rng.standard_normal((5, 4)), "x"))
+    made = []
+
+    class CountingNode(T._Node):
+        __slots__ = ()
+
+        def __init__(self, parents, vjp):
+            made.append(1)
+            super().__init__(parents, vjp)
+
+    monkeypatch.setattr(T, "_Node", CountingNode)
+    assert L.macro_aggregate(macro, [z]) is z
+    assert made == []
+
+
+def _fusing_graph(with_pp):
+    """P receives `ap`, and `pp` too when `with_pp`; A receives `pa`."""
+    rng = np.random.default_rng(70)
+    edges = {"ap": np.array([[0, 0], [1, 2], [3, 4]]),
+             "pa": np.array([[0, 1], [2, 3], [4, 0]]),
+             "pp": np.array([[0, 1], [1, 2], [4, 4]])}
+    relations = [("ap", "A", "P"), ("pa", "P", "A")]
+    if with_pp:
+        relations.append(("pp", "P", "P"))
+    return build_graph([("P", 5, 3), ("A", 4, 3)], relations,
+                       {r: edges[r] for r, _, _ in relations},
+                       features={"P": rng.standard_normal((5, 3)),
+                                 "A": rng.standard_normal((4, 3))})
+
+
+@pytest.mark.parametrize("with_pp", [False, True])
+def test_attention_macros_of_a_lone_subgraph_get_no_gradient(with_pp):
+    """Attention macros are built for every receiving type, but one fed by
+    a single subgraph takes no part in the pass, so its parameters end
+    backward without a gradient; P's macro, fusing two, gets one."""
+    from hgnn_space.model import DesignConfig, build_model
+
+    g = _fusing_graph(with_pp)
+    cfg = DesignConfig(model_family="Relation", micro_conv="SageConv",
+                       macro_agg="Attention", hidden_dim=8, mp_layers=2)
+    model = build_model(cfg, g)
+    out = model.forward(g)
+    T.tsum(T.concat([out[t] for t in g.type_names], axis=0)).backward()
+    for layer in model.mp:
+        assert set(layer.macros) == {"P", "A"}
+        for t, macro in layer.macros.items():
+            grads = [p.grad for p in macro.parameters()]
+            if with_pp and t == "P":
+                assert all(gr is not None and gr.any() for gr in grads)
+            else:
+                assert all(gr is None for gr in grads)
 
 
 def test_macro_attention_identical_inputs_equal_mean():
@@ -719,7 +780,7 @@ def test_gat_backward_holds_less_than_one_edge_by_feature_array():
     adj = frozen((np.ones(n_edges, dtype=np.int64),
                   rng.integers(0, n, n_edges), indptr), (n, n))
     plan = L.aggregation_plan("GATConv", Subgraph("g", "X", "X", adj))
-    assert plan.nnz == n_edges
+    assert plan.matrix.nnz == n_edges
     conv = L.GATConv(d, d, rng, "g")
     h = Tensor(rng.standard_normal((n, d)))
     weights = Tensor(rng.standard_normal((n, d)))

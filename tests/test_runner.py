@@ -256,6 +256,62 @@ def test_single_trial_reproduces_file_record(tmp_path):
     assert rec.history == records[2]["history"]
 
 
+def test_a_trial_that_raises_is_recorded_failed_and_the_plan_goes_on(tmp_path,
+                                                                      monkeypatch,
+                                                                      capsys):
+    """The first trial raises in its second training epoch: the run exits 0,
+    that trial alone is failed with the exception as its reason, and every
+    other line (the next split starts from the same built model) equals a
+    clean run's; an isolated rerun gives the same failed record."""
+    import hgnn_space.runner as runner_mod
+    import hgnn_space.train as train_mod
+    from hgnn_space.cli import main
+    from hgnn_space.runner import _finalized_line, _record_to_json
+
+    plan = make_plan(tmp_path)
+    clean = Path(run_plan(plan)).read_text().splitlines()
+    plan_path = tmp_path / "plan.txt"
+    plan_path.write_text(plan_canonical_text(plan) + "\n")
+    state = {"failing": False, "epoch": 0}
+    real_trial, real_loss = runner_mod.train_trial, train_mod.cross_entropy
+
+    def train_trial(cfg, graph, split, task, **kw):
+        state.update(failing=cfg == small_configs()[0] and split.split_id == 0,
+                     epoch=0)
+        return real_trial(cfg, graph, split, task, **kw)
+
+    def cross_entropy(*args):
+        state["epoch"] += 1
+        if state["failing"] and state["epoch"] == 2:
+            raise FloatingPointError("overflow encountered in exp")
+        return real_loss(*args)
+
+    monkeypatch.setattr(runner_mod, "train_trial", train_trial)
+    monkeypatch.setattr(train_mod, "cross_entropy", cross_entropy)
+    assert main(["run", "--plan", str(plan_path)]) == 0
+    err = capsys.readouterr().err
+    assert "trial 0 raised" in err and "FloatingPointError: overflow" in err
+    lines = Path(plan.out).read_text().splitlines()
+    assert lines[0] == clean[0] and lines[2:] == clean[2:]
+    failed = json.loads(lines[1])
+    assert failed["status"] == "failed" and failed["best_score"] is None
+    assert failed["reason"] == "FloatingPointError: overflow encountered in exp"
+    assert failed["trial_id"] == 0 and failed["split_id"] == 0
+    assert all("reason" not in json.loads(line) for line in lines[2:])
+    assert _finalized_line(_record_to_json(run_trial_by_id(plan, 0))) == lines[1]
+
+
+def test_a_graph_error_inside_a_trial_still_ends_the_run(tmp_path, monkeypatch):
+    import hgnn_space.runner as runner_mod
+
+    def train_trial(*args, **kw):
+        raise GraphError("bad input")
+
+    monkeypatch.setattr(runner_mod, "train_trial", train_trial)
+    with pytest.raises(GraphError, match="bad input"):
+        run_plan(make_plan(tmp_path))
+
+
 def test_resume_completes_missing_and_keeps_done(tmp_path):
     plan = make_plan(tmp_path)
     out = run_plan(plan)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hgnn_space.tensor as T
-from hgnn_space.tensor import (BatchNormState, Parameter, SegmentIndex,
-                               SpmmPlan, Tensor, TensorError, grad_check)
+from hgnn_space.tensor import (AttentionPlan, BatchNormState, Parameter,
+                               SegmentIndex, SpmmPlan, Tensor, TensorError,
+                               grad_check)
 
 TOL = 1e-4
 
@@ -412,12 +413,12 @@ SPMM_ROWS = np.array([0, 0, 2, 2, 2, 3])
 SPMM_COLS = np.array([1, 3, 0, 0, 2, 3])
 
 
-def _plan(rows, cols, n_rows, n_cols, data=None):
-    """The plan whose CSR matrix stores (rows[i], cols[i]) = data[i] for every
-    i (rows sorted); a repeated cell stays two entries."""
+def _plan(rows, cols, n_rows, n_cols, data=None, kind=SpmmPlan):
+    """The plan (of class `kind`) whose CSR matrix stores (rows[i], cols[i]) =
+    data[i] for every i (rows sorted); a repeated cell stays two entries."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
     data = np.ones(len(rows)) if data is None else data
-    return SpmmPlan(sp.csr_array((data, cols, indptr), shape=(n_rows, n_cols)))
+    return kind(sp.csr_array((data, cols, indptr), shape=(n_rows, n_cols)))
 
 
 def _dense_of(rows, cols, data, shape):
@@ -430,8 +431,8 @@ def test_spmm_matches_dense_with_duplicates_and_empty_rows():
     rng = np.random.default_rng(40)
     w = rng.standard_normal(SPMM_ROWS.size)
     x = rng.standard_normal((4, 3))
-    plan = _plan(SPMM_ROWS, SPMM_COLS, 5, 4, w)
-    assert plan.nnz == SPMM_ROWS.size
+    plan = _plan(SPMM_ROWS, SPMM_COLS, 5, 4, w, AttentionPlan)
+    assert plan.matrix.nnz == SPMM_ROWS.size
     want = _dense_of(SPMM_ROWS, SPMM_COLS, w, (5, 4)) @ x
     assert np.allclose(T.spmm(plan, Tensor(x)).data, want, atol=1e-14)
     alpha = rng.standard_normal((SPMM_ROWS.size, 1))
@@ -444,7 +445,7 @@ def test_spmm_matches_dense_with_duplicates_and_empty_rows():
 
 
 def test_spmm_zero_edges_gives_zero_rows_and_gradients():
-    plan = SpmmPlan(sp.csr_array((3, 2)))
+    plan = AttentionPlan(sp.csr_array((3, 2)))
     x = Parameter(np.ones((2, 4)), "x")
     values = Parameter(np.zeros((0, 1)), "alpha")
     for out in (T.spmm(plan, x), T.spmm(plan, x, values=values)):
@@ -465,7 +466,7 @@ def test_grad_spmm_fixed_weights():
 
 def test_grad_spmm_edge_values():
     rng = np.random.default_rng(42)
-    plan = _plan(SPMM_ROWS, SPMM_COLS, 5, 4)
+    plan = _plan(SPMM_ROWS, SPMM_COLS, 5, 4, kind=AttentionPlan)
     x = param(rng, 4, 3, name="x")
     alpha = param(rng, SPMM_ROWS.size, 1, name="alpha")
     v = rng.standard_normal((5, 3))
@@ -480,8 +481,11 @@ def test_spmm_rejects_bad_inputs():
     plan = SpmmPlan(sp.csr_array(np.eye(2)))
     with pytest.raises(TensorError):
         T.spmm(plan, Tensor(np.ones((3, 2))))
-    with pytest.raises(TensorError):
-        T.spmm(plan, Tensor(np.ones((2, 2))), values=Tensor(np.ones(3)))
+    with pytest.raises(TensorError, match="needs an AttentionPlan"):
+        T.spmm(plan, Tensor(np.ones((2, 2))), values=Tensor(np.ones(2)))
+    with pytest.raises(TensorError, match="3 values for 2 entries"):
+        T.spmm(AttentionPlan(plan.matrix), Tensor(np.ones((2, 2))),
+               values=Tensor(np.ones(3)))
 
 
 # row 2 of a and row 4 of b appear in no pair; (0, 1) appears twice
@@ -505,8 +509,9 @@ def test_sddmm_matches_gather_mul_sum_composition():
     b = param(rng, 5, 3, name="b")
     results = []
     for f in (lambda: T.sddmm(a, b, SDDMM_ROWS, SDDMM_COLS),
-              lambda: T.tsum(T.mul(T.gather_rows(a, SDDMM_ROWS),
-                                   T.gather_rows(b, SDDMM_COLS)), axis=1, keepdims=True)):
+              lambda: T.tsum(T.mul(T.gather_rows(a, SegmentIndex(SDDMM_ROWS, 4)),
+                                   T.gather_rows(b, SegmentIndex(SDDMM_COLS, 5))),
+                             axis=1, keepdims=True)):
         a.grad = b.grad = None
         out = f()
         T.tsum(T.mul(out, Tensor(v))).backward()
@@ -610,12 +615,11 @@ def test_gather_rows_equals_the_former_scatter_plan(index, n):
     rng = np.random.default_rng(50)
     g = rng.standard_normal((index.size, 3))
     want = _reference_gather_grad(index, n, g)
-    for seg in (index, SegmentIndex(index, n)):
-        a = Parameter(rng.standard_normal((n, 3)), "a")
-        out = T.gather_rows(a, seg)
-        T.tsum(T.mul(out, Tensor(g))).backward()
-        assert np.array_equal(out.data, a.data[index])
-        assert np.array_equal(a.grad, want)
+    a = Parameter(rng.standard_normal((n, 3)), "a")
+    out = T.gather_rows(a, SegmentIndex(index, n))
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    assert np.array_equal(out.data, a.data[index])
+    assert np.array_equal(a.grad, want)
 
 
 @pytest.mark.parametrize("index,n", GROUPINGS)
@@ -650,11 +654,13 @@ def test_segment_index_groups_without_sorting_a_sorted_index():
 def test_gather_rows_rejects_bad_indices():
     a = Tensor(np.ones((4, 2)))
     with pytest.raises(TensorError, match="out of range"):
-        T.gather_rows(a, [0, 4])
+        T.gather_rows(a, SegmentIndex([0, 4], 4))
     with pytest.raises(TensorError, match="out of range"):
-        T.gather_rows(a, [-1])
+        T.gather_rows(a, SegmentIndex([-1], 4))
     with pytest.raises(TensorError, match="different row count"):
         T.gather_rows(a, SegmentIndex([0, 1], 5))
+    with pytest.raises(TensorError, match="needs a SegmentIndex"):
+        T.gather_rows(a, np.array([0, 1]))
 
 
 @pytest.mark.parametrize("rows,cols", [(SPMM_ROWS, SPMM_COLS),
@@ -670,7 +676,7 @@ def test_spmm_plan_transpose_is_the_stable_transpose(rows, cols):
     assert got.shape == want.shape == (4, 5)
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    assert np.array_equal(plan.by_col.sorted(w), want.data)
+    assert np.array_equal(AttentionPlan(plan.matrix).by_col.sorted(w), want.data)
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,22 @@ def test_trial_bitwise_reproducible():
     assert a.best_score is not None and np.isfinite(a.best_score)
 
 
+@pytest.mark.parametrize("micro", ["SageConv", "GATConv"])
+def test_node_classification_trial_indexes_its_train_ids_once(segment_index_sites,
+                                                              micro):
+    """The train ids are grouped once per trial, not once per epoch; a
+    Sage model builds no other SegmentIndex (a GAT model groups its plans'
+    entries, in `tensor.py`)."""
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task, split = _task_and_split("NC", g)
+    cfg = NC_CFG.with_values(micro_conv=micro, hidden_dim=8)
+    rec = train_trial(cfg, g, split, task, max_epochs=10)
+    assert rec.status == "ok" and len(rec.history["train_loss"]) == 10
+    assert [s for s in segment_index_sites if s[0] != "tensor.py"] == [
+        ("train.py", "train_trial")]
+    assert len(segment_index_sites) == (1 if micro == "SageConv" else 5)
+
+
 def test_trial_zero_epochs_returns_initial_metrics():
     g = planted_graph()
     task = Task("node_classification", "P", num_classes=4)
@@ -587,6 +603,7 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
         metric_name = "roc_auc"
     else:
         msg_graph, val_negs, metric_name = graph, None, "macro_f1"
+        train_rows = T.SegmentIndex(split.train, graph.labels[task.target].shape[0])
     model = build_model(cfg, msg_graph, num_classes=task.num_classes,
                         target_type=task.target if task.kind == "node_classification" else None)
     params = model.parameters()
@@ -622,7 +639,7 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
             break
         drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
         if task.kind == "node_classification":
-            loss = cross_entropy(T.gather_rows(logits(True, drop_rng), split.train),
+            loss = cross_entropy(T.gather_rows(logits(True, drop_rng), train_rows),
                                  graph.labels[task.target][split.train])
         else:
             negs = negative_sample(graph, task.target, split.train,
