@@ -102,7 +102,7 @@ def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
     elif kind != "GINConv":
         rows = expanded_rows(adj)
         din = np.bincount(rows, weights=w, minlength=n_dst)
-        w = w / np.where(din > 0, din, 1.0)[rows]
+        w = w / din[rows]
     return SpmmPlan(sp.csr_array((w, indices, indptr), shape=adj.shape))
 
 

@@ -12,7 +12,8 @@ value dies as soon as neither the caller nor a pending closure reads it.
 `backward` replays the recorded graph once in reverse topological order,
 dropping each closure and each intermediate gradient as soon as it has run.
 Only leaves receive `.grad`. Inside `no_grad()` nothing is recorded, which
-is how evaluation forwards run. 64-bit floats throughout.
+is how evaluation forwards run. 64-bit floats throughout; no primitive sets
+numpy's floating-point error handling, so each follows its caller's.
 
 One structure groups edges by endpoint: a `SegmentIndex` serves the
 gathers (whose backward is a segment sum), the segment softmax of attention
@@ -359,13 +360,11 @@ def take_per_row(a, cols):
 
 def log(a):
     a = _wrap(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
+    data = np.log(a.data)
     ad = a.data
 
     def vjp(g):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return (g / ad,)
+        return (g / ad,)
 
     return _make(data, (a,), vjp)
 
@@ -392,8 +391,7 @@ def leaky_relu(a, slope=0.2):
 
 def elu(a):
     a = _wrap(a)
-    with np.errstate(over="ignore"):
-        neg = np.exp(np.minimum(a.data, 0.0)) - 1.0
+    neg = np.exp(np.minimum(a.data, 0.0)) - 1.0
     mask = a.data > 0
     data = np.where(mask, a.data, neg)
 
@@ -415,8 +413,7 @@ def tanh(a):
 
 def sigmoid(a):
     a = _wrap(a)
-    with np.errstate(over="ignore"):
-        data = 1.0 / (1.0 + np.exp(-a.data))
+    data = 1.0 / (1.0 + np.exp(-a.data))
 
     def vjp(g):
         return (g * data * (1.0 - data),)
@@ -451,8 +448,7 @@ def row_softmax(a):
     if a.ndim != 2:
         raise TensorError("row_softmax expects a 2-d tensor")
     shifted = a.data - a.data.max(axis=1, keepdims=True) if a.shape[1] else a.data
-    with np.errstate(over="ignore"):
-        e = np.exp(shifted)
+    e = np.exp(shifted)
     data = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
@@ -536,13 +532,11 @@ def segment_softmax(a, seg: SegmentIndex):
         raise TensorError(f"segment index has {seg.index.shape[0]} entries for "
                           f"{a.shape[0]} rows")
     idx = seg.index
-    with np.errstate(over="ignore"):
-        e = np.exp(a.data - seg.reduce(np.maximum, a.data)[idx])
+    e = np.exp(a.data - seg.reduce(np.maximum, a.data)[idx])
     data = e / seg.reduce(np.add, e)[idx]
 
     def vjp(g):
-        with np.errstate(invalid="ignore", over="ignore"):
-            return (data * (g - seg.reduce(np.add, data * g)[idx]),)
+        return (data * (g - seg.reduce(np.add, data * g)[idx]),)
 
     return _make(data, (a,), vjp)
 

@@ -183,15 +183,13 @@ def _confusion(preds, labels, num_classes):
 def macro_f1(preds, labels, num_classes: int) -> float:
     """Unweighted mean of per-class F1 over all declared classes."""
     cm = _confusion(preds, labels, num_classes)
-    f1s = []
-    for c in range(num_classes):
-        tp = cm[c, c]
-        fp = cm[:, c].sum() - tp
-        fn = cm[c, :].sum() - tp
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-    return float(np.mean(f1s))
+    tp = np.diag(cm)
+    predicted, actual = cm.sum(axis=0), cm.sum(axis=1)
+    prec = np.divide(tp, predicted, out=np.zeros(num_classes), where=predicted > 0)
+    rec = np.divide(tp, actual, out=np.zeros(num_classes), where=actual > 0)
+    both = prec + rec
+    f1 = np.divide(2 * prec * rec, both, out=np.zeros(num_classes), where=both > 0)
+    return float(np.mean(f1))
 
 
 def roc_auc(scores, labels) -> float:
@@ -242,30 +240,29 @@ class Adam:
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         # non-finite gradients propagate into the parameters on purpose: the
         # trial loop detects them and records the run as failed
-        with np.errstate(invalid="ignore", over="ignore"):
-            for p in self.params:
-                if p.grad is None:
-                    continue
-                # `lr * (m / c1) / (sqrt(v / c2) + eps)` one operation at a
-                # time in two scratch arrays, so every element rounds as in
-                # that expression; p.grad may be another leaf's too and is
-                # only read
-                m, v = self.slots[p.name]
-                g = p.grad
-                a = (1 - b1) * g
-                m *= b1
-                m += a
-                np.multiply(g, g, out=a)
-                a *= 1 - b2
-                v *= b2
-                v += a
-                np.divide(m, c1, out=a)
-                a *= self.lr
-                b = v / c2
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                p.data -= a
+        for p in self.params:
+            if p.grad is None:
+                continue
+            # `lr * (m / c1) / (sqrt(v / c2) + eps)` one operation at a
+            # time in two scratch arrays, so every element rounds as in
+            # that expression; p.grad may be another leaf's too and is
+            # only read
+            m, v = self.slots[p.name]
+            g = p.grad
+            a = (1 - b1) * g
+            m *= b1
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1 - b2
+            v *= b2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            b = v / c2
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
 
     def zero_grad(self):
         for p in self.params:
@@ -299,14 +296,20 @@ def binary_cross_entropy(pos_scores, neg_scores):
 
 def _val_score(out, graph, task, split, val_negs):
     """Validation metric read off one forward pass: `out` is the logits (NC)
-    or the representations per node type (LP)."""
+    or the representations per node type (LP). NaN, which fails the trial,
+    when the logits or link scores it reads are not all finite."""
     if task.kind == "node_classification":
-        preds = np.argmax(out.data[split.val], axis=1)
-        return macro_f1(preds, graph.labels[task.target][split.val], task.num_classes)
+        logits = out.data[split.val]
+        if not np.isfinite(logits).all():
+            return np.nan
+        return macro_f1(np.argmax(logits, axis=1),
+                        graph.labels[task.target][split.val], task.num_classes)
     rel = graph.relation(task.target)
     pairs = np.concatenate([split.val, val_negs])
     scores = score_links(out[rel.src_type], out[rel.dst_type],
                          pairs[:, 0], pairs[:, 1]).data[:, 0]
+    if not np.isfinite(scores).all():
+        return np.nan
     return roc_auc(scores, np.repeat([1, 0], [len(split.val), len(val_negs)]))
 
 
@@ -437,45 +440,46 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
     losses, scores = [], []
     status = "ok"
-    for epoch in range(n_epochs + 1):
-        drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
-        trains = epoch < n_epochs
-        # one pass: this epoch's training forward scores the last step's parameters
-        if one_pass and trains:
-            out = forward(True, drop_rng)
-        elif epoch == 0 and task.kind == "node_classification":
-            out = start.initial_eval(forward)  # the same for every split
-        else:
-            with T.no_grad():
-                out = forward(False)
-        with T.no_grad():  # the scores feed no gradient
-            score = _val_score(out, graph, task, split, val_negs)
-        if not np.isfinite(score):
-            status = "failed"
-            if epoch == 0:
-                scores.append(float(score))
-            break
-        scores.append(float(score))
-        if not trains:
-            break
-        if not one_pass:
-            del out  # hold one forward pass at a time
-            out = forward(True, drop_rng)
-        loss = train_loss(out, epoch)
-        loss_val = float(loss.data)
-        losses.append(loss_val)
-        if not np.isfinite(loss_val):
-            status = "failed"
-            break
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # a diverging step may overflow; the finite checks below catch it
+    # the one floating-point policy: a diverging trial may overflow anywhere in
+    # the loop, and the finite checks record it under any warnings filter
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(n_epochs + 1):
+            drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
+            trains = epoch < n_epochs
+            # one pass: this epoch's training forward scores the last step's parameters
+            if one_pass and trains:
+                out = forward(True, drop_rng)
+            elif epoch == 0 and task.kind == "node_classification":
+                out = start.initial_eval(forward)  # the same for every split
+            else:
+                with T.no_grad():
+                    out = forward(False)
+            with T.no_grad():  # the scores feed no gradient
+                score = _val_score(out, graph, task, split, val_negs)
+            if not np.isfinite(score):
+                status = "failed"
+                if epoch == 0:
+                    scores.append(float(score))
+                break
+            scores.append(float(score))
+            if not trains:
+                break
+            if not one_pass:
+                del out  # hold one forward pass at a time
+                out = forward(True, drop_rng)
+            loss = train_loss(out, epoch)
+            loss_val = float(loss.data)
+            losses.append(loss_val)
+            if not np.isfinite(loss_val):
+                status = "failed"
+                break
             loss.backward()
             opt.step()
-        opt.zero_grad()  # the next forward passes need no gradients
-        if not all(np.isfinite(p.data).all() for p in params):
-            status = "failed"
-            break
-        del out, loss  # free this epoch's pass before the next one
+            opt.zero_grad()  # the next forward passes need no gradients
+            if not all(np.isfinite(p.data).all() for p in params):
+                status = "failed"
+                break
+            del out, loss  # free this epoch's pass before the next one
 
     best = max(scores) if status == "ok" else None  # then every score is finite
     return TrialRecord(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 
@@ -6,7 +7,23 @@ import pytest
 
 import hgnn_space.layers as L
 import hgnn_space.tensor as T
-from hgnn_space.hgraph import build_graph
+from hgnn_space.hgraph import SyntheticSpec, build_graph, generate_synthetic
+from hgnn_space.model import DesignConfig
+
+# overflows in its first forward pass on `overflowing_graph()`
+OVERFLOWING_CFG = DesignConfig(model_family="Homogenization", micro_conv="GINConv",
+                               macro_agg=None, optimizer="SGD", lr=0.1, seed=1)
+
+
+def overflowing_graph():
+    """The 60/30-node synthetic graph with every feature scaled so that the
+    largest magnitude is 1.5e308: finite, so a plan accepts it."""
+    g = generate_synthetic(SyntheticSpec(
+        node_types=(("P", 60, 8), ("A", 30, 8)),
+        relations=(("ap", "A", "P", 150), ("pa", "P", "A", 150)),
+        target_type="P", num_communities=4, seed=1))
+    return dataclasses.replace(g, features={
+        t: x * (1.5e308 / np.abs(x).max()) for t, x in g.features.items()})
 
 
 def same_csr(a, b):

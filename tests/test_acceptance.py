@@ -194,10 +194,11 @@ def _kink_safe_grad_check(f, params, seed):
 
 def _check_dual(g, micro, macro, post, seed):
     bn_on, act_name, l2 = post
-    subs = extract_relation_subgraphs(g, g.relation_names)
+    subs = [s for s in extract_relation_subgraphs(g, g.relation_names)
+            if s.dst_type == "P"]
     plans = [L.aggregation_plan(micro, s) for s in subs]
     prng = np.random.default_rng(seed)
-    convs = [L.make_micro_conv(micro, 3, 3, prng, f"c{i}") for i in range(2)]
+    convs = [L.make_micro_conv(micro, 3, 3, prng, f"c{i}") for i in range(len(subs))]
     macro_mod = L.make_macro(macro, 3, prng, "m")
     act = L.Activation(act_name, prefix="act")
     bn = L.BatchNorm(3, "bn") if bn_on else None
@@ -207,7 +208,7 @@ def _check_dual(g, micro, macro, post, seed):
     def f():
         feats = {"P": hp, "A": ha}
         zs = [conv(plan, feats[s.src_type], feats[s.dst_type])
-              for s, plan, conv in zip(subs, plans, convs) if s.dst_type == "P"]
+              for s, plan, conv in zip(subs, plans, convs)]
         fused = L.macro_aggregate(macro_mod, zs)
         # dropout off, BN frozen (eval-mode running stats)
         out = L.intra_layer_post(fused, bn, 0.0, act, l2, training=False)
@@ -248,12 +249,13 @@ def _check_direct(g, micro, form, post, seed):
 def test_acceptance_3_gradient_suite():
     started = time.perf_counter()
     g = _grad_fixture()
+    fusing = _fusing_fixture()  # P receives ap and pp: every macro fuses two
     worst = 0.0
     n_checks = 0
     for mi, micro in enumerate(L.MICRO_KINDS):
         for ma, macro in enumerate(L.MACRO_KINDS):
             for pi, post in enumerate(POST_COMBOS):
-                err = _check_dual(g, micro, macro, post,
+                err = _check_dual(fusing, micro, macro, post,
                                   seed=1000 + 100 * mi + 10 * ma + pi)
                 assert err < 1e-4, f"dual {micro}/{macro}/{post}: {err:.2e}"
                 worst = max(worst, err)

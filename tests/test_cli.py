@@ -21,6 +21,8 @@ from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph, generate_
 from hgnn_space.model import DesignConfig
 from hgnn_space.runner import parse_plan, save_config_list
 
+from conftest import OVERFLOWING_CFG, overflowing_graph
+
 
 def bundle(tmp_path):
     spec = SyntheticSpec(
@@ -464,6 +466,34 @@ def test_run_and_analyze_end_to_end(tmp_path, capsys):
                  "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "edf_r.csv").exists()
     assert (out_dir / "edf.svg").exists()
+
+
+def test_a_run_with_warnings_as_errors_writes_the_same_file(tmp_path):
+    """`python -W error` turns numpy's RuntimeWarnings into exceptions; a
+    trial that overflows in its forward pass is still recorded as the
+    default run records it, and neither run prints a warning."""
+    cfg_path = tmp_path / "configs.json"
+    save_config_list([OVERFLOWING_CFG], cfg_path)
+    out = tmp_path / "r.ndrec"
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(
+        f"graph = {save_graph(overflowing_graph(), tmp_path / 'bundle')}\n"
+        "task = node_classification\n"
+        "target = P\n"
+        f"space = {cfg_path}\n"
+        "splits = 2\n"
+        f"out = {out}\n"
+        "epoch_override = 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hgnn_space.__file__).resolve().parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    files = []
+    for flags in ([], ["-W", "error"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "hgnn_space.cli", "run",
+                               "--plan", str(plan)], env=env, capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
 
 
 def test_edf_refuses_two_results_files_with_one_base_name(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from hgnn_space.runner import (ExperimentPlan, expand_plan, input_digests, parse
                                plan_canonical_text, plan_hash, read_results, run_plan,
                                run_trial_by_id, save_config_list)
 from hgnn_space.sparse import frozen
+
+from conftest import OVERFLOWING_CFG, overflowing_graph
 
 
 def make_bundle(tmp_path, seed=0):
@@ -299,6 +302,26 @@ def test_a_trial_that_raises_is_recorded_failed_and_the_plan_goes_on(tmp_path,
     assert failed["trial_id"] == 0 and failed["split_id"] == 0
     assert all("reason" not in json.loads(line) for line in lines[2:])
     assert _finalized_line(_record_to_json(run_trial_by_id(plan, 0))) == lines[1]
+
+
+def test_a_trial_that_overflows_is_recorded_alike_under_any_warnings_filter(tmp_path):
+    """A forward pass that overflows fails the trial through its finite
+    checks under any warnings filter; it never raises into the runner."""
+    cfg_path = tmp_path / "configs.json"
+    save_config_list([OVERFLOWING_CFG], cfg_path)
+    plan = ExperimentPlan(graph=save_graph(overflowing_graph(), tmp_path / "bundle"),
+                          task="node_classification", target="P", space=str(cfg_path),
+                          splits=2, out=str(tmp_path / "results.ndrec"),
+                          epoch_override=2)
+    bodies = []
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            bodies.append(Path(run_plan(plan)).read_text())
+    assert bodies[0] == bodies[1]
+    for record in read_results(plan.out):
+        assert record["status"] == "failed" and "reason" not in record
+        assert repr(record["history"]) == "{'train_loss': [], 'val_score': [nan]}"
 
 
 def test_a_graph_error_inside_a_trial_still_ends_the_run(tmp_path, monkeypatch):

@@ -269,6 +269,18 @@ def test_grad_log():
     check(lambda: T.tsum(T.mul(T.log(p), Tensor(v))), [p])
 
 
+def test_a_primitive_follows_the_callers_floating_point_policy():
+    """No primitive sets numpy's error handling: outside a trial a log of 0
+    warns as numpy's does, and under the caller's errstate it does not."""
+    zero = Parameter(np.zeros((1, 1)), "z")
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        out = T.log(zero)
+    with np.errstate(divide="ignore"):
+        out = T.log(zero)
+        T.tsum(out).backward()
+    assert out.data[0, 0] == -np.inf and zero.grad[0, 0] == np.inf
+
+
 def test_grad_prelu():
     rng = np.random.default_rng(8)
     p = param(rng, 6, 3, name="x")

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hgnn_space.train import (Adam, SGD, Task, TrialRecord, TrialStart,
                               graph_without_edges, macro_f1, make_optimizer,
                               make_splits, negative_sample, roc_auc, train_trial)
 
-from conftest import same_csr
+from conftest import OVERFLOWING_CFG, overflowing_graph, same_csr
 
 
 def planted_graph(seed=0, n_p=80, n_a=40, edges=200):
@@ -381,6 +384,28 @@ def test_macro_micro_coincide_on_balanced_uniform_confusion():
     assert macro_f1(preds, labels, 3) == pytest.approx(np.mean(preds == labels))
 
 
+def macro_f1_loop(preds, labels, num_classes):
+    """Reference: precision, recall and F1 one class at a time."""
+    f1s = []
+    for c in range(num_classes):
+        tp = int(np.sum((preds == c) & (labels == c)))
+        predicted, actual = int(np.sum(preds == c)), int(np.sum(labels == c))
+        prec = tp / predicted if predicted else 0.0
+        rec = tp / actual if actual else 0.0
+        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
+    return float(np.mean(f1s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 11).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                         min_size=1, max_size=120))))
+def test_macro_f1_equals_the_per_class_loop_bitwise(case):
+    k, pairs = case
+    preds, labels = np.array(pairs).T
+    assert macro_f1(preds, labels, k).hex() == macro_f1_loop(preds, labels, k).hex()
+
+
 def test_f1_invariant_under_class_relabeling():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 4, 60)
@@ -566,6 +591,85 @@ def test_trial_divergence_recorded_not_raised():
     assert rec.best_score is None
 
 
+def test_a_forward_overflow_is_recorded_alike_under_any_warnings_filter():
+    """The trial sets numpy's floating-point policy for its whole epoch
+    loop, forward passes included, so a warnings filter that raises on a
+    RuntimeWarning changes nothing; the non-finite logits fail the trial at
+    its first score."""
+    g = overflowing_graph()
+    task = Task("node_classification", "P", num_classes=4)
+    split = make_splits(task, g, 1, seed=0)[0]
+    records = []
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            records.append(train_trial(OVERFLOWING_CFG, g, split, task, max_epochs=2))
+    quiet, strict = (repr(dataclasses.replace(r, wall_time=0.0)) for r in records)
+    assert quiet == strict
+    rec = records[1]
+    assert rec.status == "failed" and rec.best_score is None and rec.reason is None
+    assert repr(rec.history) == "{'train_loss': [], 'val_score': [nan]}"
+
+
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+@pytest.mark.parametrize("optimizer", ["Adam", "SGD"])
+def test_an_output_that_overflows_in_the_last_evaluation_fails_the_trial(
+        monkeypatch, kind, optimizer):
+    """The last step leaves finite parameters whose evaluation-only forward
+    pass overflows: the score it would read off non-finite logits or link
+    scores is NaN, so the trial fails instead of recording that score."""
+    cls = getattr(train_mod, optimizer)
+    real_step = cls.step
+
+    def step(self):
+        real_step(self)
+        self.steps = getattr(self, "steps", 0) + 1
+        if self.steps == 3:
+            self.params[0].data[...] = 1e308
+
+    monkeypatch.setattr(cls, "step", step)
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task, split = _task_and_split(kind, g)
+    cfg = DesignConfig(optimizer=optimizer, hidden_dim=16, seed=5, task=task.kind,
+                       **FAMILY_POINTS["Relation"])
+    rec = train_trial(cfg, g, split, task, max_epochs=3)
+    assert rec.status == "failed" and rec.best_score is None
+    assert len(rec.history["train_loss"]) == len(rec.history["val_score"]) == 3
+    assert np.isfinite(rec.history["train_loss"] + rec.history["val_score"]).all()
+
+
+def _errstate_sites(path):
+    """(file name, enclosing function) of every `errstate` name in a file."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "errstate"
+                or isinstance(node, ast.Name) and node.id == "errstate"
+                or isinstance(node, ast.alias) and node.name == "errstate"):
+            sites.append((path.name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_only_the_trial_sets_numpy_floating_point_policy():
+    """One `np.errstate`, in `train_trial`, around the epoch loop; every
+    primitive and optimizer computes under the policy its caller set."""
+    src = Path(train_mod.__file__).parent
+    sites = [s for path in sorted(src.glob("*.py")) for s in _errstate_sites(path)]
+    assert sites == [("train.py", "train_trial")]
+    trial = next(n for n in ast.walk(ast.parse(Path(train_mod.__file__).read_text()))
+                 if isinstance(n, ast.FunctionDef) and n.name == "train_trial")
+    (block,) = [n for n in ast.walk(trial) if isinstance(n, ast.With)
+                and "errstate" in ast.unparse(n.items[0].context_expr)]
+    assert [ast.unparse(n.target) for n in block.body if isinstance(n, ast.For)] == [
+        "epoch"]
+
+
 def test_trial_link_prediction():
     g = planted_graph()
     task = Task("link_prediction", "ap")
@@ -629,43 +733,43 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
 
     losses, scores = [], []
     status = "ok"
-    score0 = evaluate()
-    if not np.isfinite(score0):
-        status = "failed"
-    scores.append(float(score0))
-    n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
-    for epoch in range(n_epochs):
-        if status == "failed":
-            break
-        drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
-        if task.kind == "node_classification":
-            loss = cross_entropy(T.gather_rows(logits(True, drop_rng), train_rows),
-                                 graph.labels[task.target][split.train])
-        else:
-            negs = negative_sample(graph, task.target, split.train,
-                                   train_mod.TRAIN_NEG_PER_POS,
-                                   np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
-            h = model.forward(msg_graph, training=True, rng=drop_rng)
-            loss = binary_cross_entropy(
-                score_links(h[rel.src_type], h[rel.dst_type],
-                            split.train[:, 0], split.train[:, 1]),
-                score_links(h[rel.src_type], h[rel.dst_type], negs[:, 0], negs[:, 1]))
-        losses.append(float(loss.data))
-        if not np.isfinite(losses[-1]):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        score0 = evaluate()
+        if not np.isfinite(score0):
             status = "failed"
-            break
-        opt.zero_grad()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scores.append(float(score0))
+        n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
+        for epoch in range(n_epochs):
+            if status == "failed":
+                break
+            drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
+            if task.kind == "node_classification":
+                loss = cross_entropy(T.gather_rows(logits(True, drop_rng), train_rows),
+                                     graph.labels[task.target][split.train])
+            else:
+                negs = negative_sample(
+                    graph, task.target, split.train, train_mod.TRAIN_NEG_PER_POS,
+                    np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
+                h = model.forward(msg_graph, training=True, rng=drop_rng)
+                loss = binary_cross_entropy(
+                    score_links(h[rel.src_type], h[rel.dst_type],
+                                split.train[:, 0], split.train[:, 1]),
+                    score_links(h[rel.src_type], h[rel.dst_type], negs[:, 0], negs[:, 1]))
+            losses.append(float(loss.data))
+            if not np.isfinite(losses[-1]):
+                status = "failed"
+                break
+            opt.zero_grad()
             loss.backward()
             opt.step()
-        if not all(np.isfinite(p.data).all() for p in params):
-            status = "failed"
-            break
-        score = evaluate()
-        if not np.isfinite(score):
-            status = "failed"
-            break
-        scores.append(float(score))
+            if not all(np.isfinite(p.data).all() for p in params):
+                status = "failed"
+                break
+            score = evaluate()
+            if not np.isfinite(score):
+                status = "failed"
+                break
+            scores.append(float(score))
     finite = [x for x in scores if np.isfinite(x)]
     return TrialRecord(config=cfg.to_flat(), seed=cfg.seed, split_id=split.split_id,
                        status=status,
