@@ -312,12 +312,7 @@ def build_model(cfg: DesignConfig, graph: HeteroGraph, num_classes: int = 0,
     return Model(cfg, graph, num_classes=num_classes, target_type=target_type)
 
 
-def score_links(h_src, h_dst, src_ids, dst_ids):
-    """Sigmoid of the representation dot product, one score per id pair."""
-    src_ids = np.asarray(src_ids, dtype=np.int64)
-    dst_ids = np.asarray(dst_ids, dtype=np.int64)
-    if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= h_src.shape[0]):
-        raise GraphError("link source id out of range")
-    if dst_ids.size and (dst_ids.min() < 0 or dst_ids.max() >= h_dst.shape[0]):
-        raise GraphError("link destination id out of range")
-    return T.sigmoid(T.sddmm(h_src, h_dst, src_ids, dst_ids))
+def score_links(h_src, h_dst, src, dst):
+    """Sigmoid of the representation dot product, one score per pair of
+    `src` and `dst`, SegmentIndexes over h_src's and h_dst's rows."""
+    return T.sigmoid(T.sddmm(h_src, h_dst, src, dst))

@@ -201,7 +201,7 @@ def expand_plan(plan: ExperimentPlan):
 
 def _record_to_json(record: TrialRecord) -> str:
     d = asdict(record)
-    if d["reason"] is None:  # only a trial that raised carries a reason
+    if d["reason"] is None:  # only a failed trial carries a reason
         del d["reason"]
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
 

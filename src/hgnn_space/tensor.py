@@ -17,7 +17,7 @@ numpy's floating-point error handling, so each follows its caller's.
 
 One structure groups edges by endpoint: a `SegmentIndex` serves the
 gathers (whose backward is a segment sum), the segment softmax of attention
-weights and the CSR patterns of the sampled dense-dense product's backward.
+weights and the sampled dense-dense product (whose backward reads its CSR).
 A sparse-dense product runs on the `csr_array` its `SpmmPlan` is built from,
 and on that array's transpose, a view on the same arrays.
 """
@@ -616,46 +616,45 @@ def spmm(A: SpmmPlan, x, values=None):
                  (x, values), vjp)
 
 
-_SDDMM_BLOCK = 2048  # pairs per block: bounds the two gathered copies
+_SDDMM_BLOCK_BYTES = 1 << 18  # per gathered block: bounds the two gathered copies
 
 
 def _sddmm(a, b, rows, cols):
     """Row-wise dot products (a[rows] * b[cols]).sum(1), one per (row, col)
     pair, gathered and reduced one block of pairs at a time."""
     out = np.empty(rows.shape[0])
-    for s in range(0, rows.shape[0], _SDDMM_BLOCK):
-        e = s + _SDDMM_BLOCK
+    block = max(1, _SDDMM_BLOCK_BYTES // (8 * max(1, a.shape[1])))
+    for s in range(0, rows.shape[0], block):
+        e = s + block
         np.einsum("ij,ij->i", np.take(a, rows[s:e], axis=0),
                   np.take(b, cols[s:e], axis=0), out=out[s:e])
     return out
 
 
-def sddmm(a, b, rows, cols):
-    """Sampled dense-dense product: the column (a[rows] * b[cols]).sum(1).
+def sddmm(a, b, rows: SegmentIndex, cols: SegmentIndex):
+    """Sampled dense-dense product (a[rows.index] * b[cols.index]).sum(1),
+    a column; `rows` and `cols` are SegmentIndexes over a's and b's rows.
 
     Pairs may repeat, and rows of `a` or `b` that no pair touches get zero
     gradient. The backward pass is two sparse-dense products with the
     incoming gradient as the matrix data: G @ b for `a` and Gᵀ @ a for `b`."""
     a, b = _wrap(a), _wrap(b)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    if not isinstance(rows, SegmentIndex) or not isinstance(cols, SegmentIndex):
+        raise TensorError("sddmm needs a SegmentIndex for each operand")
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise TensorError(f"sddmm shape mismatch: {a.shape} and {b.shape}")
-    if rows.shape != cols.shape or rows.ndim != 1:
+    if rows.num_segments != a.shape[0] or cols.num_segments != b.shape[0]:
+        raise TensorError("sddmm index built for a different row count")
+    if rows.index.shape != cols.index.shape:
         raise TensorError("sddmm rows and cols must be equal-length vectors")
-    if rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]
-                      or cols.min() < 0 or cols.max() >= b.shape[0]):
-        raise TensorError("sddmm index out of range")
     ad, bd = a.data, b.data
-    data = _sddmm(ad, bd, rows, cols)[:, None]
+    data = _sddmm(ad, bd, rows.index, cols.index)[:, None]
     na, nb = a.shape[0], b.shape[0]
 
     def vjp(g):
         # duplicate pairs stay separate entries, so the products sum them
         g = g[:, 0]
-        ga = SegmentIndex(rows, na).csr(g, cols, nb) @ bd
-        gb = SegmentIndex(cols, nb).csr(g, rows, na) @ ad
-        return ga, gb
+        return rows.csr(g, cols.index, nb) @ bd, cols.csr(g, rows.index, na) @ ad
 
     return _make(data, (a, b), vjp)
 

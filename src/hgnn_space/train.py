@@ -54,7 +54,7 @@ class TrialRecord:
     wall_time: float
     format_version: str = RECORD_FORMAT
     trial_id: int = -1
-    reason: str | None = None      # "<ExceptionType>: <message>" of a trial that raised
+    reason: str | None = None  # failed only: nonfinite_<check>@epoch<e> or <Exc>: <msg>
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +294,10 @@ def binary_cross_entropy(pos_scores, neg_scores):
     return -T.tmean(T.concat([loss_pos, loss_neg], axis=0))
 
 
-def _val_score(out, graph, task, split, val_negs):
-    """Validation metric read off one forward pass: `out` is the logits (NC)
-    or the representations per node type (LP). NaN, which fails the trial,
-    when the logits or link scores it reads are not all finite."""
+def _val_score(out, graph, task, split, val_pairs):
+    """Validation metric read off one forward pass: the logits `out` (NC), or
+    the representations per node type `out` scored on `val_pairs` (LP). NaN,
+    which fails the trial, when the scores it reads are not all finite."""
     if task.kind == "node_classification":
         logits = out.data[split.val]
         if not np.isfinite(logits).all():
@@ -305,12 +305,11 @@ def _val_score(out, graph, task, split, val_negs):
         return macro_f1(np.argmax(logits, axis=1),
                         graph.labels[task.target][split.val], task.num_classes)
     rel = graph.relation(task.target)
-    pairs = np.concatenate([split.val, val_negs])
-    scores = score_links(out[rel.src_type], out[rel.dst_type],
-                         pairs[:, 0], pairs[:, 1]).data[:, 0]
+    src, dst, labels = val_pairs
+    scores = score_links(out[rel.src_type], out[rel.dst_type], src, dst).data[:, 0]
     if not np.isfinite(scores).all():
         return np.nan
-    return roc_auc(scores, np.repeat([1, 0], [len(split.val), len(val_negs)]))
+    return roc_auc(scores, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +382,10 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     """Full-graph training of one config on one split.
 
     Validation runs before training (epoch 0) and after every epoch; the
-    best validation score wins. Non-finite losses or scores mark the trial
-    failed and stop it without raising; a config whose task is not
-    `task.kind` raises before the model is built, and any other invalid
-    config raises when it is built.
+    best validation score wins. A non-finite score, loss or parameter fails
+    the trial, stops it without raising and names the check and epoch as
+    the record's reason; a config whose task is not `task.kind` raises
+    before the model is built, any other invalid config when it is built.
 
     Every forward pass computes only the node types the loss and the score
     read: the target type (NC) or the target relation's two end types (LP).
@@ -410,9 +409,15 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
         val_negs = negative_sample(graph, task.target, split.val, 1,
                                    np.random.default_rng([split.seed, 19]))
         rel = graph.relation(task.target)
+        n_dst, n_src = graph.adjacency[task.target].shape  # rows are destinations
+        train_src = T.SegmentIndex(split.train[:, 0], n_src)
+        train_dst = T.SegmentIndex(split.train[:, 1], n_dst)
+        val = np.concatenate([split.val, val_negs])
+        val_pairs = (T.SegmentIndex(val[:, 0], n_src), T.SegmentIndex(val[:, 1], n_dst),
+                     np.repeat([1, 0], [len(split.val), len(val_negs)]))
     else:
         msg_graph = graph
-        val_negs = None
+        val_pairs = None
         labels = graph.labels.get(task.target)
         train_rows = T.SegmentIndex(split.train, labels.shape[0])
 
@@ -431,15 +436,15 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
             return cross_entropy(T.gather_rows(out, train_rows), labels[split.train])
         negs = negative_sample(graph, task.target, split.train, TRAIN_NEG_PER_POS,
                                np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
-        return binary_cross_entropy(
-            score_links(out[rel.src_type], out[rel.dst_type],
-                        split.train[:, 0], split.train[:, 1]),
-            score_links(out[rel.src_type], out[rel.dst_type], negs[:, 0], negs[:, 1]))
+        neg_dst = T.SegmentIndex(negs[:, 1], n_dst)  # slot i keeps positive i's source
+        h_src, h_dst = out[rel.src_type], out[rel.dst_type]
+        return binary_cross_entropy(score_links(h_src, h_dst, train_src, train_dst),
+                                    score_links(h_src, h_dst, train_src, neg_dst))
 
     one_pass = not cfg.dropout_p and not cfg.has_bn
     n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
     losses, scores = [], []
-    status = "ok"
+    reason = None
     # the one floating-point policy: a diverging trial may overflow anywhere in
     # the loop, and the finite checks record it under any warnings filter
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -455,9 +460,9 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
                 with T.no_grad():
                     out = forward(False)
             with T.no_grad():  # the scores feed no gradient
-                score = _val_score(out, graph, task, split, val_negs)
+                score = _val_score(out, graph, task, split, val_pairs)
             if not np.isfinite(score):
-                status = "failed"
+                reason = f"nonfinite_score@epoch{epoch}"
                 if epoch == 0:
                     scores.append(float(score))
                 break
@@ -471,24 +476,25 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
             loss_val = float(loss.data)
             losses.append(loss_val)
             if not np.isfinite(loss_val):
-                status = "failed"
+                reason = f"nonfinite_loss@epoch{epoch}"
                 break
             loss.backward()
             opt.step()
             opt.zero_grad()  # the next forward passes need no gradients
             if not all(np.isfinite(p.data).all() for p in params):
-                status = "failed"
+                reason = f"nonfinite_param@epoch{epoch}"
                 break
             del out, loss  # free this epoch's pass before the next one
 
-    best = max(scores) if status == "ok" else None  # then every score is finite
+    best = max(scores) if reason is None else None  # then every score is finite
     return TrialRecord(
         config=cfg.to_flat(),
         seed=cfg.seed,
         split_id=split.split_id,
-        status=status,
+        status="ok" if reason is None else "failed",
         best_score=best,
         metric=METRICS[task.kind],
         history={"train_loss": losses, "val_score": scores},
         wall_time=time.perf_counter() - started,
+        reason=reason,
     )

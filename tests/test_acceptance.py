@@ -346,7 +346,9 @@ def _task_loss_grad_error(g, cfg, case):
         bn.state.running_var = rng.uniform(0.5, 2.0, 8)
     train_idx, labels = np.array([0, 1, 3]), np.array([2, 0, 1, 1])
     train_rows = T.SegmentIndex(train_idx, 4)
-    pos, neg = np.array([[0, 0], [1, 1], [2, 3]]), np.array([[2, 0], [0, 3]])
+    n_p, n_a = g.adjacency["ap"].shape
+    pos, neg = ((T.SegmentIndex(p[:, 0], n_a), T.SegmentIndex(p[:, 1], n_p))
+                for p in (np.array([[0, 0], [1, 1], [2, 3]]), np.array([[2, 0], [0, 3]])))
 
     def f():
         if cfg.task == "node_classification":
@@ -354,8 +356,8 @@ def _task_loss_grad_error(g, cfg, case):
             return cross_entropy(T.gather_rows(logits, train_rows), labels[train_idx])
         out = model.forward(g, types=("A", "P"))
         return binary_cross_entropy(
-            score_links(out["A"], out["P"], pos[:, 0], pos[:, 1]),
-            score_links(out["A"], out["P"], neg[:, 0], neg[:, 1]))
+            score_links(out["A"], out["P"], *pos),
+            score_links(out["A"], out["P"], *neg))
 
     return _kink_safe_grad_check(f, params, 702 + case)
 

@@ -773,7 +773,7 @@ def test_gat_backward_holds_less_than_one_edge_by_feature_array():
     pairs, never gathered for every edge at once."""
     rng = np.random.default_rng(41)
     n, d = 64, 64
-    n_edges = 4 * T._SDDMM_BLOCK + n
+    n_edges = 4 * (T._SDDMM_BLOCK_BYTES // (8 * d)) + n
     dst = np.sort(rng.integers(0, n, n_edges))
     # built from (data, indices, indptr), so a repeated pair stays two entries
     indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))])

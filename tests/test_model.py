@@ -9,7 +9,7 @@ import hgnn_space.tensor as T
 from hgnn_space.hgraph import GraphError, build_graph
 from hgnn_space.model import (DesignConfig, Model, build_model, metapaths_from_text,
                               metapaths_to_text, score_links)
-from hgnn_space.tensor import Parameter, Tensor
+from hgnn_space.tensor import Parameter, SegmentIndex, Tensor, TensorError
 from hgnn_space.train import Split, Task, train_trial
 from hgnn_space.transform import homogenize, type_offsets
 
@@ -342,16 +342,20 @@ def test_forward_rejects_unknown_types():
 # ---------------------------------------------------------------------------
 
 def test_score_links_closed_forms():
+    def pair(h, src, dst):  # an id out of range is refused here
+        n = h.shape[0]
+        return h, h, SegmentIndex([src], n), SegmentIndex([dst], n)
+
     z = Tensor(np.zeros((2, 4)))
-    s = score_links(z, z, [0], [1])
+    s = score_links(*pair(z, 0, 1))
     assert s.data.tolist() == [[0.5]]
     ortho = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert score_links(ortho, ortho, [0], [1]).data.tolist() == [[0.5]]
+    assert score_links(*pair(ortho, 0, 1)).data.tolist() == [[0.5]]
     unit = Tensor(np.array([[1.0, 0.0]]))
-    got = score_links(unit, unit, [0], [0]).data.item()
+    got = score_links(*pair(unit, 0, 0)).data.item()
     assert got == pytest.approx(0.7310585786300049, abs=1e-12)
-    with pytest.raises(GraphError, match="out of range"):
-        score_links(unit, unit, [3], [0])
+    with pytest.raises(TensorError, match="out of range"):
+        score_links(*pair(unit, 3, 0))
 
 
 # ---------------------------------------------------------------------------

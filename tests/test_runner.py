@@ -320,7 +320,8 @@ def test_a_trial_that_overflows_is_recorded_alike_under_any_warnings_filter(tmp_
             bodies.append(Path(run_plan(plan)).read_text())
     assert bodies[0] == bodies[1]
     for record in read_results(plan.out):
-        assert record["status"] == "failed" and "reason" not in record
+        assert record["status"] == "failed"
+        assert record["reason"] == "nonfinite_score@epoch0"
         assert repr(record["history"]) == "{'train_loss': [], 'val_score': [nan]}"
 
 

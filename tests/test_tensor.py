@@ -501,28 +501,28 @@ def test_spmm_rejects_bad_inputs():
 
 
 # row 2 of a and row 4 of b appear in no pair; (0, 1) appears twice
-SDDMM_ROWS = np.array([0, 3, 1, 0, 3, 0])
-SDDMM_COLS = np.array([1, 0, 3, 1, 2, 0])
+SDDMM_ROWS = SegmentIndex([0, 3, 1, 0, 3, 0], 4)
+SDDMM_COLS = SegmentIndex([1, 0, 3, 1, 2, 0], 5)
 
 
 def test_grad_sddmm_with_duplicate_pairs_and_untouched_rows():
     rng = np.random.default_rng(43)
     a = param(rng, 4, 3, name="a")
     b = param(rng, 5, 3, name="b")
-    v = rng.standard_normal((SDDMM_ROWS.size, 1))
+    v = rng.standard_normal((SDDMM_ROWS.index.size, 1))
     check(lambda: T.tsum(T.mul(T.sddmm(a, b, SDDMM_ROWS, SDDMM_COLS), Tensor(v))),
           [a, b])
 
 
 def test_sddmm_matches_gather_mul_sum_composition():
     rng = np.random.default_rng(44)
-    v = rng.standard_normal((SDDMM_ROWS.size, 1))
+    v = rng.standard_normal((SDDMM_ROWS.index.size, 1))
     a = param(rng, 4, 3, name="a")
     b = param(rng, 5, 3, name="b")
     results = []
     for f in (lambda: T.sddmm(a, b, SDDMM_ROWS, SDDMM_COLS),
-              lambda: T.tsum(T.mul(T.gather_rows(a, SegmentIndex(SDDMM_ROWS, 4)),
-                                   T.gather_rows(b, SegmentIndex(SDDMM_COLS, 5))),
+              lambda: T.tsum(T.mul(T.gather_rows(a, SDDMM_ROWS),
+                                   T.gather_rows(b, SDDMM_COLS)),
                              axis=1, keepdims=True)):
         a.grad = b.grad = None
         out = f()
@@ -537,25 +537,40 @@ def test_sddmm_matches_gather_mul_sum_composition():
 def test_sddmm_zero_pairs_and_bad_inputs():
     a = Parameter(np.ones((2, 3)), "a")
     b = Parameter(np.ones((4, 3)), "b")
-    out = T.sddmm(a, b, [], [])
+
+    def sddmm(rows, cols, b=b):
+        # an id out of range is refused where its index is built
+        return T.sddmm(a, b, SegmentIndex(rows, 2), SegmentIndex(cols, 4))
+
+    out = sddmm([], [])
     assert out.shape == (0, 1)
     T.tsum(out).backward()
     assert a.grad.shape == (2, 3) and not a.grad.any()
     assert b.grad.shape == (4, 3) and not b.grad.any()
     with pytest.raises(TensorError):
-        T.sddmm(a, Tensor(np.ones((4, 2))), [0], [0])   # widths differ
+        sddmm([0], [0], b=Tensor(np.ones((4, 2))))      # widths differ
     with pytest.raises(TensorError):
-        T.sddmm(a, b, [0, 1], [0])                       # unequal lengths
+        sddmm([0, 1], [0])                               # unequal lengths
     with pytest.raises(TensorError):
-        T.sddmm(a, b, [2], [0])                          # row out of range
+        sddmm([2], [0])                                  # row out of range
     with pytest.raises(TensorError):
-        T.sddmm(a, b, [0], [-1])                         # column out of range
+        sddmm([0], [-1])                                 # column out of range
+    rows, cols = SegmentIndex([0], 2), SegmentIndex([3], 4)
+    for raw in ((np.array([0]), cols), (rows, [3])):
+        with pytest.raises(TensorError, match="needs a SegmentIndex"):
+            T.sddmm(a, b, *raw)
+    for other in ((SegmentIndex([0], 3), cols), (rows, SegmentIndex([3], 5))):
+        with pytest.raises(TensorError, match="different row count"):
+            T.sddmm(a, b, *other)
 
 
-@pytest.mark.parametrize("d", [1, 64])
-@pytest.mark.parametrize("n_pairs", [0, 1, T._SDDMM_BLOCK - 1, T._SDDMM_BLOCK,
-                                     T._SDDMM_BLOCK + 1, 3 * T._SDDMM_BLOCK + 5])
-def test_blocked_sddmm_equals_the_one_shot_einsum_bitwise(n_pairs, d):
+@pytest.mark.parametrize("d", [1, 64, 128])
+@pytest.mark.parametrize("blocks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1),
+                                          (3, 5)])
+def test_blocked_sddmm_equals_the_one_shot_einsum_bitwise(blocks, extra, d):
+    """Pair counts straddle the block, whose size the byte budget and the
+    row width set."""
+    n_pairs = blocks * (T._SDDMM_BLOCK_BYTES // (8 * d)) + extra
     rng = np.random.default_rng(45)
     a = rng.standard_normal((37, d))
     b = rng.standard_normal((29, d))
@@ -564,7 +579,7 @@ def test_blocked_sddmm_equals_the_one_shot_einsum_bitwise(n_pairs, d):
     got = T._sddmm(a, b, rows, cols)
     want = np.einsum("ij,ij->i", a[rows], b[cols])
     assert got.shape == want.shape == (n_pairs,)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,19 @@ def test_node_classification_trial_indexes_its_train_ids_once(segment_index_site
     assert len(segment_index_sites) == (1 if micro == "SageConv" else 5)
 
 
+def test_link_prediction_trial_indexes_its_pairs_once(segment_index_sites):
+    """The training positives and the validation pairs are indexed once per
+    trial and each epoch indexes only its negatives' destinations; no
+    backward pass builds an index (a GCN model's plans hold none)."""
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task, split = _task_and_split("LP", g)
+    cfg = DesignConfig(hidden_dim=8, seed=5, task=task.kind, **FAMILY_POINTS["Relation"])
+    rec = train_trial(cfg, g, split, task, max_epochs=6)
+    assert rec.status == "ok" and len(rec.history["train_loss"]) == 6
+    assert segment_index_sites == ([("train.py", "train_trial")] * 4
+                                   + [("train.py", "train_loss")] * 6)
+
+
 def test_trial_zero_epochs_returns_initial_metrics():
     g = planted_graph()
     task = Task("node_classification", "P", num_classes=4)
@@ -607,7 +620,8 @@ def test_a_forward_overflow_is_recorded_alike_under_any_warnings_filter():
     quiet, strict = (repr(dataclasses.replace(r, wall_time=0.0)) for r in records)
     assert quiet == strict
     rec = records[1]
-    assert rec.status == "failed" and rec.best_score is None and rec.reason is None
+    assert rec.status == "failed" and rec.best_score is None
+    assert rec.reason == "nonfinite_score@epoch0"
     assert repr(rec.history) == "{'train_loss': [], 'val_score': [nan]}"
 
 
@@ -705,6 +719,12 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
         val_negs = negative_sample(graph, task.target, split.val, 1,
                                    np.random.default_rng([split.seed, 19]))
         metric_name = "roc_auc"
+        n_dst, n_src = graph.adjacency[task.target].shape
+
+        def pair_index(pairs):
+            return (T.SegmentIndex(pairs[:, 0], n_src), T.SegmentIndex(pairs[:, 1], n_dst))
+
+        train_pairs, val_pos, val_neg = map(pair_index, (split.train, split.val, val_negs))
     else:
         msg_graph, val_negs, metric_name = graph, None, "macro_f1"
         train_rows = T.SegmentIndex(split.train, graph.labels[task.target].shape[0])
@@ -724,19 +744,17 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
             return train_mod.macro_f1(preds, graph.labels[task.target][split.val],
                                       task.num_classes)
         h = model.forward(msg_graph, training=False)
-        pos = score_links(h[rel.src_type], h[rel.dst_type],
-                          split.val[:, 0], split.val[:, 1]).data[:, 0]
-        neg = score_links(h[rel.src_type], h[rel.dst_type],
-                          val_negs[:, 0], val_negs[:, 1]).data[:, 0]
+        pos = score_links(h[rel.src_type], h[rel.dst_type], *val_pos).data[:, 0]
+        neg = score_links(h[rel.src_type], h[rel.dst_type], *val_neg).data[:, 0]
         return train_mod.roc_auc(np.concatenate([pos, neg]),
                                  np.concatenate([np.ones(pos.size), np.zeros(neg.size)]))
 
     losses, scores = [], []
-    status = "ok"
+    status, reason = "ok", None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         score0 = evaluate()
         if not np.isfinite(score0):
-            status = "failed"
+            status, reason = "failed", "nonfinite_score@epoch0"
         scores.append(float(score0))
         n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
         for epoch in range(n_epochs):
@@ -752,22 +770,21 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
                     np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
                 h = model.forward(msg_graph, training=True, rng=drop_rng)
                 loss = binary_cross_entropy(
-                    score_links(h[rel.src_type], h[rel.dst_type],
-                                split.train[:, 0], split.train[:, 1]),
-                    score_links(h[rel.src_type], h[rel.dst_type], negs[:, 0], negs[:, 1]))
+                    score_links(h[rel.src_type], h[rel.dst_type], *train_pairs),
+                    score_links(h[rel.src_type], h[rel.dst_type], *pair_index(negs)))
             losses.append(float(loss.data))
             if not np.isfinite(losses[-1]):
-                status = "failed"
+                status, reason = "failed", f"nonfinite_loss@epoch{epoch}"
                 break
             opt.zero_grad()
             loss.backward()
             opt.step()
             if not all(np.isfinite(p.data).all() for p in params):
-                status = "failed"
+                status, reason = "failed", f"nonfinite_param@epoch{epoch}"
                 break
             score = evaluate()
             if not np.isfinite(score):
-                status = "failed"
+                status, reason = "failed", f"nonfinite_score@epoch{epoch + 1}"
                 break
             scores.append(float(score))
     finite = [x for x in scores if np.isfinite(x)]
@@ -776,7 +793,7 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
                        best_score=max(finite) if status == "ok" and finite else None,
                        metric=metric_name,
                        history={"train_loss": losses, "val_score": scores},
-                       wall_time=0.0)
+                       wall_time=0.0, reason=reason)
 
 
 FAMILY_POINTS = {
@@ -860,6 +877,7 @@ def test_trial_matches_loop_on_nonfinite_loss(kind, optimizer, micro, layers):
                        connectivity="SKIP-SUM", seed=3)
     rec = assert_same_trial(cfg, kind, max_epochs=30)
     assert rec.status == "failed" and not np.isfinite(rec.history["train_loss"][-1])
+    assert rec.reason == f"nonfinite_loss@epoch{len(rec.history['train_loss']) - 1}"
 
 
 @pytest.mark.parametrize("kind", ["NC", "LP"])
@@ -878,7 +896,7 @@ def test_trial_matches_loop_on_nonfinite_parameter(monkeypatch, kind, optimizer)
     cfg = DesignConfig(optimizer=optimizer, lr=0.1, hidden_dim=16, seed=5,
                        **FAMILY_POINTS["Relation"])
     rec = assert_same_trial(cfg, kind, max_epochs=6)
-    assert rec.status == "failed"
+    assert rec.status == "failed" and rec.reason == "nonfinite_param@epoch2"
     assert len(rec.history["train_loss"]) == len(rec.history["val_score"]) == 3
 
 
@@ -898,7 +916,7 @@ def test_trial_matches_loop_on_nonfinite_score(monkeypatch, kind, bad_call, drop
     cfg = DesignConfig(hidden_dim=16, dropout_p=dropout_p, seed=5,
                        **FAMILY_POINTS["Relation"])
     got = assert_same_trial(cfg, kind, max_epochs=4, reset=lambda: calls.__setitem__(0, 0))
-    assert got.status == "failed"
+    assert got.status == "failed" and got.reason == f"nonfinite_score@epoch{bad_call}"
     # a non-finite first score is kept in the history; later ones are not
     assert len(got.history["val_score"]) == max(bad_call, 1)
     assert np.isnan(got.history["val_score"][-1]) == (bad_call == 0)
