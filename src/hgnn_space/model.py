@@ -106,7 +106,8 @@ class _MpLayer(L.Module):
 
 
 class Model(L.Module):
-    """A built network; one instance per trial, not shared across threads."""
+    """A built network; the trials of one config use it in turn, and no two
+    threads share it."""
 
     def __init__(self, cfg: DesignConfig, graph: HeteroGraph, num_classes: int = 0,
                  target_type: str | None = None):
@@ -120,16 +121,9 @@ class Model(L.Module):
         self.target_type = target_type
         self.type_names = graph.type_names
         self.type_counts = {t.name: t.count for t in graph.node_types}
-        rng = np.random.default_rng(cfg.seed)
-        hid = cfg.hidden_dim
-
-        type_specs = [(t.name, t.feature_dim, t.count) for t in graph.node_types]
-        self.pre = L.HeteroLinear(type_specs, hid, rng, prefix="pre0")
-        self.pre_extra = [
-            (L.HeteroLinear([(t, hid, 0) for t in self.type_names], hid, rng,
-                            prefix=f"pre{i}"),
-             L.Activation(cfg.activation, prefix=f"pre{i}.act"))
-            for i in range(1, cfg.pre_layers)]
+        self.type_specs = tuple((t.name, t.feature_dim, t.count)
+                                for t in graph.node_types)
+        self.n_relations = len(graph.relations)
 
         # the graph transformation fixes the node sets message passing runs on
         # (name -> node count) and the subgraphs between them (name, source
@@ -144,6 +138,7 @@ class Model(L.Module):
         receiving = {dst for _, _, dst in self.sub_specs}
         self.receiving = tuple(s for s in self.node_sets if s in receiving)
 
+        hid = cfg.hidden_dim
         widths_in = []
         w = hid
         for _ in range(cfg.mp_layers):
@@ -151,13 +146,29 @@ class Model(L.Module):
             w = w + hid if cfg.connectivity == "SKIP-CAT" else hid
         self.final_width = w
         self.widths_in = tuple(widths_in)
+        self.init_parameters()
+
+    def init_parameters(self):
+        """Draw every parameter and batch-norm state anew from the config
+        seed, in a fixed order: pre-process, extra pre-process layers, each
+        message-passing layer's convolutions then macros, post-process,
+        head. The modules are new objects; the prepared graph is kept."""
+        cfg = self.cfg
+        rng = np.random.default_rng(cfg.seed)
+        hid = cfg.hidden_dim
+        self.pre = L.HeteroLinear(self.type_specs, hid, rng, prefix="pre0")
+        self.pre_extra = [
+            (L.HeteroLinear([(t, hid, 0) for t in self.type_names], hid, rng,
+                            prefix=f"pre{i}"),
+             L.Activation(cfg.activation, prefix=f"pre{i}.act"))
+            for i in range(1, cfg.pre_layers)]
 
         self.mp = []
-        for li in range(cfg.mp_layers):
+        for li, width in enumerate(self.widths_in):
             layer = _MpLayer()
-            layer.convs = [L.make_micro_conv(cfg.micro_conv, widths_in[li], hid, rng,
+            layer.convs = [L.make_micro_conv(cfg.micro_conv, width, hid, rng,
                                              f"mp{li}.conv.{name}", cfg.attention_form,
-                                             len(graph.relations))
+                                             self.n_relations)
                            for name, _, _ in self.sub_specs]
             # a macro for every receiving type, even one whose lone subgraph
             # bypasses it: Attention macros draw their parameters from `rng`,

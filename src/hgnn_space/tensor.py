@@ -271,10 +271,22 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
-    ad, bd = a.data, b.data
+    # as in `mul`, keep an operand only when the other needs a gradient (the
+    # first pre-process layer's features need none)
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        if bd is None:
+            ga = None
+        elif bd.shape[1] == 1:
+            # a one-column product's outer product, bitwise as gemm, which
+            # adds each product to +0.0 (so -0.0 becomes +0.0)
+            ga = np.einsum("i,j->ij", g[:, 0], bd[:, 0])
+            ga += 0.0
+        else:
+            ga = g @ bd.T
+        return ga, None if ad is None else ad.T @ g
 
     return _make(data, (a, b), vjp)
 

@@ -226,13 +226,16 @@ class SGD:
 
 
 class Adam:
+    """Adam with one (2, *shape) block of moments m and v per parameter
+    name, made at the parameter's first gradient; a parameter that never
+    gets one has none."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.slots = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data))
-                      for p in self.params}
+        self.slots = {}
 
     def step(self):
         self.t += 1
@@ -247,16 +250,28 @@ class Adam:
             # time in two scratch arrays, so every element rounds as in
             # that expression; p.grad may be another leaf's too and is
             # only read
-            m, v = self.slots[p.name]
             g = p.grad
-            a = (1 - b1) * g
-            m *= b1
-            m += a
-            np.multiply(g, g, out=a)
-            a *= 1 - b2
-            v *= b2
-            v += a
-            np.divide(m, c1, out=a)
+            if p.name not in self.slots:
+                # one block for both moments fragments the heap less than
+                # two arrays; as zero moments decayed, then added to:
+                # `0.0 * b1 + x` is x but for -0.0, which becomes +0.0
+                # (g * g is never -0.0)
+                m, v = self.slots[p.name] = np.empty((2,) + g.shape)
+                np.multiply(1 - b1, g, out=m)
+                m += 0.0
+                np.multiply(g, g, out=v)
+                v *= 1 - b2
+                a = m / c1
+            else:
+                m, v = self.slots[p.name]
+                a = (1 - b1) * g
+                m *= b1
+                m += a
+                np.multiply(g, g, out=a)
+                a *= 1 - b2
+                v *= b2
+                v += a
+                np.divide(m, c1, out=a)
             a *= self.lr
             b = v / c2
             np.sqrt(b, out=b)
@@ -318,13 +333,12 @@ def _val_score(out, graph, task, split, val_pairs):
 
 class TrialStart:
     """What the trials of one config on `splits` splits start from: the
-    built model, its initial parameter arrays and batch-norm statistics, and
-    the node-classification evaluation output at those parameters, none of
-    which depends on the split.
+    built model and the node-classification evaluation output at its
+    initial parameters, neither of which depends on the split.
 
-    The first trial to begin builds the model. Every trial but the last
-    trains on fresh copies of the initial arrays, which stay read-only
-    while they are shared; the last trains on them. A link-prediction
+    The first trial to begin builds the model; each later one draws its
+    parameters again from the config seed, the same arrays in new memory,
+    so the splits hold one copy of the parameter state. A link-prediction
     trial's message graph differs per split, so its model prepares the
     graph again in its first forward pass."""
 
@@ -348,22 +362,8 @@ class TrialStart:
             self.model = build_model(
                 self.cfg, msg_graph, num_classes=task.num_classes,
                 target_type=task.target if task.kind == "node_classification" else None)
-            self._params = self.model.parameters()
-            self.initial = [p.data for p in self._params]
-            # batch norm replaces its running statistics, never writes them
-            self._bn = [(bn.state, bn.state.running_mean, bn.state.running_var)
-                        for layer in self.model.mp for bn in layer.bns.values()]
-            for a in self.initial:
-                a.flags.writeable = False
-        for p, a in zip(self._params, self.initial):
-            if self.remaining:
-                p.data = a.copy()
-            else:
-                a.flags.writeable = True
-                p.data = a
-            p.grad = None
-        for state, mean, var in self._bn:
-            state.running_mean, state.running_var = mean, var
+        else:
+            self.model.init_parameters()
         return self.model
 
     def initial_eval(self, forward):

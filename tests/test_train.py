@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -517,6 +518,31 @@ def test_in_place_optimizer_steps_equal_the_plain_formulas_bitwise(kind, seed):
                            for a, b in zip(opt.slots[p.name], slots[q.name]))
 
 
+def test_adam_makes_moments_at_a_parameters_first_gradient():
+    """No moments for a parameter without a gradient; one whose first
+    gradient comes at step 3 steps as if its zero moments had decayed."""
+    rng = np.random.default_rng(7)
+    got = [Parameter(_odd_arrays(rng, (6, 4)), "early"),
+           Parameter(_odd_arrays(rng, (6, 4)), "late"),
+           Parameter(rng.normal(size=(2, 2)), "never")]
+    want = [Parameter(p.data.copy(), p.name) for p in got]
+    opt = Adam(got, 0.01)
+    assert opt.slots == {}
+    slots = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in want}
+    for t in range(1, 6):
+        for p, q in zip(got[:2], want[:2]):
+            g = _odd_arrays(rng, p.shape) if p.name == "early" or t >= 3 else None
+            p.grad, q.grad = g, None if g is None else g.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            opt.step()
+            adam_step_reference(want, slots, t, 0.01)
+        assert sorted(opt.slots) == (["early", "late"] if t >= 3 else ["early"])
+        for p, q in zip(got, want):
+            assert _bits(p.data) == _bits(q.data), (t, p.name)
+        for name, moments in opt.slots.items():
+            assert [_bits(a) for a in moments] == [_bits(b) for b in slots[name]]
+
+
 # ---------------------------------------------------------------------------
 # train_trial
 # ---------------------------------------------------------------------------
@@ -949,7 +975,7 @@ def test_each_split_starts_from_the_initial_arrays(kind):
         def begin(self, msg_graph):
             model = super().begin(msg_graph)
             params = model.parameters()
-            seen.append((self.remaining, params, [p.data for p in params]))
+            seen.append((self.remaining, model, [p.data for p in params]))
             assert [p.name for p in params] == [n for n, _ in want]
             for p, (_, a) in zip(params, want):
                 assert np.array_equal(p.data, a) and p.grad is None
@@ -958,9 +984,6 @@ def test_each_split_starts_from_the_initial_arrays(kind):
                 for bn in layer.bns.values():
                     assert not bn.state.running_mean.any()
                     assert (bn.state.running_var == 1).all()
-            # the snapshot is read-only while a later split still needs it
-            assert all(a.flags.writeable == (self.remaining == 0)
-                       for a in self.initial)
             return model
 
     start = Spy(cfg, g, task, splits=3)
@@ -971,15 +994,41 @@ def test_each_split_starts_from_the_initial_arrays(kind):
             if f.name != "wall_time":
                 assert repr(getattr(got, f.name)) == repr(getattr(alone, f.name))
         assert got.status == "ok" and len(got.history["train_loss"]) == 3
-        assert any(not np.array_equal(p.data, a)  # the split trained
-                   for p, (_, a) in zip(seen[-1][1], want))
+        assert any(not np.array_equal(a, b)  # the split trained
+                   for a, (_, b) in zip(seen[-1][2], want))
     assert [r for r, _, _ in seen] == [2, 1, 0]
-    # one model for all three, trained on copies but for the last split
-    assert seen[0][1][0] is seen[2][1][0]
-    assert not any(a is b for a, b in zip(seen[0][2], start.initial))
-    assert all(a is b for a, b in zip(seen[2][2], start.initial))
+    # one model serves every split, each on parameter arrays of its own
+    assert seen[0][1] is seen[1][1] is seen[2][1]
+    for i, (_, _, mine) in enumerate(seen):
+        for _, _, other in seen[i + 1:]:
+            assert not any(np.shares_memory(a, b) for a, b in zip(mine, other))
     with pytest.raises(ValueError, match="every trial of this start has begun"):
         start.begin(g)
+
+
+def test_the_splits_of_a_config_peak_alike():
+    """A config's splits hold one copy of its parameter state: on a tiny
+    graph, where the parameters dominate a trial's memory, every split of
+    an 800k-parameter config peaks at the same traced size."""
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task = Task("node_classification", "P", num_classes=4)
+    cfg = DesignConfig(model_family="Homogenization", micro_conv="SageConv",
+                       macro_agg=None, connectivity="SKIP-CAT", mp_layers=6,
+                       hidden_dim=128, seed=3)
+    splits = make_splits(task, g, 3, seed=2)
+    start = TrialStart(cfg, g, task, splits=3)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for split in splits:
+            tracemalloc.reset_peak()
+            rec = train_trial(cfg, g, split, task, max_epochs=2, start=start)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            assert rec.status == "ok"
+    finally:
+        tracemalloc.stop()
+    assert sum(p.data.size for p in start.model.parameters()) > 100_000
+    assert max(peaks) <= 1.02 * min(peaks), peaks
 
 
 @pytest.mark.parametrize("kind", ["NC", "LP"])
