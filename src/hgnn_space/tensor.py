@@ -277,15 +277,7 @@ def matmul(a, b):
     bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        if bd is None:
-            ga = None
-        elif bd.shape[1] == 1:
-            # a one-column product's outer product, bitwise as gemm, which
-            # adds each product to +0.0 (so -0.0 becomes +0.0)
-            ga = np.einsum("i,j->ij", g[:, 0], bd[:, 0])
-            ga += 0.0
-        else:
-            ga = g @ bd.T
+        ga = None if bd is None else g @ bd.T
         return ga, None if ad is None else ad.T @ g
 
     return _make(data, (a, b), vjp)

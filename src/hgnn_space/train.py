@@ -226,9 +226,9 @@ class SGD:
 
 
 class Adam:
-    """Adam with one (2, *shape) block of moments m and v per parameter
-    name, made at the parameter's first gradient; a parameter that never
-    gets one has none."""
+    """Adam whose moments m and v for a parameter, one zeroed (2, *shape)
+    block, are made at its first gradient; a parameter that never gets one
+    has none."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -252,26 +252,16 @@ class Adam:
             # only read
             g = p.grad
             if p.name not in self.slots:
-                # one block for both moments fragments the heap less than
-                # two arrays; as zero moments decayed, then added to:
-                # `0.0 * b1 + x` is x but for -0.0, which becomes +0.0
-                # (g * g is never -0.0)
-                m, v = self.slots[p.name] = np.empty((2,) + g.shape)
-                np.multiply(1 - b1, g, out=m)
-                m += 0.0
-                np.multiply(g, g, out=v)
-                v *= 1 - b2
-                a = m / c1
-            else:
-                m, v = self.slots[p.name]
-                a = (1 - b1) * g
-                m *= b1
-                m += a
-                np.multiply(g, g, out=a)
-                a *= 1 - b2
-                v *= b2
-                v += a
-                np.divide(m, c1, out=a)
+                self.slots[p.name] = np.zeros((2,) + g.shape)
+            m, v = self.slots[p.name]
+            a = (1 - b1) * g
+            m *= b1
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1 - b2
+            v *= b2
+            v += a
+            np.divide(m, c1, out=a)
             a *= self.lr
             b = v / c2
             np.sqrt(b, out=b)

@@ -140,31 +140,6 @@ def test_matmul_computes_only_the_gradients_its_inputs_read():
     assert gv is None and ga.shape == (3, 4)
 
 
-def _salted(rng, shape):
-    """Random values salted with +-0.0, +-inf, nan and subnormals."""
-    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-    flat = a.reshape(-1)
-    picks = rng.choice(flat.size, size=min(8, flat.size), replace=False)
-    flat[picks] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310],
-                             size=picks.size)
-    return a
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=200),
-       st.integers(min_value=0, max_value=2 ** 31))
-def test_one_column_matmul_backward_is_gemm_bitwise(n, k, seed):
-    rng = np.random.default_rng(seed)
-    a = Parameter(_salted(rng, (n, k)), "a")
-    b = Parameter(_salted(rng, (k, 1)), "b")
-    g = _salted(rng, (n, 1))
-    with np.errstate(invalid="ignore", over="ignore"):
-        ga, gb = T.matmul(a, b)._vjp(g)
-        want_a, want_b = g @ b.data.T, a.data.T @ g
-    assert ga.shape == want_a.shape and ga.tobytes() == want_a.tobytes()
-    assert gb.tobytes() == want_b.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # backward machinery
 # ---------------------------------------------------------------------------
