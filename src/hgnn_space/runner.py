@@ -332,7 +332,7 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
         # config's before the next model is built
         for cfg, ids in groupby(pending, key=lambda i: configs[i // len(splits)]):
             ids = list(ids)
-            start = TrialStart(cfg, graph, task, splits=len(ids))
+            start = TrialStart(cfg, graph, task)
             for i in ids:
                 record = _run_one(plan, graph, task, splits, configs, i, start)
                 done[i] = _record_to_json(record)

@@ -299,54 +299,32 @@ def binary_cross_entropy(pos_scores, neg_scores):
     return -T.tmean(T.concat([loss_pos, loss_neg], axis=0))
 
 
-def _val_score(out, graph, task, split, val_pairs):
-    """Validation metric read off one forward pass: the logits `out` (NC), or
-    the representations per node type `out` scored on `val_pairs` (LP). NaN,
-    which fails the trial, when the scores it reads are not all finite."""
-    if task.kind == "node_classification":
-        logits = out.data[split.val]
-        if not np.isfinite(logits).all():
-            return np.nan
-        return macro_f1(np.argmax(logits, axis=1),
-                        graph.labels[task.target][split.val], task.num_classes)
-    rel = graph.relation(task.target)
-    src, dst, labels = val_pairs
-    scores = score_links(out[rel.src_type], out[rel.dst_type], src, dst).data[:, 0]
-    if not np.isfinite(scores).all():
-        return np.nan
-    return roc_auc(scores, labels)
-
-
 # ---------------------------------------------------------------------------
 # the trial loop
 # ---------------------------------------------------------------------------
 
 class TrialStart:
-    """What the trials of one config on `splits` splits start from: the
-    built model and the node-classification evaluation output at its
-    initial parameters, neither of which depends on the split.
+    """What the trials of one config start from: the built model and the
+    node-classification evaluation output at its initial parameters,
+    neither of which depends on the split.
 
-    The first trial to begin builds the model; each later one draws its
-    parameters again from the config seed, the same arrays in new memory,
-    so the splits hold one copy of the parameter state. A link-prediction
-    trial's message graph differs per split, so its model prepares the
-    graph again in its first forward pass."""
+    The first trial to begin builds the model; each later one, on any
+    split and in any number, draws its parameters again from the config
+    seed, the same arrays in new memory, so the splits hold one copy of
+    the parameter state and the cached epoch-0 output stays valid. A
+    link-prediction trial's message graph differs per split, so its model
+    prepares the graph again in its first forward pass."""
 
-    def __init__(self, cfg: DesignConfig, graph: HeteroGraph, task: Task,
-                 splits: int = 1):
+    def __init__(self, cfg: DesignConfig, graph: HeteroGraph, task: Task):
         if cfg.task != task.kind:
             raise ValueError(f"the config's task '{cfg.task}' is not the trial's "
                              f"task '{task.kind}'")
         self.cfg, self.graph, self.task = cfg, graph, task
-        self.remaining = splits
         self.model = None
         self._eval0 = None
 
     def begin(self, msg_graph: HeteroGraph):
         """The model, set to its initial state for one more trial."""
-        if self.remaining < 1:
-            raise ValueError("every trial of this start has begun")
-        self.remaining -= 1
         if self.model is None:
             task = self.task
             self.model = build_model(
@@ -358,12 +336,10 @@ class TrialStart:
 
     def initial_eval(self, forward):
         """`forward(False)` at the initial parameters, run once for all trials."""
-        out = self._eval0
-        if out is None:
+        if self._eval0 is None:
             with T.no_grad():
-                out = forward(False)
-        self._eval0 = out if self.remaining else None
-        return out
+                self._eval0 = forward(False)
+        return self._eval0
 
 
 def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
@@ -377,11 +353,15 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     the record's reason; a config whose task is not `task.kind` raises
     before the model is built, any other invalid config when it is built.
 
-    Every forward pass computes only the node types the loss and the score
-    read: the target type (NC) or the target relation's two end types (LP).
-    Without dropout and batch norm the training mode changes nothing, so
-    epoch e's training forward also scores the parameters left by epoch
-    e-1, and a trial of N epochs runs N+1 forward passes instead of 2N+1.
+    The task is read once: its arm sets up the message graph and index
+    sets and defines `forward`, `train_loss` and `val_score` (NaN when the
+    outputs it scores are not all finite), which the epoch loop calls
+    without asking about the task again. Every forward pass computes only
+    the node types the loss and the score read: the target type (NC) or
+    the target relation's two end types (LP). Without dropout and batch
+    norm the training mode changes nothing, so epoch e's training forward
+    also scores the parameters left by epoch e-1, and a trial of N epochs
+    runs N+1 forward passes instead of 2N+1.
 
     `start`, shared by the trials of one config, saves building the model
     and the node-classification epoch-0 evaluation for every split; without
@@ -395,41 +375,59 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
     elif start.cfg != cfg or start.task != task or start.graph is not graph:
         raise ValueError("the trial start belongs to another config, task or graph")
     if task.kind == "link_prediction":
-        msg_graph = graph_without_edges(graph, task.target, split.val)
+        msg_graph, initial_eval = graph_without_edges(graph, task.target, split.val), None
         val_negs = negative_sample(graph, task.target, split.val, 1,
                                    np.random.default_rng([split.seed, 19]))
         rel = graph.relation(task.target)
+        types = (rel.src_type, rel.dst_type)
         n_dst, n_src = graph.adjacency[task.target].shape  # rows are destinations
         train_src = T.SegmentIndex(split.train[:, 0], n_src)
         train_dst = T.SegmentIndex(split.train[:, 1], n_dst)
         val = np.concatenate([split.val, val_negs])
-        val_pairs = (T.SegmentIndex(val[:, 0], n_src), T.SegmentIndex(val[:, 1], n_dst),
-                     np.repeat([1, 0], [len(split.val), len(val_negs)]))
+        val_src = T.SegmentIndex(val[:, 0], n_src)
+        val_dst = T.SegmentIndex(val[:, 1], n_dst)
+        val_labels = np.repeat([1, 0], [len(split.val), len(val_negs)])
+
+        def forward(training, rng=None):
+            return model.forward(msg_graph, training=training, rng=rng, types=types)
+
+        def train_loss(out, epoch):
+            rng = np.random.default_rng([cfg.seed, split.seed, epoch, 13])
+            negs = negative_sample(graph, task.target, split.train,
+                                   TRAIN_NEG_PER_POS, rng)
+            neg_dst = T.SegmentIndex(negs[:, 1], n_dst)  # slot i: positive i's source
+            h_src, h_dst = out[rel.src_type], out[rel.dst_type]
+            return binary_cross_entropy(score_links(h_src, h_dst, train_src, train_dst),
+                                        score_links(h_src, h_dst, train_src, neg_dst))
+
+        def val_score(out):
+            scores = score_links(out[rel.src_type], out[rel.dst_type],
+                                 val_src, val_dst).data[:, 0]
+            if not np.isfinite(scores).all():
+                return np.nan
+            return roc_auc(scores, val_labels)
     else:
-        msg_graph = graph
-        val_pairs = None
+        # the epoch-0 evaluation is the same for every split
+        msg_graph, initial_eval = graph, start.initial_eval
         labels = graph.labels.get(task.target)
         train_rows = T.SegmentIndex(split.train, labels.shape[0])
+        val_labels = labels[split.val]
 
-    model = start.begin(msg_graph)
+        def forward(training, rng=None):
+            return model.predict_logits(msg_graph, training=training, rng=rng)
+
+        def train_loss(out, epoch):
+            return cross_entropy(T.gather_rows(out, train_rows), labels[split.train])
+
+        def val_score(out):
+            logits = out.data[split.val]
+            if not np.isfinite(logits).all():
+                return np.nan
+            return macro_f1(np.argmax(logits, axis=1), val_labels, task.num_classes)
+
+    model = start.begin(msg_graph)  # the closures above read it
     params = model.parameters()
     opt = make_optimizer(cfg.optimizer, params, cfg.lr)
-
-    def forward(training, rng=None):
-        if task.kind == "node_classification":
-            return model.predict_logits(msg_graph, training=training, rng=rng)
-        return model.forward(msg_graph, training=training, rng=rng,
-                             types=(rel.src_type, rel.dst_type))
-
-    def train_loss(out, epoch):
-        if task.kind == "node_classification":
-            return cross_entropy(T.gather_rows(out, train_rows), labels[split.train])
-        negs = negative_sample(graph, task.target, split.train, TRAIN_NEG_PER_POS,
-                               np.random.default_rng([cfg.seed, split.seed, epoch, 13]))
-        neg_dst = T.SegmentIndex(negs[:, 1], n_dst)  # slot i keeps positive i's source
-        h_src, h_dst = out[rel.src_type], out[rel.dst_type]
-        return binary_cross_entropy(score_links(h_src, h_dst, train_src, train_dst),
-                                    score_links(h_src, h_dst, train_src, neg_dst))
 
     one_pass = not cfg.dropout_p and not cfg.has_bn
     n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
@@ -444,13 +442,13 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
             # one pass: this epoch's training forward scores the last step's parameters
             if one_pass and trains:
                 out = forward(True, drop_rng)
-            elif epoch == 0 and task.kind == "node_classification":
-                out = start.initial_eval(forward)  # the same for every split
+            elif epoch == 0 and initial_eval is not None:
+                out = initial_eval(forward)
             else:
                 with T.no_grad():
                     out = forward(False)
             with T.no_grad():  # the scores feed no gradient
-                score = _val_score(out, graph, task, split, val_pairs)
+                score = val_score(out)
             if not np.isfinite(score):
                 reason = f"nonfinite_score@epoch{epoch}"
                 if epoch == 0:

@@ -1,10 +1,15 @@
 import json
 import os
+import re
+import tempfile
+import traceback
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import hgnn_space.designspace as ds
 from hgnn_space.hgraph import GraphError, SyntheticSpec, generate_synthetic, save_graph
@@ -524,3 +529,76 @@ def test_every_plan_record_equals_its_isolated_rerun(tmp_path, monkeypatch, task
         statuses.add(json.loads(line)["status"])
     assert statuses == {"ok", "failed"}
     assert len(builds) == 5 + len(lines)  # an isolated rerun builds its own
+
+
+# ---------------------------------------------------------------------------
+# the trial loop on random schemas
+# ---------------------------------------------------------------------------
+
+@st.composite
+def random_schemas(draw):
+    """A synthetic spec of 2-3 node types of 8-30 nodes whose target T0 has
+    features and every other type has them or not; each ordered type pair
+    is a relation with probability 0.4. Also up to two meta-paths of 1-2
+    hops from T0 and, when the schema has a relation, an LP target."""
+    names = [f"T{i}" for i in range(draw(st.integers(2, 3)))]
+    node_types = tuple((t, draw(st.integers(8, 30)),
+                        draw(st.integers(1, 6)) if t == "T0" or draw(st.booleans())
+                        else 0) for t in names)
+    relations = tuple((f"{a}_{b}", a, b, draw(st.integers(4, 60)))
+                      for a in names for b in names if draw(st.integers(0, 9)) < 4)
+    metapaths = []
+    for k in range(draw(st.integers(0, 2))):
+        chain, at = [], "T0"
+        for _ in range(draw(st.integers(1, 2))):
+            leaving = [r for r in relations if r[1] == at]
+            if not leaving:
+                break
+            name, _, at, _ = draw(st.sampled_from(leaving))
+            chain.append(name)
+        if chain:
+            metapaths.append((f"M{k}", tuple(chain)))
+    spec = SyntheticSpec(node_types=node_types, relations=relations, target_type="T0",
+                         num_communities=draw(st.integers(2, 3)),
+                         seed=draw(st.integers(0, 2 ** 16)))
+    lp_target = draw(st.sampled_from([r[0] for r in relations])) if relations else "none"
+    return spec, tuple(metapaths), lp_target
+
+
+# a trial that raises is recorded failed too, with the exception as its
+# reason; on a valid schema none may
+NONFINITE = re.compile(r"nonfinite_(score|loss|param)@epoch\d+")
+
+
+@seed(31)
+@settings(max_examples=20, deadline=None, database=None)
+@given(schema=random_schemas(), plan_seed=st.integers(0, 2 ** 16), data=st.data())
+def test_trials_on_random_schemas_are_recorded_and_reproduce(schema, plan_seed, data):
+    """Two full-space configs per task on a random schema: every record is
+    ok, or failed with the non-finite check that stopped it; a bad input is
+    refused while the plan is expanded, never by a trial; and one sampled
+    trial's record equals its isolated rerun."""
+    from hgnn_space.runner import _finalized_line, _record_to_json
+
+    spec, metapaths, lp_target = schema
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = save_graph(generate_synthetic(spec), os.path.join(tmp, "bundle"))
+        for task, target in (("node_classification", "T0"),
+                             ("link_prediction", lp_target)):
+            plan = ExperimentPlan(graph=bundle, task=task, target=target, space="full",
+                                  n=2, strata_hits=0, splits=2, seed=plan_seed,
+                                  metapaths=metapaths, epoch_override=2,
+                                  out=os.path.join(tmp, f"{task}.ndrec"))
+            try:
+                lines = Path(run_plan(plan)).read_text().splitlines()[1:]
+            except GraphError as exc:
+                frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+                assert "expand_plan" in frames and "_run_one" not in frames, frames
+                continue
+            for line in lines:
+                record = json.loads(line)
+                assert (record["status"] == "ok" and "reason" not in record
+                        or record["status"] == "failed"
+                        and NONFINITE.fullmatch(record["reason"])), record
+            i = data.draw(st.integers(0, len(lines) - 1), label="trial id")
+            assert _finalized_line(_record_to_json(run_trial_by_id(plan, i))) == lines[i]

@@ -14,7 +14,7 @@ import hgnn_space.tensor as T
 import hgnn_space.train as train_mod
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic, load_graph)
-from hgnn_space.model import DesignConfig, build_model, score_links
+from hgnn_space.model import DesignConfig, Model, build_model, score_links
 from hgnn_space.sparse import expanded_rows
 from hgnn_space.tensor import Parameter
 from hgnn_space.train import (Adam, SGD, Task, TrialRecord, TrialStart,
@@ -975,7 +975,7 @@ def test_each_split_starts_from_the_initial_arrays(kind):
         def begin(self, msg_graph):
             model = super().begin(msg_graph)
             params = model.parameters()
-            seen.append((self.remaining, model, [p.data for p in params]))
+            seen.append((model, [p.data for p in params]))
             assert [p.name for p in params] == [n for n, _ in want]
             for p, (_, a) in zip(params, want):
                 assert np.array_equal(p.data, a) and p.grad is None
@@ -986,8 +986,8 @@ def test_each_split_starts_from_the_initial_arrays(kind):
                     assert (bn.state.running_var == 1).all()
             return model
 
-    start = Spy(cfg, g, task, splits=3)
-    for split in splits:
+    start = Spy(cfg, g, task)
+    for split in splits + splits[:1]:  # a start counts no trials
         got = train_trial(cfg, g, split, task, max_epochs=3, start=start)
         alone = train_trial(cfg, g, split, task, max_epochs=3)
         for f in dataclasses.fields(TrialRecord):
@@ -995,15 +995,12 @@ def test_each_split_starts_from_the_initial_arrays(kind):
                 assert repr(getattr(got, f.name)) == repr(getattr(alone, f.name))
         assert got.status == "ok" and len(got.history["train_loss"]) == 3
         assert any(not np.array_equal(a, b)  # the split trained
-                   for a, (_, b) in zip(seen[-1][2], want))
-    assert [r for r, _, _ in seen] == [2, 1, 0]
+                   for a, (_, b) in zip(seen[-1][1], want))
     # one model serves every split, each on parameter arrays of its own
-    assert seen[0][1] is seen[1][1] is seen[2][1]
-    for i, (_, _, mine) in enumerate(seen):
-        for _, _, other in seen[i + 1:]:
+    assert seen[0][0] is seen[1][0] is seen[2][0]
+    for i, (_, mine) in enumerate(seen):
+        for _, other in seen[i + 1:]:
             assert not any(np.shares_memory(a, b) for a, b in zip(mine, other))
-    with pytest.raises(ValueError, match="every trial of this start has begun"):
-        start.begin(g)
 
 
 def test_the_splits_of_a_config_peak_alike():
@@ -1016,7 +1013,7 @@ def test_the_splits_of_a_config_peak_alike():
                        macro_agg=None, connectivity="SKIP-CAT", mp_layers=6,
                        hidden_dim=128, seed=3)
     splits = make_splits(task, g, 3, seed=2)
-    start = TrialStart(cfg, g, task, splits=3)
+    start = TrialStart(cfg, g, task)
     peaks = []
     tracemalloc.start()
     try:
@@ -1055,10 +1052,38 @@ def test_a_start_refuses_another_config_task_or_graph():
     g = planted_graph(n_p=40, n_a=20, edges=100)
     task = Task("node_classification", "P", num_classes=4)
     split = make_splits(task, g, 1, seed=2)[0]
-    start = TrialStart(NC_CFG, g, task, splits=2)
+    start = TrialStart(NC_CFG, g, task)
     for cfg, graph, other in ((NC_CFG.with_values(seed=6), g, task),
                               (NC_CFG, planted_graph(n_p=40, n_a=20, edges=100), task),
                               (NC_CFG, g, Task("node_classification", "P", 5))):
         with pytest.raises(ValueError, match="another config, task or graph"):
             train_trial(cfg, graph, split, other, max_epochs=1, start=start)
-    assert start.remaining == 2
+    assert start.model is None  # refused before any trial began
+
+
+@pytest.mark.parametrize("kind,per_start", [("NC", 1), ("LP", 3)])
+def test_node_classification_evaluates_the_initial_parameters_once_per_start(
+        monkeypatch, kind, per_start):
+    """With batch norm every epoch evaluates in its own forward pass; the
+    epoch-0 one runs once for a node-classification start and once per
+    split for link prediction, whose message graph differs per split."""
+    real_forward = Model.forward
+    modes = []
+
+    def forward(self, g, training=False, rng=None, types=None):
+        modes.append(training)
+        return real_forward(self, g, training=training, rng=rng, types=types)
+
+    monkeypatch.setattr(Model, "forward", forward)
+    g = planted_graph(n_p=40, n_a=20, edges=100)
+    task = (Task("node_classification", "P", num_classes=4) if kind == "NC"
+            else Task("link_prediction", "ap"))
+    cfg = DesignConfig(hidden_dim=16, has_bn=True, seed=5, task=task.kind,
+                       **FAMILY_POINTS["Relation"])
+    start = TrialStart(cfg, g, task)
+    initial = 0
+    for split in make_splits(task, g, 3, seed=2):
+        modes.clear()
+        assert train_trial(cfg, g, split, task, max_epochs=2, start=start).status == "ok"
+        initial += modes.index(True)  # the evaluations before the first training pass
+    assert initial == per_start
