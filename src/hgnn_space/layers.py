@@ -2,7 +2,8 @@
 
 Micro-level graph convolutions (GCN / GAT / Sage / GIN) run on one subgraph
 as one sparse-dense product; macro-level reducers (Mean / Max / Sum /
-Attention) fuse per-subgraph outputs that share a destination node set. The
+Attention) fuse two or more per-subgraph outputs that share a destination
+node set, and `Model.forward` passes a lone output on without one. The
 model families differ only in the graph transformation that gives the node
 sets and subgraphs: Relation and Metapath keep one node set per type and one
 subgraph per relation or meta-path, Homogenization fuses every type into one
@@ -251,33 +252,6 @@ def make_macro(kind, dim, rng, prefix):
     if kind == "Attention":
         return MacroAttention(dim, rng, prefix)
     raise TensorError(f"unknown macro aggregation '{kind}'")
-
-
-def macro_aggregate(macro, per_subgraph_outputs):
-    """Fuse the outputs with `macro`; a lone output is the result under every
-    macro, which gives it back exactly (a softmax over one score is 1)."""
-    if not per_subgraph_outputs:
-        raise TensorError("macro aggregation needs at least one subgraph output")
-    if len(per_subgraph_outputs) == 1:
-        return per_subgraph_outputs[0]
-    if macro is None:
-        raise TensorError("fusing several subgraph outputs needs a macro module")
-    widths = {z.shape[1] for z in per_subgraph_outputs}
-    if len(widths) != 1:
-        raise TensorError(f"macro aggregation over mixed widths {sorted(widths)}")
-    return macro(per_subgraph_outputs)
-
-
-def dual_aggregate(triples, h_by_set, macros):
-    """Micro-level convolution per subgraph, given as ((name, source set,
-    destination set), plan, conv) triples, then macro-level fusion per
-    destination set; a set fed by one subgraph takes its output unchanged.
-    Sets receiving no subgraph are absent from the result
-    (the caller's pass-through rule applies)."""
-    outs = {}
-    for (_, src, dst), plan, conv in triples:
-        outs.setdefault(dst, []).append(conv(plan, h_by_set[src], h_by_set[dst]))
-    return {t: macro_aggregate(macros.get(t), zs) for t, zs in outs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -243,11 +243,14 @@ class Model(L.Module):
     def forward(self, g: HeteroGraph, training: bool = False, rng=None,
                 types=None) -> dict:
         """Representations per node type after the post-process MLP, for the
-        requested `types` (every type when None). Convolutions, fusions,
-        post-ops, connections and post-process layers that cannot reach a
-        requested type are skipped; a skipped dropout site still draws its
-        mask, so the random stream and the requested outputs equal the
-        full pass's."""
+        requested `types` (every type when None). A message-passing layer is
+        one pass over the node sets in order; a set that receives subgraphs
+        runs their convolutions in subgraph order, fuses two or more with
+        its macro (a lone output passes through), then takes its post-ops
+        and connection; any other set is passed on, padded under SKIP-CAT.
+        Sets and post-process layers that cannot reach a requested type
+        are skipped; a skipped dropout site still draws its mask, so the
+        random stream and the requested outputs equal the full pass's."""
         cfg = self.cfg
         if types is None:
             want = self.type_names
@@ -272,24 +275,21 @@ class Model(L.Module):
             raise TensorError("training-mode dropout needs an rng")
         for li, layer in enumerate(self.mp):
             out_sets = need[li + 1]
-            fused = L.dual_aggregate(
-                [(spec, plan, conv) for spec, plan, conv
-                 in zip(self.sub_specs, data["plans"], layer.convs, strict=True)
-                 if spec[2] in out_sets], h, layer.macros)
-            new = {}
-            for s in self.receiving:
-                if s in out_sets:
-                    new[s] = L.intra_layer_post(fused[s], layer.bns.get(s),
-                                                cfg.dropout_p, layer.activation,
-                                                cfg.has_l2norm, training, rng)
-                elif draws_masks:
-                    rng.random((self.node_sets[s], cfg.hidden_dim))
             nxt = {}
             for s, count in self.node_sets.items():
                 if s not in out_sets:
+                    if draws_masks and s in self.receiving:
+                        rng.random((count, cfg.hidden_dim))
                     continue
-                if s in new:
-                    nxt[s] = L.connect(cfg.connectivity, h[s], new[s])
+                zs = [conv(plan, h[src], h[s]) for (_, src, dst), plan, conv
+                      in zip(self.sub_specs, data["plans"], layer.convs, strict=True)
+                      if dst == s]
+                if zs:
+                    z = zs[0] if len(zs) == 1 else layer.macros[s](zs)
+                    z = L.intra_layer_post(z, layer.bns.get(s), cfg.dropout_p,
+                                           layer.activation, cfg.has_l2norm, training,
+                                           rng)
+                    nxt[s] = L.connect(cfg.connectivity, h[s], z)
                 elif cfg.connectivity == "SKIP-CAT":
                     # pad untouched sets so every set keeps a uniform width
                     pad = Tensor(np.zeros((count, cfg.hidden_dim)))

@@ -187,7 +187,12 @@ def expand_plan(plan: ExperimentPlan):
         extra = {}
         if cfg.task != plan.task:
             extra["task"] = plan.task
-        if cfg.model_family == "Metapath" and not cfg.metapaths and plan.metapaths:
+        if cfg.model_family == "Metapath" and not cfg.metapaths:
+            if sampled and not plan.metapaths:
+                raise GraphError(f"plan key 'metapaths' declares no meta-path, but the "
+                                 f"'{plan.space}' space drew a Metapath config (config "
+                                 f"{i}); declare one or more as name:relation,relation;"
+                                 "..., as in metapaths = PAP:pa,ap")
             extra["metapaths"] = plan.metapaths
         if extra:
             cfg = cfg.with_values(**extra)

@@ -4,11 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import hgnn_space.layers as L
 import hgnn_space.tensor as T
 from hgnn_space.hgraph import SyntheticSpec, build_graph, generate_synthetic
 from hgnn_space.model import DesignConfig
+from hgnn_space.tensor import grad_check
 
 # overflows in its first forward pass on `overflowing_graph()`
 OVERFLOWING_CFG = DesignConfig(model_family="Homogenization", micro_conv="GINConv",
@@ -37,6 +39,59 @@ def run_conv(conv, sub, h_src, h_dst):
     """`conv` on the subgraph `sub` through the plan its kind aggregates
     with."""
     return conv(L.aggregation_plan(type(conv).__name__, sub), h_src, h_dst)
+
+
+def nudge(params, seed):
+    """Move every parameter off its symmetric initialization (zero biases
+    put empty-neighborhood rows exactly on activation kinks, where central
+    differences are undefined)."""
+    rng = np.random.default_rng(seed)
+    for p in params:
+        p.data += 0.1 * rng.standard_normal(p.shape)
+
+
+def kink_safe_grad_check(f, params, seed):
+    """grad_check with a shrinking-step retest: a difference quotient that
+    straddles an activation kink is invalid at any fixed step, so failures
+    are re-measured with smaller steps on the same coordinates. A genuine
+    backward bug produces a step-independent error and still fails."""
+    err = np.inf
+    for eps in (1e-3, 2e-4, 4e-5, 8e-6):
+        err = grad_check(f, params, eps=eps, max_coords=6,
+                         rng=np.random.default_rng(seed))
+        if err < 1e-4:
+            break
+    return err
+
+
+@st.composite
+def random_schemas(draw):
+    """A synthetic spec of 2-3 node types of 8-30 nodes whose target T0 has
+    features and every other type has them or not; each ordered type pair
+    is a relation with probability 0.4. Also up to two meta-paths of 1-2
+    hops from T0 and, when the schema has a relation, an LP target."""
+    names = [f"T{i}" for i in range(draw(st.integers(2, 3)))]
+    node_types = tuple((t, draw(st.integers(8, 30)),
+                        draw(st.integers(1, 6)) if t == "T0" or draw(st.booleans())
+                        else 0) for t in names)
+    relations = tuple((f"{a}_{b}", a, b, draw(st.integers(4, 60)))
+                      for a in names for b in names if draw(st.integers(0, 9)) < 4)
+    metapaths = []
+    for k in range(draw(st.integers(0, 2))):
+        chain, at = [], "T0"
+        for _ in range(draw(st.integers(1, 2))):
+            leaving = [r for r in relations if r[1] == at]
+            if not leaving:
+                break
+            name, _, at, _ = draw(st.sampled_from(leaving))
+            chain.append(name)
+        if chain:
+            metapaths.append((f"M{k}", tuple(chain)))
+    spec = SyntheticSpec(node_types=node_types, relations=relations, target_type="T0",
+                         num_communities=draw(st.integers(2, 3)),
+                         seed=draw(st.integers(0, 2 ** 16)))
+    lp_target = draw(st.sampled_from([r[0] for r in relations])) if relations else "none"
+    return spec, tuple(metapaths), lp_target
 
 
 @pytest.fixture

@@ -20,12 +20,14 @@ from hgnn_space.model import FAMILIES, DesignConfig, build_model, score_links
 from hgnn_space.runner import (ExperimentPlan, read_results, run_plan,
                                run_trial_by_id, save_config_list,
                                _finalized_line, _record_to_json)
-from hgnn_space.tensor import Tensor, grad_check
+from hgnn_space.tensor import Tensor
 from hgnn_space.train import binary_cross_entropy, cross_entropy
 from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
                                   extract_relation_subgraphs, homogenize,
                                   homophily)
 from hgnn_space.sparse import from_edges
+
+from conftest import kink_safe_grad_check, nudge
 
 DECLARED_METAPATHS = (("PAP", ("pa", "ap")), ("APA", ("ap", "pa")))
 
@@ -169,29 +171,6 @@ def _grad_fixture():
     return g
 
 
-def _nudge(params, seed):
-    # move every parameter off its symmetric initialization (zero biases put
-    # empty-neighborhood rows exactly on activation kinks, where central
-    # differences are undefined)
-    rng = np.random.default_rng(seed)
-    for p in params:
-        p.data += 0.1 * rng.standard_normal(p.shape)
-
-
-def _kink_safe_grad_check(f, params, seed):
-    """grad_check with a shrinking-step retest: a difference quotient that
-    straddles an activation kink is invalid at any fixed step, so failures
-    are re-measured with smaller steps on the same coordinates. A genuine
-    backward bug produces a step-independent error and still fails."""
-    err = np.inf
-    for eps in (1e-3, 2e-4, 4e-5, 8e-6):
-        err = grad_check(f, params, eps=eps, max_coords=6,
-                         rng=np.random.default_rng(seed))
-        if err < 1e-4:
-            break
-    return err
-
-
 def _check_dual(g, micro, macro, post, seed):
     bn_on, act_name, l2 = post
     subs = [s for s in extract_relation_subgraphs(g, g.relation_names)
@@ -209,7 +188,7 @@ def _check_dual(g, micro, macro, post, seed):
         feats = {"P": hp, "A": ha}
         zs = [conv(plan, feats[s.src_type], feats[s.dst_type])
               for s, plan, conv in zip(subs, plans, convs)]
-        fused = L.macro_aggregate(macro_mod, zs)
+        fused = macro_mod(zs)  # P receives two subgraphs
         # dropout off, BN frozen (eval-mode running stats)
         out = L.intra_layer_post(fused, bn, 0.0, act, l2, training=False)
         return T.tsum(T.mul(out, Tensor(v)))
@@ -218,8 +197,8 @@ def _check_dual(g, micro, macro, post, seed):
     params += macro_mod.parameters() + act.parameters()
     if bn is not None:
         params += bn.parameters()
-    _nudge(params, seed + 3)
-    return _kink_safe_grad_check(f, params, seed + 2)
+    nudge(params, seed + 3)
+    return kink_safe_grad_check(f, params, seed + 2)
 
 
 def _check_direct(g, micro, form, post, seed):
@@ -235,15 +214,15 @@ def _check_direct(g, micro, form, post, seed):
     v = np.random.default_rng(seed + 1).standard_normal((7, 3))
 
     def f():
-        z = L.dual_aggregate([(("*", "*", "*"), plan, conv)], {"*": h}, {})["*"]
+        z = conv(plan, h, h)
         out = L.intra_layer_post(z, bn, 0.0, act, l2, training=False)
         return T.tsum(T.mul(out, Tensor(v)))
 
     params = conv.parameters() + act.parameters()
     if bn is not None:
         params += bn.parameters()
-    _nudge(params, seed + 3)
-    return _kink_safe_grad_check(f, params, seed + 2)
+    nudge(params, seed + 3)
+    return kink_safe_grad_check(f, params, seed + 2)
 
 
 def test_acceptance_3_gradient_suite():
@@ -339,7 +318,7 @@ def _task_loss_grad_error(g, cfg, case):
     running statistics."""
     model = build_model(cfg, g, num_classes=3, target_type="P")
     params = model.parameters()
-    _nudge(params, 700 + case)
+    nudge(params, 700 + case)
     rng = np.random.default_rng(701 + case)
     for bn in (bn for layer in model.mp for bn in layer.bns.values()):
         bn.state.running_mean = rng.standard_normal(8)
@@ -359,7 +338,7 @@ def _task_loss_grad_error(g, cfg, case):
             score_links(out["A"], out["P"], *pos),
             score_links(out["A"], out["P"], *neg))
 
-    return _kink_safe_grad_check(f, params, 702 + case)
+    return kink_safe_grad_check(f, params, 702 + case)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import hgnn_space.layers as L
 import hgnn_space.tensor as T
 from hgnn_space.hgraph import build_graph
 from hgnn_space.sparse import expanded_rows, frozen
-from hgnn_space.tensor import Parameter, Tensor, TensorError, grad_check
+from hgnn_space.tensor import Parameter, Tensor, grad_check
 from hgnn_space.transform import (MetaPath, Subgraph, compose_metapath,
                                   extract_relation_subgraphs, homogenize)
 
@@ -458,27 +458,6 @@ def test_macro_sum_hand_case():
     assert out.data.tolist() == [[4.0, 6.0]]
 
 
-@pytest.mark.parametrize("kind", L.MACRO_KINDS)
-def test_macro_singleton_is_identity(kind, monkeypatch):
-    """A lone subgraph output passes through every macro: the same tensor
-    comes back, and no tape node is recorded."""
-    rng = np.random.default_rng(19)
-    macro = L.make_macro(kind, 4, np.random.default_rng(20), "m")
-    z = T.tanh(Parameter(rng.standard_normal((5, 4)), "x"))
-    made = []
-
-    class CountingNode(T._Node):
-        __slots__ = ()
-
-        def __init__(self, parents, vjp):
-            made.append(1)
-            super().__init__(parents, vjp)
-
-    monkeypatch.setattr(T, "_Node", CountingNode)
-    assert L.macro_aggregate(macro, [z]) is z
-    assert made == []
-
-
 def _fusing_graph(with_pp):
     """P receives `ap`, and `pp` too when `with_pp`; A receives `pa`."""
     rng = np.random.default_rng(70)
@@ -492,6 +471,52 @@ def _fusing_graph(with_pp):
                        {r: edges[r] for r, _, _ in relations},
                        features={"P": rng.standard_normal((5, 3)),
                                  "A": rng.standard_normal((4, 3))})
+
+
+@pytest.mark.parametrize("kind", L.MACRO_KINDS)
+def test_macro_singleton_is_identity(kind, monkeypatch):
+    """In a Relation model whose node sets are each fed by one subgraph, no
+    macro runs: each convolution's output reaches the post-ops as the same
+    tensor, and the pass records no more tape nodes than it does with the
+    macros taken out of the model."""
+    from hgnn_space.model import DesignConfig, build_model
+
+    g = _fusing_graph(with_pp=False)
+    model = build_model(DesignConfig(model_family="Relation", micro_conv="GCNConv",
+                                     macro_agg=kind, hidden_dim=8), g)
+    calls, conv_outs, post_ins, made = [], [], [], []
+    for name in L.MACRO_KINDS:
+        cls = getattr(L, f"Macro{name}")
+        monkeypatch.setattr(cls, "__call__",
+                            lambda self, zs, real=cls.__call__: calls.append(self)
+                            or real(self, zs))
+    real_conv = L.GCNConv.__call__
+    monkeypatch.setattr(L.GCNConv, "__call__", lambda self, *a: conv_outs.append(
+        real_conv(self, *a)) or conv_outs[-1])
+    real_post = L.intra_layer_post
+    monkeypatch.setattr(L, "intra_layer_post",
+                        lambda h, *a, **kw: post_ins.append(h) or real_post(h, *a, **kw))
+
+    class CountingNode(T._Node):
+        __slots__ = ()
+
+        def __init__(self, parents, vjp):
+            made.append(1)
+            super().__init__(parents, vjp)
+
+    monkeypatch.setattr(T, "_Node", CountingNode)
+    out = model.forward(g)
+    assert calls == []
+    assert len(post_ins) == len(conv_outs) == 2 * len(model.mp)
+    assert all(z is h for z, h in zip(conv_outs, post_ins))
+    with_macros = len(made)
+    for layer in model.mp:
+        assert set(layer.macros) == {"P", "A"}
+        layer.macros = {}
+    made.clear()
+    again = model.forward(g)
+    assert len(made) == with_macros
+    assert all(np.array_equal(out[t].data, again[t].data) for t in g.type_names)
 
 
 @pytest.mark.parametrize("with_pp", [False, True])
@@ -534,19 +559,41 @@ def test_macro_mean_max():
     assert L.MacroMax()([a, b]).data.tolist() == [[3.0, 5.0]]
 
 
-def test_macro_width_mismatch_rejected():
-    with pytest.raises(Exception, match="mixed widths"):
-        L.macro_aggregate(L.MacroSum(), [Tensor(np.zeros((2, 3))),
-                                         Tensor(np.zeros((2, 4)))])
+@pytest.mark.parametrize("kind", L.MACRO_KINDS)
+def test_macro_three_input_fold_matches_a_reference(kind):
+    """Each macro over three outputs against a numpy fold: Sum, Mean and Max
+    bitwise in the order ((a, b), c), Attention to 1e-12."""
+    rng = np.random.default_rng(23)
+    zs = [rng.standard_normal((6, 4)) for _ in range(3)]
+    zs[2][0] += 10.0  # the last input holds the largest entries of a row
+    macro = L.make_macro(kind, 4, np.random.default_rng(24), "m")
+    out = macro([Tensor(z) for z in zs]).data
+    a, b, c = zs
+    if kind == "Sum":
+        assert np.array_equal(out, (a + b) + c)
+    elif kind == "Mean":
+        assert np.array_equal(out, ((a + b) + c) * (1.0 / 3))
+    elif kind == "Max":
+        assert np.array_equal(out, np.maximum(np.maximum(a, b), c))
+    else:
+        scores = np.array([(np.tanh(z @ macro.W.data + macro.b.data) @ macro.q.data)
+                           .mean() for z in zs])
+        w = np.exp(scores - scores.max())
+        w /= w.sum()
+        assert np.allclose(out, w[0] * a + w[1] * b + w[2] * c, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# dual aggregation
+# a message-passing layer
 # ---------------------------------------------------------------------------
 
-def test_dual_aggregate_mean_of_two_relations():
-    # P receives from both A->P and C->P; macro Mean must equal the average
-    # of the two micro outputs, and types with no inbound subgraph are absent
+def test_a_layer_fuses_each_set_s_outputs_and_passes_on_the_others(monkeypatch):
+    """P receives from A -> P and C -> P: its post-ops get the Mean of the
+    two convolution outputs, bitwise. A and C receive nothing: they take no
+    post-ops or connection and leave the layer padded with zeros under
+    SKIP-CAT."""
+    from hgnn_space.model import DesignConfig, build_model
+
     rng = np.random.default_rng(40)
     g = build_graph(
         [("P", 4, 3), ("A", 3, 3), ("C", 2, 3)],
@@ -555,36 +602,26 @@ def test_dual_aggregate_mean_of_two_relations():
          "cp": np.array([[0, 1], [1, 0], [1, 3]])},
         features={t: rng.standard_normal((n, 3))
                   for t, n in (("P", 4), ("A", 3), ("C", 2))})
-    subs = extract_relation_subgraphs(g, g.relation_names)
-    plans = [L.aggregation_plan("GCNConv", s) for s in subs]
-    prng = np.random.default_rng(41)
-    convs = [L.make_micro_conv("GCNConv", 3, 4, prng, f"c{i}") for i in range(2)]
-    h = {t: Tensor(g.features[t]) for t in ("P", "A", "C")}
-    specs = [(s.name, s.src_type, s.dst_type) for s in subs]
-    fused = L.dual_aggregate(list(zip(specs, plans, convs)), h, {"P": L.MacroMean()})
-    assert set(fused) == {"P"}
-    z0 = convs[0](plans[0], h["A"], h["P"])
-    z1 = convs[1](plans[1], h["C"], h["P"])
-    assert np.allclose(fused["P"].data, 0.5 * (z0.data + z1.data), atol=1e-12)
-
-
-def test_dual_aggregate_without_macro_takes_the_one_output():
-    rng = np.random.default_rng(42)
-    g = build_graph([("P", 4, 3), ("A", 3, 3)], [("ap", "A", "P"), ("pp", "P", "P")],
-                    {"ap": np.array([[0, 0], [1, 2], [2, 3]]),
-                     "pp": np.array([[0, 1], [3, 3]])},
-                    features={"P": rng.standard_normal((4, 3)),
-                              "A": rng.standard_normal((3, 3))})
-    subs = extract_relation_subgraphs(g, g.relation_names)
-    triples = [((s.name, s.src_type, s.dst_type), L.aggregation_plan("SageConv", s),
-                L.make_micro_conv("SageConv", 3, 4, np.random.default_rng(43), s.name))
-               for s in subs]
-    h = {t: Tensor(g.features[t]) for t in ("P", "A")}
-    fused = L.dual_aggregate(triples[:1], h, {})
-    want = triples[0][2](triples[0][1], h["A"], h["P"])
-    assert set(fused) == {"P"} and np.array_equal(fused["P"].data, want.data)
-    with pytest.raises(TensorError, match="needs a macro"):
-        L.dual_aggregate(triples, h, {})
+    model = build_model(DesignConfig(model_family="Relation", micro_conv="GCNConv",
+                                     macro_agg="Mean", connectivity="SKIP-CAT",
+                                     mp_layers=1, hidden_dim=8), g)
+    conv_outs, post_ins, connected = [], [], []
+    real_conv, real_post, real_connect = L.GCNConv.__call__, L.intra_layer_post, L.connect
+    monkeypatch.setattr(L.GCNConv, "__call__", lambda self, *a: conv_outs.append(
+        real_conv(self, *a)) or conv_outs[-1])
+    monkeypatch.setattr(L, "intra_layer_post",
+                        lambda h, *a, **kw: post_ins.append(h) or real_post(h, *a, **kw))
+    monkeypatch.setattr(L, "connect", lambda mode, h_prev, h_new: connected.append(
+        h_prev) or real_connect(mode, h_prev, h_new))
+    out = model.forward(g)
+    z0, z1 = (z.data for z in conv_outs)
+    assert len(post_ins) == len(connected) == 1
+    assert np.array_equal(post_ins[0].data, (z0 + z1) * 0.5)
+    (W, b, _), = model.post
+    for t in ("A", "C"):
+        h = model.pre({u: Tensor(x) for u, x in g.features.items()}, types=(t,))[t]
+        padded = np.concatenate([h.data, np.zeros((g.node_type(t).count, 8))], axis=1)
+        assert np.array_equal(out[t].data, padded @ W.data + b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -727,40 +764,25 @@ def test_permutation_equivariance_general(kind):
 # layer-level gradient checks (a compact version of the acceptance sweep)
 # ---------------------------------------------------------------------------
 
-def _dual_fixture(rng, d=3):
-    gp = build_graph(
-        [("P", 4, d), ("A", 3, d)],
-        [("ap", "A", "P"), ("pa", "P", "A")],
-        {"ap": np.array([[0, 0], [1, 0], [1, 1], [2, 3]]),
-         "pa": np.array([[0, 1], [3, 2], [2, 0]])},
-        features={"P": rng.standard_normal((4, d)),
-                  "A": rng.standard_normal((3, d))})
-    return gp
-
-
 @pytest.mark.parametrize("micro", L.MICRO_KINDS)
 @pytest.mark.parametrize("macro", L.MACRO_KINDS)
 def test_grad_dual_layer(micro, macro):
-    rng = np.random.default_rng(35)
-    g = _dual_fixture(rng)
-    subs = extract_relation_subgraphs(g, g.relation_names)
+    """Micro convolutions, then the macro fusing P's two subgraphs (ap, pp)."""
+    g = _fusing_graph(with_pp=True)
+    subs = [s for s in extract_relation_subgraphs(g, g.relation_names)
+            if s.dst_type == "P"]
+    assert len(subs) == 2
     plans = [L.aggregation_plan(micro, s) for s in subs]
     prng = np.random.default_rng(36)
     convs = [L.make_micro_conv(micro, 3, 3, prng, f"c{i}") for i in range(2)]
     macro_mod = L.make_macro(macro, 3, prng, "m")
-    hp = Tensor(g.features["P"])
-    ha = Tensor(g.features["A"])
-    v = np.random.default_rng(37).standard_normal((4, 3))
+    feats = {t: Tensor(x) for t, x in g.features.items()}
+    v = np.random.default_rng(37).standard_normal((5, 3))
 
     def f():
-        feats = {"P": hp, "A": ha}
-        zs = []
-        for sub, plan, conv in zip(subs, plans, convs):
-            z = conv(plan, feats[sub.src_type], feats[sub.dst_type])
-            if sub.dst_type == "P":
-                zs.append(z)
-        fused = L.macro_aggregate(macro_mod, zs)
-        return T.tsum(T.mul(fused, Tensor(v)))
+        zs = [conv(plan, feats[sub.src_type], feats["P"])
+              for sub, plan, conv in zip(subs, plans, convs)]
+        return T.tsum(T.mul(macro_mod(zs), Tensor(v)))
 
     params = [p for c in convs for p in c.parameters()] + macro_mod.parameters()
     err = grad_check(f, params, rng=np.random.default_rng(38))

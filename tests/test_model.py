@@ -3,17 +3,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import hgnn_space.layers as L
 import hgnn_space.tensor as T
-from hgnn_space.hgraph import GraphError, build_graph
-from hgnn_space.model import (DesignConfig, Model, build_model, metapaths_from_text,
+from hgnn_space.hgraph import GraphError, build_graph, generate_synthetic
+from hgnn_space.model import (FAMILIES, DesignConfig, Model, build_model, metapaths_from_text,
                               metapaths_to_text, score_links)
 from hgnn_space.tensor import Parameter, SegmentIndex, Tensor, TensorError
-from hgnn_space.train import Split, Task, train_trial
+from hgnn_space.train import Split, Task, cross_entropy, train_trial
 from hgnn_space.transform import homogenize, type_offsets
 
-from conftest import run_conv
+from conftest import kink_safe_grad_check, nudge, random_schemas, run_conv
 
 
 def two_type_graph(rng, n_p=6, n_a=4, d=3, labeled=True):
@@ -639,3 +641,46 @@ def test_metapath_text_round_trip():
 def test_metapath_text_rejects_an_empty_name_or_chain(text, chunk):
     with pytest.raises(GraphError, match=re.escape(f"meta-path '{chunk}' in '{text}'")):
         metapaths_from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# the whole-model gradient on random schemas
+# ---------------------------------------------------------------------------
+
+@seed(32)
+@settings(max_examples=20, deadline=None, database=None)
+@given(schema=random_schemas(), data=st.data())
+def test_whole_model_gradient_on_random_schemas(schema, data):
+    """The node-classification loss's gradient of every parameter against
+    central differences, for one random two-layer config per random schema,
+    with dropout off and batch norm in eval mode at random running
+    statistics. Across the schemas a node set receives no subgraph, one or
+    several, and a set that cannot reach the target is pruned."""
+    spec, metapaths, _ = schema
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="config seed"))
+
+    def pick(choices):
+        return choices[rng.integers(len(choices))]
+
+    family = pick(FAMILIES if metapaths else FAMILIES[:2])
+    micro = pick(L.MICRO_KINDS)
+    cfg = DesignConfig(
+        model_family=family, micro_conv=micro,
+        macro_agg=None if family == "Homogenization" else pick(L.MACRO_KINDS),
+        attention_form=(pick(L.ATTENTION_FORMS)
+                        if (family, micro) == ("Homogenization", "GATConv") else "GAT"),
+        has_bn=pick((False, True)), activation=pick(L.ACTIVATIONS),
+        has_l2norm=pick((False, True)), connectivity=pick(L.CONNECTIVITIES),
+        mp_layers=2, hidden_dim=8, metapaths=metapaths if family == "Metapath" else (),
+        seed=int(rng.integers(2 ** 16)))
+    g = generate_synthetic(spec)
+    labels = g.labels["T0"]
+    model = build_model(cfg, g, num_classes=int(labels.max()) + 1, target_type="T0")
+    params = model.parameters()
+    nudge(params, cfg.seed)
+    for bn in (bn for layer in model.mp for bn in layer.bns.values()):
+        bn.state.running_mean = rng.standard_normal(8)
+        bn.state.running_var = rng.uniform(0.5, 2.0, 8)
+    err = kink_safe_grad_check(lambda: cross_entropy(model.predict_logits(g), labels),
+                               params, cfg.seed)
+    assert err < 1e-4, f"{cfg}: {err:.2e}"

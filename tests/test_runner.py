@@ -19,7 +19,7 @@ from hgnn_space.runner import (ExperimentPlan, expand_plan, input_digests, parse
                                run_trial_by_id, save_config_list)
 from hgnn_space.sparse import frozen
 
-from conftest import OVERFLOWING_CFG, overflowing_graph
+from conftest import OVERFLOWING_CFG, overflowing_graph, random_schemas
 
 
 def make_bundle(tmp_path, seed=0):
@@ -206,6 +206,18 @@ def test_expand_plan_checks_declared_metapaths_whatever_the_sample_draws(tmp_pat
                                ((("PAA", ("pa", "pa")),), "does not chain")]:
         with pytest.raises(GraphError, match=message):
             expand_plan(replace(plan, metapaths=metapaths))
+
+
+def test_a_sampled_metapath_config_without_declared_metapaths_is_a_plan_error(tmp_path):
+    plan = ExperimentPlan(graph=str(make_bundle(tmp_path)), task="node_classification",
+                          target="P", space="condensed", n=48, strata_hits=2, seed=7)
+    with pytest.raises(GraphError, match="^plan key 'metapaths' declares no meta-path, "
+                       "but the 'condensed' space drew a Metapath config \\(config 16\\); "
+                       "declare one or more as name:relation,relation;..., as in "
+                       "metapaths = PAP:pa,ap$"):
+        expand_plan(plan)
+    # a sample that draws no Metapath config needs no meta-path
+    assert len(expand_plan(replace(plan, n=2, strata_hits=0, seed=18))[3]) == 2
 
 
 def test_expand_plan_refuses_a_listed_setting_the_config_never_reads(tmp_path):
@@ -534,36 +546,6 @@ def test_every_plan_record_equals_its_isolated_rerun(tmp_path, monkeypatch, task
 # ---------------------------------------------------------------------------
 # the trial loop on random schemas
 # ---------------------------------------------------------------------------
-
-@st.composite
-def random_schemas(draw):
-    """A synthetic spec of 2-3 node types of 8-30 nodes whose target T0 has
-    features and every other type has them or not; each ordered type pair
-    is a relation with probability 0.4. Also up to two meta-paths of 1-2
-    hops from T0 and, when the schema has a relation, an LP target."""
-    names = [f"T{i}" for i in range(draw(st.integers(2, 3)))]
-    node_types = tuple((t, draw(st.integers(8, 30)),
-                        draw(st.integers(1, 6)) if t == "T0" or draw(st.booleans())
-                        else 0) for t in names)
-    relations = tuple((f"{a}_{b}", a, b, draw(st.integers(4, 60)))
-                      for a in names for b in names if draw(st.integers(0, 9)) < 4)
-    metapaths = []
-    for k in range(draw(st.integers(0, 2))):
-        chain, at = [], "T0"
-        for _ in range(draw(st.integers(1, 2))):
-            leaving = [r for r in relations if r[1] == at]
-            if not leaving:
-                break
-            name, _, at, _ = draw(st.sampled_from(leaving))
-            chain.append(name)
-        if chain:
-            metapaths.append((f"M{k}", tuple(chain)))
-    spec = SyntheticSpec(node_types=node_types, relations=relations, target_type="T0",
-                         num_communities=draw(st.integers(2, 3)),
-                         seed=draw(st.integers(0, 2 ** 16)))
-    lp_target = draw(st.sampled_from([r[0] for r in relations])) if relations else "none"
-    return spec, tuple(metapaths), lp_target
-
 
 # a trial that raises is recorded failed too, with the exception as its
 # reason; on a valid schema none may
