@@ -365,6 +365,21 @@ def _read_npy(fname, dtype, shape, expected) -> np.ndarray:
     return out
 
 
+def _read_array(fname, dtype, shape, expected) -> np.ndarray:
+    """The owned, read-only array of `dtype` and `shape` (see `_fits`) in a
+    bundle file, `expected` describing `shape` in errors: `_read_npy`'s for
+    a .npy name, else the CSV rows of the widths `shape` allows."""
+    if fname.endswith(".npy"):
+        return _read_npy(fname, dtype, shape, expected)
+    widths = shape[-1] if len(shape) > 1 else 1  # a vector is one cell a row
+    out = _read_table(fname, dtype, widths if isinstance(widths, tuple) else (widths,))
+    out = out[:, 0].copy() if len(shape) == 1 else out
+    if not _fits(out.shape, shape):
+        raise GraphError(f"{fname}: shape {out.shape}, expected {expected}")
+    out.flags.writeable = False  # no one else holds it: build_graph keeps it
+    return out
+
+
 _KINDS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
@@ -421,41 +436,20 @@ def load_graph(path) -> HeteroGraph:
                 raise GraphError(f"bundle missing {key[:-1]} file for {noun} '{name}'")
             yield name, full
 
-    edge_lists = {}  # a bundle without an `edges` map has <relation>.csv files
-    for name, full in files("edges", rel_names, "relation",
-                            {name: f"{name}.csv" for name in rel_names}):
-        if full.endswith(".npy"):
-            edge_lists[name] = _read_npy(full, np.int64, (None, (2, 3)), "(rows, 2 or 3)")
-        else:
-            edge_lists[name] = _read_table(full, np.int64, (2, 3))  # src,dst[,count]
+    # a bundle without an `edges` map has <relation>.csv files
+    edge_lists = {name: _read_array(full, np.int64, (None, (2, 3)), "(rows, 2 or 3)")
+                  for name, full in files("edges", rel_names, "relation",
+                                          {name: f"{name}.csv" for name in rel_names})}
     omitted = [name for name in rel_names if name not in edge_lists]
     if omitted:
         raise GraphError(f"{where}, edges has no file for relation '{omitted[0]}'")
-
-    features = {}
-    for tn, full in files("features", by_name, "type", {}):
-        t = by_name[tn]
-        if full.endswith(".npy"):
-            features[tn] = _read_npy(full, np.float64, (t.count, t.feature_dim),
-                                     f"(count, feature_dim) = {(t.count, t.feature_dim)} "
-                                     f"from graph.json")
-        else:
-            mat = _read_table(full, np.float64, (t.feature_dim,))
-            if mat.shape[0] != t.count:
-                raise GraphError(f"feature file for type '{tn}' has {mat.shape[0]} "
-                                 f"rows, expected {t.count}")
-            mat.flags.writeable = False  # no one else holds it: build_graph keeps it
-            features[tn] = mat
-
-    labels = {}
-    for tn, full in files("labels", by_name, "type", {}):
-        count = by_name[tn].count
-        if full.endswith(".npy"):
-            labels[tn] = _read_npy(full, np.int64, (count,),
-                                   f"(count,) = {(count,)} from graph.json")
-        else:
-            labels[tn] = _read_table(full, np.int64, (1,))[:, 0]
-
+    dims = {t.name: (t.count, t.feature_dim) for t in node_types}
+    features = {tn: _read_array(full, np.float64, dims[tn],
+                                f"(count, feature_dim) = {dims[tn]} from graph.json")
+                for tn, full in files("features", by_name, "type", {})}
+    labels = {tn: _read_array(full, np.int64, dims[tn][:1],
+                              f"(count,) = {dims[tn][:1]} from graph.json")
+              for tn, full in files("labels", by_name, "type", {})}
     return build_graph(node_types, relations, edge_lists, features, labels)
 
 

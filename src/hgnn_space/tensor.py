@@ -462,24 +462,19 @@ def row_softmax(a):
     return _make(data, (a,), vjp)
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a):
     a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
-    return _make(data, (a,), vjp)
+    return _make(a.data.sum(), (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a):
     a = _wrap(a)
-    n = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+    return mul(tsum(a), Tensor(1.0 / a.size))
 
 
 # ---------------------------------------------------------------------------

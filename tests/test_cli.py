@@ -356,6 +356,25 @@ def test_a_label_below_minus_one_is_reported_in_one_line_before_any_trial(
     assert not (tmp_path / "r.ndrec.partial").exists()
 
 
+@pytest.mark.parametrize("key,name,text,message", [
+    ("features", "P.features.csv", "0.5,1.5,2.5,3.5,4.5,5.5,6.5,7.5\n" * 3,
+     "shape (3, 8), expected (count, feature_dim) = (40, 8) from graph.json"),
+    ("labels", "P.labels.csv", "0\n1\n",
+     "shape (2,), expected (count,) = (40,) from graph.json"),
+], ids=["features", "labels"])
+def test_a_csv_file_of_the_wrong_shape_is_reported_in_one_line(tmp_path, capsys, key,
+                                                              name, text, message):
+    graph = Path(bundle(tmp_path))
+    header = json.loads((graph / "graph.json").read_text())
+    header[key]["P"] = name
+    (graph / "graph.json").write_text(json.dumps(header))
+    (graph / name).write_text(text)
+    plan = _sampled_plan(tmp_path, graph, n=2, strata_hits=0)
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == f"hgnn-space: error: {graph / name}: {message}\n"
+    assert not (tmp_path / "r.ndrec.partial").exists()
+
+
 def test_num_classes_on_a_link_prediction_plan_is_reported_in_one_line(tmp_path,
                                                                         capsys):
     plan = tmp_path / "plan.cfg"

@@ -12,19 +12,21 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import hgnn_space.designspace as ds
 from hgnn_space import hgraph
 from hgnn_space.cli import main
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic, load_graph, save_graph)
 from hgnn_space.model import DesignConfig
-from hgnn_space.runner import save_config_list
+from hgnn_space.runner import _finalized_line, _record_to_json, save_config_list
 from hgnn_space.sparse import expanded_rows, from_edges, frozen, matmul
+from hgnn_space.train import Split, Task, train_trial
 from hgnn_space.transform import MetaPath, compose_metapath, homophily
 
-from conftest import same_csr
+from conftest import example_seed, random_schemas, same_csr
 
 # numpy's "input contained no data" warning must never escape the loader
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -843,6 +845,112 @@ def test_an_edges_map_must_name_one_file_per_relation(tmp_path, edges, message):
     with pytest.raises(GraphError) as info:
         load_graph(d)
     assert str(info.value) == message.format(d=d)
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("A.features.csv", "0.5,1.5\n2.5,3.5\n4.5,5.5\n",
+     "shape (3, 2), expected (count, feature_dim) = (2, 2) from graph.json"),
+    ("A.features.csv", "\n", "shape (0, 2), expected (count, feature_dim) = (2, 2) "
+     "from graph.json"),
+    ("A.labels.csv", "0\n1\n1\n", "shape (3,), expected (count,) = (2,) from graph.json"),
+    ("A.labels.csv", "0\n", "shape (1,), expected (count,) = (2,) from graph.json"),
+], ids=["features-too-long", "features-blank", "labels-too-long", "labels-too-short"])
+def test_a_csv_file_of_the_wrong_shape_is_one_error_naming_it(tmp_path, name, text,
+                                                              message):
+    d = _raw_bundle(tmp_path / "b")
+    (d / name).write_text(text)
+    with pytest.raises(GraphError) as info:
+        load_graph(d)
+    assert str(info.value) == f"{d / name}: {message}"
+
+
+def test_each_format_s_arrays_are_owned_read_only_and_kept_by_the_graph(tmp_path,
+                                                                        monkeypatch):
+    read = []
+    real = hgraph._read_array
+    monkeypatch.setattr(hgraph, "_read_array", lambda *args: read.append(real(*args))
+                        or read[-1])
+    csv = _raw_bundle(tmp_path / "csv", edges="0,1\n1,0,2\n")
+    for path in (csv, save_graph(load_graph(csv), tmp_path / "npy")):
+        read.clear()
+        g = load_graph(path)
+        edges, features, labels = read
+        assert all(x.flags.owndata and not x.flags.writeable for x in read)
+        assert g.features["A"] is features and g.labels["A"] is labels
+
+
+def _csv_bundle(g, path):
+    """`g` as a hand-written CSV bundle. graph.json has no `edges` map, so
+    each relation's rows are in <relation>.csv: `src,dst` for a cell of
+    count 1, `src,dst,count` for any other. Feature cells are the `repr`s
+    of the floats, and label files are named .txt."""
+    os.makedirs(path)
+    header = {"format": "hgnn-space-graph/1",
+              "node_types": [{"name": t.name, "count": t.count,
+                              "feature_dim": t.feature_dim} for t in g.node_types],
+              "relations": [{"name": r.name, "src_type": r.src_type,
+                             "dst_type": r.dst_type} for r in g.relations],
+              "features": {t: f"{t}.features.csv" for t in g.features},
+              "labels": {t: f"{t}.labels.txt" for t in g.labels}}
+    texts = {"graph.json": json.dumps(header)}
+    for name, adj in g.adjacency.items():
+        texts[f"{name}.csv"] = "".join(
+            f"{src},{dst}\n" if count == 1 else f"{src},{dst},{count}\n"
+            for src, dst, count in zip(adj.indices.tolist(), expanded_rows(adj).tolist(),
+                                       adj.data.tolist()))
+    for t, x in g.features.items():
+        texts[header["features"][t]] = "".join(",".join(map(repr, row)) + "\n"
+                                               for row in x.tolist())
+    for t, y in g.labels.items():
+        texts[header["labels"][t]] = "".join(f"{v}\n" for v in y.tolist())
+    for name, text in texts.items():
+        with open(os.path.join(path, name), "w") as fh:
+            fh.write(text)
+    return path
+
+
+def _finalized_record(cfg, graph, split, task):
+    """The finalized record line of a 2-epoch trial."""
+    return _finalized_line(_record_to_json(train_trial(cfg, graph, split, task,
+                                                       max_epochs=2)))
+
+
+@seed(33)
+@settings(max_examples=15, deadline=None, database=None)
+@given(schema=random_schemas(), drawn=st.integers(0, 2 ** 16))
+def test_a_saved_and_a_csv_bundle_load_the_graph_and_give_its_records(schema, drawn):
+    """The bundle oracle: a random schema's graph, written by `save_graph`
+    and as a CSV bundle, loads `equals` the graph, read-only, from both;
+    and one sampled node-classification config and one link-prediction
+    config give each loaded graph the in-memory graph's records. The splits
+    are a fixed 3:1 cut of the items, so that every example trains."""
+    spec, metapaths, lp_target = schema
+    g = generate_synthetic(spec)
+    cfg_seed = example_seed(schema, drawn)
+    cases = [(Task("node_classification", "T0", int(g.labels["T0"].max()) + 1),
+              np.arange(g.node_type("T0").count))]
+    if lp_target != "none" and g.adjacency[lp_target].nnz >= 2:
+        adj = g.adjacency[lp_target]
+        cases.append((Task("link_prediction", lp_target),
+                      np.stack([adj.indices, expanded_rows(adj)], axis=1)))
+    runs = []
+    for (task, items), cfg in zip(cases, ds.sample_controlled(
+            ds.full_space(), 2, seed=cfg_seed, metapaths=metapaths)):
+        if cfg.model_family == "Metapath" and not metapaths:
+            cfg = cfg.with_values(model_family="Relation")
+        val = np.arange(len(items)) % 4 == 0
+        runs.append((cfg.with_values(task=task.kind),
+                     Split(0, cfg.seed, items[~val], items[val]), task))
+    want = [_finalized_record(cfg, g, split, task) for cfg, split, task in runs]
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in (save_graph(g, os.path.join(tmp, "npy")),
+                     _csv_bundle(g, os.path.join(tmp, "csv"))):
+            loaded = load_graph(path)
+            assert loaded.equals(g), path
+            assert not any(x.flags.writeable
+                           for x in [*loaded.features.values(), *loaded.labels.values()])
+            assert [_finalized_record(cfg, loaded, split, task)
+                    for cfg, split, task in runs] == want, path
 
 
 @functools.lru_cache(maxsize=None)

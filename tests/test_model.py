@@ -15,7 +15,7 @@ from hgnn_space.tensor import Parameter, SegmentIndex, Tensor, TensorError
 from hgnn_space.train import Split, Task, cross_entropy, train_trial
 from hgnn_space.transform import homogenize, type_offsets
 
-from conftest import kink_safe_grad_check, nudge, random_schemas, run_conv
+from conftest import example_seed, kink_safe_grad_check, nudge, random_schemas, run_conv
 
 
 def two_type_graph(rng, n_p=6, n_a=4, d=3, labeled=True):
@@ -657,7 +657,8 @@ def test_whole_model_gradient_on_random_schemas(schema, data):
     statistics. Across the schemas a node set receives no subgraph, one or
     several, and a set that cannot reach the target is pruned."""
     spec, metapaths, _ = schema
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="config seed"))
+    rng = np.random.default_rng(example_seed(
+        schema, data.draw(st.integers(0, 2 ** 32 - 1), label="config seed")))
 
     def pick(choices):
         return choices[rng.integers(len(choices))]

@@ -533,9 +533,9 @@ def test_sddmm_matches_gather_mul_sum_composition():
     b = param(rng, 5, 3, name="b")
     results = []
     for f in (lambda: T.sddmm(a, b, SDDMM_ROWS, SDDMM_COLS),
-              lambda: T.tsum(T.mul(T.gather_rows(a, SDDMM_ROWS),
-                                   T.gather_rows(b, SDDMM_COLS)),
-                             axis=1, keepdims=True)):
+              lambda: T.matmul(T.mul(T.gather_rows(a, SDDMM_ROWS),
+                                     T.gather_rows(b, SDDMM_COLS)),
+                               Tensor(np.ones((3, 1))))):  # the sum of each row
         a.grad = b.grad = None
         out = f()
         T.tsum(T.mul(out, Tensor(v))).backward()
