@@ -55,7 +55,7 @@ def main():
 
     # dimension ranking needs perturbation setups: expand a few base configs
     space = ds.condensed_space()
-    bases = ds.sample_controlled(space, max(4, args.n // 6), (),
+    bases = ds.sample_controlled(space, max(4, args.n // 6), 0,
                                  seed=args.seed + 1, metapaths=METAPATHS)
     expanded = [c for b in bases
                 for c in ds.perturb_dimension(b, args.rank_dim, space)]

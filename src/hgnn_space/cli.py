@@ -21,12 +21,9 @@ def cmd_space(args):
         print(space.cardinality())
         return 0
     if args.space_cmd == "sample":
-        if args.n < 1:  # `run` refuses an empty config list
-            return _error(f"--n must be at least 1, got {args.n}")
-        strata = ds.default_strata(space, args.strata_hits) if args.strata_hits else []
         skipped = ""
         try:
-            configs = ds.sample_controlled(space, args.n, strata, args.seed)
+            configs = ds.sample_controlled(space, args.n, args.strata_hits, args.seed)
             if args.expand_dim:
                 # expand only the base configs the dimension applies to
                 # (macro_agg skips Homogenization-family configs)
@@ -40,7 +37,7 @@ def cmd_space(args):
                                f"configs skipped: '{dim.name}' does not apply to them)")
                 configs = [c for cfg in bases
                            for c in ds.perturb_dimension(cfg, args.expand_dim, space)]
-        except (KeyError, ValueError) as e:  # strata over n; unknown or unexpandable dim
+        except (KeyError, ValueError) as e:  # n or strata_hits; unknown or unexpandable dim
             return _error(e.args[0])
         runner.save_config_list(configs, args.out)
         print(f"wrote {len(configs)} configs to {args.out}{skipped}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hgraph import GraphError
 from .model import DesignConfig, FAMILIES
 from . import layers as L
 
@@ -40,15 +41,6 @@ class Dimension:
         """Whether `value` is a choice of the same type: 1 is not True, 100.0
         is not 100, and a bool never stands in for a number."""
         return (type(value), value) in self._typed
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """A (model family, micro conv) cell with a required hit count."""
-
-    model_family: str
-    micro_conv: str
-    hits: int = 2
 
 
 class DesignSpace:
@@ -237,39 +229,32 @@ def describe(space: DesignSpace) -> str:
     return "\n".join(lines)
 
 
-def default_strata(space: DesignSpace, hits: int = 2):
-    """Every (model family, micro conv) cell with the same hit count."""
-    out = []
-    for fam in space.dim("model_family").choices:
-        for micro in space.dim("micro_conv").choices:
-            out.append(Stratum(fam, micro, hits))
-    return out
-
-
-def sample_controlled(space: DesignSpace, n: int, strata=(), seed: int = 0,
-                      metapaths=()):
+def sample_controlled(space: DesignSpace, n: int, strata_hits: int = 0,
+                      seed: int = 0, metapaths=()):
     """Deterministic controlled random search sample.
 
-    Stratum cells are filled first (uniform within each cell), the remainder
+    Each (model family, micro conv) cell, family-major, first takes
+    `strata_hits` draws (uniform within the cell), then the remainder is
     uniform over the whole space. Each config gets its own derived seed so
     any single trial reproduces in isolation. `metapaths` (the experiment's
     declared meta-paths) is stamped into Metapath-family samples.
     """
-    strata = tuple(strata)
-    if any(s.hits < 0 for s in strata):
-        raise ValueError("stratum hit counts must not be negative")
-    required = sum(s.hits for s in strata)
+    cells = [(f, m) for f in space.dim("model_family").choices
+             for m in space.dim("micro_conv").choices]
+    if n < 1:
+        raise GraphError(f"n must be at least 1, got {n}")
+    if strata_hits < 0:
+        raise GraphError(f"strata_hits must not be negative, got {strata_hits}")
+    required = len(cells) * strata_hits
     if required > n:
-        raise ValueError(f"strata require {required} samples but n={n}")
+        raise GraphError(f"strata_hits = {strata_hits} in each of {len(cells)} "
+                         f"(model_family, micro_conv) cells needs n of at least "
+                         f"{required}, got n = {n}")
     rng = np.random.default_rng([int(seed), 101])
-    assignments = []
-    for s in strata:
-        for _ in range(s.hits):
-            assignments.append(space.sample_assignment(
-                rng, fixed={"model_family": s.model_family,
-                            "micro_conv": s.micro_conv}))
-    for _ in range(n - required):
-        assignments.append(space.sample_assignment(rng))
+    assignments = [space.sample_assignment(rng, fixed={"model_family": f,
+                                                       "micro_conv": m})
+                   for f, m in cells for _ in range(strata_hits)]
+    assignments += [space.sample_assignment(rng) for _ in range(n - required)]
     configs = []
     for i, a in enumerate(assignments):
         cfg_seed = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])

@@ -25,7 +25,6 @@ from .sparse import expanded_rows
 from .tensor import BatchNormState, Parameter, SpmmPlan, Tensor, TensorError
 from .transform import Subgraph
 
-GAT_LEAKY_SLOPE = 0.2
 PRELU_INIT = 0.25
 
 MICRO_KINDS = ("GCNConv", "GATConv", "SageConv", "GINConv")
@@ -153,7 +152,7 @@ class GATConv(Module):
                 raise TensorError("SimpleHGN attention needs edge types")
             s_rel = T.matmul(T.matmul(self.r_emb, self.W_r), self.a_rel)
             logits = T.add(logits, T.gather_rows(s_rel, A.edge_type))
-        e = T.leaky_relu(logits, GAT_LEAKY_SLOPE)
+        e = T.leaky_relu(logits)
         return z_src, T.segment_softmax(e, A.by_row)
 
     def __call__(self, plan: T.AttentionPlan, h_src, h_dst):
@@ -317,7 +316,7 @@ class Activation(Module):
         if self.kind == "ReLU":
             return T.relu(x)
         if self.kind == "LeakyReLU":
-            return T.leaky_relu(x, GAT_LEAKY_SLOPE)
+            return T.leaky_relu(x)
         if self.kind == "ELU":
             return T.elu(x)
         if self.kind == "Tanh":
@@ -344,7 +343,7 @@ def intra_layer_post(h, bn, dropout_p, activation, l2norm, training, rng=None):
     if activation is not None:
         h = activation(h)
     if l2norm:
-        h = T.l2_normalize(h, axis=1)
+        h = T.l2_normalize(h)
     return h
 
 

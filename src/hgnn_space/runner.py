@@ -24,7 +24,7 @@ import numpy as np
 from . import designspace as ds
 from .hgraph import GraphError, load_graph, read_text
 from .model import DesignConfig, metapaths_from_text, metapaths_to_text
-from .train import METRICS, Task, TrialRecord, TrialStart, make_splits, train_trial
+from .train import Task, TrialRecord, TrialStart, make_splits, train_trial, trial_record
 
 RESULTS_FORMAT = "hgnn-space-results/1"
 
@@ -118,20 +118,6 @@ def save_config_list(configs, path):
         fh.write("\n")
 
 
-def _check_sampling_keys(plan: ExperimentPlan, cells: int):
-    """`n` and `strata_hits` of a sampled space: at least one config, no
-    negative hit count, and room for every stratum cell's hits."""
-    if plan.n < 1:
-        raise GraphError(f"plan key 'n' must be at least 1, got {plan.n}")
-    if plan.strata_hits < 0:
-        raise GraphError(f"plan key 'strata_hits' must not be negative, "
-                         f"got {plan.strata_hits}")
-    if plan.n < cells * plan.strata_hits:
-        raise GraphError(f"plan keys 'n' and 'strata_hits': strata_hits = "
-                         f"{plan.strata_hits} in each of {cells} strata needs n of at "
-                         f"least {cells * plan.strata_hits}, got n = {plan.n}")
-
-
 def expand_plan(plan: ExperimentPlan):
     """Resolve the plan into (graph, task, splits, configs); integers that
     would break a trial are rejected here, before any trial starts."""
@@ -142,11 +128,12 @@ def expand_plan(plan: ExperimentPlan):
     if plan.epoch_override is not None and plan.epoch_override < 0:
         raise GraphError(f"plan key 'epoch_override' must not be negative, "
                          f"got {plan.epoch_override}")
+    # sampling needs no graph: a bad `n` or `strata_hits` is reported first
     sampled = plan.space in ds.SPACES
     if sampled:
-        space = ds.SPACES[plan.space]()
-        strata = ds.default_strata(space, plan.strata_hits)
-        _check_sampling_keys(plan, len(strata))
+        configs = ds.sample_controlled(ds.SPACES[plan.space](), plan.n,
+                                       plan.strata_hits, plan.seed,
+                                       metapaths=plan.metapaths)
     graph = load_graph(plan.graph)
     for node_type, x in graph.features.items():
         if not np.isfinite(x).all():
@@ -175,11 +162,7 @@ def expand_plan(plan: ExperimentPlan):
     problems = ds.metapath_problems(plan.metapaths, graph)
     if problems:
         raise GraphError("plan key 'metapaths' is invalid: " + "; ".join(problems))
-
-    if sampled:
-        configs = ds.sample_controlled(space, plan.n, strata, plan.seed,
-                                       metapaths=plan.metapaths)
-    else:
+    if not sampled:
         configs = load_config_list(plan.space)
 
     resolved = []
@@ -240,12 +223,8 @@ def _run_one(plan, graph, task, splits, configs, trial_id, start=None) -> TrialR
     except Exception as exc:
         print(f"trial {trial_id} raised; it is recorded as failed", file=sys.stderr)
         traceback.print_exc()
-        record = TrialRecord(
-            config=cfg.to_flat(), seed=cfg.seed, split_id=split.split_id,
-            status="failed", best_score=None, metric=METRICS[task.kind],
-            history={"train_loss": [], "val_score": []},
-            wall_time=time.perf_counter() - started,
-            reason=f"{type(exc).__name__}: {exc}")
+        record = trial_record(cfg, split, task, started,
+                              reason=f"{type(exc).__name__}: {exc}")
     record.trial_id = trial_id
     return record
 
@@ -268,9 +247,10 @@ def input_digests(graph, configs) -> dict:
 
 
 def _read_partial(path, plan, expect):
-    """Recover completed records; a corrupt line only loses that one trial.
-    A header whose plan hash or input digests differ from `expect`'s, or
-    that holds no digests, is refused."""
+    """Recover completed records; a line that is not a record, as
+    `read_results` checks it, only loses that one trial. A header whose plan
+    hash or input digests differ from `expect`'s, or that holds no digests,
+    is refused."""
     done = {}
     if not os.path.exists(path):
         return done
@@ -300,9 +280,10 @@ def _read_partial(path, plan, expect):
                 continue
             try:
                 d = json.loads(line)
-                done[int(d["trial_id"])] = line
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue  # a truncated or damaged line: rerun that trial
+            except json.JSONDecodeError:
+                continue  # a truncated line: rerun that trial
+            if _record_problem(d) is None:  # else damaged: rerun that trial
+                done[d["trial_id"]] = line
     return done
 
 

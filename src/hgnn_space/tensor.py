@@ -383,14 +383,17 @@ def relu(a):
     return _make(a.data * mask, (a,), vjp)
 
 
-def leaky_relu(a, slope=0.2):
+LEAKY_SLOPE = 0.2  # the negative slope of LeakyReLU and of GAT's attention logits
+
+
+def leaky_relu(a):
     a = _wrap(a)
     mask = a.data > 0
 
     def vjp(g):
-        return (g * np.where(mask, 1.0, slope),)
+        return (g * np.where(mask, 1.0, LEAKY_SLOPE),)
 
-    return _make(a.data * np.where(mask, 1.0, slope), (a,), vjp)
+    return _make(a.data * np.where(mask, 1.0, LEAKY_SLOPE), (a,), vjp)
 
 
 def elu(a):
@@ -682,11 +685,11 @@ def dropout(a, p, training, rng=None):
 class BatchNormState:
     """Running statistics for one batch-norm site."""
 
-    def __init__(self, dim, momentum=0.1, eps=1e-5):
+    momentum, eps = 0.1, 1e-5
+
+    def __init__(self, dim):
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batch_norm(a, gamma, beta, state: BatchNormState, training: bool):
@@ -741,17 +744,17 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool):
     return _make(out, (a, gamma, beta), vjp)
 
 
-def l2_normalize(a, axis=1):
+def l2_normalize(a):
     """Scale rows to unit Euclidean norm; zero rows stay zero."""
     a = _wrap(a)
-    norm = np.sqrt((a.data ** 2).sum(axis=axis, keepdims=True))
+    norm = np.sqrt((a.data ** 2).sum(axis=1, keepdims=True))
     zero = norm == 0.0
     safe = np.where(zero, 1.0, norm)
     data = a.data / safe
     ad = a.data
 
     def vjp(g):
-        dot = (g * ad).sum(axis=axis, keepdims=True)
+        dot = (g * ad).sum(axis=1, keepdims=True)
         gx = g / safe - ad * dot / safe ** 3
         return (np.where(zero, 0.0, gx),)
 

@@ -230,10 +230,11 @@ class Adam:
     block, are made at its first gradient; a parameter that never gets one
     has none."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.slots = {}
 
@@ -474,15 +475,21 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
                 break
             del out, loss  # free this epoch's pass before the next one
 
-    best = max(scores) if reason is None else None  # then every score is finite
+    return trial_record(cfg, split, task, started, losses, scores, reason)
+
+
+def trial_record(cfg: DesignConfig, split: Split, task: Task, started: float,
+                 losses=(), scores=(), reason: str | None = None) -> TrialRecord:
+    """The record of a trial that began at `perf_counter()` time `started`:
+    ok with the best score unless `reason` names why it failed."""
     return TrialRecord(
         config=cfg.to_flat(),
         seed=cfg.seed,
         split_id=split.split_id,
         status="ok" if reason is None else "failed",
-        best_score=best,
+        best_score=max(scores) if reason is None else None,  # then all are finite
         metric=METRICS[task.kind],
-        history={"train_loss": losses, "val_score": scores},
+        history={"train_loss": list(losses), "val_score": list(scores)},
         wall_time=time.perf_counter() - started,
         reason=reason,
     )

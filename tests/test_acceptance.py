@@ -535,7 +535,7 @@ def test_acceptance_8_protocol_reproduction(protocol_run, small_bundle, tmp_path
 
     # ranking over an explicitly expanded dimension: perturbation setups
     space = ds.condensed_space()
-    bases = ds.sample_controlled(space, 4, (), seed=99,
+    bases = ds.sample_controlled(space, 4, 0, seed=99,
                                  metapaths=DECLARED_METAPATHS)
     expanded = [c for b in bases
                 for c in ds.perturb_dimension(b, "activation", space)]

@@ -64,10 +64,11 @@ def test_space_sample_writes_configs(tmp_path, capsys):
      "dimension 'macro_agg' does not apply to any of the 1 sampled configs"),
     (["--n", "12", "--seed", "1", "--expand-dim", "model_family"],
      "dimension 'model_family' cannot be expanded: whether 'macro_agg' applies"),
-    (["--strata-hits", "2"], "strata require 24 samples but n=6"),
-    (["--strata-hits", "-1"], "stratum hit counts must not be negative"),
-    (["--n", "0"], "--n must be at least 1, got 0"),
-    (["--n", "-2"], "--n must be at least 1, got -2"),
+    (["--strata-hits", "2"], "strata_hits = 2 in each of 12 (model_family, "
+     "micro_conv) cells needs n of at least 24, got n = 6"),
+    (["--strata-hits", "-1"], "strata_hits must not be negative, got -1"),
+    (["--n", "0"], "n must be at least 1, got 0"),
+    (["--n", "-2"], "n must be at least 1, got -2"),
 ], ids=["unknown-dim", "inapplicable-dim", "dependent-dim", "strata-over-n",
         "negative-hits", "zero-n", "negative-n"])
 def test_space_sample_reports_a_bad_request_in_one_line(tmp_path, capsys, args,
@@ -282,10 +283,10 @@ def _sampled_plan(tmp_path, graph, **keys):
 
 @pytest.mark.parametrize("keys,message", [
     ({"n": 10, "strata_hits": 2},
-     "plan keys 'n' and 'strata_hits': strata_hits = 2 in each of 12 strata needs "
+     "strata_hits = 2 in each of 12 (model_family, micro_conv) cells needs "
      "n of at least 24, got n = 10"),
-    ({"n": 2, "strata_hits": -1}, "plan key 'strata_hits' must not be negative, got -1"),
-    ({"n": 0, "strata_hits": 0}, "plan key 'n' must be at least 1, got 0"),
+    ({"n": 2, "strata_hits": -1}, "strata_hits must not be negative, got -1"),
+    ({"n": 0, "strata_hits": 0}, "n must be at least 1, got 0"),
 ], ids=["strata-over-n", "negative-hits", "zero-n"])
 def test_a_bad_sampling_key_is_reported_in_one_line_before_any_trial(tmp_path, capsys,
                                                                      keys, message):

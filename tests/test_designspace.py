@@ -276,12 +276,14 @@ def _when_rule_space():
 
 
 def _fixed_cases(space):
-    """No fixed value, every stratum's fixed pair (or every branch choice of
-    a space without strata) and one fixed non-branch value."""
+    """No fixed value, every (model family, micro conv) cell's fixed pair (or
+    every branch choice of a space without such cells) and one fixed
+    non-branch value."""
     cases = [None]
     if space.branch_names == ("model_family",):  # the paper's spaces
-        cases += [{"model_family": s.model_family, "micro_conv": s.micro_conv}
-                  for s in ds.default_strata(space)]
+        cases += [{"model_family": f, "micro_conv": m}
+                  for f in space.dim("model_family").choices
+                  for m in space.dim("micro_conv").choices]
         cases.append({"activation": space.dim("activation").choices[-1]})
     else:
         cases += [{"optimizer": "Adam"}, {"optimizer": "SGD"}, {"lr": 0.01},
@@ -325,42 +327,46 @@ def test_a_fixed_value_is_returned_as_the_caller_gave_it():
 
 def test_sample_respects_strata_hits():
     space = ds.full_space()
-    strata = ds.default_strata(space, hits=2)
-    assert len(strata) == 12
-    configs = ds.sample_controlled(space, 264, strata, seed=7,
+    cells = [(f, m) for f in space.dim("model_family").choices
+             for m in space.dim("micro_conv").choices]
+    assert len(cells) == 12
+    configs = ds.sample_controlled(space, 264, 2, seed=7,
                                    metapaths=(("PP", ("r",)),))
     assert len(configs) == 264
-    cells = {}
+    counts = {}
     for c in configs:
-        cells[(c.model_family, c.micro_conv)] = cells.get(
+        counts[(c.model_family, c.micro_conv)] = counts.get(
             (c.model_family, c.micro_conv), 0) + 1
-    for s in strata:
-        assert cells.get((s.model_family, s.micro_conv), 0) >= 2
+    for cell in cells:
+        assert counts.get(cell, 0) >= 2
     for c in configs:
         assert ds.validate(c) == []
 
 
 def test_sample_empty_and_deterministic():
     space = ds.condensed_space()
-    assert ds.sample_controlled(space, 0, (), seed=0) == []
-    a = ds.sample_controlled(space, 24, ds.default_strata(space, 1), seed=5)
-    b = ds.sample_controlled(space, 24, ds.default_strata(space, 1), seed=5)
+    with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+        ds.sample_controlled(space, 0, 0, seed=0)
+    a = ds.sample_controlled(space, 24, 1, seed=5)
+    b = ds.sample_controlled(space, 24, 1, seed=5)
     assert a == b
-    c = ds.sample_controlled(space, 24, ds.default_strata(space, 1), seed=6)
+    c = ds.sample_controlled(space, 24, 1, seed=6)
     assert a != c
 
 
 def test_sample_infeasible_strata():
     space = ds.full_space()
-    with pytest.raises(ValueError, match="strata require"):
-        ds.sample_controlled(space, 5, ds.default_strata(space, 2), seed=0)
-    with pytest.raises(ValueError, match="must not be negative"):
-        ds.sample_controlled(space, 2, ds.default_strata(space, -1), seed=0)
+    with pytest.raises(ValueError, match=r"^strata_hits = 2 in each of 12 "
+                       r"\(model_family, micro_conv\) cells needs n of at least 24, "
+                       "got n = 5$"):
+        ds.sample_controlled(space, 5, 2, seed=0)
+    with pytest.raises(ValueError, match="^strata_hits must not be negative, got -1$"):
+        ds.sample_controlled(space, 2, -1, seed=0)
 
 
 def test_sample_seeds_differ_per_config():
     space = ds.condensed_space()
-    configs = ds.sample_controlled(space, 10, (), seed=3)
+    configs = ds.sample_controlled(space, 10, 0, seed=3)
     assert len({c.seed for c in configs}) == 10
 
 
@@ -369,7 +375,7 @@ def test_sample_marginals_chi_square():
     marginal follows the per-family config mass (1:4:4) and every
     unconditional dimension is uniform."""
     space = ds.full_space()
-    configs = ds.sample_controlled(space, 10_000, (), seed=11)
+    configs = ds.sample_controlled(space, 10_000, 0, seed=11)
     fam_counts = {f: 0 for f in space.dim("model_family").choices}
     act_counts = {a: 0 for a in space.dim("activation").choices}
     for c in configs:

@@ -8,16 +8,22 @@ configs. On a 40/20-node bundle whose two P->P relations share some cells:
 every family with two and three pre-process layers and PReLU, so extra
 pre-process layers and a homogenized cell that two relations share are
 pinned too. The sha256 of each finalized body (the lines after the header,
-which names file paths) must equal the digest committed below. The digests
-hold only for the numpy and scipy versions and the machine type they were
-recorded with; elsewhere the test skips.
+which names file paths) must equal the digest committed below.
 
-To record new digests after a change that is meant to alter the arithmetic:
+The sampler is pinned the same way: the sha256 of the sampled configs, as
+`json.dumps([c.to_flat() for c in configs], sort_keys=True)` writes them,
+for the `search-nc-small` benchmark plan on the condensed space and for the
+full space. The digests hold only for the numpy and scipy versions and the
+machine type they were recorded with; elsewhere the tests skip.
+
+To record new digests after a change that is meant to alter the arithmetic
+or the draws:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import json
 import platform
 import sys
 from pathlib import Path
@@ -26,6 +32,7 @@ import numpy as np
 import pytest
 import scipy
 
+from hgnn_space import designspace as ds
 from hgnn_space.hgraph import SyntheticSpec, generate_synthetic, save_graph
 from hgnn_space.layers import MICRO_KINDS
 from hgnn_space.model import FAMILIES, DesignConfig
@@ -36,6 +43,13 @@ DIGESTS = {
     "link_prediction": "c3cfff8a28d55435439a97547d9ac8938fe221c57aa5253da96f692a1c88a84f",
     "node_classification": "9ee738d16230d8ad1517da4e843643b1f07f6c2c26bfe9ad0def7f4691084efc",
     "shared_cells": "4bd86bebf524bb745eca74ec1cab79b95fc92f944b534c99f420004ca5fedd2d",
+}
+# (space, n, strata_hits, seed) -> sha256 of the sampled configs
+SAMPLE_DIGESTS = {
+    ("condensed", 96, 2, 13):
+        "de29e6b6506054492b5d608af499065d0c5dcbe9aeb859be065900d7a37c988e",
+    ("full", 264, 2, 7):
+        "60a66a4e811b79d1cd0e9c3190fd1a1d3bd236e7a19f600ad2a5a0d75b58b4ba",
 }
 
 METAPATHS = (("PAP", ("pa", "ap")), ("APA", ("ap", "pa")))
@@ -138,6 +152,14 @@ def body_digest(name, workdir) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
+def sample_digest(space, n, strata_hits, seed) -> str:
+    """sha256 of the configs `sample_controlled` draws, meta-paths PAP and APA."""
+    configs = ds.sample_controlled(ds.SPACES[space](), n, strata_hits, seed,
+                                   metapaths=METAPATHS)
+    flat = json.dumps([c.to_flat() for c in configs], sort_keys=True)
+    return hashlib.sha256(flat.encode()).hexdigest()
+
+
 def _environment():
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "machine": platform.machine()}
@@ -148,6 +170,13 @@ def test_finalized_records_match_the_committed_digest(task, tmp_path):
     if _environment() != RECORDED_WITH:
         pytest.skip(f"digests recorded with {RECORDED_WITH}, running {_environment()}")
     assert body_digest(task, tmp_path) == DIGESTS[task]
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLE_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_sampled_configs_match_the_committed_digest(key):
+    if _environment() != RECORDED_WITH:
+        pytest.skip(f"digests recorded with {RECORDED_WITH}, running {_environment()}")
+    assert sample_digest(*key) == SAMPLE_DIGESTS[key]
 
 
 def test_shared_cells_plan_has_shared_cells():
@@ -164,3 +193,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(DIGESTS):
             print(f'    "{name}": "{body_digest(name, Path(tmp) / name)}",')
+    for key in sorted(SAMPLE_DIGESTS):
+        print(f'    {key}:\n        "{sample_digest(*key)}",')

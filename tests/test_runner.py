@@ -197,7 +197,7 @@ def test_expand_plan_checks_declared_metapaths_whatever_the_sample_draws(tmp_pat
     plan = ExperimentPlan(graph=str(make_bundle(tmp_path)), task="node_classification",
                           target="P", space="condensed", n=2, strata_hits=0, seed=18,
                           metapaths=(("PAP", ("pa", "ap")), ("PAP", ("ap", "pa"))))
-    drawn = ds.sample_controlled(ds.condensed_space(), 2, [], 18,
+    drawn = ds.sample_controlled(ds.condensed_space(), 2, 0, 18,
                                  metapaths=plan.metapaths)
     assert all(c.model_family != "Metapath" for c in drawn)
     with pytest.raises(GraphError, match="'PAP' is declared more than once"):
@@ -317,6 +317,8 @@ def test_a_trial_that_raises_is_recorded_failed_and_the_plan_goes_on(tmp_path,
     assert failed["status"] == "failed" and failed["best_score"] is None
     assert failed["reason"] == "FloatingPointError: overflow encountered in exp"
     assert failed["trial_id"] == 0 and failed["split_id"] == 0
+    assert failed["history"] == {"train_loss": [], "val_score": []}
+    assert failed["metric"] == "macro_f1"
     assert all("reason" not in json.loads(line) for line in lines[2:])
     assert _finalized_line(_record_to_json(run_trial_by_id(plan, 0))) == lines[1]
 
@@ -372,7 +374,7 @@ def test_resume_completes_missing_and_keeps_done(tmp_path):
     assert done_ids == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("damage", ["header", "records"])
+@pytest.mark.parametrize("damage", ["header", "records", "not-a-record"])
 def test_resume_reruns_what_a_damaged_partial_file_loses(tmp_path, damage):
     plan = make_plan(tmp_path)
     out = run_plan(plan)
@@ -381,8 +383,10 @@ def test_resume_reruns_what_a_damaged_partial_file_loses(tmp_path, damage):
     lines = Path(partial).read_text().splitlines()
     if damage == "header":  # JSON, but not an object: nothing is kept
         lines[0] = "[1]"
-    else:  # JSON records of the wrong shape: those trials rerun
+    elif damage == "records":  # JSON records of the wrong shape: those trials rerun
         lines[1:3] = ["[0]", '{"trial_id": [1]}']
+    else:  # an object with a trial id but no record: `read_results` refuses it
+        lines[2] = '{"trial_id": 1}'
     Path(partial).write_text("\n".join(lines) + "\n")
     os.remove(out)
     run_plan(plan, resume=True)
