@@ -284,20 +284,10 @@ def perturb_dimension(base: DesignConfig, dim_name: str,
 _TASKS = ("node_classification", "link_prediction")
 
 
-_FULL_SPACE = None
-
-
-def _full_space_cached() -> DesignSpace:
-    global _FULL_SPACE
-    if _FULL_SPACE is None:
-        _FULL_SPACE = full_space()
-    return _FULL_SPACE
-
-
 def validate(cfg: DesignConfig, graph=None) -> list:
     """All violations of the full-space domains and conditional rules."""
     errors = []
-    dims = _full_space_cached().dimensions
+    dims = _UNIQUE_DIMS + _COMMON_FULL
     values = {d.name: getattr(cfg, d.name) for d in dims}
     for d in dims:
         value = values[d.name]

@@ -67,6 +67,18 @@ def _collect(values, found):
             _collect(x, found)
 
 
+class Linear(Module):
+    """`x @ W + b`: W glorot-drawn from `rng`, b zero, named `<prefix>.W`
+    and `<prefix>.b`."""
+
+    def __init__(self, in_dim, out_dim, rng, prefix):
+        self.W = Parameter(glorot(rng, in_dim, out_dim), f"{prefix}.W")
+        self.b = Parameter(np.zeros((1, out_dim)), f"{prefix}.b")
+
+    def __call__(self, x):
+        return T.add(T.matmul(x, self.W), self.b)
+
+
 # ---------------------------------------------------------------------------
 # aggregation matrices
 # ---------------------------------------------------------------------------
@@ -112,12 +124,10 @@ def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
 
 class GCNConv(Module):
     def __init__(self, in_dim, out_dim, rng, prefix):
-        self.W = Parameter(glorot(rng, in_dim, out_dim), f"{prefix}.W")
-        self.b = Parameter(np.zeros((1, out_dim)), f"{prefix}.b")
+        self.lin = Linear(in_dim, out_dim, rng, prefix)
 
     def __call__(self, plan: SpmmPlan, h_src, h_dst):
-        agg = T.spmm(plan, h_src)
-        return T.add(T.matmul(agg, self.W), self.b)
+        return self.lin(T.spmm(plan, h_src))
 
 
 class GATConv(Module):
@@ -164,12 +174,10 @@ class SageConv(Module):
     """Mean-aggregator GraphSAGE: neighbors averaged, concatenated with self."""
 
     def __init__(self, in_dim, out_dim, rng, prefix):
-        self.W = Parameter(glorot(rng, 2 * in_dim, out_dim), f"{prefix}.W")
-        self.b = Parameter(np.zeros((1, out_dim)), f"{prefix}.b")
+        self.lin = Linear(2 * in_dim, out_dim, rng, prefix)
 
     def __call__(self, plan: SpmmPlan, h_src, h_dst):
-        mean = T.spmm(plan, h_src)
-        return T.add(T.matmul(T.concat([h_dst, mean], axis=1), self.W), self.b)
+        return self.lin(T.concat([h_dst, T.spmm(plan, h_src)], axis=1))
 
 
 class GINConv(Module):
@@ -177,16 +185,13 @@ class GINConv(Module):
 
     def __init__(self, in_dim, out_dim, rng, prefix):
         self.eps = Parameter(np.zeros((1, 1)), f"{prefix}.eps")
-        self.W1 = Parameter(glorot(rng, in_dim, out_dim), f"{prefix}.W1")
-        self.b1 = Parameter(np.zeros((1, out_dim)), f"{prefix}.b1")
-        self.W2 = Parameter(glorot(rng, out_dim, out_dim), f"{prefix}.W2")
-        self.b2 = Parameter(np.zeros((1, out_dim)), f"{prefix}.b2")
+        self.lin1 = Linear(in_dim, out_dim, rng, f"{prefix}.lin1")
+        self.lin2 = Linear(out_dim, out_dim, rng, f"{prefix}.lin2")
 
     def __call__(self, plan: SpmmPlan, h_src, h_dst):
         sums = T.spmm(plan, h_src)
         pre = T.add(T.mul(h_dst, T.add(self.eps, Tensor(1.0))), sums)
-        hidden = T.relu(T.add(T.matmul(pre, self.W1), self.b1))
-        return T.add(T.matmul(hidden, self.W2), self.b2)
+        return self.lin2(T.relu(self.lin1(pre)))
 
 
 def make_micro_conv(kind, in_dim, out_dim, rng, prefix, attention_form="GAT",
@@ -227,14 +232,11 @@ class MacroAttention(Module):
     all of its nodes: score_k = mean_v q . tanh(W z_k[v] + b)."""
 
     def __init__(self, dim, rng, prefix):
-        self.W = Parameter(glorot(rng, dim, dim), f"{prefix}.W")
-        self.b = Parameter(np.zeros((1, dim)), f"{prefix}.b")
+        self.lin = Linear(dim, dim, rng, prefix)
         self.q = Parameter(glorot(rng, dim, 1), f"{prefix}.q")
 
     def __call__(self, zs):
-        scores = [T.reshape(T.tmean(T.matmul(T.tanh(T.add(T.matmul(z, self.W),
-                                                          self.b)), self.q)),
-                            (1, 1))
+        scores = [T.reshape(T.tmean(T.matmul(T.tanh(self.lin(z)), self.q)), (1, 1))
                   for z in zs]
         weights = T.row_softmax(T.concat(scores, axis=1))
         return reduce(T.add, [T.mul(z, T.narrow(weights, 1, k, k + 1))

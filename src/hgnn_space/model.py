@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from . import layers as L
 from .hgraph import GraphError, HeteroGraph
-from .tensor import Parameter, Tensor, TensorError
+from .tensor import Tensor, TensorError
 from .transform import (MetaPath, compose_metapath, extract_relation_subgraphs,
                         homogenize, type_offsets)
 
@@ -186,20 +186,14 @@ class Model(L.Module):
         self.post = []
         w = self.final_width
         for i in range(cfg.post_layers):
-            W = Parameter(L.glorot(rng, w, hid), f"post{i}.W")
-            b = Parameter(np.zeros((1, hid)), f"post{i}.b")
+            linear = L.Linear(w, hid, rng, f"post{i}")
             act = (L.Activation(cfg.activation, prefix=f"post{i}.act")
                    if i < cfg.post_layers - 1 else None)
-            self.post.append((W, b, act))
+            self.post.append((linear, act))
             w = hid
 
-        if cfg.task == "node_classification":
-            self.head_W = Parameter(L.glorot(rng, hid, max(1, self.num_classes)),
-                                    "head.W")
-            self.head_b = Parameter(np.zeros((1, max(1, self.num_classes))), "head.b")
-        else:
-            self.head_W = None
-            self.head_b = None
+        self.head = (L.Linear(hid, max(1, self.num_classes), rng, "head")
+                     if cfg.task == "node_classification" else None)
 
     # -- graph preparation ----------------------------------------------------
 
@@ -304,18 +298,18 @@ class Model(L.Module):
         out = {}
         for t in want:
             x = h[t]
-            for W, b, act in self.post:
-                x = T.add(T.matmul(x, W), b)
+            for linear, act in self.post:
+                x = linear(x)
                 if act is not None:
                     x = act(x)
             out[t] = x
         return out
 
     def predict_logits(self, g: HeteroGraph, training: bool = False, rng=None):
-        if self.head_W is None:
+        if self.head is None:
             raise GraphError("model has no classification head")
         h = self.forward(g, training=training, rng=rng, types=(self.target_type,))
-        return T.add(T.matmul(h[self.target_type], self.head_W), self.head_b)
+        return self.head(h[self.target_type])
 
 
 def build_model(cfg: DesignConfig, graph: HeteroGraph, num_classes: int = 0,

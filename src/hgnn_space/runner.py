@@ -24,7 +24,8 @@ import numpy as np
 from . import designspace as ds
 from .hgraph import GraphError, load_graph, read_text
 from .model import DesignConfig, metapaths_from_text, metapaths_to_text
-from .train import Task, TrialRecord, TrialStart, make_splits, train_trial, trial_record
+from .train import (Task, TrialRecord, TrialStart, check_unsaturated, make_splits,
+                    train_trial, trial_record)
 
 RESULTS_FORMAT = "hgnn-space-results/1"
 
@@ -155,6 +156,10 @@ def expand_plan(plan: ExperimentPlan):
             raise GraphError("plan key 'num_classes' applies only to "
                              "node_classification plans")
         graph.relation(plan.target)
+        # every edge is a positive of some split, so a source linked to every
+        # destination would end each trial when its negatives are drawn
+        adj = graph.adjacency[plan.target]
+        check_unsaturated(adj, plan.target, adj.indices)
         task = Task("link_prediction", plan.target)
     else:
         raise GraphError(f"unknown task '{plan.task}'")
@@ -307,11 +312,17 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
                               + "\n" for d in (head, expect))
 
     done = _read_partial(partial_path, plan, expect) if resume else {}
-    mode = "a" if (resume and done) else "w"
-    with open(partial_path, mode) as partial:
-        if mode == "w":
-            partial.write(partial_header)
-            partial.flush()
+    # the header and the kept records replace the file in one step, so a line
+    # cut mid-write is dropped instead of continued by the next record
+    try:
+        with open(partial_path + ".tmp", "w") as tmp:
+            tmp.write(partial_header + "".join(line + "\n" for line in done.values()))
+            tmp.flush()
+            os.fsync(tmp.fileno())
+        os.replace(partial_path + ".tmp", partial_path)
+    except OSError as e:  # an unwritable output names the file the plan asks for
+        raise OSError(e.errno, e.strerror, partial_path) from None
+    with open(partial_path, "a") as partial:
         pending = [i for i in range(n_trials) if i not in done]
         # the pending splits of one config (equal configs in a row count as
         # one) start from one built model; rebinding `start` drops the last

@@ -121,6 +121,18 @@ def graph_without_edges(graph: HeteroGraph, relation: str, pairs) -> HeteroGraph
 _SAMPLE_WINDOW = 256
 
 
+def check_unsaturated(adj, relation: str, sources):
+    """Raise a GraphError naming the first of `sources` that `relation`'s
+    adjacency `adj` links to every destination: no negative exists for it."""
+    n_dst, n_src = adj.shape  # rows are destinations
+    out_degree = np.bincount(adj.indices, minlength=n_src)  # cells are distinct
+    saturated = out_degree[sources] >= n_dst
+    if saturated.any():
+        s = int(sources[np.argmax(saturated)])
+        raise GraphError(f"relation '{relation}' is saturated for source {s}: "
+                         f"no negative destinations exist")
+
+
 def negative_sample(graph: HeteroGraph, relation: str, positives, k: int, seed):
     """Corrupt destinations of the positive pairs, avoiding every observed
     edge of the relation; deterministic given the seed.
@@ -139,12 +151,7 @@ def negative_sample(graph: HeteroGraph, relation: str, positives, k: int, seed):
     n_dst, n_src = adj.shape  # rows are destinations
     if src.size and (src.min() < 0 or src.max() >= n_src):
         raise GraphError(f"source id out of range for relation '{relation}'")
-    out_degree = np.bincount(adj.indices, minlength=n_src)  # cells are distinct
-    saturated = out_degree[src] >= n_dst
-    if saturated.any():
-        s = int(src[np.argmax(saturated)])
-        raise GraphError(f"relation '{relation}' is saturated for source {s}: "
-                         f"no negative destinations exist")
+    check_unsaturated(adj, relation, src)
     keys = np.append(_cell_keys(adj), np.iinfo(np.int64).max)  # bounds searchsorted
 
     sources = np.repeat(src, k)

@@ -388,6 +388,23 @@ def test_num_classes_on_a_link_prediction_plan_is_reported_in_one_line(tmp_path,
     assert not (tmp_path / "r.ndrec.partial").exists()
 
 
+def test_a_link_target_with_a_saturated_source_is_reported_before_any_trial(tmp_path,
+                                                                            capsys):
+    # A0 links to every P, so no negative destination exists for it
+    ap = np.array([[0, p] for p in range(6)] + [[1, 0], [2, 3]])
+    g = build_graph([("P", 6, 2), ("A", 3, 2)], [("ap", "A", "P"), ("pa", "P", "A")],
+                    {"ap": ap, "pa": ap[:, ::-1]},
+                    features={"P": np.ones((6, 2)), "A": np.ones((3, 2))})
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"graph = {save_graph(g, tmp_path / 'bundle')}\n"
+                    "task = link_prediction\ntarget = ap\nspace = condensed\nn = 2\n"
+                    f"strata_hits = 0\nsplits = 1\nout = {tmp_path / 'r.ndrec'}\n")
+    assert main(["run", "--plan", str(plan)]) == 2
+    assert _one_line_error(capsys) == ("hgnn-space: error: relation 'ap' is saturated "
+                                       "for source 0: no negative destinations exist\n")
+    assert not (tmp_path / "r.ndrec.partial").exists()
+
+
 @pytest.mark.parametrize("keys", [{}, {"num_classes": 3}], ids=["inferred", "given"])
 def test_a_target_type_without_nodes_is_reported_in_one_line(tmp_path, capsys, keys):
     g = build_graph([("P", 0, 2), ("A", 4, 2)], [("ap", "A", "P"), ("pa", "P", "A")],

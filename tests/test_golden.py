@@ -10,6 +10,14 @@ pre-process layers and a homogenized cell that two relations share are
 pinned too. The sha256 of each finalized body (the lines after the header,
 which names file paths) must equal the digest committed below.
 
+The initial parameters are pinned as well: one model per (model family,
+micro convolution) cell plus SimpleHGN, each with PReLU, batch norm, two
+pre- and post-process layers and, where the family has macros, an
+Attention macro, hashed as the sha256 over every parameter's shape and
+bytes in `parameters()` order. A change that reorders or redraws
+parameters fails here by name, not only through a finite-difference check
+that happens to straddle a kink.
+
 The sampler is pinned the same way: the sha256 of the sampled configs, as
 `json.dumps([c.to_flat() for c in configs], sort_keys=True)` writes them,
 for the `search-nc-small` benchmark plan on the condensed space and for the
@@ -26,6 +34,7 @@ import hashlib
 import json
 import platform
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +44,7 @@ import scipy
 from hgnn_space import designspace as ds
 from hgnn_space.hgraph import SyntheticSpec, generate_synthetic, save_graph
 from hgnn_space.layers import MICRO_KINDS
-from hgnn_space.model import FAMILIES, DesignConfig
+from hgnn_space.model import FAMILIES, DesignConfig, build_model
 from hgnn_space.runner import ExperimentPlan, run_plan, save_config_list
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64"}
@@ -51,6 +60,8 @@ SAMPLE_DIGESTS = {
     ("full", 264, 2, 7):
         "60a66a4e811b79d1cd0e9c3190fd1a1d3bd236e7a19f600ad2a5a0d75b58b4ba",
 }
+# sha256 of the initial parameters of `_parameter_configs`' models
+PARAMETER_DIGEST = "0eeae8568ffd8777ec573a0594e3e0731135ee8c3c5e68ab9f0a96d006433ef4"
 
 METAPATHS = (("PAP", ("pa", "ap")), ("APA", ("ap", "pa")))
 MACROS = ("Sum", "Attention", "Max", "Mean")
@@ -123,15 +134,21 @@ def _shared_cells_configs():
     return out
 
 
+def _bundle_graph():
+    """The 60/30-node graph of the node-classification and link-prediction
+    plans; its P nodes fall into 4 classes."""
+    return generate_synthetic(SyntheticSpec(
+        node_types=(("P", 60, 8), ("A", 30, 8)),
+        relations=(("ap", "A", "P", 150), ("pa", "P", "A", 150)),
+        target_type="P", num_communities=4, seed=3))
+
+
 def _plan_inputs(name):
     """(graph, task, target, meta-paths, configs) of a golden plan."""
     if name == "shared_cells":
         return (_shared_cells_graph(), "node_classification", "P", SHARED_METAPATHS,
                 _shared_cells_configs())
-    graph = generate_synthetic(SyntheticSpec(
-        node_types=(("P", 60, 8), ("A", 30, 8)),
-        relations=(("ap", "A", "P", 150), ("pa", "P", "A", 150)),
-        target_type="P", num_communities=4, seed=3))
+    graph = _bundle_graph()
     if name == "node_classification":
         return graph, name, "P", METAPATHS, _nc_configs()
     return graph, name, "ap", METAPATHS, _lp_configs()
@@ -160,6 +177,40 @@ def sample_digest(space, n, strata_hits, seed) -> str:
     return hashlib.sha256(flat.encode()).hexdigest()
 
 
+def _parameter_configs():
+    """Every cell once and SimpleHGN, each with every parameterized module:
+    an Attention macro where the family has macros, PReLU slopes, batch
+    norm, an extra pre-process layer and a hidden post-process layer."""
+    shared = dict(activation="PReLU", has_bn=True, pre_layers=2, post_layers=2,
+                  hidden_dim=8)
+    out = [DesignConfig(model_family=family, micro_conv=micro,
+                        macro_agg=None if family == "Homogenization" else "Attention",
+                        metapaths=METAPATHS if family == "Metapath" else (),
+                        seed=k, **shared)
+           for k, (family, micro) in enumerate(product(FAMILIES, MICRO_KINDS))]
+    out.append(DesignConfig(model_family="Homogenization", micro_conv="GATConv",
+                            macro_agg=None, attention_form="SimpleHGN", seed=12,
+                            **shared))
+    return out
+
+
+def _initial_parameters():
+    """Each model's parameters, in `parameters()` order."""
+    graph = _bundle_graph()
+    return [build_model(cfg, graph, num_classes=4, target_type="P").parameters()
+            for cfg in _parameter_configs()]
+
+
+def parameter_digest() -> str:
+    """sha256 over each initial parameter's shape and bytes, model by model."""
+    h = hashlib.sha256()
+    for params in _initial_parameters():
+        for p in params:
+            h.update(repr(p.shape).encode())
+            h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
 def _environment():
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "machine": platform.machine()}
@@ -179,6 +230,19 @@ def test_sampled_configs_match_the_committed_digest(key):
     assert sample_digest(*key) == SAMPLE_DIGESTS[key]
 
 
+def test_initial_parameters_match_the_committed_digest():
+    if _environment() != RECORDED_WITH:
+        pytest.skip(f"digests recorded with {RECORDED_WITH}, running {_environment()}")
+    assert parameter_digest() == PARAMETER_DIGEST
+
+
+def test_parameter_names_are_unique_within_each_model():
+    # Adam keys each parameter's moments on its name
+    for params in _initial_parameters():
+        names = [p.name for p in params]
+        assert len(set(names)) == len(names), names
+
+
 def test_shared_cells_plan_has_shared_cells():
     g = _shared_cells_graph()
     cites = g.adjacency["cites"].toarray() > 0
@@ -195,3 +259,4 @@ if __name__ == "__main__":
             print(f'    "{name}": "{body_digest(name, Path(tmp) / name)}",')
     for key in sorted(SAMPLE_DIGESTS):
         print(f'    {key}:\n        "{sample_digest(*key)}",')
+    print(f'PARAMETER_DIGEST = "{parameter_digest()}"')

@@ -94,10 +94,11 @@ def test_gcn_bipartite_matches_dense_oracle():
     adj, sub, h_src, h_dst = bipartite_fixture(rng)
     conv = L.GCNConv(3, 2, np.random.default_rng(1), "c")
     got = run_conv(conv, sub, Tensor(h_src), Tensor(h_dst))
-    want = dense_gcn(adj, h_src, h_dst, conv.W.data, conv.b.data, same_type=False)
+    want = dense_gcn(adj, h_src, h_dst, conv.lin.W.data, conv.lin.b.data,
+                     same_type=False)
     assert np.allclose(got.data, want, atol=1e-12)
     # empty neighborhood: aggregated sum is zero, so the row equals the bias
-    assert np.allclose(got.data[0], conv.b.data[0])
+    assert np.allclose(got.data[0], conv.lin.b.data[0])
 
 
 def test_gcn_square_self_loops_match_dense_oracle():
@@ -106,7 +107,7 @@ def test_gcn_square_self_loops_match_dense_oracle():
     h = rng.standard_normal((6, 3))
     conv = L.GCNConv(3, 3, np.random.default_rng(3), "c")
     got = run_conv(conv, _subgraph(adj, same_type=True), Tensor(h), Tensor(h))
-    want = dense_gcn(adj, h, h, conv.W.data, conv.b.data, same_type=True)
+    want = dense_gcn(adj, h, h, conv.lin.W.data, conv.lin.b.data, same_type=True)
     assert np.allclose(got.data, want, atol=1e-12)
 
 
@@ -152,12 +153,12 @@ def test_sage_and_gin_match_dense_oracles():
     adj, sub, h_src, h_dst = bipartite_fixture(rng)
     sage = L.SageConv(3, 2, np.random.default_rng(11), "s")
     got = run_conv(sage, sub, Tensor(h_src), Tensor(h_dst))
-    assert np.allclose(got.data, dense_sage(adj, h_src, h_dst, sage.W.data,
-                                            sage.b.data), atol=1e-12)
+    assert np.allclose(got.data, dense_sage(adj, h_src, h_dst, sage.lin.W.data,
+                                            sage.lin.b.data), atol=1e-12)
     gin = L.GINConv(3, 3, np.random.default_rng(12), "gin")
     got = run_conv(gin, sub, Tensor(h_src), Tensor(h_dst))
-    want = dense_gin(adj, h_src, h_dst, gin.eps.data.item(), gin.W1.data,
-                     gin.b1.data, gin.W2.data, gin.b2.data)
+    want = dense_gin(adj, h_src, h_dst, gin.eps.data.item(), gin.lin1.W.data,
+                     gin.lin1.b.data, gin.lin2.W.data, gin.lin2.b.data)
     assert np.allclose(got.data, want, atol=1e-12)
 
 
@@ -185,13 +186,13 @@ def _composed_aggregation(kind, conv, adj, h_src, h_dst, same_type):
     msg = T.mul(T.gather_rows(h_src, T.SegmentIndex(src, n_src)), weight)
     agg = T.matmul(Tensor(np.eye(n_dst)[:, dst]), msg)
     if kind == "GCNConv":
-        return T.add(T.matmul(agg, conv.W), conv.b)
+        return T.add(T.matmul(agg, conv.lin.W), conv.lin.b)
     if kind == "SageConv":
-        return T.add(T.matmul(T.concat([h_dst, agg], axis=1), conv.W), conv.b)
+        return T.add(T.matmul(T.concat([h_dst, agg], axis=1), conv.lin.W), conv.lin.b)
     if kind == "GINConv":
         pre = T.add(T.mul(h_dst, T.add(conv.eps, Tensor(1.0))), agg)
-        return T.add(T.matmul(T.relu(T.add(T.matmul(pre, conv.W1), conv.b1)),
-                              conv.W2), conv.b2)
+        return T.add(T.matmul(T.relu(T.add(T.matmul(pre, conv.lin1.W), conv.lin1.b)),
+                              conv.lin2.W), conv.lin2.b)
     return agg
 
 
@@ -576,7 +577,7 @@ def test_macro_three_input_fold_matches_a_reference(kind):
     elif kind == "Max":
         assert np.array_equal(out, np.maximum(np.maximum(a, b), c))
     else:
-        scores = np.array([(np.tanh(z @ macro.W.data + macro.b.data) @ macro.q.data)
+        scores = np.array([(np.tanh(z @ macro.lin.W.data + macro.lin.b.data) @ macro.q.data)
                            .mean() for z in zs])
         w = np.exp(scores - scores.max())
         w /= w.sum()
@@ -617,7 +618,8 @@ def test_a_layer_fuses_each_set_s_outputs_and_passes_on_the_others(monkeypatch):
     z0, z1 = (z.data for z in conv_outs)
     assert len(post_ins) == len(connected) == 1
     assert np.array_equal(post_ins[0].data, (z0 + z1) * 0.5)
-    (W, b, _), = model.post
+    (linear, _), = model.post
+    W, b = linear.W, linear.b
     for t in ("A", "C"):
         h = model.pre({u: Tensor(x) for u, x in g.features.items()}, types=(t,))[t]
         padded = np.concatenate([h.data, np.zeros((g.node_type(t).count, 8))], axis=1)

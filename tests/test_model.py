@@ -94,12 +94,12 @@ def test_forward_dense_composition_oracle():
         din = A.sum(axis=1)
         norm = np.divide(A, din[:, None], out=np.zeros_like(A),
                          where=din[:, None] > 0)
-        return norm @ h[src] @ conv.W.data + conv.b.data
+        return norm @ h[src] @ conv.lin.W.data + conv.lin.b.data
 
     z = {"P": gcn_out(0, "ap", "A", "P"), "A": gcn_out(1, "pa", "P", "A")}
     z = {t: np.maximum(v, 0.0) for t, v in z.items()}  # ReLU, STACK
     for t in ("P", "A"):
-        W, b, _ = model.post[0]
+        W, b = model.post[0][0].W, model.post[0][0].b
         want = z[t] @ W.data + b.data
         assert np.allclose(out[t].data, want, atol=1e-12)
 
@@ -259,8 +259,8 @@ def homogenization_forward_loop(model, g, training=False, rng=None, types=None):
     for t in want:
         lo = type_offsets(g)[t]
         y = T.narrow(x, 0, lo, lo + model.type_counts[t])
-        for W, b, act in model.post:
-            y = T.add(T.matmul(y, W), b)
+        for linear, act in model.post:
+            y = T.add(T.matmul(y, linear.W), linear.b)
             if act is not None:
                 y = act(y)
         out[t] = y

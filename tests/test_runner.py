@@ -374,6 +374,30 @@ def test_resume_completes_missing_and_keeps_done(tmp_path):
     assert done_ids == [0, 1, 2, 3]
 
 
+def test_a_resume_drops_a_cut_line_so_a_second_resume_runs_no_trial(tmp_path,
+                                                                    monkeypatch):
+    import hgnn_space.runner as runner_mod
+
+    plan = make_plan(tmp_path)
+    out = run_plan(plan)
+    want = Path(out).read_bytes()
+    partial = Path(out + ".partial")
+    lines = partial.read_text().splitlines()
+    # trial 2's line cut mid-write, without its newline; trial 3's never written
+    partial.write_text("\n".join(lines[:3]) + "\n" + lines[3][:25])
+    run_plan(plan, resume=True)
+    assert Path(out).read_bytes() == want
+    records = partial.read_text().splitlines()[1:]
+    assert all(_parses(line) for line in records)
+    assert sorted(json.loads(line)["trial_id"] for line in records) == [0, 1, 2, 3]
+
+    ran = []
+    monkeypatch.setattr(runner_mod, "train_trial", lambda *a, **kw: ran.append(a))
+    run_plan(plan, resume=True)
+    assert ran == []
+    assert Path(out).read_bytes() == want
+
+
 @pytest.mark.parametrize("damage", ["header", "records", "not-a-record"])
 def test_resume_reruns_what_a_damaged_partial_file_loses(tmp_path, damage):
     plan = make_plan(tmp_path)

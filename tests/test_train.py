@@ -762,7 +762,7 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
 
     def logits(training, rng=None):
         h = model.forward(msg_graph, training=training, rng=rng)
-        return T.add(T.matmul(h[task.target], model.head_W), model.head_b)
+        return T.add(T.matmul(h[task.target], model.head.W), model.head.b)
 
     def evaluate():
         if task.kind == "node_classification":
