@@ -266,16 +266,12 @@ class HeteroLinear(Module):
 
     def __init__(self, type_specs, out_dim, rng, prefix="pre0"):
         # type_specs: ordered (name, in_dim, count)
-        self.weights = {}
-        self.biases = {}
+        self.linears = {}
         self.embeddings = {}
         self.order = tuple(name for name, _, _ in type_specs)
         for name, in_dim, count in type_specs:
             if in_dim > 0:
-                self.weights[name] = Parameter(glorot(rng, in_dim, out_dim),
-                                               f"{prefix}.{name}.W")
-                self.biases[name] = Parameter(np.zeros((1, out_dim)),
-                                              f"{prefix}.{name}.b")
+                self.linears[name] = Linear(in_dim, out_dim, rng, f"{prefix}.{name}")
             else:
                 self.embeddings[name] = Parameter(
                     rng.normal(0.0, 1.0 / np.sqrt(out_dim), size=(count, out_dim)),
@@ -287,16 +283,16 @@ class HeteroLinear(Module):
         for name in self.order:
             if types is not None and name not in types:
                 continue
-            if name in self.weights:
+            if name in self.linears:
                 x = features_by_type.get(name)
                 if x is None:
                     raise TensorError(f"missing features for type '{name}'")
-                x = x if isinstance(x, Tensor) else Tensor(x)
-                if x.shape[1] != self.weights[name].shape[0]:
+                linear = self.linears[name]
+                if x.shape[1] != linear.W.shape[0]:
                     raise TensorError(
                         f"type '{name}': feature width {x.shape[1]} does not match "
-                        f"projection input {self.weights[name].shape[0]}")
-                out[name] = T.add(T.matmul(x, self.weights[name]), self.biases[name])
+                        f"projection input {linear.W.shape[0]}")
+                out[name] = linear(x)
             else:
                 out[name] = self.embeddings[name]
         return out

@@ -6,12 +6,13 @@ aggregate, post-ops, connectivity), a shared post-process MLP and a task
 head. The family picks the transformation in `Model._graph_data` and
 nowhere else; everything after reads each subgraph's endpoint spec and
 the one aggregation plan the config's micro convolution runs on, built
-from the subgraph's CSR adjacency. Parameter initialization is a pure
-function of the configuration seed.
+from the subgraph's CSR adjacency. Each module's initial parameters are
+a pure function of the configuration seed and the module's name.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -100,7 +101,7 @@ class _MpLayer(L.Module):
 
     def __init__(self):
         self.convs = []          # aligned with the model's subgraph specs
-        self.macros = {}         # receiving node set -> macro, in receiving order
+        self.macros = {}         # node set fed by two or more subgraphs -> macro
         self.bns = {}            # receiving node set -> BatchNorm
         self.activation = None
 
@@ -149,34 +150,34 @@ class Model(L.Module):
         self.init_parameters()
 
     def init_parameters(self):
-        """Draw every parameter and batch-norm state anew from the config
-        seed, in a fixed order: pre-process, extra pre-process layers, each
-        message-passing layer's convolutions then macros, post-process,
-        head. The modules are new objects; the prepared graph is kept."""
+        """New modules, each drawing its parameters from a generator keyed on
+        the config seed and its own name alone; the prepared graph is kept."""
         cfg = self.cfg
-        rng = np.random.default_rng(cfg.seed)
         hid = cfg.hidden_dim
-        self.pre = L.HeteroLinear(self.type_specs, hid, rng, prefix="pre0")
+
+        def rng(prefix):  # crc32, unlike `hash`, is the same in every process
+            return np.random.default_rng([cfg.seed, zlib.crc32(prefix.encode())])
+
+        self.pre = L.HeteroLinear(self.type_specs, hid, rng("pre0"), prefix="pre0")
         self.pre_extra = [
-            (L.HeteroLinear([(t, hid, 0) for t in self.type_names], hid, rng,
+            (L.HeteroLinear([(t, hid, 0) for t in self.type_names], hid, rng(f"pre{i}"),
                             prefix=f"pre{i}"),
              L.Activation(cfg.activation, prefix=f"pre{i}.act"))
             for i in range(1, cfg.pre_layers)]
 
+        dsts = [dst for _, _, dst in self.sub_specs]
         self.mp = []
         for li, width in enumerate(self.widths_in):
             layer = _MpLayer()
-            layer.convs = [L.make_micro_conv(cfg.micro_conv, width, hid, rng,
-                                             f"mp{li}.conv.{name}", cfg.attention_form,
-                                             self.n_relations)
-                           for name, _, _ in self.sub_specs]
-            # a macro for every receiving type, even one whose lone subgraph
-            # bypasses it: Attention macros draw their parameters from `rng`,
-            # so they fix the init stream. Homogenization configs have none.
+            layer.convs = [  # by position, so every family's lone conv starts alike
+                L.make_micro_conv(cfg.micro_conv, width, hid, rng(f"mp{li}.conv{k}"),
+                                  f"mp{li}.conv{k}", cfg.attention_form, self.n_relations)
+                for k in range(len(dsts))]
             if cfg.macro_agg is not None:
-                layer.macros = {t: L.make_macro(cfg.macro_agg, hid, rng,
-                                                f"mp{li}.macro.{t}")
-                                for t in self.receiving}
+                layer.macros = {
+                    t: L.make_macro(cfg.macro_agg, hid, rng(f"mp{li}.macro.{t}"),
+                                    f"mp{li}.macro.{t}")
+                    for t in self.receiving if dsts.count(t) > 1}
             if cfg.has_bn:
                 layer.bns = {t: L.BatchNorm(hid, f"mp{li}.bn.{t}")
                              for t in self.receiving}
@@ -186,13 +187,13 @@ class Model(L.Module):
         self.post = []
         w = self.final_width
         for i in range(cfg.post_layers):
-            linear = L.Linear(w, hid, rng, f"post{i}")
+            linear = L.Linear(w, hid, rng(f"post{i}"), f"post{i}")
             act = (L.Activation(cfg.activation, prefix=f"post{i}.act")
                    if i < cfg.post_layers - 1 else None)
             self.post.append((linear, act))
             w = hid
 
-        self.head = (L.Linear(hid, max(1, self.num_classes), rng, "head")
+        self.head = (L.Linear(hid, max(1, self.num_classes), rng("head"), "head")
                      if cfg.task == "node_classification" else None)
 
     # -- graph preparation ----------------------------------------------------

@@ -24,8 +24,8 @@ import numpy as np
 from . import designspace as ds
 from .hgraph import GraphError, load_graph, read_text
 from .model import DesignConfig, metapaths_from_text, metapaths_to_text
-from .train import (Task, TrialRecord, TrialStart, check_unsaturated, make_splits,
-                    train_trial, trial_record)
+from .train import (RECORD_FORMAT, Task, TrialRecord, TrialStart, check_unsaturated,
+                    make_splits, train_trial, trial_record)
 
 RESULTS_FORMAT = "hgnn-space-results/1"
 
@@ -254,8 +254,8 @@ def input_digests(graph, configs) -> dict:
 def _read_partial(path, plan, expect):
     """Recover completed records; a line that is not a record, as
     `read_results` checks it, only loses that one trial. A header whose plan
-    hash or input digests differ from `expect`'s, or that holds no digests,
-    is refused."""
+    hash, input digests or record format differ from `expect`'s, or that
+    holds no digests or record format, is refused."""
     done = {}
     if not os.path.exists(path):
         return done
@@ -271,6 +271,9 @@ def _read_partial(path, plan, expect):
             raise GraphError(
                 f"partial results at '{path}' come from a different plan "
                 f"(hash {header.get('plan_hash')} != {expect['plan_hash']})")
+        if header.get("record_format") != RECORD_FORMAT:
+            raise GraphError(f"partial results at '{path}' were not written in record "
+                             f"format {RECORD_FORMAT}, so they cannot be resumed")
         for key, source in (("graph_sha256", f"graph '{plan.graph}'"),
                             ("configs_sha256", f"configs of space '{plan.space}'")):
             if key not in header:
@@ -305,9 +308,9 @@ def run_plan(plan: ExperimentPlan, parallelism: int | None = None,
     partial_path = plan.out + ".partial"
 
     head = {"format": RESULTS_FORMAT, "plan_hash": plan_hash(plan)}
-    # only the .partial header holds the input digests; the finalized header
-    # is {format, plan_hash}
-    expect = {**head, **input_digests(graph, configs)}
+    # only the .partial header holds the record format and the input digests;
+    # the finalized header is {format, plan_hash}
+    expect = {**head, **input_digests(graph, configs), "record_format": RECORD_FORMAT}
     header, partial_header = (json.dumps(d, sort_keys=True, separators=(",", ":"))
                               + "\n" for d in (head, expect))
 

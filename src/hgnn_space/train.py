@@ -20,7 +20,7 @@ from .model import DesignConfig, build_model, score_links
 from .sparse import expanded_rows, from_edges
 from .tensor import Tensor
 
-RECORD_FORMAT = "1"
+RECORD_FORMAT = "2"
 
 TRAIN_NEG_PER_POS = 1   # negatives per positive in the link-prediction loss
 

@@ -45,9 +45,10 @@ def run_conv(conv, sub, h_src, h_dst):
 def nudge(params, seed):
     """Move every parameter off its symmetric initialization (zero biases
     put empty-neighborhood rows exactly on activation kinks, where central
-    differences are undefined)."""
-    rng = np.random.default_rng(seed)
+    differences are undefined). Each parameter's noise is keyed on its
+    name, so it does not depend on the order of `params`."""
     for p in params:
+        rng = np.random.default_rng([seed, zlib.crc32(p.name.encode())])
         p.data += 0.1 * rng.standard_normal(p.shape)
 
 

@@ -505,6 +505,36 @@ def test_run_and_analyze_end_to_end(tmp_path, capsys):
     assert (out_dir / "edf.svg").exists()
 
 
+@pytest.mark.parametrize("header_format", [None, "1"], ids=["no-key", "format-1"])
+def test_resuming_records_of_an_older_format_is_reported_in_one_line(tmp_path, capsys,
+                                                                     header_format):
+    """A `.partial` cut short under record format 1, whose header names no
+    record format (or format 1), is refused: its records came from other
+    initial parameters, and a resume would finalize them next to new ones."""
+    cfg_path = tmp_path / "configs.json"
+    save_config_list([DesignConfig(hidden_dim=8, mp_layers=1, seed=5)], cfg_path)
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"graph = {bundle(tmp_path)}\ntask = node_classification\n"
+                    f"target = P\nspace = {cfg_path}\nsplits = 2\nepoch_override = 1\n"
+                    f"out = {tmp_path / 'r.ndrec'}\n")
+    assert main(["run", "--plan", str(plan)]) == 0
+    partial = tmp_path / "r.ndrec.partial"
+    header, first = partial.read_text().splitlines()[:2]
+    header = json.loads(header)
+    header.pop("record_format", None)
+    if header_format is not None:
+        header["record_format"] = header_format
+    older = dict(json.loads(first), format_version="1")
+    partial.write_text(json.dumps(header) + "\n" + json.dumps(older) + "\n")
+    before = partial.read_bytes()
+    capsys.readouterr()
+    assert main(["run", "--plan", str(plan), "--resume"]) == 2
+    assert _one_line_error(capsys) == (
+        f"hgnn-space: error: partial results at '{partial}' were not written in "
+        "record format 2, so they cannot be resumed\n")
+    assert partial.read_bytes() == before
+
+
 def test_a_run_with_warnings_as_errors_writes_the_same_file(tmp_path):
     """`python -W error` turns numpy's RuntimeWarnings into exceptions; a
     trial that overflows in its forward pass is still recorded as the

@@ -11,12 +11,13 @@ pinned too. The sha256 of each finalized body (the lines after the header,
 which names file paths) must equal the digest committed below.
 
 The initial parameters are pinned as well: one model per (model family,
-micro convolution) cell plus SimpleHGN, each with PReLU, batch norm, two
-pre- and post-process layers and, where the family has macros, an
-Attention macro, hashed as the sha256 over every parameter's shape and
-bytes in `parameters()` order. A change that reorders or redraws
-parameters fails here by name, not only through a finite-difference check
-that happens to straddle a kink.
+micro convolution) cell plus SimpleHGN on the 40/20-node bundle, each with
+PReLU, batch norm, two pre- and post-process layers and, where the family
+has macros, an Attention macro at P, which receives several subgraphs;
+hashed as the sha256 over every parameter's shape and bytes in
+`parameters()` order. A change that reorders or redraws parameters fails
+here by name, not only through a finite-difference check that happens to
+straddle a kink.
 
 The sampler is pinned the same way: the sha256 of the sampled configs, as
 `json.dumps([c.to_flat() for c in configs], sort_keys=True)` writes them,
@@ -49,9 +50,9 @@ from hgnn_space.runner import ExperimentPlan, run_plan, save_config_list
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64"}
 DIGESTS = {
-    "link_prediction": "c3cfff8a28d55435439a97547d9ac8938fe221c57aa5253da96f692a1c88a84f",
-    "node_classification": "9ee738d16230d8ad1517da4e843643b1f07f6c2c26bfe9ad0def7f4691084efc",
-    "shared_cells": "4bd86bebf524bb745eca74ec1cab79b95fc92f944b534c99f420004ca5fedd2d",
+    "link_prediction": "ec1118bf52c227e1dd3a5f129f63641b13ccb3ebe3ffa23a0d87c3e897436a4f",
+    "node_classification": "e962cf677b5f1495af71f37e12bfe378ec531bdb8927298731e1fb53c0433f98",
+    "shared_cells": "682331a7976e5936fd943572d475425401a90da307e4053dd9a47497610cd736",
 }
 # (space, n, strata_hits, seed) -> sha256 of the sampled configs
 SAMPLE_DIGESTS = {
@@ -61,7 +62,7 @@ SAMPLE_DIGESTS = {
         "60a66a4e811b79d1cd0e9c3190fd1a1d3bd236e7a19f600ad2a5a0d75b58b4ba",
 }
 # sha256 of the initial parameters of `_parameter_configs`' models
-PARAMETER_DIGEST = "0eeae8568ffd8777ec573a0594e3e0731135ee8c3c5e68ab9f0a96d006433ef4"
+PARAMETER_DIGEST = "af8d34ba7ece3ea5516a2780a27b659d824e2b5f4b4822b30fa308c66439ac46"
 
 METAPATHS = (("PAP", ("pa", "ap")), ("APA", ("ap", "pa")))
 MACROS = ("Sum", "Attention", "Max", "Mean")
@@ -180,12 +181,14 @@ def sample_digest(space, n, strata_hits, seed) -> str:
 def _parameter_configs():
     """Every cell once and SimpleHGN, each with every parameterized module:
     an Attention macro where the family has macros, PReLU slopes, batch
-    norm, an extra pre-process layer and a hidden post-process layer."""
+    norm, an extra pre-process layer and a hidden post-process layer. On
+    the shared-cells graph, P receives three subgraphs in the Relation and
+    Metapath families, so their macro at P is built."""
     shared = dict(activation="PReLU", has_bn=True, pre_layers=2, post_layers=2,
                   hidden_dim=8)
     out = [DesignConfig(model_family=family, micro_conv=micro,
                         macro_agg=None if family == "Homogenization" else "Attention",
-                        metapaths=METAPATHS if family == "Metapath" else (),
+                        metapaths=SHARED_METAPATHS if family == "Metapath" else (),
                         seed=k, **shared)
            for k, (family, micro) in enumerate(product(FAMILIES, MICRO_KINDS))]
     out.append(DesignConfig(model_family="Homogenization", micro_conv="GATConv",
@@ -196,7 +199,7 @@ def _parameter_configs():
 
 def _initial_parameters():
     """Each model's parameters, in `parameters()` order."""
-    graph = _bundle_graph()
+    graph = _shared_cells_graph()
     return [build_model(cfg, graph, num_classes=4, target_type="P").parameters()
             for cfg in _parameter_configs()]
 
@@ -236,11 +239,22 @@ def test_initial_parameters_match_the_committed_digest():
     assert parameter_digest() == PARAMETER_DIGEST
 
 
-def test_parameter_names_are_unique_within_each_model():
-    # Adam keys each parameter's moments on its name
-    for params in _initial_parameters():
-        names = [p.name for p in params]
+def test_parameter_names_are_unique_within_each_model(monkeypatch):
+    # Adam keys each parameter's moments on its name, and each module draws
+    # from a generator keyed on the seed and its name's crc32: two modules
+    # with one key would draw the same numbers
+    graph = _shared_cells_graph()
+    keys = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: keys.append(tuple(seed)) or real(seed))
+    for cfg in _parameter_configs():
+        keys.clear()
+        model = build_model(cfg, graph, num_classes=4, target_type="P")
+        names = [p.name for p in model.parameters()]
         assert len(set(names)) == len(names), names
+        assert len(set(keys)) == len(keys), keys
+        assert any(layer.macros for layer in model.mp) == (cfg.macro_agg is not None)
 
 
 def test_shared_cells_plan_has_shared_cells():

@@ -84,7 +84,7 @@ def test_forward_dense_composition_oracle():
     model = build_model(cfg, g, num_classes=3, target_type="P")
     out = model.forward(g, training=False)
 
-    h = {t: g.features[t] @ model.pre.weights[t].data + model.pre.biases[t].data
+    h = {t: g.features[t] @ model.pre.linears[t].W.data + model.pre.linears[t].b.data
          for t in ("P", "A")}
     layer = model.mp[0]
 
@@ -413,6 +413,31 @@ def test_parameters_are_every_parameter_the_model_constructs(family, micro, monk
                     assert {id(p) for p in params} == {id(p) for p in created}, cfg
 
 
+@pytest.mark.parametrize("micro", L.MICRO_KINDS)
+@pytest.mark.parametrize("before,after", [
+    ({"macro_agg": "Sum"}, {"macro_agg": "Attention"}),
+    ({"mp_layers": 1}, {"mp_layers": 2}),
+    ({"mp_layers": 2}, {"mp_layers": 3})], ids=["macro", "depth2", "depth3"])
+def test_a_changed_dimension_redraws_no_other_module(micro, before, after):
+    """Configs of one controlled comparison share a seed and differ in one
+    dimension. P is fed by two relations, so Attention adds a macro there
+    and each extra layer adds convolutions and macros; every parameter
+    name the two models share still starts from the same values."""
+    g = _three_type_graph(np.random.default_rng(12))
+    base = DesignConfig(model_family="Relation", micro_conv=micro, macro_agg="Sum",
+                        has_bn=True, activation="PReLU", pre_layers=2, mp_layers=2,
+                        post_layers=2, hidden_dim=8, seed=17)
+
+    def initial(kw):
+        model = build_model(base.with_values(**kw), g, num_classes=3, target_type="P")
+        return {p.name: p.data for p in model.parameters()}
+
+    a, b = initial(before), initial(after)
+    assert set(a) < set(b)
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+
+
 def test_parameters_walk_nested_containers_and_list_each_once():
     class Holder(L.Module):
         def __init__(self):
@@ -480,11 +505,10 @@ def test_the_three_families_agree_on_a_one_type_graph(micro):
     and one relation `pp`, relation extraction, the meta-path `PP: pp` and
     homogenization give the same single subgraph, so the three models give
     identical logits, in training and in evaluation, and `train_trial`
-    records identical loss and score histories. Left out, because the
-    models differ there by design: the Attention macro, which draws
-    parameters a homogenized model has no place for and so shifts every
-    later draw, and SimpleHGN attention, which adds a per-relation term that
-    only the homogenized subgraph feeds."""
+    records identical loss and score histories. Every macro is in, since a
+    set fed by one subgraph has none. Left out, because the models differ
+    there by design: SimpleHGN attention, which adds a per-relation term
+    that only the homogenized subgraph feeds."""
     rng = np.random.default_rng(23)
     n = 9
     dst, src = np.nonzero(rng.random((n, n)) < 0.3)
@@ -494,7 +518,7 @@ def test_the_three_families_agree_on_a_one_type_graph(micro):
                     labels={"P": rng.integers(0, 3, n)})
     task = Task("node_classification", "P", num_classes=3)
     split = Split(0, 99, np.arange(6), np.arange(6, n))
-    cells = [(m, c) for m in ("Sum", "Mean", "Max") for c in L.CONNECTIVITIES]
+    cells = [(m, c) for m in L.MACRO_KINDS for c in L.CONNECTIVITIES]
     for k, (macro, connectivity) in enumerate(cells):
         # the post-ops and pre-process depths spread over the cells
         base = DesignConfig(micro_conv=micro, connectivity=connectivity,

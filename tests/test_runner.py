@@ -18,6 +18,7 @@ from hgnn_space.runner import (ExperimentPlan, expand_plan, input_digests, parse
                                plan_canonical_text, plan_hash, read_results, run_plan,
                                run_trial_by_id, save_config_list)
 from hgnn_space.sparse import frozen
+from hgnn_space.train import RECORD_FORMAT
 
 from conftest import OVERFLOWING_CFG, example_seed, overflowing_graph, random_schemas
 
@@ -451,7 +452,8 @@ def test_only_the_partial_header_holds_the_input_digests(tmp_path):
     head = json.loads(Path(out).read_text().splitlines()[0])
     assert head == {"format": "hgnn-space-results/1", "plan_hash": plan_hash(plan)}
     graph, _, _, configs = expand_plan(plan)
-    assert _partial_header(plan) == {**head, **input_digests(graph, configs)}
+    assert _partial_header(plan) == {**head, **input_digests(graph, configs),
+                                     "record_format": RECORD_FORMAT}
 
 
 def test_resume_rejects_a_bundle_regenerated_at_the_same_path(tmp_path):
