@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from . import tensor as T
 from .sparse import expanded_rows
-from .tensor import BatchNormState, Parameter, SpmmPlan, Tensor, TensorError
+from .tensor import BatchNormState, Parameter, SpmmPlan, TensorError
 from .transform import Subgraph
 
 PRELU_INIT = 0.25
@@ -83,14 +83,15 @@ class Linear(Module):
 # aggregation matrices
 # ---------------------------------------------------------------------------
 
-def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
+def aggregation_plan(kind, sub: Subgraph, dtype=np.float64) -> SpmmPlan:
     """The plan convolution `kind` aggregates `sub` with, built once from
     the subgraph's CSR adjacency: its counts (GIN), each destination's
     counts divided by their sum (Sage, and GCN across types), or the counts
     with one self-loop per node, symmetrically normalized (GCN within one
     type). GAT's plan is an `AttentionPlan` on the adjacency itself, with
     the relation ids: attention reads only its pattern (parallel edges
-    count as one)."""
+    count as one). The weights are computed in float64 and stored in
+    `dtype`, the dtype of the representations the plan multiplies."""
     if kind not in MICRO_KINDS:
         raise TensorError(f"unknown micro convolution '{kind}'")
     adj = sub.adjacency
@@ -115,7 +116,8 @@ def aggregation_plan(kind, sub: Subgraph) -> SpmmPlan:
         rows = expanded_rows(adj)
         din = np.bincount(rows, weights=w, minlength=n_dst)
         w = w / din[rows]
-    return SpmmPlan(sp.csr_array((w, indices, indptr), shape=adj.shape))
+    return SpmmPlan(sp.csr_array((w.astype(dtype, copy=False), indices, indptr),
+                                 shape=adj.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ class GINConv(Module):
 
     def __call__(self, plan: SpmmPlan, h_src, h_dst):
         sums = T.spmm(plan, h_src)
-        pre = T.add(T.mul(h_dst, T.add(self.eps, Tensor(1.0))), sums)
+        pre = T.add(T.mul(h_dst, T.add(self.eps, 1.0)), sums)
         return self.lin2(T.relu(self.lin1(pre)))
 
 
@@ -219,7 +221,7 @@ class MacroSum(Module):
 
 class MacroMean(Module):
     def __call__(self, zs):
-        return T.mul(reduce(T.add, zs), Tensor(1.0 / len(zs)))
+        return T.mul(reduce(T.add, zs), 1.0 / len(zs))
 
 
 class MacroMax(Module):
@@ -323,10 +325,10 @@ class Activation(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, dim, prefix):
-        self.gamma = Parameter(np.ones((1, dim)), f"{prefix}.gamma")
-        self.beta = Parameter(np.zeros((1, dim)), f"{prefix}.beta")
-        self.state = BatchNormState(dim)
+    def __init__(self, dim, prefix, dtype=np.float64):
+        self.gamma = Parameter(np.ones((1, dim), dtype=dtype), f"{prefix}.gamma")
+        self.beta = Parameter(np.zeros((1, dim), dtype=dtype), f"{prefix}.beta")
+        self.state = BatchNormState(dim, dtype)
 
     def __call__(self, x, training):
         return T.batch_norm(x, self.gamma, self.beta, self.state, training)

@@ -8,6 +8,13 @@ nowhere else; everything after reads each subgraph's endpoint spec and
 the one aggregation plan the config's micro convolution runs on, built
 from the subgraph's CSR adjacency. Each module's initial parameters are
 a pure function of the configuration seed and the module's name.
+
+A model computes in one floating dtype, float64 unless its builder asks
+for another; trials build theirs in float32 (`train.TrialStart`). The
+model casts what it builds to that dtype once: the parameters, drawn in
+float64 so that every dtype starts from the same numbers, the batch-norm
+statistics, the features and aggregation plans of each graph, and the
+SKIP-CAT pads.
 """
 
 from __future__ import annotations
@@ -111,13 +118,14 @@ class Model(L.Module):
     threads share it."""
 
     def __init__(self, cfg: DesignConfig, graph: HeteroGraph, num_classes: int = 0,
-                 target_type: str | None = None):
+                 target_type: str | None = None, dtype=np.float64):
         from .designspace import validate  # local import; designspace uses DesignConfig
 
         problems = validate(cfg, graph)
         if problems:
             raise GraphError("invalid config: " + "; ".join(problems))
         self.cfg = cfg
+        self.dtype = np.dtype(dtype)
         self.num_classes = int(num_classes)
         self.target_type = target_type
         self.type_names = graph.type_names
@@ -150,8 +158,9 @@ class Model(L.Module):
         self.init_parameters()
 
     def init_parameters(self):
-        """New modules, each drawing its parameters from a generator keyed on
-        the config seed and its own name alone; the prepared graph is kept."""
+        """New modules, each drawing its parameters in float64 from a generator
+        keyed on the config seed and its own name alone, then cast to the
+        model's dtype; the prepared graph is kept."""
         cfg = self.cfg
         hid = cfg.hidden_dim
 
@@ -179,7 +188,7 @@ class Model(L.Module):
                                     f"mp{li}.macro.{t}")
                     for t in self.receiving if dsts.count(t) > 1}
             if cfg.has_bn:
-                layer.bns = {t: L.BatchNorm(hid, f"mp{li}.bn.{t}")
+                layer.bns = {t: L.BatchNorm(hid, f"mp{li}.bn.{t}", self.dtype)
                              for t in self.receiving}
             layer.activation = L.Activation(cfg.activation, prefix=f"mp{li}.act")
             self.mp.append(layer)
@@ -195,6 +204,8 @@ class Model(L.Module):
 
         self.head = (L.Linear(hid, max(1, self.num_classes), rng("head"), "head")
                      if cfg.task == "node_classification" else None)
+        for p in self.parameters():
+            p.data = p.data.astype(self.dtype, copy=False)
 
     # -- graph preparation ----------------------------------------------------
 
@@ -215,9 +226,10 @@ class Model(L.Module):
             subs = [compose_metapath(g, MetaPath(name, rels))
                     for name, rels in self.cfg.metapaths]
         self.sub_specs = [(s.name, s.src_type, s.dst_type) for s in subs]
-        data = {"feats": {t.name: Tensor(g.features[t.name])
+        dtype = self.dtype
+        data = {"feats": {t.name: Tensor(g.features[t.name].astype(dtype, copy=False))
                           for t in g.node_types if t.feature_dim > 0},
-                "plans": [L.aggregation_plan(self.cfg.micro_conv, s) for s in subs]}
+                "plans": [L.aggregation_plan(self.cfg.micro_conv, s, dtype) for s in subs]}
         self._graph_cache = (g, data)
         return data
 
@@ -287,7 +299,7 @@ class Model(L.Module):
                     nxt[s] = L.connect(cfg.connectivity, h[s], z)
                 elif cfg.connectivity == "SKIP-CAT":
                     # pad untouched sets so every set keeps a uniform width
-                    pad = Tensor(np.zeros((count, cfg.hidden_dim)))
+                    pad = Tensor(np.zeros((count, cfg.hidden_dim), dtype=self.dtype))
                     nxt[s] = T.concat([h[s], pad], axis=1)
                 else:
                     nxt[s] = h[s]
@@ -314,11 +326,13 @@ class Model(L.Module):
 
 
 def build_model(cfg: DesignConfig, graph: HeteroGraph, num_classes: int = 0,
-                target_type: str | None = None) -> Model:
-    return Model(cfg, graph, num_classes=num_classes, target_type=target_type)
+                target_type: str | None = None, dtype=np.float64) -> Model:
+    return Model(cfg, graph, num_classes=num_classes, target_type=target_type,
+                 dtype=dtype)
 
 
 def score_links(h_src, h_dst, src, dst):
-    """Sigmoid of the representation dot product, one score per pair of
-    `src` and `dst`, SegmentIndexes over h_src's and h_dst's rows."""
-    return T.sigmoid(T.sddmm(h_src, h_dst, src, dst))
+    """The link logit, the representation dot product, one per pair of `src`
+    and `dst`, SegmentIndexes over h_src's and h_dst's rows; its sigmoid is
+    the link probability."""
+    return T.sddmm(h_src, h_dst, src, dst)

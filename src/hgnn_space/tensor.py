@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
 Every primitive computes its forward value with numpy (scipy.sparse for the
 sparse-dense product) and, when any input requires gradients, records a tape
@@ -12,8 +12,11 @@ value dies as soon as neither the caller nor a pending closure reads it.
 `backward` replays the recorded graph once in reverse topological order,
 dropping each closure and each intermediate gradient as soon as it has run.
 Only leaves receive `.grad`. Inside `no_grad()` nothing is recorded, which
-is how evaluation forwards run. 64-bit floats throughout; no primitive sets
-numpy's floating-point error handling, so each follows its caller's.
+is how evaluation forwards run. A tensor holds float32 or float64 values;
+a primitive's output and its gradients take the floating dtype of its
+inputs, and a plain number or array beside a tensor takes that tensor's
+dtype. No primitive sets numpy's floating-point error handling, so each
+follows its caller's.
 
 One structure groups edges by endpoint: a `SegmentIndex` serves the
 gathers (whose backward is a segment sum), the segment softmax of attention
@@ -52,7 +55,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype != np.float32:  # float32 stays float32; all else is float64
+            data = data.astype(np.float64, copy=False)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._node = None
@@ -82,7 +88,7 @@ class Tensor:
         backward(self)
 
     def __neg__(self):
-        return mul(self, Tensor(-1.0))
+        return mul(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -103,6 +109,16 @@ class Parameter(Tensor):
 
 def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operands(a, b):
+    """Both operands as tensors; a number or array beside a tensor takes
+    that tensor's dtype, so a constant never promotes a float32 operand."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return _wrap(a), _wrap(b)
 
 
 _CONSUMED = object()
@@ -210,7 +226,7 @@ def _unbroadcast(grad, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
     sa, sb = a.shape, b.shape
 
@@ -221,7 +237,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operands(a, b)
     data = a.data - b.data
     sa, sb = a.shape, b.shape
 
@@ -232,7 +248,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
     sa, sb = a.shape, b.shape
     # each operand's gradient reads the other one: keep an operand only when
@@ -249,7 +265,7 @@ def mul(a, b):
 
 def maximum(a, b):
     """Elementwise max; on ties the gradient routes to the first argument."""
-    a, b = _wrap(a), _wrap(b)
+    a, b = _operands(a, b)
     take_a = a.data >= b.data
     data = np.where(take_a, a.data, b.data)
     sa, sb = a.shape, b.shape
@@ -316,7 +332,7 @@ def narrow(a, axis, start, stop):
     shape = a.shape
 
     def vjp(g):
-        out = np.zeros(shape)
+        out = np.zeros(shape, dtype=g.dtype)
         out[index] = g
         return (out,)
 
@@ -351,7 +367,7 @@ def take_per_row(a, cols):
     shape = a.shape
 
     def vjp(g):
-        out = np.zeros(shape)
+        out = np.zeros(shape, dtype=g.dtype)
         out[rows, cols] = g[:, 0]
         return (out,)
 
@@ -391,9 +407,9 @@ def leaky_relu(a):
     mask = a.data > 0
 
     def vjp(g):
-        return (g * np.where(mask, 1.0, LEAKY_SLOPE),)
+        return (np.where(mask, g, g * LEAKY_SLOPE),)
 
-    return _make(a.data * np.where(mask, 1.0, LEAKY_SLOPE), (a,), vjp)
+    return _make(np.where(mask, a.data, a.data * LEAKY_SLOPE), (a,), vjp)
 
 
 def elu(a):
@@ -428,6 +444,19 @@ def sigmoid(a):
     return _make(data, (a,), vjp)
 
 
+def softplus(a):
+    """log(1 + exp(a)) as `np.logaddexp(0, a)`, which neither overflows for a
+    large `a` nor rounds to zero for a very negative one; its derivative,
+    the sigmoid, is exp(-softplus(-a))."""
+    a = _wrap(a)
+    ad = a.data
+
+    def vjp(g):
+        return (g * np.exp(-np.logaddexp(0.0, -ad)),)
+
+    return _make(np.logaddexp(0.0, ad), (a,), vjp)
+
+
 def prelu(a, slope):
     """PReLU with a learned scalar slope shared across the tensor."""
     a, slope = _wrap(a), _wrap(slope)
@@ -439,7 +468,7 @@ def prelu(a, slope):
     ad, s_shape = a.data, slope.shape
 
     def vjp(g):
-        ga = g * np.where(mask, 1.0, s)
+        ga = np.where(mask, g, g * s)
         gs = np.array((g * ad * (~mask)).sum()).reshape(s_shape)
         return ga, gs
 
@@ -465,6 +494,22 @@ def row_softmax(a):
     return _make(data, (a,), vjp)
 
 
+def log_softmax(a):
+    """Row-wise log of the softmax: the max-shifted logits minus the log of
+    their summed exponentials, so no probability rounds to 0 before its log
+    is taken."""
+    a = _wrap(a)
+    if a.ndim != 2:
+        raise TensorError("log_softmax expects a 2-d tensor")
+    shifted = a.data - a.data.max(axis=1, keepdims=True) if a.shape[1] else a.data
+    data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def vjp(g):
+        return (g - np.exp(data) * g.sum(axis=1, keepdims=True),)
+
+    return _make(data, (a,), vjp)
+
+
 def tsum(a):
     a = _wrap(a)
     shape = a.shape
@@ -477,7 +522,7 @@ def tsum(a):
 
 def tmean(a):
     a = _wrap(a)
-    return mul(tsum(a), Tensor(1.0 / a.size))
+    return mul(tsum(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +559,7 @@ class SegmentIndex:
     def reduce(self, ufunc, x):
         """Fold x's rows within each segment with `ufunc` (np.add,
         np.maximum); empty segments give zero rows."""
-        out = np.zeros((self.num_segments,) + x.shape[1:])
+        out = np.zeros((self.num_segments,) + x.shape[1:], dtype=x.dtype)
         if self.index.size:
             out[self.nonempty] = ufunc.reduceat(self.sorted(x), self.starts, axis=0)
         return out
@@ -624,8 +669,8 @@ _SDDMM_BLOCK_BYTES = 1 << 18  # per gathered block: bounds the two gathered copi
 def _sddmm(a, b, rows, cols):
     """Row-wise dot products (a[rows] * b[cols]).sum(1), one per (row, col)
     pair, gathered and reduced one block of pairs at a time."""
-    out = np.empty(rows.shape[0])
-    block = max(1, _SDDMM_BLOCK_BYTES // (8 * max(1, a.shape[1])))
+    out = np.empty(rows.shape[0], dtype=a.dtype)
+    block = max(1, _SDDMM_BLOCK_BYTES // (a.itemsize * max(1, a.shape[1])))
     for s in range(0, rows.shape[0], block):
         e = s + block
         np.einsum("ij,ij->i", np.take(a, rows[s:e], axis=0),
@@ -674,22 +719,23 @@ def dropout(a, p, training, rng=None):
         return a
     if rng is None:
         raise TensorError("training-mode dropout needs an rng")
-    keep = rng.random(a.shape) >= p
+    scale = (rng.random(a.shape) >= p).astype(a.data.dtype)
+    scale /= 1.0 - p  # in place, so a float32 mask stays float32
 
     def vjp(g):
-        return (g * (keep / (1.0 - p)),)
+        return (g * scale,)
 
-    return _make(a.data * (keep / (1.0 - p)), (a,), vjp)
+    return _make(a.data * scale, (a,), vjp)
 
 
 class BatchNormState:
-    """Running statistics for one batch-norm site."""
+    """Running statistics for one batch-norm site, in the dtype of its inputs."""
 
     momentum, eps = 0.1, 1e-5
 
-    def __init__(self, dim):
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+    def __init__(self, dim, dtype=np.float64):
+        self.running_mean = np.zeros(dim, dtype=dtype)
+        self.running_var = np.ones(dim, dtype=dtype)
 
 
 def batch_norm(a, gamma, beta, state: BatchNormState, training: bool):

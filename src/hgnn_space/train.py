@@ -18,9 +18,8 @@ from .analysis import midranks
 from .hgraph import GraphError, HeteroGraph, build_graph  # noqa: F401
 from .model import DesignConfig, build_model, score_links
 from .sparse import expanded_rows, from_edges
-from .tensor import Tensor
 
-RECORD_FORMAT = "2"
+RECORD_FORMAT = "3"
 
 TRAIN_NEG_PER_POS = 1   # negatives per positive in the link-prediction loss
 
@@ -260,7 +259,7 @@ class Adam:
             # only read
             g = p.grad
             if p.name not in self.slots:
-                self.slots[p.name] = np.zeros((2,) + g.shape)
+                self.slots[p.name] = np.zeros((2,) + g.shape, dtype=p.data.dtype)
             m, v = self.slots[p.name]
             a = (1 - b1) * g
             m *= b1
@@ -295,16 +294,16 @@ def make_optimizer(kind, params, lr):
 # ---------------------------------------------------------------------------
 
 def cross_entropy(logits, label_ids):
-    probs = T.row_softmax(logits)
-    picked = T.take_per_row(probs, label_ids)
-    return -T.tmean(T.log(picked))
+    """Mean negative log-likelihood of the labels, read off the log-softmax
+    of the logits: finite for any finite logits."""
+    return -T.tmean(T.take_per_row(T.log_softmax(logits), label_ids))
 
 
-def binary_cross_entropy(pos_scores, neg_scores):
-    # scores live in (0, 1); a diverging run surfaces as a non-finite loss
-    loss_pos = T.log(pos_scores)
-    loss_neg = T.log(T.sub(Tensor(1.0), neg_scores))
-    return -T.tmean(T.concat([loss_pos, loss_neg], axis=0))
+def binary_cross_entropy(pos_logits, neg_logits):
+    """Mean of -log sigmoid(pos) and -log(1 - sigmoid(neg)) over the link
+    logits, as softplus(-pos) and softplus(neg): finite for any finite
+    logits, so only a diverging run makes it non-finite."""
+    return T.tmean(T.softplus(T.concat([-pos_logits, neg_logits], axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,8 @@ def binary_cross_entropy(pos_scores, neg_scores):
 class TrialStart:
     """What the trials of one config start from: the built model and the
     node-classification evaluation output at its initial parameters,
-    neither of which depends on the split.
+    neither of which depends on the split. This is where a trial's
+    precision is chosen: the model is built in float32.
 
     The first trial to begin builds the model; each later one, on any
     split and in any number, draws its parameters again from the config
@@ -337,7 +337,8 @@ class TrialStart:
             task = self.task
             self.model = build_model(
                 self.cfg, msg_graph, num_classes=task.num_classes,
-                target_type=task.target if task.kind == "node_classification" else None)
+                target_type=task.target if task.kind == "node_classification" else None,
+                dtype=np.float32)
         else:
             self.model.init_parameters()
         return self.model
@@ -409,6 +410,8 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
                                         score_links(h_src, h_dst, train_src, neg_dst))
 
         def val_score(out):
+            # ROC-AUC reads only the order, so it ranks the logits: their
+            # float32 sigmoids would tie every logit above about 17
             scores = score_links(out[rel.src_type], out[rel.dst_type],
                                  val_src, val_dst).data[:, 0]
             if not np.isfinite(scores).all():
@@ -433,17 +436,17 @@ def train_trial(cfg: DesignConfig, graph: HeteroGraph, split: Split, task: Task,
                 return np.nan
             return macro_f1(np.argmax(logits, axis=1), val_labels, task.num_classes)
 
-    model = start.begin(msg_graph)  # the closures above read it
-    params = model.parameters()
-    opt = make_optimizer(cfg.optimizer, params, cfg.lr)
-
     one_pass = not cfg.dropout_p and not cfg.has_bn
     n_epochs = cfg.epochs if max_epochs is None else min(cfg.epochs, max_epochs)
     losses, scores = [], []
     reason = None
-    # the one floating-point policy: a diverging trial may overflow anywhere in
-    # the loop, and the finite checks record it under any warnings filter
+    # the one floating-point policy: a feature beyond float32's range casts to
+    # inf when the model is built, and a diverging trial may overflow anywhere
+    # in the loop; the finite checks record either under any warnings filter
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        model = start.begin(msg_graph)  # the closures above read it
+        params = model.parameters()
+        opt = make_optimizer(cfg.optimizer, params, cfg.lr)
         for epoch in range(n_epochs + 1):
             drop_rng = np.random.default_rng([cfg.seed, split.seed, epoch, 11])
             trains = epoch < n_epochs

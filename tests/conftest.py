@@ -13,20 +13,34 @@ from hgnn_space.hgraph import SyntheticSpec, build_graph, generate_synthetic
 from hgnn_space.model import DesignConfig
 from hgnn_space.tensor import grad_check
 
-# overflows in its first forward pass on `overflowing_graph()`
+# fails its first score on `overflowing_graph()`: a trial's float32 cast of
+# the features overflows to inf, and a float64 forward overflows in its
+# first layers
 OVERFLOWING_CFG = DesignConfig(model_family="Homogenization", micro_conv="GINConv",
                                macro_agg=None, optimizer="SGD", lr=0.1, seed=1)
 
 
 def overflowing_graph():
     """The 60/30-node synthetic graph with every feature scaled so that the
-    largest magnitude is 1.5e308: finite, so a plan accepts it."""
+    largest magnitude is 1.5e308: finite in float64, so a plan accepts it,
+    and beyond float32's range."""
     g = generate_synthetic(SyntheticSpec(
         node_types=(("P", 60, 8), ("A", 30, 8)),
         relations=(("ap", "A", "P", 150), ("pa", "P", "A", 150)),
         target_type="P", num_communities=4, seed=1))
     return dataclasses.replace(g, features={
         t: x * (1.5e308 / np.abs(x).max()) for t, x in g.features.items()})
+
+
+def shared_cells_graph():
+    """P and featureless A; `cites` and `refs` are both P -> P, and some
+    (destination, source) cells carry an edge of each, so P is fed by
+    several subgraphs in every family that keeps types apart."""
+    return generate_synthetic(SyntheticSpec(
+        node_types=(("P", 40, 6), ("A", 20, 0)),
+        relations=(("cites", "P", "P", 120), ("refs", "P", "P", 120),
+                   ("ap", "A", "P", 60), ("pa", "P", "A", 60)),
+        target_type="P", num_communities=4, seed=7))
 
 
 def same_csr(a, b):

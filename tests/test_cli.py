@@ -505,12 +505,15 @@ def test_run_and_analyze_end_to_end(tmp_path, capsys):
     assert (out_dir / "edf.svg").exists()
 
 
-@pytest.mark.parametrize("header_format", [None, "1"], ids=["no-key", "format-1"])
+@pytest.mark.parametrize("header_format", [None, "1", "2"],
+                         ids=["no-key", "format-1", "format-2"])
 def test_resuming_records_of_an_older_format_is_reported_in_one_line(tmp_path, capsys,
                                                                      header_format):
-    """A `.partial` cut short under record format 1, whose header names no
-    record format (or format 1), is refused: its records came from other
-    initial parameters, and a resume would finalize them next to new ones."""
+    """A `.partial` cut short under an older record format, whose header
+    names no record format (format 1) or format 1 or 2, is refused: its
+    records came from other initial parameters (format 1) or from float64
+    trials on the old losses (format 2), and a resume would finalize them
+    next to new ones."""
     cfg_path = tmp_path / "configs.json"
     save_config_list([DesignConfig(hidden_dim=8, mp_layers=1, seed=5)], cfg_path)
     plan = tmp_path / "plan.cfg"
@@ -524,20 +527,20 @@ def test_resuming_records_of_an_older_format_is_reported_in_one_line(tmp_path, c
     header.pop("record_format", None)
     if header_format is not None:
         header["record_format"] = header_format
-    older = dict(json.loads(first), format_version="1")
+    older = dict(json.loads(first), format_version=header_format or "1")
     partial.write_text(json.dumps(header) + "\n" + json.dumps(older) + "\n")
     before = partial.read_bytes()
     capsys.readouterr()
     assert main(["run", "--plan", str(plan), "--resume"]) == 2
     assert _one_line_error(capsys) == (
         f"hgnn-space: error: partial results at '{partial}' were not written in "
-        "record format 2, so they cannot be resumed\n")
+        "record format 3, so they cannot be resumed\n")
     assert partial.read_bytes() == before
 
 
 def test_a_run_with_warnings_as_errors_writes_the_same_file(tmp_path):
     """`python -W error` turns numpy's RuntimeWarnings into exceptions; a
-    trial that overflows in its forward pass is still recorded as the
+    trial whose features overflow its float32 cast is still recorded as the
     default run records it, and neither run prints a warning."""
     cfg_path = tmp_path / "configs.json"
     save_config_list([OVERFLOWING_CFG], cfg_path)

@@ -8,14 +8,16 @@ configs. On a 40/20-node bundle whose two P->P relations share some cells:
 every family with two and three pre-process layers and PReLU, so extra
 pre-process layers and a homogenized cell that two relations share are
 pinned too. The sha256 of each finalized body (the lines after the header,
-which names file paths) must equal the digest committed below.
+which names file paths) must equal the digest committed below. Trials
+train in float32, so these digests pin float32 arithmetic.
 
 The initial parameters are pinned as well: one model per (model family,
 micro convolution) cell plus SimpleHGN on the 40/20-node bundle, each with
 PReLU, batch norm, two pre- and post-process layers and, where the family
 has macros, an Attention macro at P, which receives several subgraphs;
 hashed as the sha256 over every parameter's shape and bytes in
-`parameters()` order. A change that reorders or redraws parameters fails
+`parameters()` order, as a default `build_model` holds them: in float64,
+the numbers a trial's model casts to float32. A change that reorders or redraws parameters fails
 here by name, not only through a finite-difference check that happens to
 straddle a kink.
 
@@ -48,11 +50,13 @@ from hgnn_space.layers import MICRO_KINDS
 from hgnn_space.model import FAMILIES, DesignConfig, build_model
 from hgnn_space.runner import ExperimentPlan, run_plan, save_config_list
 
+from conftest import shared_cells_graph
+
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64"}
 DIGESTS = {
-    "link_prediction": "ec1118bf52c227e1dd3a5f129f63641b13ccb3ebe3ffa23a0d87c3e897436a4f",
-    "node_classification": "e962cf677b5f1495af71f37e12bfe378ec531bdb8927298731e1fb53c0433f98",
-    "shared_cells": "682331a7976e5936fd943572d475425401a90da307e4053dd9a47497610cd736",
+    "link_prediction": "61d938bc0d2391bff80c0a89a9b99f64af5b8feb7ee2977d2502d96a495a088e",
+    "node_classification": "1347aa2dc47a16d3b2ce17436de8f410409732ae014ba8843b3cfbf39f76e9a7",
+    "shared_cells": "18a27f1d01b027e7207a0b42b5d820466323e4cb0df1807952c62db7968578e5",
 }
 # (space, n, strata_hits, seed) -> sha256 of the sampled configs
 SAMPLE_DIGESTS = {
@@ -105,16 +109,6 @@ def _lp_configs():
 SHARED_METAPATHS = (("PcP", ("cites",)), ("PrP", ("refs",)), ("PAP", ("pa", "ap")))
 
 
-def _shared_cells_graph():
-    """P and featureless A; `cites` and `refs` are both P -> P, and some
-    (destination, source) cells carry an edge of each."""
-    return generate_synthetic(SyntheticSpec(
-        node_types=(("P", 40, 6), ("A", 20, 0)),
-        relations=(("cites", "P", "P", 120), ("refs", "P", "P", 120),
-                   ("ap", "A", "P", 60), ("pa", "P", "A", 60)),
-        target_type="P", num_communities=4, seed=7))
-
-
 def _shared_cells_configs():
     """Each family at pre_layers 2 and 3 with PReLU, and the SimpleHGN
     attention that reads each fused edge's relation index."""
@@ -147,7 +141,7 @@ def _bundle_graph():
 def _plan_inputs(name):
     """(graph, task, target, meta-paths, configs) of a golden plan."""
     if name == "shared_cells":
-        return (_shared_cells_graph(), "node_classification", "P", SHARED_METAPATHS,
+        return (shared_cells_graph(), "node_classification", "P", SHARED_METAPATHS,
                 _shared_cells_configs())
     graph = _bundle_graph()
     if name == "node_classification":
@@ -199,7 +193,7 @@ def _parameter_configs():
 
 def _initial_parameters():
     """Each model's parameters, in `parameters()` order."""
-    graph = _shared_cells_graph()
+    graph = shared_cells_graph()
     return [build_model(cfg, graph, num_classes=4, target_type="P").parameters()
             for cfg in _parameter_configs()]
 
@@ -243,7 +237,7 @@ def test_parameter_names_are_unique_within_each_model(monkeypatch):
     # Adam keys each parameter's moments on its name, and each module draws
     # from a generator keyed on the seed and its name's crc32: two modules
     # with one key would draw the same numbers
-    graph = _shared_cells_graph()
+    graph = shared_cells_graph()
     keys = []
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
@@ -258,7 +252,7 @@ def test_parameter_names_are_unique_within_each_model(monkeypatch):
 
 
 def test_shared_cells_plan_has_shared_cells():
-    g = _shared_cells_graph()
+    g = shared_cells_graph()
     cites = g.adjacency["cites"].toarray() > 0
     refs = g.adjacency["refs"].toarray() > 0
     assert (cites & refs).any() and (cites ^ refs).any()

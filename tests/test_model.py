@@ -348,14 +348,17 @@ def test_score_links_closed_forms():
         n = h.shape[0]
         return h, h, SegmentIndex([src], n), SegmentIndex([dst], n)
 
+    # the link logit is the dot product; its sigmoid is the link probability
     z = Tensor(np.zeros((2, 4)))
     s = score_links(*pair(z, 0, 1))
-    assert s.data.tolist() == [[0.5]]
+    assert s.data.tolist() == [[0.0]]
+    assert T.sigmoid(s).data.tolist() == [[0.5]]
     ortho = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert score_links(*pair(ortho, 0, 1)).data.tolist() == [[0.5]]
+    assert score_links(*pair(ortho, 0, 1)).data.tolist() == [[0.0]]
     unit = Tensor(np.array([[1.0, 0.0]]))
-    got = score_links(*pair(unit, 0, 0)).data.item()
-    assert got == pytest.approx(0.7310585786300049, abs=1e-12)
+    got = score_links(*pair(unit, 0, 0))
+    assert got.data.tolist() == [[1.0]]
+    assert T.sigmoid(got).data.item() == pytest.approx(0.7310585786300049, abs=1e-12)
     with pytest.raises(TensorError, match="out of range"):
         score_links(*pair(unit, 3, 0))
 

@@ -325,8 +325,9 @@ def test_a_trial_that_raises_is_recorded_failed_and_the_plan_goes_on(tmp_path,
 
 
 def test_a_trial_that_overflows_is_recorded_alike_under_any_warnings_filter(tmp_path):
-    """A forward pass that overflows fails the trial through its finite
-    checks under any warnings filter; it never raises into the runner."""
+    """Features that overflow a trial's float32 cast fail the trial through
+    its finite checks under any warnings filter; they never raise into the
+    runner."""
     cfg_path = tmp_path / "configs.json"
     save_config_list([OVERFLOWING_CFG], cfg_path)
     plan = ExperimentPlan(graph=save_graph(overflowing_graph(), tmp_path / "bundle"),

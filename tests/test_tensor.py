@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import log_expit, logsumexp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -272,6 +273,28 @@ def test_grad_unary(unary):
     p = Parameter(rng.standard_normal((5, 4)) + 0.2 * np.sign(rng.standard_normal((5, 4))), "p")
     v = rng.standard_normal((5, 4))
     check(lambda: T.tsum(T.mul(unary(p), Tensor(v))), [p])
+
+
+@pytest.mark.parametrize("unary", [T.log_softmax, T.softplus],
+                         ids=["log_softmax", "softplus"])
+def test_grad_stable_loss_primitives(unary):
+    """In float64, over logits that span 60, where the sigmoid and the
+    softmax saturate to within 1e-13 of 0 or 1."""
+    rng = np.random.default_rng(16)
+    p = Parameter(np.concatenate([rng.standard_normal((5, 4)),
+                                  rng.uniform(-30.0, 30.0, (5, 4))]), "p")
+    v = rng.standard_normal((10, 4))
+    check(lambda: T.tsum(T.mul(unary(p), Tensor(v))), [p])
+
+
+def test_stable_loss_primitives_match_their_closed_forms():
+    x = np.array([[0.0, 1.0, -2.0], [700.0, -700.0, 0.0], [-1e4, 1e4, 5.0]])
+    np.testing.assert_allclose(T.log_softmax(Tensor(x)).data,
+                               x - logsumexp(x, axis=1, keepdims=True), rtol=1e-15)
+    np.testing.assert_allclose(T.softplus(Tensor(x)).data, -log_expit(-x), rtol=1e-15)
+    for dtype in (np.float32, np.float64):
+        for f in (T.log_softmax, T.softplus):
+            assert f(Tensor(x.astype(dtype))).data.dtype == dtype
 
 
 def test_grad_log():

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, log_expit, logsumexp, softmax
 
 import hgnn_space.tensor as T
 import hgnn_space.train as train_mod
 from hgnn_space.hgraph import (GraphError, SyntheticSpec, build_graph,
                                generate_synthetic, load_graph)
-from hgnn_space.model import DesignConfig, Model, build_model, score_links
+from hgnn_space.layers import ACTIVATIONS, MICRO_KINDS
+from hgnn_space.model import FAMILIES, DesignConfig, Model, build_model, score_links
 from hgnn_space.sparse import expanded_rows
 from hgnn_space.tensor import Parameter
 from hgnn_space.train import (Adam, SGD, Task, TrialRecord, TrialStart,
@@ -22,7 +24,7 @@ from hgnn_space.train import (Adam, SGD, Task, TrialRecord, TrialStart,
                               graph_without_edges, macro_f1, make_optimizer,
                               make_splits, negative_sample, roc_auc, train_trial)
 
-from conftest import OVERFLOWING_CFG, overflowing_graph, same_csr
+from conftest import OVERFLOWING_CFG, overflowing_graph, same_csr, shared_cells_graph
 
 
 def planted_graph(seed=0, n_p=80, n_a=40, edges=200):
@@ -544,6 +546,62 @@ def test_adam_makes_moments_at_a_parameters_first_gradient():
 
 
 # ---------------------------------------------------------------------------
+# losses: finite for any finite logits, in either precision
+# ---------------------------------------------------------------------------
+
+LOSS_TOL = {np.float32: 1e-6, np.float64: 1e-13}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_is_finite_at_a_logit_spread_of_2000(dtype):
+    """Each row's logits span 2000, and each label picks a logit at least
+    1000 below its row's maximum, where a probability rounds to 0 and its
+    log is -inf in either precision; the log-softmax loss and its gradient
+    match scipy's logsumexp and softmax."""
+    x = np.array([[0.0, 1000.0, -1000.0], [2000.0, 0.0, 1.0], [-1000.0, 1000.0, 0.0],
+                  [3.0, -1.0, 2.5]])
+    labels = np.array([2, 1, 0, 0])
+    logits = Parameter(x.astype(dtype), "logits")
+    loss = cross_entropy(logits, labels)
+    rows = np.arange(len(labels))
+    want = np.mean(logsumexp(x, axis=1) - x[rows, labels])
+    assert want > 1000
+    assert loss.data.dtype == dtype and np.isfinite(loss.data)
+    assert float(loss.data) == pytest.approx(want, rel=LOSS_TOL[dtype])
+    loss.backward()
+    grad_want = softmax(x, axis=1)
+    grad_want[rows, labels] -= 1.0
+    grad_want /= len(labels)
+    assert logits.grad.dtype == dtype and np.isfinite(logits.grad).all()
+    np.testing.assert_allclose(logits.grad, grad_want, rtol=0, atol=LOSS_TOL[dtype])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_binary_cross_entropy_is_finite_at_a_dot_product_of_800(dtype):
+    """A positive pair scores -800 and a negative pair 800, where
+    log(sigmoid(-800)) is -inf in either precision; the softplus loss on
+    the link logits and its gradient match scipy's log_expit and expit."""
+    h_src = Parameter(np.array([[20.0, 20.0]], dtype=dtype), "src")
+    h_dst = Parameter(np.array([[20.0, 20.0], [-20.0, -20.0]], dtype=dtype), "dst")
+    src = T.SegmentIndex([0], 1)
+    pos = score_links(h_src, h_dst, src, T.SegmentIndex([1], 2))
+    neg = score_links(h_src, h_dst, src, T.SegmentIndex([0], 2))
+    assert pos.data.tolist() == [[-800.0]] and neg.data.tolist() == [[800.0]]
+    loss = binary_cross_entropy(pos, neg)
+    want = -np.mean([log_expit(-800.0), log_expit(-800.0)])
+    assert loss.data.dtype == dtype and np.isfinite(loss.data)
+    assert float(loss.data) == pytest.approx(want, rel=LOSS_TOL[dtype])
+    loss.backward()
+    # dloss/dlogit is (sigmoid(logit) - label) / 2 for each of the two pairs
+    d_pos, d_neg = (expit(-800.0) - 1.0) / 2, expit(800.0) / 2
+    x_src, x_dst = h_src.data.astype(np.float64), h_dst.data.astype(np.float64)
+    for p, g in ((h_src, d_pos * x_dst[1] + d_neg * x_dst[0]),
+                 (h_dst, np.stack([d_neg * x_src[0], d_pos * x_src[0]]))):
+        assert p.grad.dtype == dtype and np.isfinite(p.grad).all()
+        np.testing.assert_allclose(p.grad, g.reshape(p.shape), rtol=LOSS_TOL[dtype])
+
+
+# ---------------------------------------------------------------------------
 # train_trial
 # ---------------------------------------------------------------------------
 
@@ -631,10 +689,10 @@ def test_trial_divergence_recorded_not_raised():
 
 
 def test_a_forward_overflow_is_recorded_alike_under_any_warnings_filter():
-    """The trial sets numpy's floating-point policy for its whole epoch
-    loop, forward passes included, so a warnings filter that raises on a
-    RuntimeWarning changes nothing; the non-finite logits fail the trial at
-    its first score."""
+    """The trial sets numpy's floating-point policy for building its model
+    and for its whole epoch loop, so a warnings filter that raises on a
+    RuntimeWarning changes nothing; the features overflow float32, and the
+    non-finite logits fail the trial at its first score."""
     g = overflowing_graph()
     task = Task("node_classification", "P", num_classes=4)
     split = make_splits(task, g, 1, seed=0)[0]
@@ -656,8 +714,10 @@ def test_a_forward_overflow_is_recorded_alike_under_any_warnings_filter():
 def test_an_output_that_overflows_in_the_last_evaluation_fails_the_trial(
         monkeypatch, kind, optimizer):
     """The last step leaves finite parameters whose evaluation-only forward
-    pass overflows: the score it would read off non-finite logits or link
-    scores is NaN, so the trial fails instead of recording that score."""
+    pass overflows: 1e38 is finite in float32, but the first projection of
+    the features is not. The score it would read off non-finite logits or
+    link scores is NaN, so the trial fails instead of recording that
+    score."""
     cls = getattr(train_mod, optimizer)
     real_step = cls.step
 
@@ -665,7 +725,7 @@ def test_an_output_that_overflows_in_the_last_evaluation_fails_the_trial(
         real_step(self)
         self.steps = getattr(self, "steps", 0) + 1
         if self.steps == 3:
-            self.params[0].data[...] = 1e308
+            self.params[0].data[...] = 1e38
 
     monkeypatch.setattr(cls, "step", step)
     g = planted_graph(n_p=40, n_a=20, edges=100)
@@ -674,6 +734,7 @@ def test_an_output_that_overflows_in_the_last_evaluation_fails_the_trial(
                        **FAMILY_POINTS["Relation"])
     rec = train_trial(cfg, g, split, task, max_epochs=3)
     assert rec.status == "failed" and rec.best_score is None
+    assert rec.reason == "nonfinite_score@epoch3"
     assert len(rec.history["train_loss"]) == len(rec.history["val_score"]) == 3
     assert np.isfinite(rec.history["train_loss"] + rec.history["val_score"]).all()
 
@@ -739,7 +800,9 @@ def test_trial_rejects_an_invalid_config(kind, bad, reason):
 
 def train_trial_loop(cfg, graph, split, task, max_epochs=None):
     """The trial loop with a separate full evaluation forward before training
-    and after every step, every forward computing every node type."""
+    and after every step, every forward computing every node type; a float32
+    model, as a trial's, whose link logits feed both the loss and the
+    ROC-AUC."""
     if task.kind == "link_prediction":
         msg_graph = graph_without_edges(graph, task.target, split.val)
         val_negs = negative_sample(graph, task.target, split.val, 1,
@@ -755,7 +818,8 @@ def train_trial_loop(cfg, graph, split, task, max_epochs=None):
         msg_graph, val_negs, metric_name = graph, None, "macro_f1"
         train_rows = T.SegmentIndex(split.train, graph.labels[task.target].shape[0])
     model = build_model(cfg, msg_graph, num_classes=task.num_classes,
-                        target_type=task.target if task.kind == "node_classification" else None)
+                        target_type=task.target if task.kind == "node_classification" else None,
+                        dtype=np.float32)
     params = model.parameters()
     opt = make_optimizer(cfg.optimizer, params, cfg.lr)
     rel = graph.relation(task.target) if task.kind == "link_prediction" else None
@@ -886,18 +950,13 @@ def test_an_evaluation_forward_records_no_tape_nodes(monkeypatch, kind, has_bn):
 @pytest.mark.parametrize("family", sorted(FAMILY_POINTS))
 def test_trial_matches_evaluation_forward_loop(family, dropout_p, has_bn, kind,
                                                max_epochs):
-    """Every case trains, but one: the link loss takes log(1 - sigmoid(x)),
-    which is infinite once a negative pair's logit passes about 37. In the
-    Metapath case with dropout and batch norm, the first training forward
-    at these initial parameters scores a negative pair that high, so the
-    trial fails at its first loss, as the reference loop does."""
+    """Every case trains. The Metapath case with dropout and batch norm gives
+    a negative pair a logit of about 47 in its first training forward, where
+    log(1 - sigmoid(x)) would be infinite; the link loss takes softplus(x)
+    instead, which is finite."""
     cfg = DesignConfig(hidden_dim=16, dropout_p=dropout_p, has_bn=has_bn, seed=5,
                        **FAMILY_POINTS[family])
     rec = assert_same_trial(cfg, kind, max_epochs=max_epochs)
-    if (family, dropout_p, has_bn, kind) == ("Metapath", 0.3, True, "LP") and max_epochs:
-        assert rec.reason == "nonfinite_loss@epoch0"
-        assert rec.history["train_loss"] == [np.inf]
-        return
     assert rec.status == "ok"
     assert len(rec.history["train_loss"]) == max_epochs
     assert len(rec.history["val_score"]) == max_epochs + 1
@@ -909,16 +968,18 @@ def test_trial_matches_evaluation_forward_loop(family, dropout_p, has_bn, kind,
 def test_trial_matches_loop_on_nonfinite_loss(monkeypatch, kind, optimizer, micro,
                                               layers):
     """The first step leaves the last bias, the head's (NC) or the last
-    post-process layer's (LP), 1e3 apart from column to column: the next
-    outputs are finite, so they score, but a class logit 1e3 below its
-    row's maximum rounds its probability to 0, as a dot product of 1e10
-    rounds a negative pair's sigmoid to 1, and the loss is infinite."""
+    post-process layer's (LP), spread from column to column: 1e38 apart
+    between the four class logits, or 3e16 apart over the 32 columns of the
+    link representations, whose dot products come to about 1e37. The next
+    outputs are finite, so they score, and so is each pair's or row's loss
+    term, but their sum overflows float32, so the loss is infinite."""
     cls = getattr(train_mod, optimizer)
     real_step = cls.step
+    spread = 1e38 if kind == "NC" else 3e16
 
     def step(self):
         real_step(self)
-        self.params[-1].data[...] = 1e3 * np.arange(self.params[-1].shape[1])
+        self.params[-1].data[...] = spread * np.arange(self.params[-1].shape[1])
 
     monkeypatch.setattr(cls, "step", step)
     cfg = DesignConfig(model_family="Relation", micro_conv=micro, macro_agg="Sum",
@@ -990,7 +1051,7 @@ def test_each_split_starts_from_the_initial_arrays(kind):
     cfg = START_CFG.with_values(task=task.kind)
     fresh = build_model(cfg, graph_without_edges(g, "ap", splits[0].val)
                         if kind == "LP" else g, num_classes=task.num_classes,
-                        target_type="P" if kind == "NC" else None)
+                        target_type="P" if kind == "NC" else None, dtype=np.float32)
     want = [(p.name, p.data) for p in fresh.parameters()]
     seen = []
 
@@ -1110,3 +1171,116 @@ def test_node_classification_evaluates_the_initial_parameters_once_per_start(
         assert train_trial(cfg, g, split, task, max_epochs=2, start=start).status == "ok"
         initial += modes.index(True)  # the evaluations before the first training pass
     assert initial == per_start
+
+
+# ---------------------------------------------------------------------------
+# precision: trials compute in float32, default models in float64
+# ---------------------------------------------------------------------------
+
+def precision_configs(task_kind):
+    """Every (family, micro convolution) cell with batch norm, dropout,
+    SKIP-CAT, L2 normalization, extra pre- and post-process layers and an
+    Attention macro where the family has one; the activations take turns,
+    and the Homogenization GAT cell uses the relation-aware attention."""
+    out = []
+    for k, (family, micro) in enumerate((f, m) for f in FAMILIES for m in MICRO_KINDS):
+        out.append(DesignConfig(
+            model_family=family, micro_conv=micro,
+            macro_agg=None if family == "Homogenization" else "Attention",
+            attention_form=("SimpleHGN" if (family, micro) == ("Homogenization", "GATConv")
+                            else "GAT"),
+            metapaths=((("PcP", ("cites",)), ("PAP", ("pa", "ap")))
+                       if family == "Metapath" else ()),
+            has_bn=True, dropout_p=0.3, activation=ACTIVATIONS[k % len(ACTIVATIONS)],
+            has_l2norm=True, connectivity="SKIP-CAT", pre_layers=2, post_layers=2,
+            hidden_dim=8, seed=k, task=task_kind))
+    return out
+
+
+def recorded_dtypes(monkeypatch):
+    """Record the dtype of every primitive's output and of every gradient
+    a vector-Jacobian closure takes or returns, by where it was seen."""
+    seen = set()
+    real_make = T._make
+
+    def make(data, parents, vjp):
+        seen.add(("output", np.asarray(data).dtype))
+
+        def recorded_vjp(g):
+            grads = vjp(g)
+            seen.update(("gradient", np.asarray(x).dtype) for x in (g, *grads)
+                        if x is not None)
+            return grads
+
+        return real_make(data, parents, recorded_vjp)
+
+    monkeypatch.setattr(T, "_make", make)
+    return seen
+
+
+def model_dtypes(model, opt):
+    """(what, dtype) of every array the model and its optimizer keep:
+    parameters, Adam moments, batch-norm statistics, features and the
+    aggregation plans' entries."""
+    data = model._graph_cache[1]
+    found = {("parameter", p.data.dtype) for p in model.parameters()}
+    found |= {("moment", m.dtype) for slot in opt.slots.values() for m in slot}
+    found |= {("bn statistic", a.dtype) for layer in model.mp for bn in layer.bns.values()
+              for a in (bn.state.running_mean, bn.state.running_var)}
+    found |= {("feature", x.data.dtype) for x in data["feats"].values()}
+    found |= {("plan", plan.matrix.dtype) for plan in data["plans"]}
+    return found
+
+
+@pytest.mark.parametrize("kind", ["NC", "LP"])
+def test_a_trial_keeps_no_float64_array(monkeypatch, kind):
+    """Every family and micro convolution, with every post-op, SKIP-CAT pads,
+    a fused Attention macro and each activation: the tape outputs, the
+    gradients, the parameters, Adam's moments, the batch-norm statistics,
+    the features and the plans of a trial are float32 (an attention plan
+    keeps the adjacency's integer counts)."""
+    g = shared_cells_graph()
+    task = (Task("node_classification", "P", num_classes=4) if kind == "NC"
+            else Task("link_prediction", "ap"))
+    split = make_splits(task, g, 1, seed=2)[0]
+    optimizers = []
+
+    def make_opt(*args):
+        optimizers.append(make_optimizer(*args))
+        return optimizers[-1]
+
+    monkeypatch.setattr(train_mod, "make_optimizer", make_opt)
+    seen = recorded_dtypes(monkeypatch)
+    for cfg in precision_configs(task.kind):
+        start = TrialStart(cfg, g, task)
+        rec = train_trial(cfg, g, split, task, max_epochs=2, start=start)
+        assert rec.status == "ok", (cfg, rec.reason)
+        macros = [m for layer in start.model.mp for m in layer.macros.values()]
+        assert bool(macros) == (cfg.model_family != "Homogenization")
+        seen |= model_dtypes(start.model, optimizers[-1])
+    kinds = {what for what, _ in seen}
+    assert kinds == {"output", "gradient", "parameter", "moment", "bn statistic",
+                     "feature", "plan"}
+    assert {(w, d) for w, d in seen if d == np.float64} == set()
+    assert {d for w, d in seen if w != "plan"} == {np.dtype(np.float32)}
+
+
+def test_a_default_model_computes_in_float64(monkeypatch):
+    """`build_model` without a dtype, as the oracles call it: a training
+    forward, backward and Adam step keep every array in float64."""
+    g = shared_cells_graph()
+    task = Task("node_classification", "P", num_classes=4)
+    split = make_splits(task, g, 1, seed=2)[0]
+    seen = recorded_dtypes(monkeypatch)
+    for cfg in precision_configs(task.kind):
+        model = build_model(cfg, g, num_classes=4, target_type="P")
+        opt = make_optimizer(cfg.optimizer, model.parameters(), cfg.lr)
+        logits = model.predict_logits(g, training=True,
+                                      rng=np.random.default_rng(cfg.seed))
+        rows = T.SegmentIndex(split.train, g.labels["P"].shape[0])
+        cross_entropy(T.gather_rows(logits, rows), g.labels["P"][split.train]).backward()
+        opt.step()
+        seen |= model_dtypes(model, opt)
+    assert {d for w, d in seen if w != "plan"} == {np.dtype(np.float64)}
+    assert {d for w, d in seen if w == "plan"} <= {np.dtype(np.float64),
+                                                   np.dtype(np.int64)}
